@@ -12,20 +12,7 @@
 // workers building the node BDDs of overlapping PO cones) and records the
 // cross-worker ITE-cache hit rate.
 //
-// A third sweep measures two-level work stealing on a deliberately skewed
-// batch (one circuit with many equally-critical cones plus several small
-// adders): with stealing off, the batch tail serializes on the big
-// circuit while freed workers idle; with stealing on, they join its
-// per-round cone fan-out. The sweep asserts the outputs' full structural
-// hashes are identical between modes — stealing is an execution knob.
-//
-// A fourth sweep measures the intra-cone SAT fan-out (the third scheduling
-// level) on a single dominant-cone input — one deep single-PO circuit, so
-// item- and cone-level parallelism have nothing to fan out and only the
-// per-cube don't-care proofs can occupy the pool. Asserts byte-level
-// structural-hash identity between --intra-cone on and off.
-//
-// A fifth sweep measures the memory governor: the adder under a fixed
+// A third sweep measures the memory governor: the adder under a fixed
 // tight per-cone quota (Tier 1, deterministic degradation) at global
 // budgets {unlimited, 256M, 64M, 16M} (Tier 2, cache shedding). Since the
 // global rail only evicts pure memo entries and the per-cone quota is
@@ -36,8 +23,8 @@
 //   bench_parallel [bits] [max_jobs] [iterations]
 //
 // Results go to stdout and to BENCH_parallel.json (machine-readable, one
-// object per jobs value, plus "budgeted", "bdd", "steal", "intracone",
-// and "memgov" sections) so the perf trajectory is tracked across PRs.
+// object per jobs value, plus "budgeted", "bdd", and "memgov" sections)
+// so the perf trajectory is tracked across PRs.
 
 #include <algorithm>
 #include <atomic>
@@ -54,7 +41,6 @@
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "engine/engine.hpp"
-#include "engine/metrics.hpp"
 #include "io/generators.hpp"
 
 using namespace lls;
@@ -197,138 +183,6 @@ std::string bdd_rows_json(const std::vector<BddRow>& rows) {
     return json + "]";
 }
 
-/// One large many-critical-cone circuit + several small adders: the batch
-/// shape whose tail used to leave every worker but one idle.
-std::vector<BatchItem> skewed_batch() {
-    BenchmarkProfile profile;
-    profile.name = "steal_big";
-    profile.num_pis = 16;
-    profile.num_pos = 12;
-    profile.chain_length = 10;
-    profile.num_shared = 4;
-    profile.seed = 23;
-    std::vector<BatchItem> items;
-    items.push_back({"big", synthetic_control_circuit(profile)});
-    for (int i = 0; i < 6; ++i)
-        items.push_back({"small" + std::to_string(i), ripple_carry_adder(4 + (i % 3))});
-    return items;
-}
-
-struct StealResult {
-    int jobs = 0;
-    std::size_t items = 0;
-    double off_seconds = 0.0;
-    double on_seconds = 0.0;
-    bool identical = false;
-};
-
-/// Same skewed batch with stealing off then on, cold caches both times;
-/// `identical` is full-structural-hash equality of every item's output.
-StealResult steal_sweep(const std::vector<BatchItem>& items, const LookaheadParams& params,
-                        int jobs) {
-    auto run_mode = [&](bool steal, std::vector<std::uint64_t>* hashes) {
-        clear_engine_caches();
-        EngineOptions engine;
-        engine.jobs = jobs;
-        engine.steal = steal;
-        Stopwatch sw;
-        const auto outcomes = optimize_timing_batch(items, params, engine);
-        const double seconds = sw.elapsed_seconds();
-        for (const auto& outcome : outcomes) {
-            if (outcome.failed) {
-                std::fprintf(stderr, "BATCH ITEM FAILED: %s: %s\n", outcome.name.c_str(),
-                             outcome.error.c_str());
-                std::exit(1);
-            }
-            hashes->push_back(outcome.output.hash());
-        }
-        return seconds;
-    };
-    StealResult result;
-    result.jobs = jobs;
-    result.items = items.size();
-    std::vector<std::uint64_t> off_hashes, on_hashes;
-    result.off_seconds = run_mode(false, &off_hashes);
-    result.on_seconds = run_mode(true, &on_hashes);
-    result.identical = off_hashes == on_hashes;
-    std::printf("  jobs=%-3d steal off %7.2fs   steal on %7.2fs   speedup %.2fx   outputs %s\n",
-                jobs, result.off_seconds, result.on_seconds,
-                result.off_seconds / result.on_seconds,
-                result.identical ? "identical" : "DIFFER (BUG)");
-    std::fflush(stdout);
-    return result;
-}
-
-/// Single dominant-cone input for the intra-cone sweep: one deep
-/// single-PO circuit, so every round evaluates exactly one cone and only
-/// the per-cube SAT don't-care proofs inside it can use the pool. 18 PIs
-/// keep simulation non-exhaustive (random patterns), which is what routes
-/// unreached don't-care candidates to SAT in the first place.
-Aig dominant_cone_circuit() {
-    BenchmarkProfile profile;
-    profile.name = "intracone_big";
-    profile.num_pis = 18;
-    profile.num_pos = 1;
-    profile.chain_length = 28;
-    profile.num_shared = 8;
-    profile.seed = 47;
-    return synthetic_control_circuit(profile);
-}
-
-struct IntraConeResult {
-    int jobs = 0;
-    double off_seconds = 0.0;
-    double on_seconds = 0.0;
-    std::uint64_t queries = 0;           ///< SAT don't-care proofs in the `on` run
-    std::uint64_t parallel_batches = 0;  ///< multi-task fan-out dispatches in the `on` run
-    bool identical = false;
-};
-
-/// The dominant-cone circuit with the intra-cone fan-out off then on, cold
-/// caches both times; `identical` is structural-hash equality plus equal
-/// deterministic work spend.
-IntraConeResult intracone_sweep(const Aig& circuit, const LookaheadParams& params, int jobs) {
-    auto run_mode = [&](bool intra, std::uint64_t* hash, std::uint64_t* work) {
-        clear_engine_caches();
-        EngineOptions engine;
-        engine.jobs = jobs;
-        engine.intra_cone = intra;
-        OptimizeStats stats;
-        Stopwatch sw;
-        const Aig out = optimize_timing_engine(circuit, params, engine, &stats);
-        const double seconds = sw.elapsed_seconds();
-        if (!stats.verified) {
-            std::fprintf(stderr, "VERIFICATION FAILURE at intra_cone=%d\n", intra ? 1 : 0);
-            std::exit(1);
-        }
-        *hash = out.hash();
-        *work = stats.work_units;
-        return seconds;
-    };
-    IntraConeResult result;
-    result.jobs = jobs;
-    std::uint64_t off_hash = 0, on_hash = 0, off_work = 0, on_work = 0;
-    result.off_seconds = run_mode(false, &off_hash, &off_work);
-    Metrics& metrics = Metrics::global();
-    const std::uint64_t queries_before = metrics.counter("engine.intracone.queries").value();
-    const std::uint64_t batches_before =
-        metrics.counter("engine.intracone.parallel_batches").value();
-    result.on_seconds = run_mode(true, &on_hash, &on_work);
-    result.queries = metrics.counter("engine.intracone.queries").value() - queries_before;
-    result.parallel_batches =
-        metrics.counter("engine.intracone.parallel_batches").value() - batches_before;
-    result.identical = off_hash == on_hash && off_work == on_work;
-    std::printf("  jobs=%-3d intra off %7.2fs   intra on %7.2fs   speedup %.2fx   "
-                "%llu proofs / %llu parallel batches   outputs %s\n",
-                jobs, result.off_seconds, result.on_seconds,
-                result.off_seconds / result.on_seconds,
-                static_cast<unsigned long long>(result.queries),
-                static_cast<unsigned long long>(result.parallel_batches),
-                result.identical ? "identical" : "DIFFER (BUG)");
-    std::fflush(stdout);
-    return result;
-}
-
 struct MemgovRow {
     std::uint64_t budget = 0;  ///< global rail in bytes (0 = unlimited)
     double seconds = 0.0;
@@ -465,32 +319,13 @@ int main(int argc, char** argv) {
     std::printf("cross-worker ITE-cache hits observed: %s\n",
                 bdd_sharing_observed ? "yes" : "NO (BUG)");
 
-    // Two-level work stealing on the skewed batch, at the largest job
-    // count (stealing only matters once workers outnumber live items).
-    const int steal_jobs = std::max(2, max_jobs);
-    const std::vector<BatchItem> batch = skewed_batch();
-    std::printf("steal sweep: skewed batch, %zu items (1 big + %zu small), --jobs %d\n",
-                batch.size(), batch.size() - 1, steal_jobs);
-    const StealResult steal = steal_sweep(batch, params, steal_jobs);
-
-    // Intra-cone fan-out on the single dominant cone, at the same largest
-    // job count; random patterns forced so the SAT don't-care path runs.
-    const Aig dominant = dominant_cone_circuit();
-    LookaheadParams intracone_params = params;
-    intracone_params.force_random_patterns = true;
-    std::printf("intra-cone sweep: single dominant cone (%zu PIs, depth %d, %zu ANDs), "
-                "--jobs %d\n",
-                dominant.num_pis(), dominant.depth(), dominant.count_reachable_ands(),
-                steal_jobs);
-    const IntraConeResult intracone = intracone_sweep(dominant, intracone_params, steal_jobs);
-
     // Memory-governor sweep: fixed tight per-cone quota, shrinking global
     // budgets; outputs must be identical at every budget.
     std::printf("memgov sweep: --cone-mem 4M at budgets unlimited/256M/64M/16M, --jobs %d\n",
-                steal_jobs);
+                max_jobs);
     bool memgov_identical = false;
     const std::vector<MemgovRow> memgov_rows =
-        memgov_sweep(rca, params, steal_jobs, &memgov_identical);
+        memgov_sweep(rca, params, max_jobs, &memgov_identical);
     std::printf("QoR identical across memory budgets: %s\n",
                 memgov_identical ? "yes" : "NO (BUG)");
 
@@ -504,20 +339,6 @@ int main(int argc, char** argv) {
                        ",\"runs\":" + rows_json(budgeted_rows) + "}" +
                        ",\"bdd\":{\"sharing_observed\":" + (bdd_sharing_observed ? "true" : "false") +
                        ",\"runs\":" + bdd_rows_json(bdd_rows) + "}" +
-                       ",\"steal\":{\"jobs\":" + std::to_string(steal.jobs) +
-                       ",\"items\":" + std::to_string(steal.items) +
-                       ",\"off_seconds\":" + std::to_string(steal.off_seconds) +
-                       ",\"on_seconds\":" + std::to_string(steal.on_seconds) +
-                       ",\"speedup\":" + std::to_string(steal.off_seconds / steal.on_seconds) +
-                       ",\"identical\":" + (steal.identical ? "true" : "false") + "}" +
-                       ",\"intracone\":{\"jobs\":" + std::to_string(intracone.jobs) +
-                       ",\"queries\":" + std::to_string(intracone.queries) +
-                       ",\"parallel_batches\":" + std::to_string(intracone.parallel_batches) +
-                       ",\"off_seconds\":" + std::to_string(intracone.off_seconds) +
-                       ",\"on_seconds\":" + std::to_string(intracone.on_seconds) +
-                       ",\"speedup\":" +
-                       std::to_string(intracone.off_seconds / intracone.on_seconds) +
-                       ",\"identical\":" + (intracone.identical ? "true" : "false") + "}" +
                        ",\"memgov\":{\"cone_mem_bytes\":" +
                        std::to_string(std::uint64_t{4} << 20) +
                        ",\"identical\":" + (memgov_identical ? "true" : "false") +
@@ -527,8 +348,5 @@ int main(int argc, char** argv) {
         std::fclose(f);
         std::printf("wrote BENCH_parallel.json\n");
     }
-    return identical && budgeted_identical && bdd_sharing_observed && steal.identical &&
-                   intracone.identical && memgov_identical
-               ? 0
-               : 1;
+    return identical && budgeted_identical && bdd_sharing_observed && memgov_identical ? 0 : 1;
 }

@@ -62,6 +62,7 @@ int main() {
     double sum_gates[4] = {0, 0, 0, 0};
     std::string json = "{\"benchmarks\":[";
     bool json_first = true;
+    std::vector<std::string> unverified;
 
     Stopwatch total;
     for (const auto& profile : profiles) {
@@ -75,8 +76,9 @@ int main() {
 
         LookaheadParams params;
         params.max_iterations = 8;
-        params.time_budget_seconds = 180.0;  // bound the largest OpenSPARC stand-ins
-        const Aig ours = optimize_timing(circuit, params);
+        OptimizeStats stats;
+        const Aig ours = optimize_timing(circuit, params, &stats);
+        if (!stats.verified) unverified.push_back(profile.name);
         r[3] = evaluate(circuit, ours, lib, flow_names[3], profile.name.c_str());
 
         std::printf("%-22s %3d/%-5d |", profile.name.c_str(), profile.num_pis, profile.num_pos);
@@ -131,5 +133,9 @@ int main() {
         std::fclose(f);
         std::printf("wrote BENCH_table2.json\n");
     }
-    return 0;
+    // The engine's own round/pass CEC left a result unresolved: the QoR of
+    // that row is not a verified lookahead result.
+    for (const auto& name : unverified)
+        std::fprintf(stderr, "UNVERIFIED: lookahead on %s\n", name.c_str());
+    return unverified.empty() ? 0 : 1;
 }

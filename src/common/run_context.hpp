@@ -92,17 +92,10 @@ struct RunContext {
     Metrics* metrics = nullptr;
 
     /// Intra-cone executor: the run's reentrant pool, or null for strictly
-    /// serial inner loops. Purely an execution knob — consumers must keep
-    /// results identical with and without it (fixed-order joins).
+    /// serial inner loops (a `jobs == 1` run). Purely an execution knob —
+    /// consumers must keep results identical with and without it
+    /// (fixed-order joins).
     ThreadPool* executor = nullptr;
-
-    /// Gate for the intra-cone fan-out (`lls_opt --intra-cone`). Kept
-    /// separate from `executor` so one context can serve both modes.
-    bool intra_cone = true;
-
-    /// The executor to fan intra-cone work across, or null when the
-    /// fan-out is disabled or no pool was provided.
-    ThreadPool* intra_cone_executor() const { return intra_cone ? executor : nullptr; }
 
     /// Fires the planned fault for `site` (if any) as LlsError at `stage`.
     void check_fault(std::string_view site, std::string_view stage) const {

@@ -1,15 +1,19 @@
 #include "engine/cache.hpp"
 
+#include <map>
+
 namespace lls {
 
 namespace {
 
-/// Global registry of cache stats providers. Caches are process-lifetime
-/// singletons, so providers never dangle; the mutex only guards the vector
-/// itself (registration happens once per cache, snapshots are rare).
+/// Global registry of cache stats providers, keyed by registration id (so
+/// iteration follows registration order). A cache unregisters in its
+/// destructor, and snapshots call the providers under the same mutex, so a
+/// provider can never run against a destroyed cache.
 struct CacheRegistry {
     std::mutex mutex;
-    std::vector<std::function<CacheStatsSnapshot()>> providers;
+    std::uint64_t next_id = 0;
+    std::map<std::uint64_t, std::function<CacheStatsSnapshot()>> providers;
 };
 
 CacheRegistry& registry() {
@@ -21,24 +25,28 @@ CacheRegistry& registry() {
 
 namespace detail {
 
-void register_cache(std::function<CacheStatsSnapshot()> provider) {
+std::uint64_t register_cache(std::function<CacheStatsSnapshot()> provider) {
     auto& reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
-    reg.providers.push_back(std::move(provider));
+    const std::uint64_t id = reg.next_id++;
+    reg.providers.emplace(id, std::move(provider));
+    return id;
+}
+
+void unregister_cache(std::uint64_t id) {
+    auto& reg = registry();
+    std::lock_guard<std::mutex> lock(reg.mutex);
+    reg.providers.erase(id);
 }
 
 }  // namespace detail
 
 std::vector<CacheStatsSnapshot> all_cache_stats() {
-    std::vector<std::function<CacheStatsSnapshot()>> providers;
-    {
-        auto& reg = registry();
-        std::lock_guard<std::mutex> lock(reg.mutex);
-        providers = reg.providers;
-    }
+    auto& reg = registry();
+    std::lock_guard<std::mutex> lock(reg.mutex);
     std::vector<CacheStatsSnapshot> stats;
-    stats.reserve(providers.size());
-    for (const auto& p : providers) stats.push_back(p());
+    stats.reserve(reg.providers.size());
+    for (const auto& [id, provider] : reg.providers) stats.push_back(provider());
     return stats;
 }
 

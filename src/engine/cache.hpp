@@ -29,11 +29,13 @@ struct CacheStatsSnapshot {
 namespace detail {
 /// Registers a cache's stats provider with the global registry (cache.cpp),
 /// so `all_cache_stats()` and `lls_opt --metrics` see every instance no
-/// matter which translation unit created it.
-void register_cache(std::function<CacheStatsSnapshot()> provider);
+/// matter which translation unit created it. Returns the id the cache
+/// passes to `unregister_cache` when it is destroyed.
+std::uint64_t register_cache(std::function<CacheStatsSnapshot()> provider);
+void unregister_cache(std::uint64_t id);
 }  // namespace detail
 
-/// Snapshots of every registered cache, in registration order.
+/// Snapshots of every live registered cache, in registration order.
 std::vector<CacheStatsSnapshot> all_cache_stats();
 
 /// Mixes a value into a 64-bit hash accumulator (splitmix64 finalizer).
@@ -54,7 +56,7 @@ inline std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
 /// its entries (in map order — the entries are pure memos, so eviction only
 /// costs recomputation, never correctness). Hit/miss/eviction counters are
 /// lock-free and the instance registers itself with the global stats
-/// registry on construction.
+/// registry for its lifetime.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class ShardedCache {
 public:
@@ -79,8 +81,9 @@ public:
             sizer_ = [](const Key&, const Value&) {
                 return sizeof(Key) + sizeof(Value) + kEntryOverheadBytes;
             };
-        detail::register_cache([this] { return stats(); });
+        registration_ = detail::register_cache([this] { return stats(); });
     }
+    ~ShardedCache() { detail::unregister_cache(registration_); }
 
     ShardedCache(const ShardedCache&) = delete;
     ShardedCache& operator=(const ShardedCache&) = delete;
@@ -232,6 +235,7 @@ private:
     mutable std::array<Shard, kShards> shards_;
     std::atomic<std::size_t> byte_limit_{0};
     std::atomic<std::uint64_t> hits_{0}, misses_{0}, evictions_{0};
+    std::uint64_t registration_ = 0;
 };
 
 /// Hash for pair-of-u64 keys (structural-hash pairs, e.g. the CEC memo).

@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include <atomic>
-
 #include <mutex>
 
 #include <thread>
@@ -165,8 +163,23 @@ void register_memo_governance(MemoryGovernor& governor) {
     governor.add_shed_hook([] { return exact_structure_memo().shed_half(); });
 }
 
-Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
-                           const EngineOptions& engine, OptimizeStats* stats) {
+namespace {
+
+/// The engine run behind both public drivers. `shared_pool` and `batch_bdd`
+/// are the batch driver's hooks (null for a standalone run):
+///
+///  - `shared_pool`: the batch-wide pool to fan each round's cone
+///    evaluations across instead of a run-private pool sized from `jobs`.
+///    Every in-flight item publishes its per-round `parallel_for` range to
+///    the one queue that *freed* workers — threads whose own items have
+///    completed — also drain (two-level scheduling). Commits stay serial per
+///    item in deterministic cone order, so outputs are byte-identical with
+///    and without it.
+///  - `batch_bdd`: the batch-wide BddManager, sized to the widest item, that
+///    replaces the run-private shared manager so parallel items reuse each
+///    other's subgraphs. Ignored when it cannot pack the circuit's PIs.
+Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOptions& engine,
+               ThreadPool* shared_pool, BddManager* batch_bdd, OptimizeStats* stats) {
     Metrics& metrics = Metrics::global();
     MetricCounter& cones_evaluated = metrics.counter("engine.cones_evaluated");
     MetricCounter& cones_improved = metrics.counter("engine.cones_improved");
@@ -203,8 +216,8 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
     // completed sibling items pick it up.
     const int jobs = std::max(1, engine.jobs);
     std::optional<ThreadPool> own_pool;
-    if (!engine.shared_pool) own_pool.emplace(static_cast<std::size_t>(jobs - 1));
-    ThreadPool& pool = engine.shared_pool ? *engine.shared_pool : *own_pool;
+    if (!shared_pool) own_pool.emplace(static_cast<std::size_t>(jobs - 1));
+    ThreadPool& pool = shared_pool ? *shared_pool : *own_pool;
     MetricCounter& steal_donated = metrics.counter("engine.steal.donated_ranges");
     MetricCounter& steal_stolen = metrics.counter("engine.steal.stolen_indices");
     // A malformed plan is an entry error, raised before any work starts.
@@ -231,35 +244,38 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
     // falls back to a private manager when it fires. Circuits beyond the
     // manager's variable-packing range simply run without one — exactly
     // the inputs whose cones exact verification could never build anyway.
-    // Batch mode hands every item the same externally owned manager
-    // (engine.shared_bdd_manager), so parallel items reuse each other's
-    // subgraphs instead of each building a private run-wide pool.
-    std::shared_ptr<BddManager> own_shared_bdd;
+    // Batch mode hands every item the same batch-owned manager, so parallel
+    // items reuse each other's subgraphs instead of each building a private
+    // run-wide pool.
+    std::optional<BddManager> own_shared_bdd;
     BddManager* shared_bdd = nullptr;
-    if (engine.shared_bdd) {
-        if (engine.shared_bdd_manager != nullptr &&
-            original.num_pis() <= static_cast<std::size_t>(engine.shared_bdd_manager->num_vars())) {
-            shared_bdd = engine.shared_bdd_manager;
-        } else if (original.num_pis() < (std::size_t{1} << 20)) {
-            own_shared_bdd = std::make_shared<BddManager>(static_cast<int>(original.num_pis()),
-                                                          /*node_limit=*/std::size_t{1} << 22);
-            shared_bdd = own_shared_bdd.get();
-            // A run-private shared manager reports its arena to the Tier-2
-            // rail (an externally owned one was bound by its owner — the
-            // batch driver or the CLI — binding it again would double-count).
-            if (engine.governor != nullptr) own_shared_bdd->bind_governor(engine.governor);
-        }
+    if (batch_bdd != nullptr &&
+        original.num_pis() <= static_cast<std::size_t>(batch_bdd->num_vars())) {
+        shared_bdd = batch_bdd;
+    } else if (original.num_pis() < (std::size_t{1} << 20)) {
+        own_shared_bdd.emplace(static_cast<int>(original.num_pis()),
+                               /*node_limit=*/std::size_t{1} << 22);
+        shared_bdd = &*own_shared_bdd;
+        // A run-private shared manager reports its arena to the Tier-2 rail
+        // (the batch-owned one was bound by the batch driver — binding it
+        // again would double-count).
+        if (engine.governor != nullptr) own_shared_bdd->bind_governor(engine.governor);
     }
 
     // Deterministic work budget: charged only at serial points with the
     // per-cone costs of each round's evaluations, so `budget.exhausted()`
     // is a pure function of work performed — identical on every thread
     // schedule. The wall-clock rail stays as a nondeterministic emergency
-    // stop; once it fires the in-flight round is discarded (partially
-    // evaluated rounds are never committed) and the run is flagged.
+    // stop: a run-level Deadline checked before each round, before each
+    // cone task, and after each round's fan-out. Once it has expired the
+    // in-flight round is discarded (partially evaluated rounds are never
+    // committed) and the run is flagged. Expiry is monotone, so a task
+    // that skipped on it guarantees the post-fan-out check fires too.
     WorkBudget budget(params.work_budget);
-    Stopwatch wall_clock;
-    std::atomic<bool> wall_clock_fired{false};
+    const Deadline run_deadline = params.time_budget_seconds > 0.0
+                                      ? Deadline::after_seconds(params.time_budget_seconds)
+                                      : Deadline();
+    bool wall_clock_interrupted = false;
     // Process/batch-level cooperative cancellation. The serial stages run
     // under this scope (token only — the per-cone watchdog is armed inside
     // each evaluation), so a SIGTERM reaches the polls in SAT sweeping and
@@ -282,20 +298,40 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
         ctx.governor = engine.governor;
         return ctx;
     };
-    auto wall_clock_expired = [&]() {
-        if (wall_clock_fired.load(std::memory_order_relaxed)) return true;
-        if (params.time_budget_seconds > 0.0 &&
-            wall_clock.elapsed_seconds() > params.time_budget_seconds) {
-            wall_clock_fired.store(true, std::memory_order_relaxed);
-            return true;
-        }
-        return false;
-    };
-
     OptimizeStats local;
     local.initial_depth = original.depth();
     local.initial_ands = original.count_reachable_ands();
     const std::size_t and_budget = 8 * std::max<std::size_t>(local.initial_ands, 64);
+
+    // Serial-point check of both stop sources; flags the run when the
+    // wall-clock rail is what fired.
+    auto stop_requested = [&]() {
+        if (run_deadline.expired()) wall_clock_interrupted = true;
+        return wall_clock_interrupted || shutdown_requested();
+    };
+    // The serial stages shared by the per-iteration, pass-level, and
+    // restructuring paths: SAT sweeping and CEC against the verdict memo,
+    // both metered for --metrics but never charged to the budget. A failed
+    // or unresolved check means the candidate cannot be trusted (callers
+    // revert); an unresolved one also marks the run unverified.
+    auto sweep = [&](const Aig& aig) {
+        const ScopedTimer sweep_scope(sweep_timer);
+        WorkCost sweep_cost;
+        Aig swept = sat_sweep(aig, rng, /*conflict_limit=*/2000, /*num_patterns=*/1024,
+                              /*depth_aware=*/true, serial_context(sweep_cost));
+        work_sweep_conflicts.add(sweep_cost.sat_conflicts);
+        return swept;
+    };
+    auto proven_equivalent = [&](const Aig& a, const Aig& b, std::int64_t conflict_limit) {
+        const ScopedTimer cec_scope(cec_timer);
+        WorkCost cec_cost;
+        const CecResult cec = check_equivalence_memo(a, b, conflict_limit,
+                                                     engine.use_result_cache,
+                                                     serial_context(cec_cost), engine.warm_start);
+        work_cec_conflicts.add(cec_cost.sat_conflicts);
+        local.verified = local.verified && cec.resolved;
+        return cec.resolved && cec.equivalent;
+    };
 
     Aig best = original;
 
@@ -373,7 +409,6 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
                 ctx.exact_verify = rung == 2;
                 ctx.metrics = &metrics;
                 ctx.executor = pool.size() > 0 ? &pool : nullptr;
-                ctx.intra_cone = engine.intra_cone;
                 if (params.cone_mem_bytes != 0) ctx.mem_quota = &quota;
                 ctx.governor = engine.governor;
                 Rng cone_rng(hash_mix(fingerprint, cone_hash));
@@ -446,7 +481,7 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
         constexpr int kMaxPlateau = 2;
         bool touched = false;
         for (int iter = 0; iter < params.max_iterations && !budget.exhausted(); ++iter) {
-            if (wall_clock_expired() || shutdown_requested()) break;
+            if (stop_requested()) break;
             const int depth = current.depth();
             if (depth < 2) break;
             const auto levels = current.compute_levels();
@@ -482,8 +517,7 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
                 // worker can drain them. An index executed by a thread
                 // other than this item's owner is a stolen index —
                 // observability only, never part of the result.
-                const bool donated =
-                    engine.shared_pool != nullptr && pool.size() > 0 && tasks.size() > 1;
+                const bool donated = shared_pool != nullptr && pool.size() > 0 && tasks.size() > 1;
                 if (donated) steal_donated.add();
                 const std::thread::id owner = std::this_thread::get_id();
                 pool.parallel_for(0, tasks.size(), [&](std::size_t i) {
@@ -491,7 +525,7 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
                     // Stop dispatching: tasks that have not started yet are
                     // skipped outright once a shutdown is requested (the
                     // round below is discarded anyway).
-                    if (wall_clock_expired() || shutdown_requested()) return;
+                    if (run_deadline.expired() || shutdown_requested()) return;
                     // Task-boundary backstop: the retry ladder contains
                     // faults inside the evaluation, so anything arriving
                     // here escaped outside it (cone extraction, the memo
@@ -520,7 +554,7 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
             // Wall-clock interruption or shutdown: the partially evaluated
             // round is discarded — never charged, never committed — so a
             // resumed run retraces the uninterrupted trajectory exactly.
-            if (wall_clock_fired.load(std::memory_order_relaxed) || shutdown_requested()) break;
+            if (stop_requested()) break;
 
             // Charge this round's deterministic cost, in task order, at a
             // serial point. The round is fully evaluated by now and will be
@@ -619,14 +653,7 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
                 }
             }
             const bool small = candidate.count_reachable_ands() <= kPerIterationCheckLimit;
-            if (params.area_recovery && small) {
-                const ScopedTimer sweep_scope(sweep_timer);
-                WorkCost sweep_cost;
-                candidate = sat_sweep(candidate, rng, /*conflict_limit=*/2000,
-                                      /*num_patterns=*/1024, /*depth_aware=*/true,
-                                      serial_context(sweep_cost));
-                work_sweep_conflicts.add(sweep_cost.sat_conflicts);
-            }
+            if (params.area_recovery && small) candidate = sweep(candidate);
 
             const int candidate_depth = candidate.depth();
             if (candidate_depth > depth) break;  // regression: keep the best seen
@@ -637,21 +664,10 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
             }
             if (candidate.count_reachable_ands() > and_budget) break;  // runaway duplication
 
-            if (params.verify_each_iteration && small) {
-                const ScopedTimer cec_scope(cec_timer);
-                WorkCost cec_cost;
-                const CecResult cec =
-                    check_equivalence_memo(candidate, current, /*conflict_limit=*/1000000,
-                                           engine.use_result_cache, serial_context(cec_cost),
-                                           engine.warm_start);
-                work_cec_conflicts.add(cec_cost.sat_conflicts);
-                if (!cec.resolved || !cec.equivalent) {
-                    // A failed or unresolved check means this round cannot
-                    // be trusted; keep the last verified circuit.
-                    local.verified = local.verified && cec.resolved;
-                    break;
-                }
-            }
+            // An untrusted round keeps the last verified circuit.
+            if (params.verify_each_iteration && small &&
+                !proven_equivalent(candidate, current, /*conflict_limit=*/1000000))
+                break;
 
             local.outputs_decomposed += improved_outputs;
             ++local.iterations;
@@ -664,26 +680,13 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
         // too large for per-iteration checks.
         if (touched && best.count_reachable_ands() > kPerIterationCheckLimit) {
             if (params.area_recovery) {
-                const ScopedTimer sweep_scope(sweep_timer);
-                WorkCost sweep_cost;
-                Aig swept = sat_sweep(best, rng, /*conflict_limit=*/2000, /*num_patterns=*/1024,
-                                      /*depth_aware=*/true, serial_context(sweep_cost));
-                work_sweep_conflicts.add(sweep_cost.sat_conflicts);
+                Aig swept = sweep(best);
                 if (!better(best, swept)) best = std::move(swept);
             }
-            if (params.verify_each_iteration) {
-                const ScopedTimer cec_scope(cec_timer);
-                WorkCost cec_cost;
-                const CecResult cec =
-                    check_equivalence_memo(best, original, /*conflict_limit=*/4000000,
-                                           engine.use_result_cache, serial_context(cec_cost),
-                                           engine.warm_start);
-                work_cec_conflicts.add(cec_cost.sat_conflicts);
-                if (!cec.resolved || !cec.equivalent) {
-                    local.verified = local.verified && cec.resolved;
-                    best = original;  // cannot trust anything from this pass
-                }
-            }
+            // An untrusted pass cannot keep anything it produced.
+            if (params.verify_each_iteration &&
+                !proven_equivalent(best, original, /*conflict_limit=*/4000000))
+                best = original;
         }
     };
 
@@ -708,31 +711,13 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
                     const ScopedTimer restructure_scope(restructure_timer);
                     restructured = restructure_round(preopt);
                 }
-                if (params.area_recovery) {
-                    const ScopedTimer sweep_scope(sweep_timer);
-                    WorkCost sweep_cost;
-                    restructured =
-                        sat_sweep(restructured, rng, /*conflict_limit=*/2000,
-                                  /*num_patterns=*/1024, /*depth_aware=*/true,
-                                  serial_context(sweep_cost));
-                    work_sweep_conflicts.add(sweep_cost.sat_conflicts);
-                }
+                if (params.area_recovery) restructured = sweep(restructured);
                 if (restructured.depth() >= preopt.depth()) break;
                 preopt = std::move(restructured);
             }
-            if (params.verify_each_iteration) {
-                const ScopedTimer cec_scope(cec_timer);
-                WorkCost cec_cost;
-                const CecResult cec =
-                    check_equivalence_memo(preopt, original, /*conflict_limit=*/1000000,
-                                           engine.use_result_cache, serial_context(cec_cost),
-                                           engine.warm_start);
-                work_cec_conflicts.add(cec_cost.sat_conflicts);
-                if (!cec.resolved || !cec.equivalent) {
-                    local.verified = local.verified && cec.resolved;
-                    preopt = original;
-                }
-            }
+            if (params.verify_each_iteration &&
+                !proven_equivalent(preopt, original, /*conflict_limit=*/1000000))
+                preopt = original;
             if (better(preopt, best)) best = preopt;
             if (preopt.depth() < original.depth() && !shutdown_requested())
                 run_decomposition_loop(preopt);
@@ -747,7 +732,7 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
     local.final_ands = best.count_reachable_ands();
     local.work_units = budget.spent();
     local.budget_exhausted = budget.exhausted();
-    local.wall_clock_interrupted = wall_clock_fired.load(std::memory_order_relaxed);
+    local.wall_clock_interrupted = wall_clock_interrupted;
     if (local.budget_exhausted) budget_stops.add();
     if (local.wall_clock_interrupted) wall_clock_stops.add();
     rounds_run.add(static_cast<std::uint64_t>(local.iterations));
@@ -761,11 +746,19 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
     // run's fan-outs (cone rounds and intra-cone proof batches) — the cost
     // help-while-waiting exists to shrink. A shared pool's wait is exported
     // by the batch as engine.steal.idle_wait instead.
-    if (own_pool && engine.intra_cone && own_pool->size() > 0)
+    if (own_pool && own_pool->size() > 0)
         metrics.timer("engine.intracone.idle_wait").add_nanos(own_pool->idle_wait_nanos());
     if (engine.governor != nullptr) sync_governor_metrics(metrics, *engine.governor);
     if (stats) *stats = local;
     return best;
+}
+
+}  // namespace
+
+Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
+                           const EngineOptions& engine, OptimizeStats* stats) {
+    return run_engine(input, params, engine, /*shared_pool=*/nullptr, /*batch_bdd=*/nullptr,
+                      stats);
 }
 
 Aig optimize_timing(const Aig& input, const LookaheadParams& params, OptimizeStats* stats) {
@@ -778,40 +771,33 @@ std::vector<BatchOutcome> optimize_timing_batch(
     const std::function<void(const BatchOutcome&, std::size_t)>& on_complete) {
     std::vector<BatchOutcome> outcomes(items.size());
     const std::size_t jobs = static_cast<std::size_t>(std::max(1, engine.jobs));
-    // Two-level scheduling: every item starts at jobs=1, but with stealing
-    // on the items share one pool, so the per-round cone fan-out of an
-    // in-flight item is published to the same queue the item-level
-    // parallel_for drains. Early in the batch every worker owns a whole
-    // circuit; as items complete, freed workers pick up the donated cone
-    // ranges of the stragglers instead of idling — which is why the pool
-    // keeps all jobs-1 workers even when fewer items than workers remain.
-    // With stealing off, the pool is capped at items-1 workers as before
-    // (extra workers could never get work).
-    const bool steal = engine.steal && jobs > 1 && items.size() > 1;
-    ThreadPool pool(steal ? jobs - 1
-                          : std::min(jobs - 1, items.empty() ? 0 : items.size() - 1));
+    // Two-level scheduling: every item starts at jobs=1, but the items share
+    // one pool, so the per-round cone fan-out of an in-flight item is
+    // published to the same queue the item-level parallel_for drains. Early
+    // in the batch every worker owns a whole circuit; as items complete,
+    // freed workers pick up the donated cone ranges of the stragglers
+    // instead of idling — which is why the pool keeps all jobs-1 workers
+    // even when fewer items than workers remain. A single item has no
+    // siblings to steal from and runs serially, like any jobs=1 run.
+    ThreadPool pool(items.size() > 1 ? jobs - 1 : 0);
     // One batch-wide BDD manager, sized to the widest item: the exact-SPCF
     // and exact-verification BDD work of every parallel item builds into
     // the same concurrency-safe pool, so items share subgraphs the way
     // workers within one run already do. Per-call private-manager fallback
     // on exhaustion is unchanged (verdicts stay deterministic); items
-    // beyond the packing range simply run without a shared manager, as
-    // before. An externally provided manager is passed through untouched.
+    // beyond the packing range simply run without a shared manager.
     std::optional<BddManager> batch_bdd;
-    if (engine.shared_bdd && engine.shared_bdd_manager == nullptr && !items.empty()) {
-        std::size_t max_pis = 0;
-        for (const auto& item : items) max_pis = std::max(max_pis, item.input.num_pis());
-        if (max_pis < (std::size_t{1} << 20))
-            batch_bdd.emplace(static_cast<int>(max_pis), /*node_limit=*/std::size_t{1} << 22);
+    std::size_t max_pis = 0;
+    for (const auto& item : items) max_pis = std::max(max_pis, item.input.num_pis());
+    if (!items.empty() && max_pis < (std::size_t{1} << 20)) {
+        batch_bdd.emplace(static_cast<int>(max_pis), /*node_limit=*/std::size_t{1} << 22);
+        // The batch owns the shared manager, so the batch binds it to the
+        // rail (per-item engines skip it to avoid double-counting).
+        if (engine.governor != nullptr) batch_bdd->bind_governor(engine.governor);
     }
-    // The batch owns the shared manager, so the batch binds it to the rail
-    // (per-item engines skip externally owned managers to avoid
-    // double-counting).
-    if (batch_bdd && engine.governor != nullptr) batch_bdd->bind_governor(engine.governor);
     EngineOptions per_item = engine;
     per_item.jobs = 1;  // item-level parallelism still dominates a full batch
-    per_item.shared_pool = steal ? &pool : nullptr;
-    if (batch_bdd) per_item.shared_bdd_manager = &*batch_bdd;
+    BddManager* const item_bdd = batch_bdd ? &*batch_bdd : nullptr;
     std::mutex complete_mutex;
     const auto batch_cancelled = [&engine]() {
         return engine.cancel != nullptr && engine.cancel->requested();
@@ -847,8 +833,8 @@ std::vector<BatchOutcome> optimize_timing_batch(
         // same keep-original rule the per-cone boundary applies — and is
         // reported through `failed`/`error` and the metrics registry.
         try {
-            outcomes[i].output =
-                optimize_timing_engine(items[i].input, params, per_item, &outcomes[i].stats);
+            outcomes[i].output = run_engine(items[i].input, params, per_item, &pool, item_bdd,
+                                            &outcomes[i].stats);
             // An in-flight shutdown returns gracefully with stats.cancelled;
             // the item is demoted to cancelled (not finished, not failed).
             if (outcomes[i].stats.cancelled) {
@@ -880,7 +866,8 @@ std::vector<BatchOutcome> optimize_timing_batch(
     // Pool-lifetime observability: time threads spent waiting idle in
     // parallel_for (the cost stealing exists to shrink) and indices any
     // aborted fan-out skipped.
-    if (steal) Metrics::global().timer("engine.steal.idle_wait").add_nanos(pool.idle_wait_nanos());
+    if (pool.size() > 0)
+        Metrics::global().timer("engine.steal.idle_wait").add_nanos(pool.idle_wait_nanos());
     if (pool.aborted_indices() > 0)
         Metrics::global().counter("engine.pool.aborted_indices").add(pool.aborted_indices());
     if (engine.governor != nullptr) sync_governor_metrics(Metrics::global(), *engine.governor);

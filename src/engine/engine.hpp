@@ -13,9 +13,7 @@
 
 namespace lls {
 
-class BddManager;
 class MemoryGovernor;
-class ThreadPool;
 class WarmStart;
 
 /// Execution knobs of the concurrent optimization engine. These control
@@ -34,40 +32,6 @@ struct EngineOptions {
     /// structural hash + parameter fingerprint) and the CEC verdict memo.
     bool use_result_cache = true;
 
-    /// Share one concurrency-safe BddManager across the run's workers for
-    /// the exact-verification rung (and any other BDD-exact work), instead
-    /// of rebuilding identical subgraphs in per-call private managers.
-    /// Refs are canonical and the resource boundary falls back to a
-    /// private manager, so results match the private-manager baseline on
-    /// every run that doesn't exhaust the shared pool mid-verification;
-    /// the one divergence is benign and one-sided — a warm shared pool can
-    /// complete an exact verify the cold private limit would abandon, so
-    /// rung 2 may recover strictly more cones (see docs/ENGINE.md,
-    /// "Shared BDD manager"). CLI escape hatch: `lls_opt --shared-bdd
-    /// off`.
-    bool shared_bdd = true;
-
-    /// Externally owned concurrency-safe BddManager the run should use as
-    /// its shared manager instead of creating a private run-wide one. This
-    /// is how batch mode routes the exact-SPCF/exact-verification BDD work
-    /// of *every* parallel item through one manager: `optimize_timing_batch`
-    /// sizes a manager to the widest item and points each per-item engine
-    /// at it. The existing per-call private-manager fallback on resource
-    /// exhaustion is unchanged, so verdicts stay deterministic. Ignored
-    /// when `shared_bdd` is off or the manager cannot pack the circuit's
-    /// PIs. Not owned; must outlive the run.
-    BddManager* shared_bdd_manager = nullptr;
-
-    /// Fan the per-cube SAT don't-care proofs of secondary simplification
-    /// *inside one cone* across the run's pool (the third scheduling level
-    /// below batch items and cones). Each proof task encodes a private
-    /// solver against the same read-only snapshot and the results are
-    /// committed at a serial point in fixed task order, so outputs and
-    /// budget charges are byte-identical with this on or off, at every
-    /// `jobs` value (docs/ENGINE.md, "Run context & three-level
-    /// scheduling"). Escape hatch: `lls_opt --intra-cone off`.
-    bool intra_cone = true;
-
     /// Persistent-store bridge (engine/warm_start.hpp), or nullptr for a
     /// memory-only run. When set (and `use_result_cache` is on), the
     /// engine notes warm hits against the imported entries and flushes
@@ -75,25 +39,6 @@ struct EngineOptions {
     /// Imported entries replay their stored WorkCost, so budgeted warm
     /// runs stay bit-identical to cold ones. Not owned.
     WarmStart* warm_start = nullptr;
-
-    /// Externally owned pool to fan each round's cone evaluations across,
-    /// instead of a run-private pool sized from `jobs`. This is the
-    /// two-level scheduling hook: `optimize_timing_batch` points every
-    /// in-flight item at the one batch pool, so the per-round
-    /// `parallel_for` publishes its index range to a queue that *freed*
-    /// workers — threads whose own items have completed — also drain.
-    /// Requires the pool's reentrant `parallel_for` (the round fan-out
-    /// runs from inside a pool task). Purely an execution knob: commits
-    /// stay serial per item in deterministic cone order, so outputs are
-    /// byte-identical with and without a shared pool. Not owned.
-    ThreadPool* shared_pool = nullptr;
-
-    /// Batch mode only: donate in-flight items' cone fan-out to freed
-    /// workers via a shared pool (see `shared_pool`). Off restores the
-    /// pre-stealing schedule — each circuit strictly serial on one worker
-    /// — as an escape hatch (`lls_opt --steal off`). Outputs are
-    /// byte-identical either way.
-    bool steal = true;
 
     /// Process/batch-level cooperative cancellation (common/cancel.hpp),
     /// or nullptr for none. When the token is requested — the CLI's
@@ -154,14 +99,13 @@ struct BatchOutcome {
 
 /// Optimizes every item of a batch, running up to `engine.jobs` circuits
 /// concurrently. Each item starts serial (circuit-level parallelism
-/// dominates while there are more circuits than workers), but with
-/// `engine.steal` on the items share one pool: as circuits complete and
-/// workers free up, they join the per-round cone fan-out of the items
-/// still running, so a batch's skewed tail no longer serializes on its
-/// largest circuit (docs/ENGINE.md, "Two-level scheduling"). Commits stay
-/// serial per item in deterministic cone order, so outputs are
-/// byte-identical across `jobs` values and steal on/off. Outcomes are
-/// returned in input order regardless of completion order.
+/// dominates while there are more circuits than workers), but the items
+/// share one pool: as circuits complete and workers free up, they join the
+/// per-round cone fan-out of the items still running, so a batch's skewed
+/// tail no longer serializes on its largest circuit (docs/ENGINE.md,
+/// "Two-level scheduling"). Commits stay serial per item in deterministic
+/// cone order, so outputs are byte-identical across `jobs` values.
+/// Outcomes are returned in input order regardless of completion order.
 ///
 /// Any exception escaping one item is contained at the item boundary: the
 /// outcome is marked `failed`, its output degrades to the unmodified

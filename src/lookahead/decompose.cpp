@@ -228,7 +228,7 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
         // snapshot into its own solver and runs its minterm queries in
         // minterm order — structurally identical work whether the tasks run
         // serially here or fanned out across the pool, which is what keeps
-        // `--intra-cone on|off` (and every --jobs value) byte-identical.
+        // every --jobs value byte-identical.
         // Errors are contained per task, every index always executes, and
         // the join below charges conflicts in task order up to the first
         // error — so the charge stream cannot depend on the schedule.
@@ -287,13 +287,12 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                 task.mem_bytes = task_quota.charged();
             };
 
-            ThreadPool* executor = ctx.intra_cone_executor();
-            if (executor != nullptr && proof_tasks.size() > 1) {
+            if (ctx.executor != nullptr && proof_tasks.size() > 1) {
                 metrics_of(ctx).counter("engine.intracone.parallel_batches").add();
                 // run_task never throws (errors are recorded per task), so
                 // the fan-out always executes every index — required: the
                 // join must see a verdict-or-error for each task.
-                executor->parallel_for(0, proof_tasks.size(), run_task);
+                ctx.executor->parallel_for(0, proof_tasks.size(), run_task);
             } else {
                 for (std::size_t t = 0; t < proof_tasks.size(); ++t) run_task(t);
             }

@@ -43,9 +43,8 @@ struct DecomposeOutcome {
 /// and verification queries — a pure function of (cone, params, rng seed),
 /// which budgeted determinism rests on); `faults` carries the injection
 /// context of the current retry rung; `exact_verify`/`shared_bdd` select
-/// and back the rung-2 exact equivalence check; `executor` (with
-/// `intra_cone`) lets step 4 fan its independent per-cube SAT don't-care
-/// proofs across the pool — verdicts are committed and conflicts charged
+/// and back the rung-2 exact equivalence check; `executor` lets step 4 fan
+/// its independent per-cube SAT don't-care proofs across the pool — verdicts are committed and conflicts charged
 /// in fixed index order after the join, so the result and the charge
 /// stream are identical with and without the fan-out.
 ///

@@ -91,9 +91,9 @@ struct LookaheadParams {
     /// quota at fixed program points, with allocation-count-derived byte
     /// costs (common/memgov.hpp) — never malloc-observed sizes — so
     /// exceeding the quota raises LlsError{ResourceExhausted, "memgov"} at
-    /// identical points whatever the job count, intra-cone setting, or
-    /// cache state. A memgov fault ends the ladder immediately (escalated
-    /// rungs only grow the footprint) and the cone degrades to its
+    /// identical points whatever the job count or cache state. A memgov
+    /// fault ends the ladder immediately (escalated rungs only grow the
+    /// footprint) and the cone degrades to its
     /// original structure with a FaultRecord, which memoizes and persists
     /// like any other deterministic fault. Unlike `cone_deadline_seconds`,
     /// a nonzero quota IS part of the params fingerprint: it changes what

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -258,6 +259,16 @@ TEST(ShardedCache, RegisteredInGlobalStats) {
         }
     }
     EXPECT_TRUE(found);
+}
+
+TEST(ShardedCache, DestroyedCacheLeavesGlobalStats) {
+    {
+        // Heap-allocated so a dangling stats provider is a heap
+        // use-after-free, which AddressSanitizer always reports.
+        auto cache = std::make_unique<ShardedCache<int, int>>("test.registry.scoped", 16);
+        cache->put(1, 1);
+    }
+    for (const auto& s : all_cache_stats()) EXPECT_NE(s.name, "test.registry.scoped");
 }
 
 }  // namespace

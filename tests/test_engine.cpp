@@ -83,12 +83,11 @@ TEST(Engine, ResultCacheDoesNotChangeQoR) {
     EXPECT_EQ(cached.hash, uncached.hash);
 }
 
-std::string run_aiger(const Aig& input, int jobs, bool shared_bdd) {
+std::string run_aiger(const Aig& input, int jobs) {
     LookaheadParams params;
     params.max_iterations = 6;
     EngineOptions engine;
     engine.jobs = jobs;
-    engine.shared_bdd = shared_bdd;
     OptimizeStats stats;
     const Aig out = optimize_timing_engine(input, params, engine, &stats);
     EXPECT_TRUE(stats.verified);
@@ -97,15 +96,12 @@ std::string run_aiger(const Aig& input, int jobs, bool shared_bdd) {
     return aag.str();
 }
 
-TEST(Engine, SharedBddMatchesPrivateByteForByte) {
-    // The shared manager is an execution knob: the serialized output must be
-    // identical to the private-manager baseline for every jobs value, on
-    // both sides of the switch.
+TEST(Engine, SerializedOutputIsByteIdenticalAcrossJobs) {
+    // Every jobs value shares one run-wide BDD manager across a different
+    // number of workers: the serialized output must match the serial run.
     const Aig rca = ripple_carry_adder(8);
-    const std::string baseline = run_aiger(rca, 1, /*shared_bdd=*/false);
-    for (const int jobs : {1, 2, 4})
-        EXPECT_EQ(run_aiger(rca, jobs, /*shared_bdd=*/true), baseline) << "jobs=" << jobs;
-    EXPECT_EQ(run_aiger(rca, 4, /*shared_bdd=*/false), baseline);
+    const std::string baseline = run_aiger(rca, 1);
+    for (const int jobs : {2, 4}) EXPECT_EQ(run_aiger(rca, jobs), baseline) << "jobs=" << jobs;
 }
 
 TEST(Engine, CacheHitCountersIncreaseOnRepeatedRuns) {
@@ -158,7 +154,7 @@ std::vector<BatchItem> skewed_batch() {
     return items;
 }
 
-std::vector<std::string> batch_aigers(const std::vector<BatchItem>& items, int jobs, bool steal) {
+std::vector<std::string> batch_aigers(const std::vector<BatchItem>& items, int jobs) {
     // Cold caches every run: a warm memo would mask any schedule-dependence
     // this test exists to catch.
     clear_engine_caches();
@@ -166,7 +162,6 @@ std::vector<std::string> batch_aigers(const std::vector<BatchItem>& items, int j
     params.max_iterations = 5;
     EngineOptions engine;
     engine.jobs = jobs;
-    engine.steal = steal;
     const auto outcomes = optimize_timing_batch(items, params, engine);
     std::vector<std::string> aigers;
     for (const auto& outcome : outcomes) {
@@ -178,35 +173,25 @@ std::vector<std::string> batch_aigers(const std::vector<BatchItem>& items, int j
     return aigers;
 }
 
-TEST(Engine, BatchStealingIsByteIdenticalAcrossJobsAndModes) {
+TEST(Engine, BatchStealingIsByteIdenticalAcrossJobs) {
     // The two-level scheduler is an execution knob: freed workers joining
     // another item's cone fan-out must never change what that item
-    // commits. Full serialized bytes, not just QoR, across jobs values and
-    // both sides of the switch.
+    // commits. Full serialized bytes, not just QoR, against the serial
+    // batch (one worker, nothing to steal).
     const auto items = skewed_batch();
-    const auto baseline = batch_aigers(items, 1, /*steal=*/false);
+    const auto baseline = batch_aigers(items, 1);
     ASSERT_EQ(baseline.size(), items.size());
-    for (const int jobs : {2, 4}) {
-        EXPECT_EQ(batch_aigers(items, jobs, /*steal=*/true), baseline) << "steal jobs=" << jobs;
-        EXPECT_EQ(batch_aigers(items, jobs, /*steal=*/false), baseline)
-            << "no-steal jobs=" << jobs;
-    }
-    EXPECT_EQ(batch_aigers(items, 1, /*steal=*/true), baseline);
+    for (const int jobs : {2, 4}) EXPECT_EQ(batch_aigers(items, jobs), baseline) << "jobs=" << jobs;
 }
 
 TEST(Engine, BatchStealingDonatesRangesToSharedPool) {
-    // With stealing on and more than one worker, in-flight items publish
-    // their multi-cone rounds to the shared pool; the donation counter is
-    // deterministic (it counts rounds, not schedule-dependent steals).
+    // With more than one worker, in-flight items publish their multi-cone
+    // rounds to the shared pool; the donation counter is deterministic (it
+    // counts rounds, not schedule-dependent steals).
     Metrics& metrics = Metrics::global();
     const std::uint64_t donated_before = metrics.counter("engine.steal.donated_ranges").value();
-    batch_aigers(skewed_batch(), 4, /*steal=*/true);
+    batch_aigers(skewed_batch(), 4);
     EXPECT_GT(metrics.counter("engine.steal.donated_ranges").value(), donated_before);
-
-    // With stealing off there is no shared pool, so nothing is donated.
-    const std::uint64_t donated_mid = metrics.counter("engine.steal.donated_ranges").value();
-    batch_aigers(skewed_batch(), 4, /*steal=*/false);
-    EXPECT_EQ(metrics.counter("engine.steal.donated_ranges").value(), donated_mid);
 }
 
 TEST(Engine, OnCompleteNeverRunsConcurrentlyUnderStealing) {
@@ -218,7 +203,6 @@ TEST(Engine, OnCompleteNeverRunsConcurrentlyUnderStealing) {
     params.max_iterations = 5;
     EngineOptions engine;
     engine.jobs = 4;
-    engine.steal = true;
     std::atomic<int> in_hook{0};
     std::vector<int> seen(items.size(), 0);
     const auto outcomes = optimize_timing_batch(
@@ -235,16 +219,15 @@ TEST(Engine, OnCompleteNeverRunsConcurrentlyUnderStealing) {
 
 TEST(Checkpoint, ResumedItemsMatchUninterruptedRunUnderStealing) {
     // The --resume property under two-level scheduling: an interrupted
-    // steal-enabled batch re-running only its tail must reproduce the
-    // uninterrupted bytes — stealing must not let one item's schedule leak
-    // into another item's output.
+    // batch re-running only its tail must reproduce the uninterrupted
+    // bytes — stealing must not let one item's schedule leak into another
+    // item's output.
     const auto items = skewed_batch();
     clear_engine_caches();
     LookaheadParams params;
     params.max_iterations = 5;
     EngineOptions engine;
     engine.jobs = 4;
-    engine.steal = true;
 
     auto aiger_of = [](const BatchOutcome& outcome) {
         std::stringstream aag;
@@ -256,7 +239,7 @@ TEST(Checkpoint, ResumedItemsMatchUninterruptedRunUnderStealing) {
     ASSERT_EQ(full.size(), items.size());
 
     // Crash after the first two items were journaled; the resumed batch
-    // (still steal-enabled) only contains the tail.
+    // only contains the tail.
     clear_engine_caches();
     std::vector<BatchItem> resumed_items = {items[2], items[3]};
     const auto resumed = optimize_timing_batch(resumed_items, params, engine);
@@ -361,8 +344,7 @@ TEST(Engine, BudgetSemantics) {
 /// unreached candidate minterms go to per-cube SAT queries instead of
 /// being read off an exhaustive truth table. Caches are cleared first —
 /// every run is cold unless the caller re-runs itself.
-BudgetedResult run_intra_cone(const Aig& input, int jobs, bool intra_cone,
-                              std::uint64_t work_budget = 0) {
+BudgetedResult run_intra_cone(const Aig& input, int jobs, std::uint64_t work_budget = 0) {
     clear_engine_caches();
     LookaheadParams params;
     params.max_iterations = 4;
@@ -370,7 +352,6 @@ BudgetedResult run_intra_cone(const Aig& input, int jobs, bool intra_cone,
     params.work_budget = work_budget;
     EngineOptions engine;
     engine.jobs = jobs;
-    engine.intra_cone = intra_cone;
     OptimizeStats stats;
     const Aig out = optimize_timing_engine(input, params, engine, &stats);
     EXPECT_TRUE(stats.verified);
@@ -381,32 +362,29 @@ BudgetedResult run_intra_cone(const Aig& input, int jobs, bool intra_cone,
     return {aag.str(), stats.work_units, stats.budget_exhausted};
 }
 
-TEST(Engine, IntraConeIsByteIdenticalAcrossJobsAndModes) {
+TEST(Engine, IntraConeIsByteIdenticalAcrossJobs) {
     // The intra-cone fan-out is an execution knob: per-cube proof tasks
     // run on pool workers, but verdicts commit and conflicts charge in
     // fixed task order after the join, so serialized output AND work spend
-    // must match the serial path byte for byte at every jobs value.
+    // must match the serial (jobs 1) path byte for byte at every jobs value.
     const Aig rca = ripple_carry_adder(8);
-    const BudgetedResult baseline = run_intra_cone(rca, 1, /*intra_cone=*/false);
-    for (const int jobs : {1, 2, 4}) {
-        for (const bool intra : {false, true}) {
-            const BudgetedResult r = run_intra_cone(rca, jobs, intra);
-            EXPECT_EQ(r.aiger, baseline.aiger) << "jobs=" << jobs << " intra=" << intra;
-            EXPECT_EQ(r.work_units, baseline.work_units)
-                << "jobs=" << jobs << " intra=" << intra;
-        }
+    const BudgetedResult baseline = run_intra_cone(rca, 1);
+    for (const int jobs : {2, 4}) {
+        const BudgetedResult r = run_intra_cone(rca, jobs);
+        EXPECT_EQ(r.aiger, baseline.aiger) << "jobs=" << jobs;
+        EXPECT_EQ(r.work_units, baseline.work_units) << "jobs=" << jobs;
     }
 }
 
-TEST(Engine, IntraConeBudgetedRunsAreInvariantAcrossModesAndCacheStates) {
+TEST(Engine, IntraConeBudgetedRunsAreInvariantAcrossJobsAndCacheStates) {
     // Budgeted trajectories must be unperturbed by the fan-out: the join
     // charges conflicts in task index order, so exhaustion fires after the
-    // same round regardless of jobs x intra-cone x cold/warm cache.
+    // same round regardless of jobs x cold/warm cache.
     const Aig rca = ripple_carry_adder(8);
     for (const std::uint64_t budget : {std::uint64_t{80}, std::uint64_t{1} << 62}) {
-        const BudgetedResult baseline = run_intra_cone(rca, 1, /*intra_cone=*/false, budget);
+        const BudgetedResult baseline = run_intra_cone(rca, 1, budget);
         for (const int jobs : {2, 4}) {
-            const BudgetedResult r = run_intra_cone(rca, jobs, /*intra_cone=*/true, budget);
+            const BudgetedResult r = run_intra_cone(rca, jobs, budget);
             EXPECT_EQ(r.aiger, baseline.aiger) << "budget=" << budget << " jobs=" << jobs;
             EXPECT_EQ(r.work_units, baseline.work_units)
                 << "budget=" << budget << " jobs=" << jobs;
@@ -421,7 +399,6 @@ TEST(Engine, IntraConeBudgetedRunsAreInvariantAcrossModesAndCacheStates) {
         params.work_budget = budget;
         EngineOptions engine;
         engine.jobs = 4;
-        engine.intra_cone = true;
         OptimizeStats stats;
         const Aig warm = optimize_timing_engine(rca, params, engine, &stats);
         std::stringstream aag;
@@ -436,18 +413,11 @@ TEST(Engine, IntraConeMetricsCountQueriesAndParallelBatches) {
     const std::uint64_t queries_before = metrics.counter("engine.intracone.queries").value();
     const std::uint64_t batches_before =
         metrics.counter("engine.intracone.parallel_batches").value();
-    run_intra_cone(ripple_carry_adder(8), 4, /*intra_cone=*/true);
+    run_intra_cone(ripple_carry_adder(8), 4);
     // The forced-random-pattern run must have sent don't-care candidates
     // to SAT; with workers available, multi-task batches fan out.
     EXPECT_GT(metrics.counter("engine.intracone.queries").value(), queries_before);
     EXPECT_GT(metrics.counter("engine.intracone.parallel_batches").value(), batches_before);
-
-    // With the fan-out disabled the serial loop answers the same queries
-    // but never dispatches a parallel batch.
-    const std::uint64_t batches_mid =
-        metrics.counter("engine.intracone.parallel_batches").value();
-    run_intra_cone(ripple_carry_adder(8), 4, /*intra_cone=*/false);
-    EXPECT_EQ(metrics.counter("engine.intracone.parallel_batches").value(), batches_mid);
 }
 
 TEST(Engine, IntraConeStressConcurrentFanoutsThroughSharedPool) {
@@ -473,12 +443,10 @@ TEST(Engine, IntraConeStressConcurrentFanoutsThroughSharedPool) {
     params.max_iterations = 3;
     params.force_random_patterns = true;
 
-    auto batch_bytes = [&](int jobs, bool steal, bool intra) {
+    auto batch_bytes = [&](int jobs) {
         clear_engine_caches();
         EngineOptions engine;
         engine.jobs = jobs;
-        engine.steal = steal;
-        engine.intra_cone = intra;
         const auto outcomes = optimize_timing_batch(items, params, engine);
         std::vector<std::string> aigers;
         for (const auto& outcome : outcomes) {
@@ -490,11 +458,10 @@ TEST(Engine, IntraConeStressConcurrentFanoutsThroughSharedPool) {
         return aigers;
     };
 
-    const auto baseline = batch_bytes(1, /*steal=*/false, /*intra=*/false);
+    const auto baseline = batch_bytes(1);
     ASSERT_EQ(baseline.size(), items.size());
-    EXPECT_EQ(batch_bytes(4, /*steal=*/true, /*intra=*/true), baseline);
-    EXPECT_EQ(batch_bytes(4, /*steal=*/false, /*intra=*/true), baseline);
-    EXPECT_EQ(batch_bytes(2, /*steal=*/true, /*intra=*/true), baseline);
+    EXPECT_EQ(batch_bytes(4), baseline);
+    EXPECT_EQ(batch_bytes(2), baseline);
 }
 
 // ---------------------------------------------------------------------------
@@ -1073,14 +1040,12 @@ TEST(Engine, ConeQuotaKeysTheMemoFingerprint) {
     EXPECT_NE(lookahead_params_fingerprint(params), bounded);
 }
 
-OptimizeStats run_quota(const Aig& input, int jobs, bool intra_cone, std::uint64_t cone_mem,
-                        Aig* out_aig) {
+OptimizeStats run_quota(const Aig& input, int jobs, std::uint64_t cone_mem, Aig* out_aig) {
     LookaheadParams params;
     params.max_iterations = 6;
     params.cone_mem_bytes = cone_mem;
     EngineOptions engine;
     engine.jobs = jobs;
-    engine.intra_cone = intra_cone;
     OptimizeStats stats;
     *out_aig = optimize_timing_engine(input, params, engine, &stats);
     return stats;
@@ -1093,16 +1058,15 @@ constexpr std::uint64_t kTestConeQuota = std::uint64_t{24} << 10;
 TEST(Engine, ConeQuotaDegradesByteIdenticallyAcrossSchedules) {
     // The Tier-1 charge stream is a pure function of (cone, params): which
     // cones exhaust the quota — and the resulting output bytes and fault
-    // journal — must be identical across jobs, intra-cone fan-out, and
-    // cache state.
+    // journal — must be identical across jobs and cache state.
     const Aig rca = ripple_carry_adder(7);
     const std::uint64_t degrades_before =
         Metrics::global().counter("engine.mem.quota_degrades").value();
 
-    auto fingerprint = [&](int jobs, bool intra, bool cold) {
+    auto fingerprint = [&](int jobs, bool cold) {
         if (cold) clear_engine_caches();
         Aig out;
-        const OptimizeStats stats = run_quota(rca, jobs, intra, kTestConeQuota, &out);
+        const OptimizeStats stats = run_quota(rca, jobs, kTestConeQuota, &out);
         EXPECT_TRUE(stats.verified);
         EXPECT_TRUE(check_equivalence(rca, out, 2000000).equivalent);
         EXPECT_GT(stats.quota_degraded, 0);
@@ -1127,15 +1091,13 @@ TEST(Engine, ConeQuotaDegradesByteIdenticallyAcrossSchedules) {
         return fp;
     };
 
-    const std::string baseline = fingerprint(1, true, /*cold=*/true);
+    const std::string baseline = fingerprint(1, /*cold=*/true);
     EXPECT_FALSE(baseline.empty());
-    for (const int jobs : {1, 2, 4})
-        for (const bool intra : {true, false})
-            EXPECT_EQ(fingerprint(jobs, intra, /*cold=*/true), baseline)
-                << "jobs=" << jobs << " intra=" << intra;
+    for (const int jobs : {2, 4})
+        EXPECT_EQ(fingerprint(jobs, /*cold=*/true), baseline) << "jobs=" << jobs;
     // Warm: quota degradation memoizes like any deterministic fault, so a
     // cache hit must replay the same bytes and the same journal.
-    EXPECT_EQ(fingerprint(2, true, /*cold=*/false), baseline);
+    EXPECT_EQ(fingerprint(2, /*cold=*/false), baseline);
     EXPECT_GT(Metrics::global().counter("engine.mem.quota_degrades").value(), degrades_before);
     clear_engine_caches();  // drop the quota-keyed entries
 }
@@ -1199,7 +1161,7 @@ TEST(Engine, GovernedRunsMatchUngovernedByteForByte) {
     // the run commits. Charged bytes must flow into the metrics registry.
     const Aig rca = ripple_carry_adder(8);
     clear_engine_caches();
-    const std::string baseline = run_aiger(rca, 2, /*shared_bdd=*/true);
+    const std::string baseline = run_aiger(rca, 2);
 
     clear_engine_caches();
     const std::uint64_t charged_before =
@@ -1210,7 +1172,6 @@ TEST(Engine, GovernedRunsMatchUngovernedByteForByte) {
     params.max_iterations = 6;
     EngineOptions engine;
     engine.jobs = 2;
-    engine.shared_bdd = true;
     engine.governor = &governor;
     OptimizeStats stats;
     const Aig out = optimize_timing_engine(rca, params, engine, &stats);

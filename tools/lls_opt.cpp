@@ -8,17 +8,6 @@
 //   --iterations N                lookahead decomposition rounds (default 10)
 //   --jobs N|auto                 worker threads (cone fan-out; batch circuits);
 //                                 auto (or 0) = every hardware thread
-//   --steal on|off                batch mode: freed workers join the cone
-//                                 fan-out of still-running circuits (default
-//                                 on; off = each circuit strictly serial on
-//                                 one worker); outputs byte-identical either way
-//   --intra-cone on|off           fan the per-cube SAT don't-care proofs inside
-//                                 one cone across the worker pool (the third
-//                                 scheduling level; default on); outputs and
-//                                 budget spend byte-identical either way
-//   --shared-bdd on|off           share one concurrency-safe BDD manager across
-//                                 the run's workers (default on; off = private
-//                                 per-call managers, the pre-refactor behavior)
 //   --work-budget N               deterministic work budget in units (0 = none);
 //                                 budgeted runs are bit-identical across --jobs
 //   --batch                       optimize every input concurrently (--jobs)
@@ -62,9 +51,9 @@
 //                                 1G, plain bytes; default off): a cone whose
 //                                 evaluation would exceed it keeps its
 //                                 original logic with a FaultRecord — at the
-//                                 same program point whatever --jobs,
-//                                 --intra-cone, or cache state, so quota'd
-//                                 runs stay byte-identical
+//                                 same program point whatever --jobs or
+//                                 cache state, so quota'd runs stay
+//                                 byte-identical
 //   --mem-budget SIZE             process-wide memory high-water rail:
 //                                 crossing it sheds the memo caches first,
 //                                 then holds batch admission until in-flight
@@ -140,7 +129,6 @@ void install_signal_handlers() {
 void print_usage(std::FILE* out, const char* argv0) {
     std::fprintf(out,
                  "usage: %s [--flow sis|abc|dc|lookahead] [--iterations N] [--jobs N|auto]\n"
-                 "          [--steal on|off] [--intra-cone on|off] [--shared-bdd on|off]\n"
                  "          [--work-budget N]\n"
                  "          [--cone-deadline DUR] [--time-budget DUR]\n"
                  "          [--cone-mem SIZE] [--mem-budget SIZE]\n"
@@ -227,7 +215,7 @@ int main(int argc, char** argv) {
     bool governor_requested = false;
     double cone_deadline = 0.0, time_budget = 0.0;
     bool verify = true, map_report = false, print_stats = false, print_metrics = false;
-    bool batch = false, resume = false, shared_bdd = true, steal = true, intra_cone = true;
+    bool batch = false, resume = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -240,38 +228,6 @@ int main(int argc, char** argv) {
                 return usage(argv[0]);
         } else if (arg == "--jobs" && i + 1 < argc) {
             if (!lls::parse_jobs_option("--jobs", argv[++i], 1024, &jobs)) return usage(argv[0]);
-        } else if (arg == "--steal" && i + 1 < argc) {
-            const std::string value = argv[++i];
-            if (value == "on") {
-                steal = true;
-            } else if (value == "off") {
-                steal = false;
-            } else {
-                std::fprintf(stderr, "error: --steal expects on|off, got '%s'\n", value.c_str());
-                return usage(argv[0]);
-            }
-        } else if (arg == "--intra-cone" && i + 1 < argc) {
-            const std::string value = argv[++i];
-            if (value == "on") {
-                intra_cone = true;
-            } else if (value == "off") {
-                intra_cone = false;
-            } else {
-                std::fprintf(stderr, "error: --intra-cone expects on|off, got '%s'\n",
-                             value.c_str());
-                return usage(argv[0]);
-            }
-        } else if (arg == "--shared-bdd" && i + 1 < argc) {
-            const std::string value = argv[++i];
-            if (value == "on") {
-                shared_bdd = true;
-            } else if (value == "off") {
-                shared_bdd = false;
-            } else {
-                std::fprintf(stderr, "error: --shared-bdd expects on|off, got '%s'\n",
-                             value.c_str());
-                return usage(argv[0]);
-            }
         } else if (arg == "--work-budget" && i + 1 < argc) {
             if (!lls::parse_u64_option("--work-budget", argv[++i], UINT64_MAX, &work_budget))
                 return usage(argv[0]);
@@ -343,9 +299,6 @@ int main(int argc, char** argv) {
     params.cone_mem_bytes = cone_mem_bytes;
     lls::EngineOptions engine;
     engine.jobs = jobs;
-    engine.shared_bdd = shared_bdd;
-    engine.steal = steal;
-    engine.intra_cone = intra_cone;
 
     // From here on a SIGTERM/SIGINT requests graceful shutdown through the
     // engine's cancellation token instead of killing the process mid-write.
