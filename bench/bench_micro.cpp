@@ -1,6 +1,7 @@
 // Micro-benchmarks for the substrate libraries (google-benchmark): truth
 // tables, ISOP/minimum-SOP, AIG construction, cut enumeration, simulation,
-// floating-mode timing simulation, SAT, CEC, and the baseline passes.
+// floating-mode timing simulation, SAT, CEC, the baseline passes, and
+// technology mapping.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "common/rng.hpp"
 #include "io/generators.hpp"
 #include "lookahead/decompose.hpp"
+#include "mapping/mapper.hpp"
 #include "sim/simulation.hpp"
 #include "sop/sop.hpp"
 
@@ -143,6 +145,18 @@ void BM_DecomposeCoutCone(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_DecomposeCoutCone);
+
+// Arg 0: the i10 Table 2 stand-in (257 PIs, random activity patterns);
+// arg 1: a 32-bit ripple-carry adder.
+void BM_MapCircuit(benchmark::State& state) {
+    const Aig circuit = state.range(0) == 0 ? synthetic_control_circuit(table2_profiles()[2])
+                                            : ripple_carry_adder(32);
+    const CellLibrary lib = CellLibrary::generic_70nm();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(map_circuit(circuit, lib));
+    }
+}
+BENCHMARK(BM_MapCircuit)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 #include "mapping/library.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace lls {
 
@@ -50,67 +51,70 @@ CellLibrary CellLibrary::generic_70nm() {
     lib.add_cell({"AOI22", 4, tt_of(4, "0777"), 2.7, 95.0, 1.30});
     // OAI22: !((a+b) * (c+d))
     lib.add_cell({"OAI22", 4, tt_of(4, "111f"), 2.7, 95.0, 1.30});
+    lib.tabulate_matches();
     return lib;
+}
+
+std::uint64_t CellLibrary::match_key(std::uint64_t word, int num_vars) {
+    const std::uint64_t minterm_mask = (std::uint64_t{1} << (1u << num_vars)) - 1;
+    return ((word & minterm_mask) << 3) | static_cast<std::uint64_t>(num_vars);
+}
+
+void CellLibrary::tabulate_matches() {
+    // Every function each cell realizes under a pin permutation, input
+    // negation and output negation. An output negation costs a real
+    // inverter downstream, so the score charges it; any input negation is
+    // charged one inverter. Candidates are visited by cell, output
+    // negation, input negation, permutation (lexicographic) and negation
+    // mask; a later one replaces an earlier only if strictly faster. With
+    // at most 4 inputs that is 4! * 2^4 * 2 = 768 transforms per cell.
+    std::unordered_map<std::uint64_t, double> best_score;
+    const double inv_delay = inverter_delay_ps();
+    for (int ci = 0; ci < static_cast<int>(cells_.size()); ++ci) {
+        const Cell& cell = cells_[static_cast<std::size_t>(ci)];
+        const int k = cell.num_inputs;
+        const unsigned num_minterms = 1u << k;
+        for (int oneg = 0; oneg < 2; ++oneg) {
+            for (int with_input_neg = 0; with_input_neg < 2; ++with_input_neg) {
+                const double score = cell.delay_ps + (oneg ? inv_delay : 0.0) +
+                                     (with_input_neg ? inv_delay : 0.0);
+                std::vector<int> leaf_of_pin(static_cast<std::size_t>(k));
+                std::iota(leaf_of_pin.begin(), leaf_of_pin.end(), 0);
+                do {
+                    const unsigned neg_begin = with_input_neg ? 1 : 0;
+                    const unsigned neg_end = with_input_neg ? num_minterms : 1;
+                    for (unsigned neg = neg_begin; neg < neg_end; ++neg) {
+                        // Function realized: out = oneg ^ cell(pins), pin j =
+                        // leaf leaf_of_pin[j] ^ (neg >> j).
+                        std::uint64_t word = 0;
+                        for (unsigned m = 0; m < num_minterms; ++m) {
+                            std::uint32_t cell_minterm = 0;
+                            for (int j = 0; j < k; ++j) {
+                                const unsigned leaf = static_cast<unsigned>(
+                                    leaf_of_pin[static_cast<std::size_t>(j)]);
+                                if (((m >> leaf) & 1) != ((neg >> j) & 1)) cell_minterm |= 1u << j;
+                            }
+                            if (cell.function.get_bit(cell_minterm) != (oneg != 0))
+                                word |= std::uint64_t{1} << m;
+                        }
+                        const std::uint64_t key = match_key(word, k);
+                        const auto [it, fresh] = best_score.try_emplace(key, score);
+                        if (fresh || score < it->second) {
+                            it->second = score;
+                            matches_[key] = CellMatch{ci, leaf_of_pin, neg, oneg != 0};
+                        }
+                    }
+                } while (std::next_permutation(leaf_of_pin.begin(), leaf_of_pin.end()));
+            }
+        }
+    }
 }
 
 std::optional<CellMatch> CellLibrary::match(const TruthTable& tt) const {
     LLS_REQUIRE(tt.num_vars() <= 4);
-    const std::string key = std::to_string(tt.num_vars()) + ":" + tt.to_hex();
-    if (auto it = match_cache_.find(key); it != match_cache_.end()) return it->second;
-
-    // Exhaustive pin assignment search over same-arity cells: with at most
-    // 4 inputs this is 4! * 2^4 * 2 = 768 candidate transforms per cell.
-    // An output negation costs a real inverter downstream, so the match
-    // score charges it; input negations are usually absorbed by AIG
-    // complemented edges and stay free in the score.
-    std::optional<CellMatch> best;
-    double best_score = 0.0;
-    const int k = tt.num_vars();
-    const double inv_delay = cells_[static_cast<std::size_t>(inverter_)].delay_ps;
-    for (int ci = 0; ci < static_cast<int>(cells_.size()); ++ci) {
-        const Cell& cell = cells_[static_cast<std::size_t>(ci)];
-        if (cell.num_inputs != k) continue;
-
-        for (int oneg = 0; oneg < 2; ++oneg) {
-            for (int with_input_neg = 0; with_input_neg < 2; ++with_input_neg) {
-            const double score = cell.delay_ps + (oneg ? inv_delay : 0.0) +
-                                 (with_input_neg ? inv_delay : 0.0);
-            if (best && score >= best_score) continue;
-
-            bool found = false;
-            std::vector<int> pin_to_leaf(static_cast<std::size_t>(k));
-            for (int i = 0; i < k; ++i) pin_to_leaf[static_cast<std::size_t>(i)] = i;
-            std::sort(pin_to_leaf.begin(), pin_to_leaf.end());
-            do {
-                const unsigned neg_begin = with_input_neg ? 1 : 0;
-                const unsigned neg_end = with_input_neg ? (1u << k) : 1;
-                for (unsigned neg = neg_begin; neg < neg_end && !found; ++neg) {
-                    // Candidate: out = oneg ^ cell(pins), pin j = leaf
-                    // pin_to_leaf[j] ^ (neg >> j).
-                    bool ok = true;
-                    for (std::uint64_t m = 0; m < tt.num_minterms() && ok; ++m) {
-                        std::uint32_t cell_minterm = 0;
-                        for (int j = 0; j < k; ++j) {
-                            const bool leaf_val =
-                                (m >> pin_to_leaf[static_cast<std::size_t>(j)]) & 1;
-                            const bool pin_val = leaf_val != (((neg >> j) & 1) != 0);
-                            if (pin_val) cell_minterm |= 1u << j;
-                        }
-                        const bool out = cell.function.get_bit(cell_minterm) != (oneg != 0);
-                        if (out != tt.get_bit(m)) ok = false;
-                    }
-                    if (ok) {
-                        best = CellMatch{ci, pin_to_leaf, neg, oneg != 0};
-                        best_score = score;
-                        found = true;
-                    }
-                }
-            } while (!found && std::next_permutation(pin_to_leaf.begin(), pin_to_leaf.end()));
-            }
-        }
-    }
-    match_cache_[key] = best;
-    return best;
+    const auto it = matches_.find(match_key(tt.words()[0], tt.num_vars()));
+    if (it == matches_.end()) return std::nullopt;
+    return it->second;
 }
 
 }  // namespace lls

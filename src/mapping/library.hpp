@@ -32,7 +32,11 @@ struct CellMatch {
 };
 
 /// A small technology library ("generic 70 nm"), with exhaustive
-/// permutation/negation matching of cut functions (cached per function).
+/// permutation/negation matching of cut functions.
+///
+/// Every function of at most 4 variables that some cell realizes is
+/// tabulated with its best match when the library is built, so a library
+/// is immutable and may be shared across threads.
 class CellLibrary {
 public:
     /// The library used by all experiments: INV/BUF, NAND/NOR/AND/OR 2-4,
@@ -47,15 +51,20 @@ public:
 
     /// Finds the cheapest-delay cell realizing `tt` (up to input
     /// permutation/negation and output negation). Returns nullopt when no
-    /// cell matches. Results are memoized by truth-table value.
+    /// cell matches. Ties in delay go to the earliest cell, output polarity,
+    /// pin permutation and input negation, in that order.
     std::optional<CellMatch> match(const TruthTable& tt) const;
 
 private:
     int add_cell(Cell cell);
+    void tabulate_matches();
+
+    /// (truth-table word << 3) | num_vars, for tables of <= 4 variables.
+    static std::uint64_t match_key(std::uint64_t word, int num_vars);
 
     std::vector<Cell> cells_;
     int inverter_ = -1;
-    mutable std::unordered_map<std::string, std::optional<CellMatch>> match_cache_;
+    std::unordered_map<std::uint64_t, CellMatch> matches_;
 };
 
 }  // namespace lls

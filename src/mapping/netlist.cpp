@@ -119,6 +119,50 @@ std::vector<bool> Netlist::evaluate_nets(const std::vector<bool>& input_values) 
     return value;
 }
 
+std::vector<Signature> Netlist::simulate(const SimPatterns& patterns) const {
+    LLS_REQUIRE(patterns.num_pis() == inputs_.size());
+    const std::size_t words = patterns.num_words();
+    std::vector<Signature> sig(num_nets(), Signature(words, 0));
+    sig[kConst1].assign(words, ~0ULL);
+    for (std::size_t i = 0; i < inputs_.size(); ++i) sig[inputs_[i]] = patterns.pi_bits(i);
+
+    // Each cell as an OR of minterms over its pin words: the on-set, or the
+    // complemented off-set when that is smaller (NAND4 is one minterm).
+    struct Cover {
+        std::vector<std::uint32_t> minterms;
+        bool complement = false;
+    };
+    std::vector<Cover> covers(library_->cells().size());
+    for (std::size_t c = 0; c < covers.size(); ++c) {
+        const TruthTable& f = library_->cells()[c].function;
+        covers[c].complement = 2 * f.count_ones() > f.num_minterms();
+        for (std::uint32_t m = 0; m < f.num_minterms(); ++m)
+            if (f.get_bit(m) != covers[c].complement) covers[c].minterms.push_back(m);
+    }
+
+    for (const auto& g : gates_) {
+        const Cover& cover = covers[static_cast<std::size_t>(g.cell)];
+        const std::size_t k = g.inputs.size();
+        std::array<const std::uint64_t*, 4> pin{};
+        LLS_REQUIRE(k <= pin.size());
+        for (std::size_t p = 0; p < k; ++p) pin[p] = sig[g.inputs[p]].data();
+        std::uint64_t* out = sig[g.output].data();
+        std::fill(out, out + words, 0);
+        for (const std::uint32_t m : cover.minterms) {
+            std::array<std::uint64_t, 4> flip{};
+            for (std::size_t p = 0; p < k; ++p) flip[p] = ((m >> p) & 1) ? 0 : ~0ULL;
+            for (std::size_t w = 0; w < words; ++w) {
+                std::uint64_t term = ~0ULL;
+                for (std::size_t p = 0; p < k; ++p) term &= pin[p][w] ^ flip[p];
+                out[w] |= term;
+            }
+        }
+        if (cover.complement)
+            for (std::size_t w = 0; w < words; ++w) out[w] = ~out[w];
+    }
+    return sig;
+}
+
 std::vector<bool> Netlist::evaluate(const std::vector<bool>& input_values) const {
     const std::vector<bool> value = evaluate_nets(input_values);
     std::vector<bool> outs(outputs_.size());

@@ -7,6 +7,7 @@
 #include "aig/aig.hpp"
 #include "common/rng.hpp"
 #include "mapping/library.hpp"
+#include "sim/simulation.hpp"
 
 namespace lls {
 
@@ -69,9 +70,15 @@ public:
     /// Gate-level simulation of one input vector (PO values only).
     std::vector<bool> evaluate(const std::vector<bool>& input_values) const;
 
-    /// Gate-level simulation returning the value of every net (used for
-    /// switching-activity extraction).
+    /// Gate-level simulation returning the value of every net (the
+    /// per-pattern reference for simulate()).
     std::vector<bool> evaluate_nets(const std::vector<bool>& input_values) const;
+
+    /// Word-parallel gate-level simulation, 64 patterns per word: result[n]
+    /// is net n's signature, PI i driven by `patterns.pi_bits(i)`. Bits past
+    /// `patterns.num_patterns()` in the last word are unspecified (constant-1
+    /// and inverted nets set them), so callers must mask them.
+    std::vector<Signature> simulate(const SimPatterns& patterns) const;
 
     /// Structural Verilog dump.
     void write_verilog(std::ostream& out, const std::string& module_name = "lls_mapped") const;

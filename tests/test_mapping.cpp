@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "io/generators.hpp"
+#include "mapping/netlist.hpp"
+#include "sim/simulation.hpp"
 
 namespace lls {
 namespace {
@@ -82,6 +84,36 @@ TEST(Library, NoMatchForExoticFourInput) {
     EXPECT_FALSE(lib.match(x4).has_value());
 }
 
+TEST(Library, TabulatedMatchesRealizeEveryFunctionTheyClaim) {
+    // All functions of 0..4 variables: every returned transform must
+    // reproduce its function, and exactly the 228 functions the exhaustive
+    // per-function search finds matchable are covered.
+    const CellLibrary lib = CellLibrary::generic_70nm();
+    int matchable = 0;
+    for (int k = 0; k <= 4; ++k) {
+        for (std::uint64_t f = 0; f < (std::uint64_t{1} << (1u << k)); ++f) {
+            TruthTable tt(k);
+            for (std::uint64_t m = 0; m < tt.num_minterms(); ++m) tt.set_bit(m, (f >> m) & 1);
+            const auto match = lib.match(tt);
+            if (!match) continue;
+            ++matchable;
+            const Cell& cell = lib.cell(match->cell);
+            ASSERT_EQ(cell.num_inputs, k);
+            for (std::uint32_t minterm = 0; minterm < tt.num_minterms(); ++minterm) {
+                std::uint32_t cm = 0;
+                for (int pin = 0; pin < k; ++pin) {
+                    bool v = (minterm >> match->leaf_of_pin[static_cast<std::size_t>(pin)]) & 1;
+                    if ((match->input_neg >> pin) & 1) v = !v;
+                    if (v) cm |= 1u << pin;
+                }
+                ASSERT_EQ(cell.function.get_bit(cm) != match->output_neg, tt.get_bit(minterm))
+                    << "k=" << k << " f=" << f;
+            }
+        }
+    }
+    EXPECT_EQ(matchable, 228);
+}
+
 TEST(Mapper, MapsAddersWithSaneMetrics) {
     const CellLibrary lib = CellLibrary::generic_70nm();
     const Aig rca = ripple_carry_adder(8);
@@ -151,6 +183,58 @@ TEST(Mapper, ComplementedPoCostsAnInverter) {
     // delays differ and both map to >= 1 gate.
     EXPECT_GE(m_pos.num_gates, 1u);
     EXPECT_GE(m_neg.num_gates, 1u);
+}
+
+/// map_circuit's power recomputed the slow way: one evaluate_nets call per
+/// pattern, counting each net's ones, summed over gates in netlist order.
+double reference_power_mw(const Aig& aig, const CellLibrary& lib, const MapperOptions& options) {
+    const Netlist netlist = map_to_netlist(aig, lib, options.cut_size, options.max_cuts);
+    Rng rng(options.seed);
+    const SimPatterns patterns =
+        aig.num_pis() <= SimPatterns::kMaxExhaustivePis
+            ? SimPatterns::exhaustive(aig.num_pis())
+            : SimPatterns::random(aig.num_pis(), options.activity_patterns, rng);
+    std::vector<std::uint64_t> ones(netlist.num_nets(), 0);
+    std::vector<bool> inputs(netlist.num_inputs());
+    for (std::size_t p = 0; p < patterns.num_patterns(); ++p) {
+        for (std::size_t i = 0; i < inputs.size(); ++i) inputs[i] = patterns.pi_value(i, p);
+        const std::vector<bool> values = netlist.evaluate_nets(inputs);
+        for (std::uint32_t n = 0; n < netlist.num_nets(); ++n)
+            if (values[n]) ++ones[n];
+    }
+    const double freq_hz = options.clock_ghz * 1e9;
+    const double v2 = options.supply_voltage * options.supply_voltage;
+    double power_mw = 0.0;
+    for (const auto& gate : netlist.gates()) {
+        const double p =
+            static_cast<double>(ones[gate.output]) / static_cast<double>(patterns.num_patterns());
+        const double activity = 2.0 * p * (1.0 - p);
+        power_mw += activity * lib.cell(gate.cell).energy_fj * 1e-15 * v2 * freq_hz * 1e3;
+    }
+    return power_mw;
+}
+
+TEST(Mapper, PowerIsExactlyThePerPatternReference) {
+    const CellLibrary lib = CellLibrary::generic_70nm();
+    const MapperOptions options;
+    // 5 PIs: 32 exhaustive patterns, half a word.
+    const Aig small = ripple_carry_adder(2);
+    EXPECT_EQ(map_circuit(small, lib, options).power_mw, reference_power_mw(small, lib, options));
+    // 17 PIs: 2048 random patterns.
+    const Aig rca = ripple_carry_adder(8);
+    EXPECT_EQ(map_circuit(rca, lib, options).power_mw, reference_power_mw(rca, lib, options));
+}
+
+TEST(Mapper, PowerIsExactlyThePerPatternReferenceOnPartialRandomWord) {
+    const CellLibrary lib = CellLibrary::generic_70nm();
+    const Aig circuit = synthetic_control_circuit({"ctl", 20, 8, 10, 12, 5});
+    MapperOptions options;
+    options.activity_patterns = 100;  // 36 bits in the last word
+    EXPECT_EQ(map_circuit(circuit, lib, options).power_mw,
+              reference_power_mw(circuit, lib, options));
+    options.activity_patterns = 2048;
+    EXPECT_EQ(map_circuit(circuit, lib, options).power_mw,
+              reference_power_mw(circuit, lib, options));
 }
 
 TEST(Mapper, PowerScalesWithClock) {

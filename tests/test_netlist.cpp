@@ -35,6 +35,67 @@ void expect_netlist_matches_aig(const Aig& aig, const Netlist& netlist,
     }
 }
 
+/// Word-parallel simulate() must agree with the per-pattern evaluate_nets()
+/// on every net under every pattern; tail bits past num_patterns are not
+/// compared (simulate leaves them unspecified).
+void expect_simulate_matches_evaluate_nets(const Netlist& netlist, const SimPatterns& patterns) {
+    const std::vector<Signature> sigs = netlist.simulate(patterns);
+    ASSERT_EQ(sigs.size(), netlist.num_nets());
+    std::vector<bool> inputs(netlist.num_inputs());
+    for (std::size_t p = 0; p < patterns.num_patterns(); ++p) {
+        for (std::size_t i = 0; i < inputs.size(); ++i) inputs[i] = patterns.pi_value(i, p);
+        const std::vector<bool> values = netlist.evaluate_nets(inputs);
+        for (std::uint32_t n = 0; n < netlist.num_nets(); ++n) {
+            ASSERT_EQ(sigs[n].size(), patterns.num_words());
+            ASSERT_EQ(((sigs[n][p >> 6] >> (p & 63)) & 1) != 0, values[n])
+                << "pattern " << p << " net " << netlist.net_name(n);
+        }
+    }
+}
+
+TEST(Netlist, SimulateMatchesEvaluateNetsExhaustiveThreeInputs) {
+    const CellLibrary lib = CellLibrary::generic_70nm();
+    Aig aig;
+    const AigLit a = aig.add_pi("a");
+    const AigLit b = aig.add_pi("b");
+    const AigLit c = aig.add_pi("c");
+    aig.add_po(aig.lmux(a, b, c), "mux");
+    aig.add_po(aig.lxor(a, !b), "xnor");
+    aig.add_po(!aig.land(aig.lor(a, b), c), "oai");
+    aig.add_po(!c, "nc");
+    const SimPatterns patterns = SimPatterns::exhaustive(3);  // 8 patterns in one word
+    expect_simulate_matches_evaluate_nets(map_to_netlist(aig, lib), patterns);
+}
+
+TEST(Netlist, SimulateMatchesEvaluateNetsOnPartialRandomWord) {
+    const CellLibrary lib = CellLibrary::generic_70nm();
+    const Aig circuit = synthetic_control_circuit({"nl", 12, 6, 10, 8, 77});
+    Rng rng(5);
+    const SimPatterns patterns = SimPatterns::random(circuit.num_pis(), 100, rng);  // 36-bit tail
+    expect_simulate_matches_evaluate_nets(map_to_netlist(circuit, lib), patterns);
+}
+
+TEST(Netlist, SimulateMatchesEvaluateNetsOnDegenerateOutputs) {
+    // Constant-1 and inverted-PI nets: the nets whose words carry set bits
+    // past the last pattern.
+    const CellLibrary lib = CellLibrary::generic_70nm();
+    Aig aig;
+    const AigLit a = aig.add_pi("a");
+    aig.add_po(AigLit::constant(false), "zero");
+    aig.add_po(AigLit::constant(true), "one");
+    aig.add_po(a, "pass");
+    aig.add_po(!a, "npass");
+    expect_simulate_matches_evaluate_nets(map_to_netlist(aig, lib), SimPatterns::exhaustive(1));
+}
+
+TEST(Netlist, SimulateMatchesEvaluateNetsOnTable2StandIn) {
+    const CellLibrary lib = CellLibrary::generic_70nm();
+    const Aig circuit = synthetic_control_circuit(table2_profiles()[3]);  // C432
+    Rng rng(11);
+    const SimPatterns patterns = SimPatterns::random(circuit.num_pis(), 256, rng);
+    expect_simulate_matches_evaluate_nets(map_to_netlist(circuit, lib), patterns);
+}
+
 TEST(Netlist, MappedAdderComputesAddition) {
     const CellLibrary lib = CellLibrary::generic_70nm();
     const Aig rca = ripple_carry_adder(5);

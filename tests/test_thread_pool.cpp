@@ -183,6 +183,11 @@ TEST(ThreadPool, AbortedParallelForCountsSkippedIndices) {
                                            failures.fetch_add(1);
                                            throw std::logic_error("abort");
                                        }
+                                       // Slow enough that the other workers
+                                       // cannot drain the range before the
+                                       // throw at index 3 lands.
+                                       std::this_thread::sleep_for(
+                                           std::chrono::microseconds(100));
                                        completed.fetch_add(1);
                                    }),
                  std::logic_error);

@@ -167,37 +167,35 @@ bool run_iteration(std::uint64_t seed, const std::string& fault_plan) {
         lls::write_aiger(aag, optimized);
         if (!check(verify("aiger roundtrip", seed, optimized, lls::read_aiger(aag)))) return false;
 
-        // Mapped netlist vs AIG on a handful of random vectors.
+        // Mapped netlist vs AIG on 64 random vectors, through both the
+        // per-pattern evaluator and the word-parallel simulator; the AIG's
+        // own simulator is the reference.
         const lls::CellLibrary lib = lls::CellLibrary::generic_70nm();
         const lls::Netlist netlist = lls::map_to_netlist(optimized, lib);
         lls::Rng vec_rng(seed ^ 0xbeef);
-        for (int v = 0; v < 64; ++v) {
-            std::uint64_t assignment = vec_rng.next_u64();
-            std::vector<bool> inputs(optimized.num_pis());
-            for (std::size_t k = 0; k < inputs.size(); ++k)
-                inputs[k] = (assignment >> (k % 64)) & 1;
+        const lls::SimPatterns patterns =
+            lls::SimPatterns::random(optimized.num_pis(), 64, vec_rng);
+        const auto aig_sigs = lls::simulate(optimized, patterns);
+        const auto net_sigs = netlist.simulate(patterns);
+        bool mapped_ok = true;
+        for (std::size_t o = 0; o < optimized.num_pos(); ++o)
+            mapped_ok = mapped_ok && net_sigs[netlist.output_net(o)] ==
+                                         lls::literal_signature(optimized, optimized.po(o),
+                                                                aig_sigs, patterns.num_patterns());
+        std::vector<bool> inputs(optimized.num_pis());
+        for (std::size_t v = 0; v < patterns.num_patterns() && mapped_ok; ++v) {
+            for (std::size_t k = 0; k < inputs.size(); ++k) inputs[k] = patterns.pi_value(k, v);
             const auto outs = netlist.evaluate(inputs);
-            // Reference: evaluate the AIG by direct traversal.
-            std::vector<char> value(optimized.num_nodes(), 0);
-            for (std::size_t k = 0; k < optimized.num_pis(); ++k)
-                value[optimized.pi(k)] = inputs[k] ? 1 : 0;
-            for (std::uint32_t id = 1; id < optimized.num_nodes(); ++id) {
-                if (!optimized.is_and(id)) continue;
-                const auto& n = optimized.node(id);
-                const bool f0 = (value[n.fanin0.node()] != 0) != n.fanin0.complemented();
-                const bool f1 = (value[n.fanin1.node()] != 0) != n.fanin1.complemented();
-                value[id] = (f0 && f1) ? 1 : 0;
-            }
             for (std::size_t o = 0; o < optimized.num_pos(); ++o) {
-                const lls::AigLit po = optimized.po(o);
-                const bool expect = (value[po.node()] != 0) != po.complemented();
-                if (outs[o] != expect) {
-                    std::fprintf(stderr, "FUZZ FAILURE: mapped netlist at seed %llu\n",
-                                 static_cast<unsigned long long>(seed));
-                    dump_reproducer(seed, circuit);
-                    return false;
-                }
+                const std::uint64_t word = net_sigs[netlist.output_net(o)][0];
+                mapped_ok = mapped_ok && outs[o] == (((word >> v) & 1) != 0);
             }
+        }
+        if (!mapped_ok) {
+            std::fprintf(stderr, "FUZZ FAILURE: mapped netlist at seed %llu\n",
+                         static_cast<unsigned long long>(seed));
+            dump_reproducer(seed, circuit);
+            return false;
         }
         std::printf("seed %llu ok (pis=%zu ands=%zu depth=%d -> %d)\n",
                     static_cast<unsigned long long>(seed), circuit.num_pis(),
