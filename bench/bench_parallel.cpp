@@ -12,18 +12,10 @@
 // workers building the node BDDs of overlapping PO cones) and records the
 // cross-worker ITE-cache hit rate.
 //
-// A third sweep measures the memory governor: the adder under a fixed
-// tight per-cone quota (Tier 1, deterministic degradation) at global
-// budgets {unlimited, 256M, 64M, 16M} (Tier 2, cache shedding). Since the
-// global rail only evicts pure memo entries and the per-cone quota is
-// schedule-invariant, the outputs must be identical at every budget; the
-// sweep records wall time, QoR, cones degraded, and shed events per
-// budget.
-//
 //   bench_parallel [bits] [max_jobs] [iterations]
 //
 // Results go to stdout and to BENCH_parallel.json (machine-readable, one
-// object per jobs value, plus "budgeted", "bdd", and "memgov" sections)
+// object per jobs value, plus "budgeted" and "bdd" sections)
 // so the perf trajectory is tracked across PRs.
 
 #include <algorithm>
@@ -36,7 +28,6 @@
 #include "aig/aig_build.hpp"
 #include "bdd/aig_bdd.hpp"
 #include "bdd/bdd.hpp"
-#include "common/memgov.hpp"
 #include "common/parse.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
@@ -183,81 +174,6 @@ std::string bdd_rows_json(const std::vector<BddRow>& rows) {
     return json + "]";
 }
 
-struct MemgovRow {
-    std::uint64_t budget = 0;  ///< global rail in bytes (0 = unlimited)
-    double seconds = 0.0;
-    int depth = 0;
-    std::size_t ands = 0;
-    int quota_degraded = 0;
-    std::uint64_t shed_events = 0;
-    std::uint64_t charged_bytes = 0;
-};
-
-/// The adder under a fixed tight per-cone quota at several global budgets,
-/// cold caches each time. Tier 1 degrades the same cones at every budget
-/// (the quota is schedule- and budget-invariant); Tier 2 sheds more as the
-/// budget shrinks. `*identical` is QoR + degrade-count equality across all
-/// budgets — the rail must never change results.
-std::vector<MemgovRow> memgov_sweep(const Aig& circuit, const LookaheadParams& base, int jobs,
-                                    bool* identical) {
-    constexpr std::uint64_t kConeQuota = std::uint64_t{4} << 20;
-    const std::uint64_t budgets[] = {0, std::uint64_t{256} << 20, std::uint64_t{64} << 20,
-                                     std::uint64_t{16} << 20};
-    std::vector<MemgovRow> rows;
-    for (const std::uint64_t budget : budgets) {
-        clear_engine_caches();
-        LookaheadParams params = base;
-        params.cone_mem_bytes = kConeQuota;
-        MemoryGovernor governor(budget);
-        register_memo_governance(governor);
-        EngineOptions engine;
-        engine.jobs = jobs;
-        engine.governor = &governor;
-        OptimizeStats stats;
-        Stopwatch sw;
-        const Aig out = optimize_timing_engine(circuit, params, engine, &stats);
-        const double seconds = sw.elapsed_seconds();
-        if (!stats.verified) {
-            std::fprintf(stderr, "VERIFICATION FAILURE at mem budget %llu\n",
-                         static_cast<unsigned long long>(budget));
-            std::exit(1);
-        }
-        rows.push_back({budget, seconds, out.depth(), out.count_reachable_ands(),
-                        stats.quota_degraded, governor.shed_events(), governor.charged_total()});
-        char label[32];
-        if (budget == 0) std::snprintf(label, sizeof label, "unlimited");
-        else std::snprintf(label, sizeof label, "%lluM",
-                           static_cast<unsigned long long>(budget >> 20));
-        std::printf("  budget %-10s %7.2fs   depth %2d   %6zu ANDs   %d cone(s) degraded   "
-                    "%llu shed event(s)   %llu MB charged\n",
-                    label, seconds, out.depth(), out.count_reachable_ands(),
-                    stats.quota_degraded, static_cast<unsigned long long>(rows.back().shed_events),
-                    static_cast<unsigned long long>(rows.back().charged_bytes >> 20));
-        std::fflush(stdout);
-    }
-    *identical = true;
-    for (const auto& row : rows)
-        *identical = *identical && row.depth == rows.front().depth &&
-                     row.ands == rows.front().ands &&
-                     row.quota_degraded == rows.front().quota_degraded;
-    return rows;
-}
-
-std::string memgov_rows_json(const std::vector<MemgovRow>& rows) {
-    std::string json = "[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (i) json += ',';
-        json += "{\"budget_bytes\":" + std::to_string(rows[i].budget) +
-                ",\"seconds\":" + std::to_string(rows[i].seconds) +
-                ",\"depth\":" + std::to_string(rows[i].depth) +
-                ",\"ands\":" + std::to_string(rows[i].ands) +
-                ",\"quota_degraded\":" + std::to_string(rows[i].quota_degraded) +
-                ",\"shed_events\":" + std::to_string(rows[i].shed_events) +
-                ",\"charged_bytes\":" + std::to_string(rows[i].charged_bytes) + "}";
-    }
-    return json + "]";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -319,16 +235,6 @@ int main(int argc, char** argv) {
     std::printf("cross-worker ITE-cache hits observed: %s\n",
                 bdd_sharing_observed ? "yes" : "NO (BUG)");
 
-    // Memory-governor sweep: fixed tight per-cone quota, shrinking global
-    // budgets; outputs must be identical at every budget.
-    std::printf("memgov sweep: --cone-mem 4M at budgets unlimited/256M/64M/16M, --jobs %d\n",
-                max_jobs);
-    bool memgov_identical = false;
-    const std::vector<MemgovRow> memgov_rows =
-        memgov_sweep(rca, params, max_jobs, &memgov_identical);
-    std::printf("QoR identical across memory budgets: %s\n",
-                memgov_identical ? "yes" : "NO (BUG)");
-
     std::string json = "{\"circuit\":\"rca" + std::to_string(bits) + "\",\"bits\":" +
                        std::to_string(bits) + ",\"iterations\":" + std::to_string(iterations) +
                        ",\"hardware_threads\":" + std::to_string(ThreadPool::hardware_jobs()) +
@@ -338,15 +244,11 @@ int main(int argc, char** argv) {
                        ",\"qor_identical\":" + (budgeted_identical ? "true" : "false") +
                        ",\"runs\":" + rows_json(budgeted_rows) + "}" +
                        ",\"bdd\":{\"sharing_observed\":" + (bdd_sharing_observed ? "true" : "false") +
-                       ",\"runs\":" + bdd_rows_json(bdd_rows) + "}" +
-                       ",\"memgov\":{\"cone_mem_bytes\":" +
-                       std::to_string(std::uint64_t{4} << 20) +
-                       ",\"identical\":" + (memgov_identical ? "true" : "false") +
-                       ",\"runs\":" + memgov_rows_json(memgov_rows) + "}}\n";
+                       ",\"runs\":" + bdd_rows_json(bdd_rows) + "}}\n";
     if (std::FILE* f = std::fopen("BENCH_parallel.json", "w")) {
         std::fputs(json.c_str(), f);
         std::fclose(f);
         std::printf("wrote BENCH_parallel.json\n");
     }
-    return identical && budgeted_identical && bdd_sharing_observed && memgov_identical ? 0 : 1;
+    return identical && budgeted_identical && bdd_sharing_observed ? 0 : 1;
 }

@@ -4,7 +4,6 @@
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
-#include "common/memgov.hpp"
 #include "engine/metrics.hpp"
 
 namespace lls {
@@ -55,88 +54,17 @@ BddManager::~BddManager() {
     if (s.ite_misses) metrics.counter("bdd.ite_cache.misses").add(s.ite_misses);
     if (s.ite_evictions) metrics.counter("bdd.ite_cache.evictions").add(s.ite_evictions);
     for (auto& block : blocks_) delete[] block.load(std::memory_order_acquire);
-    if (governor_ != nullptr) {
-        const std::int64_t charged = governor_charged_.load(std::memory_order_relaxed);
-        if (charged != 0) governor_->charge(-charged);
-    }
-}
-
-void BddManager::bind_governor(MemoryGovernor* governor) {
-    // Detach: release everything reported so far.
-    if (governor_ != nullptr && governor == nullptr) {
-        const std::int64_t charged = governor_charged_.exchange(0, std::memory_order_relaxed);
-        if (charged != 0) governor_->charge(-charged);
-    }
-    governor_ = governor;
-    if (governor_ != nullptr) {
-        governor_epoch_seen_.store(governor_->relief_epoch(), std::memory_order_relaxed);
-        // Report what already exists: the ITE slot array and the arena
-        // blocks allocated before binding (block 0 at least).
-        std::int64_t charged = static_cast<std::int64_t>(ite_cache_.size() * sizeof(IteEntry));
-        for (const auto& block : blocks_)
-            if (block.load(std::memory_order_acquire) != nullptr)
-                charged += static_cast<std::int64_t>(kBlockSize * memcost::kBddNodeBytes);
-        governor_charged_.store(charged, std::memory_order_relaxed);
-        governor_->charge(charged);
-    }
-}
-
-std::size_t BddManager::ite_capacity() const {
-    // Racy-read tolerant: capacity only changes under all stripes, and
-    // callers of this accessor are tests/observability.
-    return ite_mask_ + 1;
-}
-
-std::size_t BddManager::shrink_ite_cache() {
-    // Lock every stripe in index order; ite() traffic holds exactly one
-    // stripe, so once all are held no reader can observe the resize.
-    std::array<std::unique_lock<std::mutex>, kIteStripes> locks;
-    for (std::size_t s = 0; s < kIteStripes; ++s)
-        locks[s] = std::unique_lock<std::mutex>(ite_mutex_[s]);
-    constexpr std::size_t kMinSlots = std::size_t{1} << 10;
-    const std::size_t old_slots = ite_cache_.size();
-    if (old_slots <= kMinSlots) return 0;
-    const std::size_t new_slots = old_slots / 2;
-    std::vector<IteEntry>(new_slots, IteEntry{}).swap(ite_cache_);
-    ite_mask_ = new_slots - 1;
-    const std::size_t freed = (old_slots - new_slots) * sizeof(IteEntry);
-    if (governor_ != nullptr) {
-        governor_charged_.fetch_sub(static_cast<std::int64_t>(freed), std::memory_order_relaxed);
-        governor_->charge(-static_cast<std::int64_t>(freed));
-    }
-    return freed;
-}
-
-void BddManager::maybe_shrink_for_governor() {
-    if (governor_ == nullptr) return;
-    const std::uint64_t epoch = governor_->relief_epoch();
-    if (epoch == governor_epoch_seen_.load(std::memory_order_relaxed)) return;
-    governor_epoch_seen_.store(epoch, std::memory_order_relaxed);
-    shrink_ite_cache();
 }
 
 void BddManager::store_word(std::size_t index, std::uint64_t word) {
     auto& slot = blocks_[index >> kBlockBits];
     std::uint64_t* block = slot.load(std::memory_order_acquire);
     if (!block) {
-        bool allocated = false;
-        {
-            const std::lock_guard<std::mutex> lock(block_mutex_);
-            block = slot.load(std::memory_order_acquire);
-            if (!block) {
-                block = new std::uint64_t[kBlockSize]();
-                slot.store(block, std::memory_order_release);
-                allocated = true;
-            }
-        }
-        // Tier-2 accounting per arena block (8 B word + unique-table entry
-        // share per node), outside block_mutex_ so a relief episode the
-        // charge triggers cannot nest under it.
-        if (allocated && governor_ != nullptr) {
-            const std::int64_t bytes =
-                static_cast<std::int64_t>(kBlockSize * memcost::kBddNodeBytes);
-            governor_charged_.fetch_add(bytes, std::memory_order_relaxed);
-            governor_->charge(bytes);
+        const std::lock_guard<std::mutex> lock(block_mutex_);
+        block = slot.load(std::memory_order_acquire);
+        if (!block) {
+            block = new std::uint64_t[kBlockSize]();
+            slot.store(block, std::memory_order_release);
         }
     }
     block[index & (kBlockSize - 1)] = word;
@@ -148,7 +76,6 @@ BddManager::Ref BddManager::make_node(int var, Ref low, Ref high) {
     // poll bounds an exponentially blowing-up ITE recursion in wall-clock
     // time the same way node_limit_ bounds it in count.
     poll_cancellation("bdd");
-    maybe_shrink_for_governor();
     const std::uint64_t key = pack(var, low, high);
     Shard& shard = shards_[U64Hash{}(key) % kShards];
     const std::lock_guard<std::mutex> lock(shard.mutex);
@@ -197,8 +124,8 @@ std::size_t BddManager::ite_hash(Ref f, Ref g, Ref h) const {
 bool BddManager::ite_cache_get(Ref f, Ref g, Ref h, Ref* result) {
     const std::size_t hash = ite_hash(f, g, h);
     // Stripe from the unmasked hash, slot under the stripe lock: capacity
-    // stays >= 2^10 slots while kIteStripes is 64, so hash & mask agrees
-    // with hash & 63 on the stripe bits whatever the current mask is.
+    // is >= 2^10 slots while kIteStripes is 64, so hash & mask agrees with
+    // hash & 63 on the stripe bits.
     const std::lock_guard<std::mutex> lock(ite_mutex_[hash & (kIteStripes - 1)]);
     const IteEntry& entry = ite_cache_[hash & ite_mask_];
     if (entry.f == f && entry.g == g && entry.h == h) {

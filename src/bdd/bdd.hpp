@@ -11,8 +11,6 @@
 
 namespace lls {
 
-class MemoryGovernor;
-
 /// Point-in-time counters of one BddManager (tests, benches, and the
 /// shared-vs-private comparison in bench_parallel). The same numbers are
 /// flushed into the global metrics registry (`bdd.unique.*`,
@@ -114,22 +112,6 @@ public:
     /// that a concurrent snapshot is not an atomic cut across counters).
     BddStats stats() const;
 
-    /// Attaches the Tier-2 memory governor (common/memgov.hpp): arena
-    /// blocks and the ITE cache report counted bytes, and every relief
-    /// episode the governor runs makes this manager halve its ITE cache at
-    /// the next node allocation (the manager polls the relief epoch rather
-    /// than registering a hook, so lifetimes stay decoupled). Call during
-    /// setup, before concurrent use; pass nullptr to detach.
-    void bind_governor(MemoryGovernor* governor);
-
-    /// Halves the ITE cache (never below its minimum capacity), returning
-    /// the bytes freed. Safe against concurrent ite() traffic: the resize
-    /// happens under all cache stripes.
-    std::size_t shrink_ite_cache();
-
-    /// Current ITE-cache slot count (observability/tests).
-    std::size_t ite_capacity() const;
-
 private:
     // Packing: a node is one 64-bit word (var << 44 | low << 22 | high).
     // var < 2^20 and refs < 2^22 (enforced by the node-limit cap), so the
@@ -190,9 +172,6 @@ private:
     std::size_t ite_hash(Ref f, Ref g, Ref h) const;
     bool ite_cache_get(Ref f, Ref g, Ref h, Ref* result);
     void ite_cache_put(Ref f, Ref g, Ref h, Ref result);
-    /// Shrinks the ITE cache when the bound governor ran a relief episode
-    /// since this manager last looked.
-    void maybe_shrink_for_governor();
 
     int num_vars_;
     std::size_t node_limit_;
@@ -206,18 +185,13 @@ private:
 
     mutable std::array<Shard, kShards> shards_;
 
-    // Lossy ITE cache: power-of-two slot array, striped mutexes. The slot
-    // array only changes (shrinks) under *all* stripes; readers map a
-    // stripe-independent hash to a slot under their stripe lock. Capacity
-    // never drops below 2^10 slots, so slot & (kIteStripes - 1) equals
-    // hash & (kIteStripes - 1) — same slot always means same stripe.
+    // Lossy ITE cache: power-of-two slot array sized once in the
+    // constructor, striped mutexes. Capacity is at least 2^10 slots, so
+    // slot & (kIteStripes - 1) equals hash & (kIteStripes - 1) — same slot
+    // always means same stripe.
     std::vector<IteEntry> ite_cache_;
     std::size_t ite_mask_ = 0;
     mutable std::array<std::mutex, kIteStripes> ite_mutex_;
-
-    MemoryGovernor* governor_ = nullptr;
-    std::atomic<std::int64_t> governor_charged_{0};
-    std::atomic<std::uint64_t> governor_epoch_seen_{0};
 
     // Projection-function cache; kFalse marks "not created yet" (a variable
     // node is never the FALSE terminal).

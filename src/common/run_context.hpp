@@ -75,18 +75,12 @@ struct RunContext {
     bool exact_verify = false;
     std::size_t exact_verify_bdd_limit = std::size_t{1} << 21;
 
-    /// Tier-1 deterministic byte quota of this evaluation rung, or null
+    /// Deterministic per-cone byte quota of this evaluation rung, or null
     /// for unmetered memory (common/memgov.hpp). Like `cost`, the quota is
     /// not thread-safe: serial stages charge it directly; parallel
     /// intra-cone tasks charge task-local quotas snapshotted from
     /// `remaining()` at a serial point and merged in fixed task order.
     MemoryQuota* mem_quota = nullptr;
-
-    /// Tier-2 process-wide accountant (the `--mem-budget` rail), or null.
-    /// Components with real arenas (SAT solvers, BDD managers) push
-    /// counted byte deltas here; purely observability + relief, never a
-    /// result-changing input.
-    MemoryGovernor* governor = nullptr;
 
     /// Metrics registry, or null to fall back to the process-global one.
     Metrics* metrics = nullptr;
@@ -107,7 +101,7 @@ struct RunContext {
         if (cost != nullptr) *cost += delta;
     }
 
-    /// Charges `bytes` against the Tier-1 quota, if one is attached;
+    /// Charges `bytes` against the memory quota, if one is attached;
     /// throws LlsError{ResourceExhausted, kMemgovStage} past the limit.
     /// Callers must only invoke this at deterministic program points.
     void charge_memory(std::uint64_t bytes) const {

@@ -101,13 +101,11 @@ public:
     }
 
     /// Inserts (or overwrites) an entry, evicting half the shard first if
-    /// it is full — by entry count, or by its slice of the byte limit when
-    /// one is armed.
+    /// it is full.
     void put(const Key& key, Value value) {
         // The ledger always charges the *stored* entry (capacities can
         // differ between a caller's copy and the map's), so insert/erase
         // balance exactly.
-        const std::size_t incoming = sizer_(key, value);
         Shard& shard = shard_of(key);
         std::lock_guard<std::mutex> lock(shard.mutex);
         const auto it = shard.map.find(key);
@@ -117,10 +115,7 @@ public:
             shard.bytes += sizer_(it->first, it->second);
             return;
         }
-        const std::size_t byte_limit = byte_limit_.load(std::memory_order_relaxed);
-        if (shard.map.size() >= max_entries_per_shard_ ||
-            (byte_limit != 0 && shard.bytes + incoming > byte_limit / kShards))
-            evict_half_locked(shard);
+        if (shard.map.size() >= max_entries_per_shard_) evict_half_locked(shard);
         const auto inserted = shard.map.emplace(key, std::move(value)).first;
         shard.bytes += sizer_(inserted->first, inserted->second);
     }
@@ -150,37 +145,6 @@ public:
             shard.map.clear();
             shard.bytes = 0;
         }
-    }
-
-    /// Estimated resident bytes across all shards (the governor's gauge).
-    std::uint64_t bytes() const {
-        std::uint64_t total = 0;
-        for (auto& shard : shards_) {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            total += shard.bytes;
-        }
-        return total;
-    }
-
-    /// Arms (or clears, with 0) a total byte cap: an insert whose shard
-    /// would exceed its 1/kShards slice halves that shard first. Lossy by
-    /// design — entries are pure memos, so shedding costs recomputation,
-    /// never correctness.
-    void set_byte_limit(std::size_t limit) {
-        byte_limit_.store(limit, std::memory_order_relaxed);
-    }
-
-    /// Drops half of every shard (the governor's shed hook), returning the
-    /// estimated bytes freed.
-    std::size_t shed_half() {
-        std::size_t freed = 0;
-        for (auto& shard : shards_) {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            const std::size_t before = shard.bytes;
-            evict_half_locked(shard);
-            freed += before - shard.bytes;
-        }
-        return freed;
     }
 
     /// Visits every entry, shard by shard, under the stripe locks — the
@@ -233,7 +197,6 @@ private:
     std::size_t max_entries_per_shard_;
     Sizer sizer_;
     mutable std::array<Shard, kShards> shards_;
-    std::atomic<std::size_t> byte_limit_{0};
     std::atomic<std::uint64_t> hits_{0}, misses_{0}, evictions_{0};
     std::uint64_t registration_ = 0;
 };

@@ -67,43 +67,10 @@ std::uint64_t params_fingerprint(const LookaheadParams& p) {
     // The per-cone memory quota is deterministic and result-changing (a
     // quota-degraded cone keeps its original structure), so it keys the
     // memo; zero adds nothing, like the empty fault plan. The wall rails
-    // (time budget, cone deadline, --mem-budget) stay excluded.
+    // (time budget, cone deadline) stay excluded.
     if (p.cone_mem_bytes != 0) h = hash_mix(h, p.cone_mem_bytes);
     return h;
 }
-
-/// Raises the engine.mem.* counters to the governor's cumulative totals.
-/// Idempotent ("sync up to total"), serialized so concurrent batch items
-/// cannot double-add one delta — safe however many runs share a governor.
-void sync_governor_metrics(Metrics& metrics, const MemoryGovernor& governor) {
-    static std::mutex mutex;
-    const std::lock_guard<std::mutex> lock(mutex);
-    const auto sync = [&metrics](const char* name, std::uint64_t total) {
-        MetricCounter& counter = metrics.counter(name);
-        const std::uint64_t seen = counter.value();
-        if (total > seen) counter.add(total - seen);
-    };
-    sync("engine.mem.charged_bytes", governor.charged_total());
-    sync("engine.mem.shed_events", governor.shed_events());
-    sync("engine.mem.admission_holds", governor.admission_holds());
-}
-
-/// RAII ticket on the governor's batch admission gate; a null governor
-/// degrades to a no-op so the batch loop stays unconditional.
-class AdmissionGuard {
-public:
-    explicit AdmissionGuard(MemoryGovernor* governor) : governor_(governor) {
-        if (governor_ != nullptr) governor_->admission_acquire();
-    }
-    ~AdmissionGuard() {
-        if (governor_ != nullptr) governor_->admission_release();
-    }
-    AdmissionGuard(const AdmissionGuard&) = delete;
-    AdmissionGuard& operator=(const AdmissionGuard&) = delete;
-
-private:
-    MemoryGovernor* governor_;
-};
 
 /// Equivalence check with the structural-hash verdict memo in front. Only
 /// resolved verdicts are stored; a memo hit returns no counterexample
@@ -150,17 +117,6 @@ DecomposeMemo& decompose_memo() {
             return bytes;
         });
     return instance;
-}
-
-void register_memo_governance(MemoryGovernor& governor) {
-    governor.add_gauge([] { return decompose_memo().bytes(); });
-    governor.add_gauge([] { return cec_memo().bytes(); });
-    governor.add_gauge([] { return npn_memo().bytes(); });
-    governor.add_gauge([] { return exact_structure_memo().bytes(); });
-    governor.add_shed_hook([] { return decompose_memo().shed_half(); });
-    governor.add_shed_hook([] { return cec_memo().shed_half(); });
-    governor.add_shed_hook([] { return npn_memo().shed_half(); });
-    governor.add_shed_hook([] { return exact_structure_memo().shed_half(); });
 }
 
 namespace {
@@ -256,10 +212,6 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
         own_shared_bdd.emplace(static_cast<int>(original.num_pis()),
                                /*node_limit=*/std::size_t{1} << 22);
         shared_bdd = &*own_shared_bdd;
-        // A run-private shared manager reports its arena to the Tier-2 rail
-        // (the batch-owned one was bound by the batch driver — binding it
-        // again would double-count).
-        if (engine.governor != nullptr) own_shared_bdd->bind_governor(engine.governor);
     }
 
     // Deterministic work budget: charged only at serial points with the
@@ -293,9 +245,6 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
         ctx.cost = &cost;
         ctx.cancel = engine.cancel;
         ctx.metrics = &metrics;
-        // Serial-stage solvers report arena bytes to the Tier-2 rail but
-        // never carry a Tier-1 quota — serial work is uncharged by design.
-        ctx.governor = engine.governor;
         return ctx;
     };
     OptimizeStats local;
@@ -390,7 +339,7 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                     rung_params.sat_conflict_limit =
                         std::max<std::int64_t>(params.sat_conflict_limit, 1) * 16;
                 const FaultContext fault_context(&fault_plan, rung);
-                // Tier-1 quota, fresh per rung: every rung starts from zero
+                // Memory quota, fresh per rung: every rung starts from zero
                 // so the charge stream — and the exact point an exhaustion
                 // fires — is a pure function of (cone, params, rung).
                 MemoryQuota quota(params.cone_mem_bytes);
@@ -410,7 +359,6 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                 ctx.metrics = &metrics;
                 ctx.executor = pool.size() > 0 ? &pool : nullptr;
                 if (params.cone_mem_bytes != 0) ctx.mem_quota = &quota;
-                ctx.governor = engine.governor;
                 Rng cone_rng(hash_mix(fingerprint, cone_hash));
                 try {
                     if (auto outcome = decompose_output(cone, rung_params, cone_rng, ctx))
@@ -449,7 +397,7 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                         evaluation.timing_dependent = true;
                         break;
                     }
-                    // Tier-1 quota exhaustion also ends the ladder — the
+                    // Quota exhaustion also ends the ladder — the
                     // escalated rungs only *grow* the footprint, so under
                     // the same per-rung quota they deterministically
                     // re-fail. Unlike a deadline this is a pure function of
@@ -748,7 +696,6 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
     // by the batch as engine.steal.idle_wait instead.
     if (own_pool && own_pool->size() > 0)
         metrics.timer("engine.intracone.idle_wait").add_nanos(own_pool->idle_wait_nanos());
-    if (engine.governor != nullptr) sync_governor_metrics(metrics, *engine.governor);
     if (stats) *stats = local;
     return best;
 }
@@ -789,12 +736,8 @@ std::vector<BatchOutcome> optimize_timing_batch(
     std::optional<BddManager> batch_bdd;
     std::size_t max_pis = 0;
     for (const auto& item : items) max_pis = std::max(max_pis, item.input.num_pis());
-    if (!items.empty() && max_pis < (std::size_t{1} << 20)) {
+    if (!items.empty() && max_pis < (std::size_t{1} << 20))
         batch_bdd.emplace(static_cast<int>(max_pis), /*node_limit=*/std::size_t{1} << 22);
-        // The batch owns the shared manager, so the batch binds it to the
-        // rail (per-item engines skip it to avoid double-counting).
-        if (engine.governor != nullptr) batch_bdd->bind_governor(engine.governor);
-    }
     EngineOptions per_item = engine;
     per_item.jobs = 1;  // item-level parallelism still dominates a full batch
     BddManager* const item_bdd = batch_bdd ? &*batch_bdd : nullptr;
@@ -820,14 +763,6 @@ std::vector<BatchOutcome> optimize_timing_batch(
             }
             return;
         }
-        // Tier-2 admission control: while the governor's post-shedding
-        // high-water hold is up and other items are in flight, this item
-        // waits here instead of adding its footprint — the batch finishes
-        // what it started and serializes new dispatch until usage falls
-        // below the rail (or everything in flight has drained, which
-        // guarantees progress). Purely a *when*, never a *what*: the item
-        // computes the same bytes however long it waited.
-        const AdmissionGuard admission(engine.governor);
         // Item-level fault boundary: one failing circuit must not abort the
         // other 99. The failed item degrades to its unmodified input — the
         // same keep-original rule the per-cone boundary applies — and is
@@ -870,7 +805,6 @@ std::vector<BatchOutcome> optimize_timing_batch(
         Metrics::global().timer("engine.steal.idle_wait").add_nanos(pool.idle_wait_nanos());
     if (pool.aborted_indices() > 0)
         Metrics::global().counter("engine.pool.aborted_indices").add(pool.aborted_indices());
-    if (engine.governor != nullptr) sync_governor_metrics(Metrics::global(), *engine.governor);
     return outcomes;
 }
 

@@ -13,7 +13,6 @@
 
 namespace lls {
 
-class MemoryGovernor;
 class WarmStart;
 
 /// Execution knobs of the concurrent optimization engine. These control
@@ -49,18 +48,6 @@ struct EngineOptions {
     /// so they are never journaled or written. Not owned; must outlive the
     /// run.
     const CancelToken* cancel = nullptr;
-
-    /// Tier-2 global memory accountant (common/memgov.hpp), or nullptr for
-    /// none. The engine binds it to the run's shared BddManager, keeps it
-    /// bound through every solver the run creates (via RunContext), and in
-    /// batch mode gates item dispatch on its admission hold. Like
-    /// `params.time_budget_seconds` this is a wall rail: crossing the
-    /// budget changes *when* caches shed and items dispatch, never what any
-    /// committed result contains — shedding only evicts pure memos and
-    /// admission only delays starts — so outputs stay byte-identical; only
-    /// the `engine.mem.{shed_events,admission_holds}` event counts are
-    /// schedule-dependent. Not owned; must outlive the run.
-    MemoryGovernor* governor = nullptr;
 };
 
 /// The paper's timing-driven flow, executed by the concurrent engine: each
@@ -138,14 +125,5 @@ CacheStatsSnapshot decomposition_cache_stats();
 /// persistence tests use to simulate a fresh process. Counters are not
 /// reset.
 void clear_engine_caches();
-
-/// Wires the engine's process-wide memo caches into a Tier-2 governor:
-/// registers each cache's `bytes()` as a gauge and its `shed_half()` as a
-/// shed hook, so a relief episode halves the decomposition, CEC, NPN, and
-/// exact-structure memos before the governor re-checks the budget. Call
-/// once per governor, before the run starts (registrations cannot be
-/// undone, so the governor must not outlive the process-wide caches —
-/// which live forever).
-void register_memo_governance(MemoryGovernor& governor);
 
 }  // namespace lls

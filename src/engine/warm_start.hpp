@@ -66,15 +66,6 @@ public:
     void note_decompose_hit(std::uint64_t cone_hash, std::uint64_t params_fp);
     void note_cec_hit(std::uint64_t hash_low, std::uint64_t hash_high);
 
-    /// Estimated resident bytes of the frozen imported-key sets — the
-    /// warm-start contribution to the Tier-2 governor's gauges (the live
-    /// cache entries themselves are gauged by their caches). Constant after
-    /// construction, so safe to poll from any thread.
-    std::uint64_t approx_bytes() const {
-        constexpr std::uint64_t kSetEntryBytes = 2 * sizeof(std::uint64_t) + 16;
-        return (imported_decompose_.size() + imported_cec_.size()) * kSetEntryBytes;
-    }
-
 private:
     void import_loaded();
 

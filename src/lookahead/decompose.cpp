@@ -86,7 +86,7 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
         exhaustive ? SimPatterns::exhaustive(cone.num_pis())
                    : SimPatterns::random(cone.num_pis(), params.num_random_patterns, rng);
     const auto aig_sigs = simulate(cone, patterns);
-    // Tier-1 charge site: simulation signatures, priced by their counted
+    // Quota charge site: simulation signatures, priced by their counted
     // word footprint — a pure function of (cone, params), like every charge
     // below, so the quota trips at the same point on every schedule.
     ctx.charge_memory(aig_sigs.size() *
@@ -233,7 +233,7 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
         // the join below charges conflicts in task order up to the first
         // error — so the charge stream cannot depend on the schedule.
         if (need_sat && !proof_tasks.empty()) {
-            // Tier-1 headroom snapshot, taken at this serial point: each
+            // Quota headroom snapshot, taken at this serial point: each
             // proof task charges a *task-local* quota bounded by the same
             // snapshot (sharing the cone quota across threads would be a
             // data race and make the trip point schedule-dependent). The
@@ -309,7 +309,7 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                 sat_queries += task.queries.size();
                 // Merge the task's counted bytes into the cone quota at
                 // this fixed-order point; an exhaustion raised here is the
-                // deterministic Tier-1 fault, identical on every schedule.
+                // deterministic quota fault, identical on every schedule.
                 if (ctx.mem_quota != nullptr) ctx.mem_quota->charge(task.mem_bytes);
                 if (task.error) {
                     first_error = task.error;
@@ -428,7 +428,7 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
         // of (cone, params) rather than of the thread schedule.
         bool equivalent = false;
         bool decided = false;
-        // Under a Tier-1 quota the shared manager is skipped outright: its
+        // Under a memory quota the shared manager is skipped outright: its
         // node pool reflects what *other* cones and workers built, so
         // charging this cone for growth observed there would be
         // schedule-dependent. The quota-capped private manager below keeps

@@ -10,42 +10,19 @@
 
 namespace lls::sat {
 
-namespace {
-/// Tier-2 accounting granularity: the governor's atomic is touched only
-/// when the live byte estimate drifts this far from what was reported.
-constexpr std::int64_t kGovernorChunkBytes = 256 << 10;
-}  // namespace
-
-Solver::~Solver() {
-    if (governor_charged_ != 0 && run_context_ != nullptr && run_context_->governor != nullptr)
-        run_context_->governor->charge(-governor_charged_);
-}
-
-void Solver::sync_governor_accounting() {
-    if (run_context_ == nullptr || run_context_->governor == nullptr) return;
-    const std::int64_t live = static_cast<std::int64_t>(num_literals_) *
-                              static_cast<std::int64_t>(memcost::kSatLiteralBytes);
-    const std::int64_t delta = live - governor_charged_;
-    if (delta >= kGovernorChunkBytes || delta <= -kGovernorChunkBytes) {
-        run_context_->governor->charge(delta);
-        governor_charged_ = live;
-    }
-}
-
 void Solver::charge_literals(std::size_t count) {
     if (num_literals_ + count > literal_limit_)
         throw LlsError(ErrorKind::ResourceExhausted,
                        "SAT literal limit exceeded (" + std::to_string(literal_limit_) +
                            " literals)",
                        "sat");
-    // Tier-1 deterministic quota: clause/watch arena bytes, charged from
+    // Per-cone deterministic quota: clause/watch arena bytes, charged from
     // the literal count — the same allocation-count accounting the literal
     // limit itself uses. May throw LlsError{ResourceExhausted, "memgov"};
     // nothing was stored yet, so the solver stays usable.
     if (run_context_ != nullptr)
         run_context_->charge_memory(count * memcost::kSatLiteralBytes);
     num_literals_ += count;
-    sync_governor_accounting();
 }
 
 int Solver::new_var() {
@@ -321,7 +298,6 @@ void Solver::reduce_learned() {
     clauses_ = std::move(kept);
     num_literals_ = 0;
     for (const auto& c : clauses_) num_literals_ += c.lits.size();
-    sync_governor_accounting();
     for (int v = 0; v < num_vars(); ++v)
         if (reason_[v] != -1) reason_[v] = remap[reason_[v]];
     for (auto& ws : watches_) ws.clear();

@@ -37,9 +37,6 @@ enum class Status { Sat, Unsat, Unknown };
 class Solver {
 public:
     Solver() = default;
-    /// Releases this solver's counted bytes from the bound context's
-    /// Tier-2 memory governor, if any.
-    ~Solver();
 
     Solver(const Solver&) = delete;
     Solver& operator=(const Solver&) = delete;
@@ -124,9 +121,6 @@ private:
     void reduce_learned();
     void attach_clause(int ci);
     void charge_literals(std::size_t count);
-    /// Reconciles the bound governor with the live literal count, in
-    /// chunks, so short-lived solvers never touch the shared atomic.
-    void sync_governor_accounting();
     static std::int64_t luby(std::int64_t i);
 
     std::vector<Clause> clauses_;
@@ -153,7 +147,6 @@ private:
 
     const lls::RunContext* run_context_ = nullptr;
     unsigned context_poll_countdown_ = 0;  // amortizes the context's clock read
-    std::int64_t governor_charged_ = 0;    // bytes reported to the Tier-2 governor
 };
 
 }  // namespace lls::sat

@@ -969,61 +969,6 @@ TEST(MemoryQuota, ChargesDeterministicallyAndThrowsAtTheLimit) {
     EXPECT_EQ(quota.remaining(), 0u);
 }
 
-TEST(MemoryGovernor, ShedsOncePerEpisodeAndGateSelfClears) {
-    // Budget 0: pure accounting — no relief, no admission hold, and the
-    // gate never blocks.
-    MemoryGovernor accountant(0);
-    accountant.charge(std::int64_t{8} << 20);
-    EXPECT_EQ(accountant.counted_bytes(), std::uint64_t{8} << 20);
-    EXPECT_EQ(accountant.charged_total(), std::uint64_t{8} << 20);
-    accountant.charge(-(std::int64_t{8} << 20));
-    EXPECT_EQ(accountant.counted_bytes(), 0u);
-    EXPECT_EQ(accountant.charged_total(), std::uint64_t{8} << 20);  // monotonic
-    EXPECT_EQ(accountant.shed_events(), 0u);
-    EXPECT_FALSE(accountant.admission_held());
-    accountant.admission_acquire();
-    accountant.admission_release();
-
-    // Armed rail: a gauge (stand-in for a memo cache) holds 4 MiB against a
-    // 1 MiB budget. Relief runs the shed hooks exactly once per growth
-    // episode, however many charges arrive while still over the rail.
-    const std::uint64_t budget = std::uint64_t{1} << 20;
-    MemoryGovernor governor(budget);
-    std::uint64_t cache_bytes = std::uint64_t{4} << 20;
-    int sheds = 0;
-    governor.add_gauge([&cache_bytes] { return cache_bytes; });
-    governor.add_shed_hook([&] {
-        cache_bytes /= 2;
-        ++sheds;
-    });
-    // Prime the gauge snapshot (the charge-path screen is allowed to trust
-    // a cached poll until counted traffic forces a refresh).
-    EXPECT_EQ(governor.current_bytes(), cache_bytes);
-    governor.charge(512);
-    EXPECT_EQ(sheds, 1);
-    EXPECT_EQ(governor.shed_events(), 1u);
-    EXPECT_EQ(governor.relief_epoch(), 1u);
-    EXPECT_EQ(cache_bytes, std::uint64_t{2} << 20);
-    // Still over the rail after shedding: the admission hold goes up, but a
-    // repeat charge in the same episode must NOT shed again (hysteresis —
-    // re-halving an already-shed cache frees nothing worth the eviction).
-    EXPECT_TRUE(governor.admission_held());
-    governor.charge(512);
-    EXPECT_EQ(sheds, 1);
-
-    // With nothing in flight the gate admits regardless of the hold: only
-    // finishing work can release memory, so blocking would deadlock.
-    governor.admission_acquire();
-    // Usage collapses below the rail; the second acquire's re-poll must
-    // observe that and clear the hold instead of waiting forever.
-    cache_bytes = 0;
-    governor.charge(-1024);
-    governor.admission_acquire();
-    EXPECT_FALSE(governor.admission_held());
-    governor.admission_release();
-    governor.admission_release();
-}
-
 TEST(Engine, ConeQuotaKeysTheMemoFingerprint) {
     // A nonzero quota changes results (degraded cones keep their original
     // structure), so it must key the memo; zero must add nothing, keeping
@@ -1153,79 +1098,6 @@ TEST(Engine, BatchRunLevelOomFailsItemsWithoutTearingDownTheBatch) {
         EXPECT_FALSE(outcomes[i].stats.verified);
         EXPECT_EQ(outcomes[i].output.hash(), items[i].input.cleanup().hash());
     }
-}
-
-TEST(Engine, GovernedRunsMatchUngovernedByteForByte) {
-    // The Tier-2 rail is a wall rail: a budget small enough to force
-    // shedding mid-run may change *when* memo entries exist, but never what
-    // the run commits. Charged bytes must flow into the metrics registry.
-    const Aig rca = ripple_carry_adder(8);
-    clear_engine_caches();
-    const std::string baseline = run_aiger(rca, 2);
-
-    clear_engine_caches();
-    const std::uint64_t charged_before =
-        Metrics::global().counter("engine.mem.charged_bytes").value();
-    MemoryGovernor governor(std::uint64_t{1} << 20);
-    register_memo_governance(governor);
-    LookaheadParams params;
-    params.max_iterations = 6;
-    EngineOptions engine;
-    engine.jobs = 2;
-    engine.governor = &governor;
-    OptimizeStats stats;
-    const Aig out = optimize_timing_engine(rca, params, engine, &stats);
-    EXPECT_TRUE(stats.verified);
-    std::stringstream aag;
-    write_aiger(aag, out);
-    EXPECT_EQ(aag.str(), baseline);
-    // Solver arenas and the shared BDD manager pushed counted deltas.
-    EXPECT_GT(governor.charged_total(), 0u);
-    EXPECT_GT(Metrics::global().counter("engine.mem.charged_bytes").value(), charged_before);
-    // A 1 MiB budget is far below the run's working set, so at least one
-    // relief episode must have run.
-    EXPECT_GT(governor.shed_events(), 0u);
-    clear_engine_caches();  // leave no half-shed state behind
-}
-
-TEST(Engine, GovernedBatchCompletesAndMatchesUngoverned) {
-    // Admission control only delays dispatch (and with nothing in flight
-    // admits unconditionally), so a governed batch under a starvation-level
-    // budget must finish every item with the ungoverned bytes.
-    std::vector<BatchItem> items;
-    items.push_back({"rca5", ripple_carry_adder(5)});
-    items.push_back({"rca6", ripple_carry_adder(6)});
-    items.push_back({"rca7", ripple_carry_adder(7)});
-    LookaheadParams params;
-    params.max_iterations = 4;
-
-    auto aiger_of = [](const BatchOutcome& outcome) {
-        std::stringstream aag;
-        write_aiger(aag, outcome.output);
-        return aag.str();
-    };
-
-    clear_engine_caches();
-    EngineOptions plain;
-    plain.jobs = 2;
-    const auto ungoverned = optimize_timing_batch(items, params, plain);
-
-    clear_engine_caches();
-    MemoryGovernor governor(std::uint64_t{512} << 10);
-    register_memo_governance(governor);
-    EngineOptions engine;
-    engine.jobs = 2;
-    engine.governor = &governor;
-    const auto governed = optimize_timing_batch(items, params, engine);
-
-    ASSERT_EQ(governed.size(), items.size());
-    for (std::size_t i = 0; i < governed.size(); ++i) {
-        EXPECT_FALSE(governed[i].failed) << governed[i].name;
-        EXPECT_FALSE(governed[i].cancelled) << governed[i].name;
-        EXPECT_EQ(aiger_of(governed[i]), aiger_of(ungoverned[i])) << governed[i].name;
-    }
-    EXPECT_GT(governor.charged_total(), 0u);
-    clear_engine_caches();
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 //   lls_fuzz [iterations] [base_seed] [--fault-inject SPEC]
 //   lls_fuzz --mutate-store [iterations] [base_seed]
 //   lls_fuzz --deadline [iterations] [base_seed]
-//   lls_fuzz --mem-budget [iterations] [base_seed]
+//   lls_fuzz --cone-mem [iterations] [base_seed]
 //
 // Each iteration generates a random circuit (random shape, PI/PO counts and
 // operator mix), pushes it through every optimization flow plus mapping and
@@ -26,14 +26,14 @@
 // (cancelled cones degrade to original with a Cancelled FaultRecord), and
 // it round-trips through the writers as a well-formed AIG.
 //
-// --mem-budget exercises the memory governor (common/memgov.hpp): each
+// --cone-mem exercises the per-cone memory quota (common/memgov.hpp): each
 // iteration runs the lookahead flow under a tight random per-cone byte
-// quota plus a small random global budget, at a random job count. Whatever
-// the quota trips must be contained deterministically: the run completes,
-// the result is equivalent to the input, a quota-degraded cone is *never*
-// reported as recovered (the memgov fault ends the retry ladder), the
-// quota'd result is byte-identical across job counts, and it round-trips
-// through the writers as a well-formed AIG.
+// quota, at a random job count. Whatever the quota trips must be contained
+// deterministically: the run completes, the result is equivalent to the
+// input, a quota-degraded cone is *never* reported as recovered (the
+// memgov fault ends the retry ladder), the quota'd result is
+// byte-identical across job counts, and it round-trips through the
+// writers as a well-formed AIG.
 //
 // --mutate-store exercises the persistent memo store (src/persist/): each
 // iteration populates a cache directory from a cold run, proves an intact
@@ -266,14 +266,13 @@ bool run_deadline_iteration(std::uint64_t seed) {
     }
 }
 
-/// One memory-governor iteration: the lookahead flow under a tight random
-/// per-cone quota (a few KB to a few MB, so cones regularly trip it at
-/// some charge site) and a small random global budget, at a random job
-/// count. Containment must be deterministic: the run completes, stays
-/// equivalent (degrade-to-original), never reports a memgov fault as
-/// recovered, produces byte-identical output across job counts, and the
-/// result round-trips.
-bool run_memgov_iteration(std::uint64_t seed) {
+/// One memory-quota iteration: the lookahead flow under a tight random
+/// per-cone quota (a few KB to ~128 KB, so cones regularly trip it at some
+/// charge site), at a random job count. Containment must be deterministic:
+/// the run completes, stays equivalent (degrade-to-original), never
+/// reports a memgov fault as recovered, produces byte-identical output
+/// across job counts, and the result round-trips.
+bool run_cone_mem_iteration(std::uint64_t seed) {
     const lls::Aig circuit = random_circuit(seed);
     auto check = [&](bool ok) {
         if (!ok) dump_reproducer(seed, circuit);
@@ -288,17 +287,10 @@ bool run_memgov_iteration(std::uint64_t seed) {
         // enough that some complete (both the degrade path and the success
         // path run under accounting).
         params.cone_mem_bytes = (std::uint64_t{1} << 10) + rng.next_below(std::uint64_t{1} << 17);
-        // A small global rail (1..32 MB) so shedding and the relief epoch
-        // fire under fuzz workloads too; 0 every fourth run keeps the
-        // accounting-only configuration covered.
-        const std::uint64_t budget =
-            rng.next_below(4) == 0 ? 0 : (std::uint64_t{1} << 20) * (1 + rng.next_below(32));
 
         auto run = [&](int jobs, lls::OptimizeStats* stats) {
-            lls::MemoryGovernor governor(budget);
             lls::EngineOptions engine;
             engine.jobs = jobs;
-            engine.governor = &governor;
             const lls::Aig optimized =
                 lls::optimize_timing_engine(circuit, params, engine, stats);
             std::stringstream aag;
@@ -349,12 +341,10 @@ bool run_memgov_iteration(std::uint64_t seed) {
         lls::write_blif(blif, optimized, "fuzz");
         if (!check(verify("memgov blif roundtrip", seed, optimized, lls::read_blif(blif))))
             return false;
-        std::printf("seed %llu ok (quota %llu B, budget %llu B, %d cone(s) degraded, "
-                    "depth %d -> %d)\n",
+        std::printf("seed %llu ok (quota %llu B, %d cone(s) degraded, depth %d -> %d)\n",
                     static_cast<unsigned long long>(seed),
                     static_cast<unsigned long long>(params.cone_mem_bytes),
-                    static_cast<unsigned long long>(budget), stats.quota_degraded,
-                    circuit.depth(), optimized.depth());
+                    stats.quota_degraded, circuit.depth(), optimized.depth());
         return true;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "FUZZ FAILURE: memgov exception at seed %llu: %s\n",
@@ -482,14 +472,14 @@ int main(int argc, char** argv) {
                      "usage: %s [iterations] [base_seed] [--fault-inject SPEC]\n"
                      "       %s --mutate-store [iterations] [base_seed]\n"
                      "       %s --deadline [iterations] [base_seed]\n"
-                     "       %s --mem-budget [iterations] [base_seed]\n",
+                     "       %s --cone-mem [iterations] [base_seed]\n",
                      argv[0], argv[0], argv[0], argv[0]);
         return 2;
     };
     int iterations = 25;
     std::uint64_t base_seed = 1000;
     std::string fault_plan;
-    bool mutate_store = false, deadline_mode = false, memgov_mode = false;
+    bool mutate_store = false, deadline_mode = false, cone_mem_mode = false;
     int positional = 0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -500,8 +490,8 @@ int main(int argc, char** argv) {
             mutate_store = true;
         } else if (arg == "--deadline") {
             deadline_mode = true;
-        } else if (arg == "--mem-budget") {
-            memgov_mode = true;
+        } else if (arg == "--cone-mem") {
+            cone_mem_mode = true;
         } else if (positional == 0) {
             if (!lls::parse_int_option("iterations", arg.c_str(), 1, 1000000000, &iterations))
                 return usage();
@@ -525,16 +515,16 @@ int main(int argc, char** argv) {
         }
     }
 
-    if ((mutate_store || deadline_mode || memgov_mode) && !g_fault_spec.empty()) {
+    if ((mutate_store || deadline_mode || cone_mem_mode) && !g_fault_spec.empty()) {
         std::fprintf(stderr,
-                     "error: --mutate-store/--deadline/--mem-budget and --fault-inject are "
+                     "error: --mutate-store/--deadline/--cone-mem and --fault-inject are "
                      "mutually exclusive\n");
         return 2;
     }
     if (static_cast<int>(mutate_store) + static_cast<int>(deadline_mode) +
-            static_cast<int>(memgov_mode) >
+            static_cast<int>(cone_mem_mode) >
         1) {
-        std::fprintf(stderr, "error: --mutate-store, --deadline, and --mem-budget are mutually "
+        std::fprintf(stderr, "error: --mutate-store, --deadline, and --cone-mem are mutually "
                              "exclusive\n");
         return 2;
     }
@@ -543,7 +533,7 @@ int main(int argc, char** argv) {
         const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
         const bool ok = mutate_store    ? run_store_iteration(seed)
                         : deadline_mode ? run_deadline_iteration(seed)
-                        : memgov_mode   ? run_memgov_iteration(seed)
+                        : cone_mem_mode ? run_cone_mem_iteration(seed)
                                         : run_iteration(seed, fault_plan);
         if (!ok) return 1;
     }

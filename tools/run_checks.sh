@@ -67,26 +67,28 @@ done
 echo "batch outputs identical across --jobs 1/2/4"
 
 echo "== stage 2e: per-cone memory quota degrades deterministically =="
-# The Tier-1 memory quota's core claim: a tight --cone-mem must trip at
+# The per-cone memory quota's core claim: a tight --cone-mem must trip at
 # identical program points whatever the job count or cache state — batch
 # outputs byte-identical across --jobs 1/2/4 x cold/warm persistent cache,
-# with at least one cone actually degraded (the quota is calibrated to fire
-# on rca16).
+# with cones actually degraded on both circuits (1M degrades cones of rca16
+# and control24; 4M degrades none, so it would check nothing).
 MEMCACHE="$WORKDIR/memgov_cache"
 # Seed run: populates the persistent store (quota-degraded evaluations
 # memoize and persist like any deterministic fault) and is the byte
 # reference for every later combination.
-./build/tools/lls_opt --batch --cone-mem 4M --mem-budget 64M --jobs 1 \
+./build/tools/lls_opt --batch --cone-mem 1M --jobs 1 \
     --iterations 6 --cache-dir "$MEMCACHE" \
     --out-dir "$WORKDIR/mg.seed" \
     tests/data/rca16.blif tests/data/control24.blif > "$WORKDIR/mg.seed.log"
-grep -q "memgov" "$WORKDIR/mg.seed.log" || {
-    echo "expected at least one memgov-degraded cone under --cone-mem 4M"; exit 1; }
+for name in rca16 control24; do
+    grep -q "/$name\.blif: [1-9][0-9]* cone(s) exceeded --cone-mem" "$WORKDIR/mg.seed.log" || {
+        echo "expected $name to degrade at least one cone under --cone-mem 1M"; exit 1; }
+done
 for j in 1 2 4; do
-    ./build/tools/lls_opt --batch --cone-mem 4M --mem-budget 64M --jobs "$j" --iterations 6 \
+    ./build/tools/lls_opt --batch --cone-mem 1M --jobs "$j" --iterations 6 \
         --out-dir "$WORKDIR/mg.j$j.cold" \
         tests/data/rca16.blif tests/data/control24.blif > "$WORKDIR/mg.j$j.cold.log"
-    ./build/tools/lls_opt --batch --cone-mem 4M --mem-budget 64M --jobs "$j" --iterations 6 \
+    ./build/tools/lls_opt --batch --cone-mem 1M --jobs "$j" --iterations 6 \
         --cache-dir "$MEMCACHE" --cache-mode read --out-dir "$WORKDIR/mg.j$j.warm" \
         tests/data/rca16.blif tests/data/control24.blif > "$WORKDIR/mg.j$j.warm.log"
     for pass in cold warm; do
@@ -120,14 +122,13 @@ done
 # Store-file mutation fuzzing: random corruption of published shards must
 # always degrade to a byte-identical cold recompute, never a crash.
 (cd "$WORKDIR" && "$REPO/build/tools/lls_fuzz" --mutate-store 3 4242)
-# Memory-governor fuzzing: random tight per-cone quotas + small global
-# budgets must always be contained (equivalent, never "recovered",
-# byte-identical across job counts).
-(cd "$WORKDIR" && "$REPO/build/tools/lls_fuzz" --mem-budget 3 4242)
+# Memory-quota fuzzing: random tight per-cone quotas must always be
+# contained (equivalent, never "recovered", byte-identical across job
+# counts).
+(cd "$WORKDIR" && "$REPO/build/tools/lls_fuzz" --cone-mem 3 4242)
 # The full test suite again under AddressSanitizer: the recovery ladder's
-# throw/catch/degrade paths, the quota exhaustion throws, and the
-# governor's shed/admission machinery must be leak- and corruption-free,
-# not just functionally right.
+# throw/catch/degrade paths and the quota exhaustion throws must be leak-
+# and corruption-free, not just functionally right.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLLS_SANITIZE=address
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS")
