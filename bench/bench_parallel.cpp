@@ -7,27 +7,18 @@
 // runs and for runs bounded by a deterministic --work-budget (the budgeted
 // sweep uses half the unbudgeted work, so the budget genuinely binds).
 //
-// A second sweep benchmarks the shared concurrent BddManager against
-// per-task private managers on the engine's rung-2 access pattern (many
-// workers building the node BDDs of overlapping PO cones) and records the
-// cross-worker ITE-cache hit rate.
-//
 //   bench_parallel [bits] [max_jobs] [iterations]
 //
 // Results go to stdout and to BENCH_parallel.json (machine-readable, one
-// object per jobs value, plus "budgeted" and "bdd" sections)
-// so the perf trajectory is tracked across PRs.
+// object per jobs value, plus a "budgeted" section) so the perf trajectory
+// is tracked across PRs.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "aig/aig_build.hpp"
-#include "bdd/aig_bdd.hpp"
-#include "bdd/bdd.hpp"
 #include "common/parse.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
@@ -95,85 +86,6 @@ std::string rows_json(const std::vector<Row>& rows) {
     return json + "]";
 }
 
-struct BddRow {
-    int jobs;
-    double shared_seconds;
-    double private_seconds;
-    double shared_hit_rate;   ///< ITE-cache hit rate of the one shared manager
-    double private_hit_rate;  ///< aggregate ITE-cache hit rate of the private managers
-};
-
-double hit_rate(std::uint64_t hits, std::uint64_t misses) {
-    return hits + misses == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(hits + misses);
-}
-
-/// Shared-vs-private BDD manager comparison on the engine's exact-verify
-/// workload shape: every PO cone of the circuit, kRounds times over, built
-/// as node BDDs from `jobs` threads. Shared mode points every task at one
-/// concurrent manager (overlapping subfunctions collapse to unique-table
-/// and ITE-cache hits across workers); private mode gives every task its
-/// own manager, the pre-refactor behavior.
-std::vector<BddRow> bdd_sweep(const Aig& circuit, const std::vector<int>& job_counts) {
-    constexpr int kRounds = 32;
-    // Sized so the one shared manager can hold every cone's node BDDs at
-    // once: the old 2^16 cap was exceeded by the default 16-bit adder's
-    // cones and killed the whole bench with an uncaught ResourceExhausted.
-    constexpr std::size_t kNodeLimit = std::size_t{1} << 20;
-    std::vector<Aig> cones;
-    for (std::size_t o = 0; o < circuit.num_pos(); ++o) cones.push_back(extract_cone(circuit, o));
-    const std::size_t tasks = cones.size() * kRounds;
-
-    std::vector<BddRow> rows;
-    for (const int jobs : job_counts) {
-        ThreadPool pool(static_cast<std::size_t>(jobs) - 1);
-
-        BddManager shared(static_cast<int>(circuit.num_pis()), kNodeLimit);
-        Stopwatch shared_sw;
-        pool.parallel_for(0, tasks, [&](std::size_t i) {
-            build_node_bdds(cones[i % cones.size()], shared);
-        });
-        const double shared_seconds = shared_sw.elapsed_seconds();
-        const BddStats shared_stats = shared.stats();
-
-        std::atomic<std::uint64_t> private_hits{0}, private_misses{0};
-        Stopwatch private_sw;
-        pool.parallel_for(0, tasks, [&](std::size_t i) {
-            const Aig& cone = cones[i % cones.size()];
-            BddManager manager(static_cast<int>(cone.num_pis()), kNodeLimit);
-            build_node_bdds(cone, manager);
-            const BddStats s = manager.stats();
-            private_hits.fetch_add(s.ite_hits, std::memory_order_relaxed);
-            private_misses.fetch_add(s.ite_misses, std::memory_order_relaxed);
-        });
-        const double private_seconds = private_sw.elapsed_seconds();
-
-        rows.push_back({jobs, shared_seconds, private_seconds,
-                        hit_rate(shared_stats.ite_hits, shared_stats.ite_misses),
-                        hit_rate(private_hits.load(), private_misses.load())});
-        std::printf("  jobs=%-3d shared %7.3fs (ite hit %5.1f%%)   private %7.3fs "
-                    "(ite hit %5.1f%%)   speedup %.2fx\n",
-                    jobs, shared_seconds, 100.0 * rows.back().shared_hit_rate, private_seconds,
-                    100.0 * rows.back().private_hit_rate, private_seconds / shared_seconds);
-        std::fflush(stdout);
-    }
-    return rows;
-}
-
-std::string bdd_rows_json(const std::vector<BddRow>& rows) {
-    std::string json = "[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (i) json += ',';
-        json += "{\"jobs\":" + std::to_string(rows[i].jobs) +
-                ",\"shared_seconds\":" + std::to_string(rows[i].shared_seconds) +
-                ",\"private_seconds\":" + std::to_string(rows[i].private_seconds) +
-                ",\"shared_ite_hit_rate\":" + std::to_string(rows[i].shared_hit_rate) +
-                ",\"private_ite_hit_rate\":" + std::to_string(rows[i].private_hit_rate) +
-                ",\"speedup\":" + std::to_string(rows[i].private_seconds / rows[i].shared_seconds) +
-                "}";
-    }
-    return json + "]";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -219,22 +131,6 @@ int main(int argc, char** argv) {
     std::printf("QoR identical across job counts with budget: %s\n",
                 budgeted_identical ? "yes" : "NO (BUG)");
 
-    // Shared-vs-private BDD manager on the exact-verification workload.
-    // Capped at a 10-bit adder: with the generator's PI order (all a's,
-    // then all b's) adder cone BDDs grow exponentially in the bit width,
-    // and past ~12 bits they exceed any sane node limit — which used to
-    // kill this bench with an uncaught ResourceExhausted at the default
-    // 16-bit size.
-    const Aig bdd_rca = bits <= 10 ? rca : ripple_carry_adder(10);
-    std::printf("shared BDD manager: node BDDs of all %zu PO cones x32 rounds (%d-bit adder)\n",
-                bdd_rca.num_pos(), bits <= 10 ? bits : 10);
-    const std::vector<BddRow> bdd_rows = bdd_sweep(bdd_rca, job_counts);
-    bool bdd_sharing_observed = false;
-    for (const auto& row : bdd_rows)
-        bdd_sharing_observed = bdd_sharing_observed || row.shared_hit_rate > 0.0;
-    std::printf("cross-worker ITE-cache hits observed: %s\n",
-                bdd_sharing_observed ? "yes" : "NO (BUG)");
-
     std::string json = "{\"circuit\":\"rca" + std::to_string(bits) + "\",\"bits\":" +
                        std::to_string(bits) + ",\"iterations\":" + std::to_string(iterations) +
                        ",\"hardware_threads\":" + std::to_string(ThreadPool::hardware_jobs()) +
@@ -242,13 +138,11 @@ int main(int argc, char** argv) {
                        ",\"runs\":" + rows_json(rows) +
                        ",\"budgeted\":{\"work_budget\":" + std::to_string(work_budget) +
                        ",\"qor_identical\":" + (budgeted_identical ? "true" : "false") +
-                       ",\"runs\":" + rows_json(budgeted_rows) + "}" +
-                       ",\"bdd\":{\"sharing_observed\":" + (bdd_sharing_observed ? "true" : "false") +
-                       ",\"runs\":" + bdd_rows_json(bdd_rows) + "}}\n";
+                       ",\"runs\":" + rows_json(budgeted_rows) + "}}\n";
     if (std::FILE* f = std::fopen("BENCH_parallel.json", "w")) {
         std::fputs(json.c_str(), f);
         std::fclose(f);
         std::printf("wrote BENCH_parallel.json\n");
     }
-    return identical && budgeted_identical && bdd_sharing_observed ? 0 : 1;
+    return identical && budgeted_identical ? 0 : 1;
 }

@@ -19,14 +19,10 @@ std::vector<BddManager::Ref> build_node_bdds(const Aig& aig, BddManager& manager
 /// LlsError{ResourceExhausted} when `node_limit` is exceeded.
 bool bdd_equivalent(const Aig& a, const Aig& b, std::size_t node_limit = 1u << 21);
 
-/// The same check against a caller-provided (typically shared, concurrent)
-/// manager: sub-BDDs already built by other cones or workers are reused
-/// instead of rebuilt, and the verdict is identical to the private-manager
-/// form whenever both complete (refs are canonical). Requires
-/// `manager.num_vars() >= a.num_pis()`; throws LlsError{ResourceExhausted}
-/// when the manager's *global* node pool is exhausted — callers that need a
-/// schedule-independent outcome must fall back to a private manager then
-/// (see docs/ENGINE.md, "Shared BDD manager").
+/// The same check in a caller-provided manager, so the caller can read
+/// `manager.num_nodes()` afterwards (the per-cone memory quota charges it).
+/// Requires `manager.num_vars() >= a.num_pis()`; throws
+/// LlsError{ResourceExhausted} when the manager's node limit is exceeded.
 bool bdd_equivalent(const Aig& a, const Aig& b, BddManager& manager);
 
 /// BDD of an AIG literal given the per-node refs.

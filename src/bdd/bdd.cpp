@@ -17,8 +17,7 @@ std::size_t next_pow2(std::size_t n) {
 }
 
 /// Computed-table capacity for a given node limit: lossy by design, the
-/// table never outgrows this, fixing the unbounded growth of the old
-/// per-manager std::unordered_map. Half the node limit (clamped) keeps the
+/// table never outgrows this. Half the node limit (clamped) keeps the
 /// table proportional to the function sizes the manager can represent.
 std::size_t ite_cache_slots(std::size_t node_limit) {
     return next_pow2(std::clamp<std::size_t>(node_limit / 2, std::size_t{1} << 10,
@@ -33,41 +32,23 @@ BddManager::BddManager(int num_vars, std::size_t node_limit)
     LLS_REQUIRE(node_limit <= (std::size_t{1} << 22) && "ref packing requires refs < 2^22");
     ite_cache_.assign(ite_cache_slots(node_limit), IteEntry{});
     ite_mask_ = ite_cache_.size() - 1;
-    var_refs_ = std::vector<std::atomic<Ref>>(static_cast<std::size_t>(num_vars));
-    for (auto& ref : var_refs_) ref.store(kFalse, std::memory_order_relaxed);
-    // Terminals live at the head of block 0 and use var = num_vars_ (below
-    // every real variable in the order).
-    store_word(kFalse, pack(num_vars_, kFalse, kFalse));
-    store_word(kTrue, pack(num_vars_, kTrue, kTrue));
-    num_nodes_.store(2, std::memory_order_release);
+    var_refs_.assign(static_cast<std::size_t>(num_vars), kFalse);
+    // Terminals use var = num_vars_ (below every real variable in the order).
+    nodes_.push_back(pack(num_vars_, kFalse, kFalse));
+    nodes_.push_back(pack(num_vars_, kTrue, kTrue));
 }
 
 BddManager::~BddManager() {
     // Aggregate this manager's counters into the process-wide registry so
-    // `lls_opt --metrics` reports BDD work no matter how many managers
-    // (shared or private) the run created.
-    const BddStats s = stats();
+    // `lls_opt --metrics` reports BDD work no matter how many managers the
+    // run created.
     Metrics& metrics = Metrics::global();
-    if (s.unique_hits) metrics.counter("bdd.unique.hits").add(s.unique_hits);
-    if (s.nodes_created) metrics.counter("bdd.unique.nodes").add(s.nodes_created);
-    if (s.ite_hits) metrics.counter("bdd.ite_cache.hits").add(s.ite_hits);
-    if (s.ite_misses) metrics.counter("bdd.ite_cache.misses").add(s.ite_misses);
-    if (s.ite_evictions) metrics.counter("bdd.ite_cache.evictions").add(s.ite_evictions);
-    for (auto& block : blocks_) delete[] block.load(std::memory_order_acquire);
-}
-
-void BddManager::store_word(std::size_t index, std::uint64_t word) {
-    auto& slot = blocks_[index >> kBlockBits];
-    std::uint64_t* block = slot.load(std::memory_order_acquire);
-    if (!block) {
-        const std::lock_guard<std::mutex> lock(block_mutex_);
-        block = slot.load(std::memory_order_acquire);
-        if (!block) {
-            block = new std::uint64_t[kBlockSize]();
-            slot.store(block, std::memory_order_release);
-        }
-    }
-    block[index & (kBlockSize - 1)] = word;
+    if (stats_.unique_hits) metrics.counter("bdd.unique.hits").add(stats_.unique_hits);
+    if (stats_.nodes_created) metrics.counter("bdd.unique.nodes").add(stats_.nodes_created);
+    if (stats_.ite_hits) metrics.counter("bdd.ite_cache.hits").add(stats_.ite_hits);
+    if (stats_.ite_misses) metrics.counter("bdd.ite_cache.misses").add(stats_.ite_misses);
+    if (stats_.ite_evictions)
+        metrics.counter("bdd.ite_cache.evictions").add(stats_.ite_evictions);
 }
 
 BddManager::Ref BddManager::make_node(int var, Ref low, Ref high) {
@@ -77,73 +58,34 @@ BddManager::Ref BddManager::make_node(int var, Ref low, Ref high) {
     // time the same way node_limit_ bounds it in count.
     poll_cancellation("bdd");
     const std::uint64_t key = pack(var, low, high);
-    Shard& shard = shards_[U64Hash{}(key) % kShards];
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    if (const auto it = shard.map.find(key); it != shard.map.end()) {
-        unique_hits_.fetch_add(1, std::memory_order_relaxed);
+    if (const auto it = unique_.find(key); it != unique_.end()) {
+        ++stats_.unique_hits;
         return it->second;
     }
-    // Global accounting: the aggregate count across all shards decides
-    // exhaustion, so the threshold is the same number on every shard
-    // distribution and thread schedule.
-    const std::size_t index = num_nodes_.fetch_add(1, std::memory_order_acq_rel);
-    if (index >= node_limit_) {
-        num_nodes_.fetch_sub(1, std::memory_order_acq_rel);
+    if (nodes_.size() >= node_limit_)
         throw LlsError(ErrorKind::ResourceExhausted,
                        "BDD node limit exceeded (" + std::to_string(node_limit_) + " nodes)",
                        "bdd");
-    }
-    store_word(index, key);
-    const Ref ref = static_cast<Ref>(index);
-    shard.map.emplace(key, ref);
-    nodes_created_.fetch_add(1, std::memory_order_relaxed);
+    const Ref ref = static_cast<Ref>(nodes_.size());
+    nodes_.push_back(key);
+    unique_.emplace(key, ref);
+    ++stats_.nodes_created;
     return ref;
 }
 
 BddManager::Ref BddManager::variable(int var) {
     LLS_REQUIRE(var >= 0 && var < num_vars_);
-    auto& cached = var_refs_[static_cast<std::size_t>(var)];
-    Ref ref = cached.load(std::memory_order_acquire);
-    if (ref == kFalse) {
-        // Benign race: make_node is canonical, so concurrent creators store
-        // the identical ref.
-        ref = make_node(var, kFalse, kTrue);
-        cached.store(ref, std::memory_order_release);
-    }
+    Ref& ref = var_refs_[static_cast<std::size_t>(var)];
+    if (ref == kFalse) ref = make_node(var, kFalse, kTrue);
     return ref;
 }
 
-std::size_t BddManager::ite_hash(Ref f, Ref g, Ref h) const {
+BddManager::IteEntry& BddManager::ite_slot(Ref f, Ref g, Ref h) {
     std::uint64_t k = f;
     k = k * 0x100000001b3ULL ^ g;
     k = k * 0x100000001b3ULL ^ h;
     k *= 0x9e3779b97f4a7c15ULL;
-    return static_cast<std::size_t>(k ^ (k >> 31));
-}
-
-bool BddManager::ite_cache_get(Ref f, Ref g, Ref h, Ref* result) {
-    const std::size_t hash = ite_hash(f, g, h);
-    // Stripe from the unmasked hash, slot under the stripe lock: capacity
-    // is >= 2^10 slots while kIteStripes is 64, so hash & mask agrees with
-    // hash & 63 on the stripe bits.
-    const std::lock_guard<std::mutex> lock(ite_mutex_[hash & (kIteStripes - 1)]);
-    const IteEntry& entry = ite_cache_[hash & ite_mask_];
-    if (entry.f == f && entry.g == g && entry.h == h) {
-        ite_hits_.fetch_add(1, std::memory_order_relaxed);
-        *result = entry.result;
-        return true;
-    }
-    ite_misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-}
-
-void BddManager::ite_cache_put(Ref f, Ref g, Ref h, Ref result) {
-    const std::size_t hash = ite_hash(f, g, h);
-    const std::lock_guard<std::mutex> lock(ite_mutex_[hash & (kIteStripes - 1)]);
-    IteEntry& entry = ite_cache_[hash & ite_mask_];
-    if (entry.f != kFalse && !(entry.f == f && entry.g == g && entry.h == h))
-        ite_evictions_.fetch_add(1, std::memory_order_relaxed);
-    entry = IteEntry{f, g, h, result};
+    return ite_cache_[static_cast<std::size_t>(k ^ (k >> 31)) & ite_mask_];
 }
 
 BddManager::Ref BddManager::ite(Ref f, Ref g, Ref h) {
@@ -153,11 +95,17 @@ BddManager::Ref BddManager::ite(Ref f, Ref g, Ref h) {
     if (g == h) return g;
     if (g == kTrue && h == kFalse) return f;
 
-    Ref cached;
-    if (ite_cache_get(f, g, h, &cached)) return cached;
+    // The slot array never resizes, so the reference stays valid across
+    // the recursion below (which may overwrite the slot's contents).
+    IteEntry& slot = ite_slot(f, g, h);
+    if (slot.f == f && slot.g == g && slot.h == h) {
+        ++stats_.ite_hits;
+        return slot.result;
+    }
+    ++stats_.ite_misses;
     poll_cancellation("bdd");
 
-    const std::uint64_t wf = node_word(f), wg = node_word(g), wh = node_word(h);
+    const std::uint64_t wf = nodes_[f], wg = nodes_[g], wh = nodes_[h];
     const int top = std::min({word_var(wf), word_var(wg), word_var(wh)});
     auto cof = [top](Ref x, std::uint64_t wx, bool hi) {
         if (word_var(wx) != top) return x;
@@ -166,13 +114,14 @@ BddManager::Ref BddManager::ite(Ref f, Ref g, Ref h) {
     const Ref lo = ite(cof(f, wf, false), cof(g, wg, false), cof(h, wh, false));
     const Ref hi = ite(cof(f, wf, true), cof(g, wg, true), cof(h, wh, true));
     const Ref result = make_node(top, lo, hi);
-    ite_cache_put(f, g, h, result);
+    if (slot.f != kFalse && !(slot.f == f && slot.g == g && slot.h == h)) ++stats_.ite_evictions;
+    slot = IteEntry{f, g, h, result};
     return result;
 }
 
 BddManager::Ref BddManager::cofactor(Ref f, int var, bool value) {
     LLS_REQUIRE(var >= 0 && var < num_vars_);
-    const std::uint64_t wf = node_word(f);
+    const std::uint64_t wf = nodes_[f];
     if (word_var(wf) > var) return f;  // f does not depend on var (order!)
     if (word_var(wf) == var) return value ? word_high(wf) : word_low(wf);
     // var is below f's top variable: rebuild via ite on restricted children.
@@ -191,7 +140,7 @@ BddManager::Ref BddManager::forall(Ref f, int var) {
 
 bool BddManager::evaluate(Ref f, std::uint64_t assignment) const {
     while (f > kTrue) {
-        const std::uint64_t w = node_word(f);
+        const std::uint64_t w = nodes_[f];
         f = ((assignment >> word_var(w)) & 1) ? word_high(w) : word_low(w);
     }
     return f == kTrue;
@@ -210,7 +159,7 @@ double BddManager::count_minterms(Ref f) const {
             stack.pop_back();
             continue;
         }
-        const std::uint64_t w = node_word(r);
+        const std::uint64_t w = nodes_[r];
         const Ref low = word_low(w), high = word_high(w);
         const bool lo_done = fraction.count(low);
         const bool hi_done = fraction.count(high);
@@ -237,21 +186,11 @@ std::size_t BddManager::size(Ref f) const {
         if (r <= kTrue || seen.count(r)) continue;
         seen[r] = true;
         ++count;
-        const std::uint64_t w = node_word(r);
+        const std::uint64_t w = nodes_[r];
         stack.push_back(word_low(w));
         stack.push_back(word_high(w));
     }
     return count;
-}
-
-BddStats BddManager::stats() const {
-    BddStats s;
-    s.unique_hits = unique_hits_.load(std::memory_order_relaxed);
-    s.nodes_created = nodes_created_.load(std::memory_order_relaxed);
-    s.ite_hits = ite_hits_.load(std::memory_order_relaxed);
-    s.ite_misses = ite_misses_.load(std::memory_order_relaxed);
-    s.ite_evictions = ite_evictions_.load(std::memory_order_relaxed);
-    return s;
 }
 
 }  // namespace lls

@@ -1,9 +1,6 @@
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -11,9 +8,8 @@
 
 namespace lls {
 
-/// Point-in-time counters of one BddManager (tests, benches, and the
-/// shared-vs-private comparison in bench_parallel). The same numbers are
-/// flushed into the global metrics registry (`bdd.unique.*`,
+/// Point-in-time counters of one BddManager (tests and benches). The same
+/// numbers are flushed into the global metrics registry (`bdd.unique.*`,
 /// `bdd.ite_cache.*`) when the manager is destroyed, so `lls_opt --metrics`
 /// aggregates them across every manager the process created.
 struct BddStats {
@@ -30,31 +26,17 @@ struct BddStats {
 /// are canonical (unique table) so equality of functions is pointer
 /// equality. Operations go through ITE with a computed table. No dynamic
 /// reordering — the package exists as an exact-function substrate (exact
-/// SPCF computation, cross-checks of the simulation-based machinery), not
-/// as a general-purpose verification engine.
+/// SPCF computation, cross-checks of the simulation-based machinery, the
+/// engine's last-resort exact verification), not as a general-purpose
+/// verification engine.
 ///
-/// The manager is safe for concurrent use from many threads (Sylvan-style,
-/// scaled down to this package's ambitions):
+/// The computed table (ITE cache) is a fixed-size, direct-mapped, *lossy*
+/// array: an insert simply overwrites its slot, so the table is
+/// capacity-bounded for the life of the manager (the cap is tied to the
+/// node limit). Losing an entry only costs recomputation — results are
+/// canonical, so a recomputation returns the identical ref.
 ///
-/// - The unique table is sharded over `kShards` independently locked hash
-///   maps; node storage is a segmented arena of immutable packed words, so
-///   readers never take a lock. Canonicity is preserved under contention:
-///   two threads racing to create the same (var, low, high) node serialize
-///   on the owning shard and observe one ref.
-/// - The computed table (ITE cache) is a fixed-size, direct-mapped, *lossy*
-///   array under striped mutexes: an insert simply overwrites the slot, so
-///   the table is capacity-bounded for the life of the manager (the cap is
-///   tied to the node limit). Losing an entry only costs recomputation —
-///   results are canonical, so a recomputation returns the identical ref.
-/// - Node-limit accounting is one global atomic aggregated across shards:
-///   allocation attempt `node_limit` throws LlsError{ResourceExhausted} no
-///   matter which shard (or thread) triggers it, matching the serial
-///   manager's threshold exactly.
-///
-/// Determinism: ref *values* depend on allocation order and therefore on
-/// the thread schedule, but every public decision made from refs is an
-/// equality test between canonical refs, which is schedule-independent.
-/// Callers must never persist or compare ref values across managers.
+/// Not thread-safe: every caller builds a private manager per call.
 class BddManager {
 public:
     using Ref = std::uint32_t;
@@ -68,7 +50,7 @@ public:
     BddManager& operator=(const BddManager&) = delete;
 
     int num_vars() const { return num_vars_; }
-    std::size_t num_nodes() const { return num_nodes_.load(std::memory_order_acquire); }
+    std::size_t num_nodes() const { return nodes_.size(); }
 
     Ref bdd_false() const { return kFalse; }
     Ref bdd_true() const { return kTrue; }
@@ -103,14 +85,10 @@ public:
 
     /// Total nodes allocated; exceeding the limit throws
     /// LlsError{ResourceExhausted} (callers treat it as "circuit too large
-    /// for exact analysis" and degrade rather than abort). The count is
-    /// aggregated across every unique-table shard, so the threshold is the
-    /// same global number however allocations distribute over shards.
+    /// for exact analysis" and degrade rather than abort).
     std::size_t node_limit() const { return node_limit_; }
 
-    /// Counter snapshot (hit/miss totals are approximate only in the sense
-    /// that a concurrent snapshot is not an atomic cut across counters).
-    BddStats stats() const;
+    BddStats stats() const { return stats_; }
 
 private:
     // Packing: a node is one 64-bit word (var << 44 | low << 22 | high).
@@ -118,12 +96,6 @@ private:
     // packing is injective and doubles as the unique-table key.
     static constexpr int kRefBits = 22;
     static constexpr std::uint64_t kRefMask = (std::uint64_t{1} << kRefBits) - 1;
-    static constexpr std::size_t kShards = 16;
-    static constexpr std::size_t kBlockBits = 16;  // 65536 nodes per arena block
-    static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockBits;
-    static constexpr std::size_t kMaxBlocks =
-        (std::size_t{1} << kRefBits) >> kBlockBits;
-    static constexpr std::size_t kIteStripes = 64;
 
     static constexpr std::uint64_t pack(int var, Ref low, Ref high) {
         return (static_cast<std::uint64_t>(var) << (2 * kRefBits)) |
@@ -143,11 +115,6 @@ private:
         }
     };
 
-    struct Shard {
-        std::mutex mutex;
-        std::unordered_map<std::uint64_t, Ref, U64Hash> map;
-    };
-
     /// One lossy, direct-mapped computed-table slot. `f` is never a
     /// terminal for a cached call (terminal cases short-circuit in ite), so
     /// f == kFalse doubles as the empty marker.
@@ -157,48 +124,20 @@ private:
     };
 
     Ref make_node(int var, Ref low, Ref high);
-    /// Packed word of a node. Safe without locks: words are immutable once
-    /// published, and every cross-thread ref handoff goes through a mutex
-    /// (shard map, ITE stripe) or an acquire load (variable cache), which
-    /// establishes the necessary happens-before with the write.
-    std::uint64_t node_word(Ref f) const {
-        return blocks_[f >> kBlockBits].load(std::memory_order_acquire)[f & (kBlockSize - 1)];
-    }
-    int var_of(Ref f) const { return word_var(node_word(f)); }
-    /// Writes the word for a freshly allocated index, creating its arena
-    /// block on demand.
-    void store_word(std::size_t index, std::uint64_t word);
-
-    std::size_t ite_hash(Ref f, Ref g, Ref h) const;
-    bool ite_cache_get(Ref f, Ref g, Ref h, Ref* result);
-    void ite_cache_put(Ref f, Ref g, Ref h, Ref result);
+    IteEntry& ite_slot(Ref f, Ref g, Ref h);
 
     int num_vars_;
     std::size_t node_limit_;
-    std::atomic<std::size_t> num_nodes_{0};
-
-    // Segmented node arena: blocks are allocated on demand under
-    // `block_mutex_` and published with release stores; refs index into
-    // them as blocks_[ref >> 16][ref & 0xffff].
-    std::array<std::atomic<std::uint64_t*>, kMaxBlocks> blocks_{};
-    std::mutex block_mutex_;
-
-    mutable std::array<Shard, kShards> shards_;
-
-    // Lossy ITE cache: power-of-two slot array sized once in the
-    // constructor, striped mutexes. Capacity is at least 2^10 slots, so
-    // slot & (kIteStripes - 1) equals hash & (kIteStripes - 1) — same slot
-    // always means same stripe.
+    std::vector<std::uint64_t> nodes_;  ///< packed node words, indexed by ref
+    std::unordered_map<std::uint64_t, Ref, U64Hash> unique_;
+    /// Lossy ITE cache: power-of-two slot array sized once in the
+    /// constructor.
     std::vector<IteEntry> ite_cache_;
     std::size_t ite_mask_ = 0;
-    mutable std::array<std::mutex, kIteStripes> ite_mutex_;
-
-    // Projection-function cache; kFalse marks "not created yet" (a variable
-    // node is never the FALSE terminal).
-    std::vector<std::atomic<Ref>> var_refs_;
-
-    std::atomic<std::uint64_t> unique_hits_{0}, nodes_created_{0};
-    std::atomic<std::uint64_t> ite_hits_{0}, ite_misses_{0}, ite_evictions_{0};
+    /// Projection-function cache; kFalse marks "not created yet" (a
+    /// variable node is never the FALSE terminal).
+    std::vector<Ref> var_refs_;
+    BddStats stats_;
 };
 
 }  // namespace lls

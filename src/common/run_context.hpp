@@ -1,19 +1,10 @@
 #pragma once
 
-// RunContext: the one plumbing path for cross-cutting run state.
-//
-// Before this type existed the engine threaded its shared state through
-// five ad-hoc channels — `DecomposeHooks` (fault injection + exact-verify
-// switches + shared BDD manager), raw `WorkCost*` parameters, a
-// `FaultContext*`, a `BddManager*`, and the thread-local `CancelScope` —
-// each with its own ownership and default-argument conventions. A layer
-// that wanted one more piece of context forced a signature change through
-// every caller, which is exactly what kept the inner loops from being
-// handed a thread pool safely.
-//
-// A RunContext bundles all of it: the engine constructs one per cone
-// evaluation (per retry rung), and decompose -> reduce -> simplify ->
-// cec -> sat all take a `const RunContext&`. Every field is an unowned
+// RunContext: the one plumbing path for cross-cutting run state — the
+// work-cost sink, fault-injection context, cancellation sources, memory
+// quota, metrics registry and executor. The engine constructs one per cone
+// evaluation (per retry rung), and decompose -> reduce -> simplify -> cec
+// -> sat all take a `const RunContext&`. Every field is an unowned
 // pointer that must outlive the call; every field defaults to "absent", so
 // `RunContext{}` is a valid do-nothing context for tests and simple CLI
 // paths.
@@ -36,7 +27,6 @@
 
 namespace lls {
 
-class BddManager;
 class Metrics;
 class ThreadPool;
 
@@ -62,18 +52,9 @@ struct RunContext {
     /// Per-cone wall-clock watchdog (unarmed-or-null = never expires).
     const Deadline* deadline = nullptr;
 
-    /// Run-wide concurrency-safe BDD manager for exact verification, or
-    /// null. When set and the cone fits its variable count, rung-2 exact
-    /// verify builds in it; exhaustion of the shared pool falls back to a
-    /// private manager bounded by `exact_verify_bdd_limit`, so a crowded
-    /// pool can never flip a verdict the private manager would reach
-    /// (docs/ENGINE.md, "Shared BDD manager").
-    BddManager* shared_bdd = nullptr;
-
     /// Final-equivalence switch of the engine's retry ladder: SAT-based
     /// CEC when false, canonical-BDD comparison when true (rung 2).
     bool exact_verify = false;
-    std::size_t exact_verify_bdd_limit = std::size_t{1} << 21;
 
     /// Deterministic per-cone byte quota of this evaluation rung, or null
     /// for unmetered memory (common/memgov.hpp). Like `cost`, the quota is

@@ -12,7 +12,6 @@
 
 #include "aig/aig_build.hpp"
 #include "baseline/restructure.hpp"
-#include "bdd/bdd.hpp"
 #include "cec/cec.hpp"
 #include "common/budget.hpp"
 #include "common/error.hpp"
@@ -100,6 +99,17 @@ CecResult check_equivalence_memo(const Aig& a, const Aig& b, std::int64_t confli
     return r;
 }
 
+/// The fault record of an exception caught at a cone boundary: its error
+/// kind, the stage an LlsError names (else "evaluate"), and its message.
+FaultRecord fault_record_of(const std::exception& e) {
+    FaultRecord record;
+    record.kind = error_kind_of(e);
+    const auto* lls_error = dynamic_cast<const LlsError*>(&e);
+    record.stage = lls_error && !lls_error->stage().empty() ? lls_error->stage() : "evaluate";
+    record.detail = e.what();
+    return record;
+}
+
 }  // namespace
 
 DecomposeMemo& decompose_memo() {
@@ -121,21 +131,16 @@ DecomposeMemo& decompose_memo() {
 
 namespace {
 
-/// The engine run behind both public drivers. `shared_pool` and `batch_bdd`
-/// are the batch driver's hooks (null for a standalone run):
-///
-///  - `shared_pool`: the batch-wide pool to fan each round's cone
-///    evaluations across instead of a run-private pool sized from `jobs`.
-///    Every in-flight item publishes its per-round `parallel_for` range to
-///    the one queue that *freed* workers — threads whose own items have
-///    completed — also drain (two-level scheduling). Commits stay serial per
-///    item in deterministic cone order, so outputs are byte-identical with
-///    and without it.
-///  - `batch_bdd`: the batch-wide BddManager, sized to the widest item, that
-///    replaces the run-private shared manager so parallel items reuse each
-///    other's subgraphs. Ignored when it cannot pack the circuit's PIs.
+/// The engine run behind both public drivers. `shared_pool` is the batch
+/// driver's hook (null for a standalone run): the batch-wide pool to fan
+/// each round's cone evaluations across instead of a run-private pool sized
+/// from `jobs`. Every in-flight item publishes its per-round `parallel_for`
+/// range to the one queue that *freed* workers — threads whose own items
+/// have completed — also drain (two-level scheduling). Commits stay serial
+/// per item in deterministic cone order, so outputs are byte-identical with
+/// and without it.
 Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOptions& engine,
-               ThreadPool* shared_pool, BddManager* batch_bdd, OptimizeStats* stats) {
+               ThreadPool* shared_pool, OptimizeStats* stats) {
     Metrics& metrics = Metrics::global();
     MetricCounter& cones_evaluated = metrics.counter("engine.cones_evaluated");
     MetricCounter& cones_improved = metrics.counter("engine.cones_improved");
@@ -191,28 +196,6 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
     // and therefore the job count — cannot influence any outcome.
     Rng rng(params.seed);
     const Aig original = input.cleanup();
-
-    // Run-wide shared BDD manager (the substrate of the rung-2 exact
-    // verification): one concurrency-safe manager every worker builds
-    // into, so identical subgraphs are constructed once per run instead of
-    // once per cone per worker. Sized to the full pool cap — exhaustion is
-    // a safety rail, not a routine boundary, and the exact-verify path
-    // falls back to a private manager when it fires. Circuits beyond the
-    // manager's variable-packing range simply run without one — exactly
-    // the inputs whose cones exact verification could never build anyway.
-    // Batch mode hands every item the same batch-owned manager, so parallel
-    // items reuse each other's subgraphs instead of each building a private
-    // run-wide pool.
-    std::optional<BddManager> own_shared_bdd;
-    BddManager* shared_bdd = nullptr;
-    if (batch_bdd != nullptr &&
-        original.num_pis() <= static_cast<std::size_t>(batch_bdd->num_vars())) {
-        shared_bdd = batch_bdd;
-    } else if (original.num_pis() < (std::size_t{1} << 20)) {
-        own_shared_bdd.emplace(static_cast<int>(original.num_pis()),
-                               /*node_limit=*/std::size_t{1} << 22);
-        shared_bdd = &*own_shared_bdd;
-    }
 
     // Deterministic work budget: charged only at serial points with the
     // per-cone costs of each round's evaluations, so `budget.exhausted()`
@@ -347,14 +330,13 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                 // simplify -> cec -> sat stack: deterministic cost sink,
                 // fault rung, cancellation sources (mirroring the
                 // CancelScope above, so fanned-out work re-installs them on
-                // whichever worker runs it), the run-wide BDD manager, and
-                // the intra-cone executor for the per-cube SAT don't-care
-                // fan-out (third scheduling level).
+                // whichever worker runs it), and the intra-cone executor for
+                // the per-cube SAT don't-care fan-out (third scheduling
+                // level).
                 RunContext ctx = cone_run_context(evaluation);
                 ctx.faults = &fault_context;
                 ctx.cancel = engine.cancel;
                 ctx.deadline = &cone_deadline;
-                ctx.shared_bdd = shared_bdd;
                 ctx.exact_verify = rung == 2;
                 ctx.metrics = &metrics;
                 ctx.executor = pool.size() > 0 ? &pool : nullptr;
@@ -376,14 +358,9 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                     // memoized for this cone — `--resume` re-evaluates it
                     // from scratch, byte-identically.
                     if (kind == ErrorKind::Cancelled && shutdown_requested()) throw;
-                    const auto* lls_error = dynamic_cast<const LlsError*>(&e);
                     if (!faulted) {
                         faulted = true;
-                        record.kind = kind;
-                        record.stage = lls_error && !lls_error->stage().empty()
-                                           ? lls_error->stage()
-                                           : "evaluate";
-                        record.detail = e.what();
+                        record = fault_record_of(e);
                     } else {
                         record.retries.push_back(std::string(kRungLabel[rung]) + ": " +
                                                  error_kind_name(kind));
@@ -403,6 +380,7 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                     // re-fail. Unlike a deadline this is a pure function of
                     // (cone, params): the evaluation memoizes, and the cone
                     // can never be reported as recovered.
+                    const auto* lls_error = dynamic_cast<const LlsError*>(&e);
                     if (lls_error != nullptr && lls_error->stage() == kMemgovStage) break;
                 }
             }
@@ -487,14 +465,7 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                         if (error_kind_of(e) == ErrorKind::Cancelled && shutdown_requested())
                             return;
                         ConeEvaluation degraded;
-                        FaultRecord record;
-                        record.kind = error_kind_of(e);
-                        const auto* lls_error = dynamic_cast<const LlsError*>(&e);
-                        record.stage = lls_error && !lls_error->stage().empty()
-                                           ? lls_error->stage()
-                                           : "evaluate";
-                        record.detail = e.what();
-                        degraded.faults.push_back(std::move(record));
+                        degraded.faults.push_back(fault_record_of(e));
                         evaluations[i] = std::move(degraded);
                     }
                 });
@@ -704,8 +675,7 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
 
 Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
                            const EngineOptions& engine, OptimizeStats* stats) {
-    return run_engine(input, params, engine, /*shared_pool=*/nullptr, /*batch_bdd=*/nullptr,
-                      stats);
+    return run_engine(input, params, engine, /*shared_pool=*/nullptr, stats);
 }
 
 Aig optimize_timing(const Aig& input, const LookaheadParams& params, OptimizeStats* stats) {
@@ -727,23 +697,18 @@ std::vector<BatchOutcome> optimize_timing_batch(
     // even when fewer items than workers remain. A single item has no
     // siblings to steal from and runs serially, like any jobs=1 run.
     ThreadPool pool(items.size() > 1 ? jobs - 1 : 0);
-    // One batch-wide BDD manager, sized to the widest item: the exact-SPCF
-    // and exact-verification BDD work of every parallel item builds into
-    // the same concurrency-safe pool, so items share subgraphs the way
-    // workers within one run already do. Per-call private-manager fallback
-    // on exhaustion is unchanged (verdicts stay deterministic); items
-    // beyond the packing range simply run without a shared manager.
-    std::optional<BddManager> batch_bdd;
-    std::size_t max_pis = 0;
-    for (const auto& item : items) max_pis = std::max(max_pis, item.input.num_pis());
-    if (!items.empty() && max_pis < (std::size_t{1} << 20))
-        batch_bdd.emplace(static_cast<int>(max_pis), /*node_limit=*/std::size_t{1} << 22);
     EngineOptions per_item = engine;
     per_item.jobs = 1;  // item-level parallelism still dominates a full batch
-    BddManager* const item_bdd = batch_bdd ? &*batch_bdd : nullptr;
     std::mutex complete_mutex;
     const auto batch_cancelled = [&engine]() {
         return engine.cancel != nullptr && engine.cancel->requested();
+    };
+    // An item that never ran to completion keeps its cleaned input, with
+    // fresh stats marked unverified.
+    const auto keep_input = [&](std::size_t i) {
+        outcomes[i].output = items[i].input.cleanup();
+        outcomes[i].stats = OptimizeStats{};
+        outcomes[i].stats.verified = false;
     };
     pool.parallel_for(0, items.size(), [&](std::size_t i) {
         Stopwatch item_clock;
@@ -754,8 +719,7 @@ std::vector<BatchOutcome> optimize_timing_batch(
         // them, and `--resume` re-runs them from scratch.
         if (batch_cancelled()) {
             outcomes[i].cancelled = true;
-            outcomes[i].output = items[i].input.cleanup();
-            outcomes[i].stats.verified = false;
+            keep_input(i);
             Metrics::global().counter("engine.cancel.batch_items_cancelled").add();
             if (on_complete) {
                 const std::lock_guard<std::mutex> lock(complete_mutex);
@@ -768,7 +732,7 @@ std::vector<BatchOutcome> optimize_timing_batch(
         // same keep-original rule the per-cone boundary applies — and is
         // reported through `failed`/`error` and the metrics registry.
         try {
-            outcomes[i].output = run_engine(items[i].input, params, per_item, &pool, item_bdd,
+            outcomes[i].output = run_engine(items[i].input, params, per_item, &pool,
                                             &outcomes[i].stats);
             // An in-flight shutdown returns gracefully with stats.cancelled;
             // the item is demoted to cancelled (not finished, not failed).
@@ -779,16 +743,12 @@ std::vector<BatchOutcome> optimize_timing_batch(
         } catch (const std::exception& e) {
             if (error_kind_of(e) == ErrorKind::Cancelled && batch_cancelled()) {
                 outcomes[i].cancelled = true;
-                outcomes[i].output = items[i].input.cleanup();
-                outcomes[i].stats = OptimizeStats{};
-                outcomes[i].stats.verified = false;
+                keep_input(i);
                 Metrics::global().counter("engine.cancel.batch_items_cancelled").add();
             } else {
                 outcomes[i].failed = true;
                 outcomes[i].error = e.what();
-                outcomes[i].output = items[i].input.cleanup();
-                outcomes[i].stats = OptimizeStats{};
-                outcomes[i].stats.verified = false;
+                keep_input(i);
                 Metrics::global().counter("engine.batch.item_failures").add();
             }
         }

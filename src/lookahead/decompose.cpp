@@ -44,6 +44,9 @@ bool signature_implies(const Signature& a, const Signature& b) {
     return true;
 }
 
+/// Node limit of the private manager behind the rung-2 exact verification.
+constexpr std::size_t kExactVerifyBddLimit = std::size_t{1} << 21;
+
 Metrics& metrics_of(const RunContext& ctx) {
     return ctx.metrics != nullptr ? *ctx.metrics : Metrics::global();
 }
@@ -422,51 +425,32 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
     if (ctx.exact_verify) {
         // Last-resort rung of the engine's retry ladder: canonical BDDs
         // decide equivalence exactly instead of bounding SAT effort. The
-        // shared run-wide manager is tried first (cross-cone/cross-worker
-        // subgraph reuse); its global pool running dry falls back to a
-        // private manager so the resource boundary stays a pure function
-        // of (cone, params) rather than of the thread schedule.
+        // manager is private to this call, so the verdict — and the
+        // resource boundary — is a pure function of (cone, params).
         bool equivalent = false;
-        bool decided = false;
-        // Under a memory quota the shared manager is skipped outright: its
-        // node pool reflects what *other* cones and workers built, so
-        // charging this cone for growth observed there would be
-        // schedule-dependent. The quota-capped private manager below keeps
-        // the charge a pure function of (cone, params).
-        if (ctx.mem_quota == nullptr && ctx.shared_bdd != nullptr &&
-            static_cast<int>(result.num_pis()) <= ctx.shared_bdd->num_vars()) {
-            try {
-                equivalent = bdd_equivalent(result, cone, *ctx.shared_bdd);
-                decided = true;
-            } catch (const LlsError& e) {
-                if (e.kind() != ErrorKind::ResourceExhausted) throw;
-                metrics_of(ctx).counter("bdd.shared.exact_verify_fallbacks").add();
-            }
-        }
-        if (!decided && ctx.mem_quota != nullptr) {
-            // Private manager with a node cap derived from the quota
-            // headroom. When the quota is the binding constraint (not the
-            // configured BDD limit), running the manager dry *is* quota
-            // exhaustion — converted into the canonical memgov fault.
+        if (ctx.mem_quota != nullptr) {
+            // Node cap derived from the quota headroom. When the quota is
+            // the binding constraint (not the exact-verify BDD limit),
+            // running the manager dry *is* quota exhaustion — converted
+            // into the canonical memgov fault.
             const std::uint64_t headroom = ctx.mem_quota->remaining();
             const std::uint64_t quota_nodes = headroom / memcost::kBddNodeBytes;
-            const bool quota_capped = quota_nodes < ctx.exact_verify_bdd_limit;
-            const std::size_t node_cap = static_cast<std::size_t>(std::clamp<std::uint64_t>(
-                std::min<std::uint64_t>(ctx.exact_verify_bdd_limit, quota_nodes), 2,
-                std::uint64_t{1} << 22));
+            const bool quota_capped = quota_nodes < kExactVerifyBddLimit;
+            const std::size_t node_cap = static_cast<std::size_t>(std::max<std::uint64_t>(
+                std::min<std::uint64_t>(kExactVerifyBddLimit, quota_nodes), 2));
             try {
                 BddManager priv(static_cast<int>(std::max(result.num_pis(), cone.num_pis())),
                                 node_cap);
                 equivalent = bdd_equivalent(result, cone, priv);
                 ctx.mem_quota->charge(priv.num_nodes() * memcost::kBddNodeBytes);
-                decided = true;
             } catch (const LlsError& e) {
                 if (e.kind() == ErrorKind::ResourceExhausted && quota_capped)
                     ctx.mem_quota->charge(headroom + 1);  // throws the memgov fault
                 throw;
             }
+        } else {
+            equivalent = bdd_equivalent(result, cone, kExactVerifyBddLimit);
         }
-        if (!decided) equivalent = bdd_equivalent(result, cone, ctx.exact_verify_bdd_limit);
         if (!equivalent) return std::nullopt;
     } else {
         const CecResult cec = check_equivalence(result, cone, /*conflict_limit=*/500000, ctx);

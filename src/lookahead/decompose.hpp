@@ -42,9 +42,10 @@ struct DecomposeOutcome {
 /// `reduce_cone`, and every SAT conflict of the don't-care, implication,
 /// and verification queries — a pure function of (cone, params, rng seed),
 /// which budgeted determinism rests on); `faults` carries the injection
-/// context of the current retry rung; `exact_verify`/`shared_bdd` select
-/// and back the rung-2 exact equivalence check; `executor` lets step 4 fan
-/// its independent per-cube SAT don't-care proofs across the pool — verdicts are committed and conflicts charged
+/// context of the current retry rung; `exact_verify` selects the rung-2
+/// exact equivalence check (canonical BDDs in a private manager);
+/// `executor` lets step 4 fan its independent per-cube SAT don't-care
+/// proofs across the pool — verdicts are committed and conflicts charged
 /// in fixed index order after the join, so the result and the charge
 /// stream are identical with and without the fan-out.
 ///

@@ -108,7 +108,11 @@ TEST(Bdd, CountMinterms) {
 }
 
 TEST(Bdd, NodeLimitIsEnforced) {
-    BddManager m(16, 64);
+    constexpr std::size_t kLimit = 64;
+    BddManager m(16, kLimit);
+    const BddManager::Ref x0 = m.variable(0);
+    const BddManager::Ref x1 = m.variable(1);
+    const BddManager::Ref warm = m.band(x0, x1);
     Rng rng(44);
     bool threw = false;
     try {
@@ -124,6 +128,53 @@ TEST(Bdd, NodeLimitIsEnforced) {
         EXPECT_EQ(e.stage(), "bdd");
     }
     EXPECT_TRUE(threw);
+    // The failed allocation leaves the count at (or below) the threshold,
+    // and the manager stays usable: existing nodes are readable and
+    // hit-only operations succeed.
+    EXPECT_LE(m.num_nodes(), kLimit);
+    EXPECT_EQ(m.band(x0, x1), warm);
+    EXPECT_TRUE(m.evaluate(warm, 0b11));
+    EXPECT_FALSE(m.evaluate(warm, 0b01));
+}
+
+// The computed table is lossy and capacity-bounded: more distinct ITE calls
+// than slots force direct-mapped overwrites (counted as evictions), and a
+// recomputation after eviction returns the identical canonical ref.
+TEST(Bdd, ComputedTableIsLossyNotUnbounded) {
+    // node_limit 2048 -> 1024 computed-table slots; 60 variables give
+    // 1770 ordered conjunction pairs, so evictions follow by pigeonhole.
+    constexpr int kVars = 60;
+    BddManager m(kVars, 2048);
+
+    std::vector<BddManager::Ref> first;
+    for (int i = 0; i < kVars; ++i)
+        for (int j = i + 1; j < kVars; ++j) first.push_back(m.band(m.variable(i), m.variable(j)));
+
+    const BddStats stats = m.stats();
+    EXPECT_GT(stats.ite_evictions, 0u);
+    EXPECT_GT(stats.ite_misses, stats.ite_hits);  // mostly distinct calls
+
+    std::size_t k = 0;
+    for (int i = 0; i < kVars; ++i)
+        for (int j = i + 1; j < kVars; ++j)
+            EXPECT_EQ(m.band(m.variable(i), m.variable(j)), first[k++]);
+}
+
+// Counter sanity: a repeated operation is a computed-table hit, a repeated
+// node a unique-table hit.
+TEST(Bdd, StatsCountHitsAndMisses) {
+    BddManager m(4);
+    const BddManager::Ref f = m.band(m.variable(0), m.variable(1));
+    // Identical call: satisfied by the computed table.
+    EXPECT_EQ(m.band(m.variable(0), m.variable(1)), f);
+    // Commuted operands: a different ITE key, so the recursion reruns and
+    // rediscovers the existing node in the unique table.
+    EXPECT_EQ(m.band(m.variable(1), m.variable(0)), f);
+    const BddStats stats = m.stats();
+    EXPECT_GE(stats.ite_misses, 1u);
+    EXPECT_GE(stats.ite_hits, 1u);
+    EXPECT_GE(stats.nodes_created, 3u);  // two variables + the conjunction
+    EXPECT_GE(stats.unique_hits, 1u);
 }
 
 TEST(AigBdd, BddEquivalentDistinguishesNetworks) {

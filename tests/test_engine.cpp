@@ -542,29 +542,44 @@ TEST(Engine, FaultInjectionRecoversAtEverySiteClass) {
     }
 }
 
+// `verify@cec:2` poisons the SAT verification of rungs 0 and 1, so every
+// cone that reaches verification recovers only on the last rung: exact BDD
+// verification in a private manager.
+constexpr const char* kExactRungPlan = "verify@cec:2";
+
+void expect_recovered_by_exact_rung(const OptimizeStats& stats) {
+    ASSERT_FALSE(stats.faults.empty());
+    for (const FaultRecord& fault : stats.faults) {
+        EXPECT_TRUE(fault.recovered) << fault.cone_name;
+        ASSERT_FALSE(fault.retries.empty()) << fault.cone_name;
+        EXPECT_EQ(fault.retries.back(), "bdd-exact: ok") << fault.cone_name;
+    }
+}
+
 TEST(Engine, FaultInjectionIsJobsInvariant) {
     const Aig rca = ripple_carry_adder(7);
-    const std::string plan = "resource@decompose:1,verify@cec:1";
+    for (const std::string plan : {"resource@decompose:1,verify@cec:1", kExactRungPlan}) {
+        auto fingerprint = [&](int jobs) {
+            Aig out;
+            const OptimizeStats stats = run_faulted(rca, plan, jobs, &out);
+            if (plan == kExactRungPlan) expect_recovered_by_exact_rung(stats);
+            std::stringstream aag;
+            write_aiger(aag, out);
+            std::string fp = aag.str();
+            // Fold the fault journal into the fingerprint: records must agree
+            // in order, site, and outcome — not just in count.
+            for (const FaultRecord& fault : stats.faults) {
+                fp += "|" + std::string(error_kind_name(fault.kind)) + "@" + fault.stage + "#" +
+                      std::to_string(fault.cone) + ":" + (fault.recovered ? "r" : "d");
+            }
+            return fp;
+        };
 
-    auto fingerprint = [&](int jobs) {
-        Aig out;
-        const OptimizeStats stats = run_faulted(rca, plan, jobs, &out);
-        std::stringstream aag;
-        write_aiger(aag, out);
-        std::string fp = aag.str();
-        // Fold the fault journal into the fingerprint: records must agree in
-        // order, site, and outcome — not just in count.
-        for (const FaultRecord& fault : stats.faults) {
-            fp += "|" + std::string(error_kind_name(fault.kind)) + "@" + fault.stage + "#" +
-                  std::to_string(fault.cone) + ":" + (fault.recovered ? "r" : "d");
-        }
-        return fp;
-    };
-
-    const std::string serial = fingerprint(1);
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(serial, fingerprint(2));
-    EXPECT_EQ(serial, fingerprint(4));
+        const std::string serial = fingerprint(1);
+        EXPECT_FALSE(serial.empty()) << plan;
+        EXPECT_EQ(serial, fingerprint(2)) << plan;
+        EXPECT_EQ(serial, fingerprint(4)) << plan;
+    }
 }
 
 TEST(Engine, ExhaustedRetryLadderDegradesToOriginalCone) {
@@ -589,16 +604,22 @@ TEST(Engine, ExhaustedRetryLadderDegradesToOriginalCone) {
 TEST(Engine, FaultedRunsAreCacheStateInvariant) {
     // Memo hits must replay fault records identically to cold evaluation.
     const Aig rca = ripple_carry_adder(6);
-    clear_engine_caches();
-    Aig cold_out, warm_out;
-    const OptimizeStats cold = run_faulted(rca, "resource@decompose:1", 2, &cold_out);
-    const OptimizeStats warm = run_faulted(rca, "resource@decompose:1", 2, &warm_out);
-    EXPECT_EQ(cold_out.hash(), warm_out.hash());
-    ASSERT_EQ(cold.faults.size(), warm.faults.size());
-    for (std::size_t i = 0; i < cold.faults.size(); ++i) {
-        EXPECT_EQ(cold.faults[i].cone, warm.faults[i].cone);
-        EXPECT_EQ(cold.faults[i].stage, warm.faults[i].stage);
-        EXPECT_EQ(cold.faults[i].recovered, warm.faults[i].recovered);
+    for (const std::string plan : {"resource@decompose:1", kExactRungPlan}) {
+        clear_engine_caches();
+        Aig cold_out, warm_out;
+        const OptimizeStats cold = run_faulted(rca, plan, 2, &cold_out);
+        const OptimizeStats warm = run_faulted(rca, plan, 2, &warm_out);
+        EXPECT_EQ(cold_out.hash(), warm_out.hash()) << plan;
+        ASSERT_EQ(cold.faults.size(), warm.faults.size()) << plan;
+        for (std::size_t i = 0; i < cold.faults.size(); ++i) {
+            EXPECT_EQ(cold.faults[i].cone, warm.faults[i].cone) << plan;
+            EXPECT_EQ(cold.faults[i].stage, warm.faults[i].stage) << plan;
+            EXPECT_EQ(cold.faults[i].recovered, warm.faults[i].recovered) << plan;
+        }
+        if (plan == kExactRungPlan) {
+            expect_recovered_by_exact_rung(cold);
+            expect_recovered_by_exact_rung(warm);
+        }
     }
 }
 

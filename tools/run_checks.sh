@@ -13,7 +13,7 @@
 # start), a graceful-shutdown check (SIGTERM mid-batch must exit with the
 # documented resumable code, leave a valid journal, and --resume must
 # reproduce the uninterrupted bytes), then the concurrency-sensitive
-# engine/cancel/bdd/parse/io/persist tests — including the
+# engine/cancel/parse/io/persist tests — including the
 # nested-parallel_for deadlock regressions in test_thread_pool and the
 # cancellation watchdog paths — under ThreadSanitizer.
 #
@@ -102,9 +102,10 @@ echo "quota'd outputs identical across --jobs 1/2/4 x cold/warm"
 echo "== stage 3: fault injection never aborts and stays jobs-invariant =="
 # Every engine site class, injected on the regression circuits: the run must
 # exit 0 (contained, not crashed), verify equivalence, and produce the same
-# bytes at every --jobs value. Plus a short fuzz run with injection enabled.
+# bytes at every --jobs value. verify@cec:2 drives cones to the last rung
+# (exact BDD verification). Plus a short fuzz run with injection enabled.
 for spec in resource@decompose:1 invariant@spcf:1 solver@sat:1 verify@cec:1 \
-            resource@decompose:3; do
+            verify@cec:2 resource@decompose:3; do
     for circuit in tests/data/rca16.blif tests/data/control24.blif; do
         name="$(basename "$circuit" .blif)"
         tag="${spec//[@:]/_}"
@@ -251,14 +252,14 @@ if [[ "$SKIP_TSAN" == 1 ]]; then
     exit 0
 fi
 
-echo "== stage 5: engine + cancel + shared-BDD + persist tests under ThreadSanitizer =="
+echo "== stage 5: engine + cancel + persist tests under ThreadSanitizer =="
 # test_engine includes the intra-cone stress test: many concurrent per-cube
 # SAT fan-outs from multiple batch items draining one shared pool.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLLS_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
     --target test_thread_pool test_engine test_parse test_cancel test_io \
-             test_bdd_concurrent test_cache test_persist
-(cd build-tsan && ctest -R 'test_thread_pool|test_engine|test_parse|test_cancel|test_io|test_bdd_concurrent|test_cache|test_persist' \
+             test_cache test_persist
+(cd build-tsan && ctest -R 'test_thread_pool|test_engine|test_parse|test_cancel|test_io|test_cache|test_persist' \
     --output-on-failure)
 
 echo "== all checks passed =="
