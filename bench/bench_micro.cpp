@@ -69,14 +69,18 @@ void BM_AigConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_AigConstruction)->Arg(16)->Arg(64);
 
+// Args: adder bits, cut size, max cuts. Cut 5 / max 8 is what clustering
+// uses, cut 8 / max 6 what delay restructuring uses.
 void BM_CutEnumeration(benchmark::State& state) {
     const Aig adder = ripple_carry_adder(static_cast<int>(state.range(0)));
+    const int cut_size = static_cast<int>(state.range(1));
+    const int max_cuts = static_cast<int>(state.range(2));
     for (auto _ : state) {
-        CutEnumerator cuts(adder, 5, 8);
+        CutEnumerator cuts(adder, cut_size, max_cuts);
         benchmark::DoNotOptimize(cuts.cuts(static_cast<std::uint32_t>(adder.num_nodes()) - 1));
     }
 }
-BENCHMARK(BM_CutEnumeration)->Arg(16)->Arg(64);
+BENCHMARK(BM_CutEnumeration)->Args({16, 5, 8})->Args({64, 5, 8})->Args({64, 8, 6});
 
 void BM_Simulation(benchmark::State& state) {
     const Aig adder = ripple_carry_adder(32);
@@ -125,15 +129,18 @@ void BM_Balance(benchmark::State& state) {
 }
 BENCHMARK(BM_Balance);
 
+// Arg 0: a 32-bit ripple-carry adder; arg 1: the sparc_ifu_dcl_flat Table 2
+// stand-in (the restructure-bound straggler of lls_bench's table2_batch).
 void BM_RestructureDelay(benchmark::State& state) {
-    const Aig adder = ripple_carry_adder(32);
+    const Aig circuit = state.range(0) == 0 ? ripple_carry_adder(32)
+                                            : synthetic_control_circuit(table2_profiles()[9]);
     RestructureOptions opt;
     opt.delay_oriented = true;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(restructure(adder, opt));
+        benchmark::DoNotOptimize(restructure(circuit, opt));
     }
 }
-BENCHMARK(BM_RestructureDelay);
+BENCHMARK(BM_RestructureDelay)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_DecomposeCoutCone(benchmark::State& state) {
     const Aig rca = ripple_carry_adder(8);

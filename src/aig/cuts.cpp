@@ -1,38 +1,39 @@
 #include "aig/cuts.hpp"
 
 #include <algorithm>
+#include <span>
+#include <utility>
 
 namespace lls {
 
 TruthTable expand_truth_table(const TruthTable& tt, const std::vector<std::uint32_t>& old_leaves,
                               const std::vector<std::uint32_t>& new_leaves) {
     LLS_REQUIRE(static_cast<int>(old_leaves.size()) == tt.num_vars());
-    const int n_new = static_cast<int>(new_leaves.size());
-    TruthTable extended = tt.extend(n_new);
-
-    // perm[j] = old variable read by new variable j. Old variable i must land
-    // at the position of old_leaves[i] within new_leaves; vacuous extended
-    // variables fill the remaining slots.
-    std::vector<int> perm(static_cast<std::size_t>(n_new), -1);
-    std::vector<char> used(static_cast<std::size_t>(n_new), 0);
-    for (int i = 0; i < static_cast<int>(old_leaves.size()); ++i) {
-        const auto it = std::lower_bound(new_leaves.begin(), new_leaves.end(), old_leaves[i]);
-        LLS_REQUIRE(it != new_leaves.end() && *it == old_leaves[i]);
-        const auto pos = static_cast<std::size_t>(it - new_leaves.begin());
-        perm[pos] = i;
-        used[static_cast<std::size_t>(i)] = 1;
+    TruthTable r = tt.extend(static_cast<int>(new_leaves.size()));
+    // Old variable i moves to the slot of old_leaves[i] in new_leaves,
+    // highest i first. Slots grow with i, so the target slot of each move
+    // holds a vacuous variable: an added one, or one vacated by an earlier
+    // move.
+    int slot = static_cast<int>(new_leaves.size());
+    for (int i = static_cast<int>(old_leaves.size()); i-- > 0;) {
+        while (slot > 0 && new_leaves[slot - 1] > old_leaves[i]) --slot;
+        LLS_REQUIRE(slot > 0 && new_leaves[slot - 1] == old_leaves[i]);
+        r = r.swap_vars(i, --slot);
     }
-    int next_free = 0;
-    for (auto& p : perm) {
-        if (p >= 0) continue;
-        while (used[static_cast<std::size_t>(next_free)]) ++next_free;
-        p = next_free;
-        used[static_cast<std::size_t>(next_free)] = 1;
-    }
-    return extended.permute(perm);
+    return r;
 }
 
 namespace {
+
+// A cut dominates another if its leaves are a subset (both sorted).
+bool dominates(std::span<const std::uint32_t> a, std::span<const std::uint32_t> b) {
+    std::size_t i = 0;
+    for (auto leaf : a) {
+        while (i < b.size() && b[i] < leaf) ++i;
+        if (i == b.size() || b[i] != leaf) return false;
+    }
+    return true;
+}
 
 bool merge_leaves(const std::vector<std::uint32_t>& a, const std::vector<std::uint32_t>& b,
                   int limit, std::vector<std::uint32_t>* out) {
@@ -78,11 +79,17 @@ CutEnumerator::CutEnumerator(const Aig& aig, int cut_size, int max_cuts)
         cuts_[0].push_back(std::move(c));
     }
 
-    auto cut_cost = [&](const AigCut& c) {
-        long lvl = 0;
-        for (auto l : c.leaves) lvl += level[l];
-        return std::make_pair(static_cast<long>(c.leaves.size()), lvl);
+    // A merged leaf set awaiting the ranking. The rank and the dominance
+    // test read only leaves, so truth tables are built for the survivors
+    // alone.
+    struct Candidate {
+        std::pair<long, long> rank;  // (leaf count, total leaf level)
+        std::size_t offset;          // leaves: pool[offset, offset + leaf count)
+        std::size_t cut0, cut1;      // the merged fanin cuts
     };
+    std::vector<Candidate> cand;
+    std::vector<std::uint32_t> pool;
+    std::vector<std::uint32_t> merged;
 
     for (std::uint32_t id = 1; id < aig.num_nodes(); ++id) {
         if (aig.is_pi(id)) {
@@ -90,33 +97,39 @@ CutEnumerator::CutEnumerator(const Aig& aig, int cut_size, int max_cuts)
             continue;
         }
         const auto& n = aig.node(id);
-        std::vector<AigCut> cand;
-        std::vector<std::uint32_t> merged;
-        for (const auto& c0 : cuts_[n.fanin0.node()]) {
-            for (const auto& c1 : cuts_[n.fanin1.node()]) {
-                if (!merge_leaves(c0.leaves, c1.leaves, cut_size_, &merged)) continue;
-                AigCut c;
-                c.leaves = merged;
-                TruthTable t0 = expand_truth_table(c0.tt, c0.leaves, merged);
-                TruthTable t1 = expand_truth_table(c1.tt, c1.leaves, merged);
-                if (n.fanin0.complemented()) t0 = ~t0;
-                if (n.fanin1.complemented()) t1 = ~t1;
-                c.tt = t0 & t1;
-                cand.push_back(std::move(c));
+        const auto& cuts0 = cuts_[n.fanin0.node()];
+        const auto& cuts1 = cuts_[n.fanin1.node()];
+        cand.clear();
+        pool.clear();
+        for (std::size_t i = 0; i < cuts0.size(); ++i) {
+            for (std::size_t j = 0; j < cuts1.size(); ++j) {
+                if (!merge_leaves(cuts0[i].leaves, cuts1[j].leaves, cut_size_, &merged)) continue;
+                long lvl = 0;
+                for (auto l : merged) lvl += level[l];
+                cand.push_back({{static_cast<long>(merged.size()), lvl}, pool.size(), i, j});
+                pool.insert(pool.end(), merged.begin(), merged.end());
             }
         }
         // Deduplicate and drop dominated cuts.
         std::sort(cand.begin(), cand.end(),
-                  [&](const AigCut& a, const AigCut& b) { return cut_cost(a) < cut_cost(b); });
+                  [](const Candidate& a, const Candidate& b) { return a.rank < b.rank; });
         std::vector<AigCut> kept;
-        for (auto& c : cand) {
-            bool dominated = false;
-            for (const auto& k : kept)
-                if (k.dominates(c) || (k.leaves == c.leaves)) {
-                    dominated = true;
-                    break;
-                }
-            if (!dominated) kept.push_back(std::move(c));
+        for (const auto& c : cand) {
+            const std::span<const std::uint32_t> leaves(pool.data() + c.offset,
+                                                        static_cast<std::size_t>(c.rank.first));
+            if (std::any_of(kept.begin(), kept.end(),
+                            [&](const AigCut& k) { return dominates(k.leaves, leaves); }))
+                continue;
+            AigCut cut;
+            cut.leaves.assign(leaves.begin(), leaves.end());
+            const AigCut& c0 = cuts0[c.cut0];
+            const AigCut& c1 = cuts1[c.cut1];
+            TruthTable t0 = expand_truth_table(c0.tt, c0.leaves, cut.leaves);
+            TruthTable t1 = expand_truth_table(c1.tt, c1.leaves, cut.leaves);
+            if (n.fanin0.complemented()) t0 = ~t0;
+            if (n.fanin1.complemented()) t1 = ~t1;
+            cut.tt = t0 & t1;
+            kept.push_back(std::move(cut));
             if (static_cast<int>(kept.size()) == max_cuts_) break;
         }
         kept.push_back(trivial(id));

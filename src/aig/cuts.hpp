@@ -13,16 +13,6 @@ namespace lls {
 struct AigCut {
     std::vector<std::uint32_t> leaves;
     TruthTable tt;  ///< function of the cut root over `leaves` (leaf i = var i)
-
-    bool dominates(const AigCut& other) const {
-        // A cut dominates another if its leaves are a subset.
-        std::size_t i = 0;
-        for (auto leaf : leaves) {
-            while (i < other.leaves.size() && other.leaves[i] < leaf) ++i;
-            if (i == other.leaves.size() || other.leaves[i] != leaf) return false;
-        }
-        return true;
-    }
 };
 
 /// Re-expresses `tt` (over `old_leaves`) as a function of `new_leaves`,

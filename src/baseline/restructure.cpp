@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
+#include <unordered_map>
 
 #include "aig/aig_build.hpp"
 #include "aig/cuts.hpp"
@@ -21,7 +21,7 @@ Aig balance(const Aig& aig) {
 
     // Leaves of the maximal single-fanout conjunction rooted at `lit`
     // (in the original AIG).
-    auto collect_leaves = [&](AigLit root, auto&& self) -> std::vector<AigLit> {
+    auto collect_leaves = [&](AigLit root) {
         std::vector<AigLit> leaves;
         std::vector<AigLit> stack{root};
         while (!stack.empty()) {
@@ -37,13 +37,12 @@ Aig balance(const Aig& aig) {
                 leaves.push_back(lit);
             }
         }
-        (void)self;
         return leaves;
     };
 
     for (std::uint32_t id = 1; id < aig.num_nodes(); ++id) {
         if (!aig.is_and(id)) continue;
-        auto leaves = collect_leaves(AigLit::make(id, false), collect_leaves);
+        auto leaves = collect_leaves(AigLit::make(id, false));
         for (auto& l : leaves) {
             const AigLit m = remap[l.node()];
             l = l.complemented() ? !m : m;
@@ -76,10 +75,35 @@ Aig restructure(const Aig& aig, const RestructureOptions& options) {
         required = std::move(req);
     }
 
+    // The pure functions of a cut's truth table, memoized for this call:
+    // few cut functions are distinct, so most cuts reuse an earlier entry.
+    struct CutFunction {
+        Sop on, off;                    // ISOPs of the on-set and the off-set
+        int lits_on = 0, lits_off = 0;  // their factored literal counts (area mode)
+    };
+    struct TruthTableHash {
+        std::size_t operator()(const TruthTable& tt) const { return tt.hash(); }
+    };
+    std::unordered_map<TruthTable, CutFunction, TruthTableHash> memo;
+    auto function_of = [&](const TruthTable& tt) -> const CutFunction& {
+        const auto [it, inserted] = memo.try_emplace(tt);
+        CutFunction& f = it->second;
+        if (inserted) {
+            f.on = isop(tt);
+            f.off = isop(~tt);
+            if (!options.delay_oriented) {
+                f.lits_on = factor(f.on).num_literals();
+                f.lits_off = factor(f.off).num_literals();
+            }
+        }
+        return f;
+    };
+
     Aig out;
     std::vector<AigLit> remap(aig.num_nodes(), AigLit::constant(false));
     for (std::size_t i = 0; i < aig.num_pis(); ++i) remap[aig.pi(i)] = out.add_pi(aig.pi_name(i));
     AigLevelTracker levels(out);
+    std::vector<int> leaf_levels;
 
     for (std::uint32_t id = 1; id < aig.num_nodes(); ++id) {
         if (!aig.is_and(id)) continue;
@@ -97,42 +121,29 @@ Aig restructure(const Aig& aig, const RestructureOptions& options) {
                              ? levels.level(plain)
                              : std::numeric_limits<int>::max();  // plain adds 1 node anyway
         const AigCut* best_cut = nullptr;
-        Sop best_sop;
+        const Sop* best_sop = nullptr;
         bool best_phase_on = true;
         for (const auto& cut : cuts.cuts(id)) {
             if (cut.leaves.size() == 1 && cut.leaves[0] == id) continue;  // trivial
-            std::vector<int> leaf_levels;
-            std::vector<AigLit> leaf_lits;
-            leaf_levels.reserve(cut.leaves.size());
-            for (const auto l : cut.leaves) {
-                const AigLit m = remap[l];
-                leaf_lits.push_back(m);
-                leaf_levels.push_back(levels.level(m));
-            }
-            const Sop on = isop(cut.tt);
-            const Sop off = isop(~cut.tt);
+            const CutFunction& f = function_of(cut.tt);
+            bool phase_on;
+            int score;
             if (options.delay_oriented) {
-                const int lvl_on = Network::sop_tree_level(on, leaf_levels);
-                const int lvl_off = Network::sop_tree_level(off, leaf_levels);
-                const bool phase_on = lvl_on <= lvl_off;
-                const int score = phase_on ? lvl_on : lvl_off;
-                if (score < best_score) {
-                    best_score = score;
-                    best_cut = &cut;
-                    best_sop = phase_on ? on : off;
-                    best_phase_on = phase_on;
-                }
+                leaf_levels.clear();
+                for (const auto l : cut.leaves) leaf_levels.push_back(levels.level(remap[l]));
+                const int lvl_on = Network::sop_tree_level(f.on, leaf_levels);
+                const int lvl_off = Network::sop_tree_level(f.off, leaf_levels);
+                phase_on = lvl_on <= lvl_off;
+                score = phase_on ? lvl_on : lvl_off;
             } else {
-                const FactorExpr fe_on = factor(on);
-                const FactorExpr fe_off = factor(off);
-                const bool phase_on = fe_on.num_literals() <= fe_off.num_literals();
-                const int score = phase_on ? fe_on.num_literals() : fe_off.num_literals();
-                if (score < best_score) {
-                    best_score = score;
-                    best_cut = &cut;
-                    best_sop = phase_on ? on : off;
-                    best_phase_on = phase_on;
-                }
+                phase_on = f.lits_on <= f.lits_off;
+                score = phase_on ? f.lits_on : f.lits_off;
+            }
+            if (score < best_score) {
+                best_score = score;
+                best_cut = &cut;
+                best_sop = phase_on ? &f.on : &f.off;
+                best_phase_on = phase_on;
             }
         }
         if (!best_cut) continue;
@@ -142,9 +153,9 @@ Aig restructure(const Aig& aig, const RestructureOptions& options) {
         for (const auto l : best_cut->leaves) leaf_lits.push_back(remap[l]);
         AigLit rebuilt;
         if (options.delay_oriented)
-            rebuilt = build_sop_timed(out, best_sop, leaf_lits, levels);
+            rebuilt = build_sop_timed(out, *best_sop, leaf_lits, levels);
         else
-            rebuilt = build_factored(out, factor(best_sop), leaf_lits);
+            rebuilt = build_factored(out, factor(*best_sop), leaf_lits);
         if (!best_phase_on) rebuilt = !rebuilt;
 
         if (options.delay_oriented) {

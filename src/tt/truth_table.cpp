@@ -131,18 +131,48 @@ TruthTable TruthTable::cofactor(int var, bool polarity) const {
 
 TruthTable TruthTable::swap_vars(int a, int b) const {
     LLS_REQUIRE(a >= 0 && a < num_vars_ && b >= 0 && b < num_vars_);
-    if (a == b) return *this;
-    std::vector<int> perm(num_vars_);
-    for (int i = 0; i < num_vars_; ++i) perm[i] = i;
-    std::swap(perm[a], perm[b]);
-    return permute(perm);
+    TruthTable r(*this);
+    if (a == b) return r;
+    if (a > b) std::swap(a, b);
+    auto& words = r.words_;
+    if (b < 6) {
+        // Delta swap inside each word: the bits with x_a = 1, x_b = 0 trade
+        // places with their partners `shift` bits up (x_a = 0, x_b = 1).
+        const int shift = (1 << b) - (1 << a);
+        const std::uint64_t mask = kVarMask[a] & ~kVarMask[b];
+        for (auto& w : words) {
+            const std::uint64_t t = (w ^ (w >> shift)) & mask;
+            w ^= t ^ (t << shift);
+        }
+    } else if (a < 6) {
+        // x_b selects the word: in each pair of words (x_b = 0, x_b = 1) the
+        // x_a = 1 half of the low word trades with the x_a = 0 half of the
+        // high word.
+        const int shift = 1 << a;
+        const std::size_t stride = std::size_t{1} << (b - 6);
+        for (std::size_t base = 0; base < words.size(); base += 2 * stride)
+            for (std::size_t i = base; i < base + stride; ++i) {
+                const std::uint64_t t = ((words[i] >> shift) ^ words[i + stride]) & ~kVarMask[a];
+                words[i + stride] ^= t;
+                words[i] ^= t << shift;
+            }
+    } else {
+        // Both select words: the words with x_a = 1, x_b = 0 trade with
+        // those with x_a = 0, x_b = 1.
+        const std::size_t sa = std::size_t{1} << (a - 6);
+        const std::size_t sb = std::size_t{1} << (b - 6);
+        for (std::size_t i = 0; i < words.size(); ++i)
+            if ((i & sa) && !(i & sb)) std::swap(words[i], words[i - sa + sb]);
+    }
+    return r;
 }
 
 TruthTable TruthTable::permute(const std::vector<int>& perm) const {
     LLS_REQUIRE(static_cast<int>(perm.size()) == num_vars_);
     TruthTable r(num_vars_);
-    // General (slow-path) permutation by minterm remapping; local functions
-    // are small so this is never a bottleneck.
+    // The per-minterm reference: visits every minterm with an inner loop
+    // over the variables. swap_vars, the word-level kernel, is tested
+    // against it.
     const std::uint64_t n = num_minterms();
     for (std::uint64_t m = 0; m < n; ++m) {
         if (!get_bit(m)) continue;

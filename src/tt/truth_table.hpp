@@ -105,10 +105,11 @@ public:
     /// Existential quantification: cofactor0 | cofactor1.
     TruthTable smooth(int var) const { return cofactor(var, false) | cofactor(var, true); }
 
-    /// Swaps two variables.
+    /// Swaps two variables (word-level kernel).
     TruthTable swap_vars(int a, int b) const;
 
-    /// Reorders variables: new variable i is old variable perm[i].
+    /// Reorders variables: new variable i is old variable perm[i]. The
+    /// per-minterm reference implementation.
     TruthTable permute(const std::vector<int>& perm) const;
 
     /// Extends to `new_num_vars` variables (added variables are vacuous).

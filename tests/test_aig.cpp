@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "aig/aig_build.hpp"
 #include "aig/cuts.hpp"
 #include "common/rng.hpp"
@@ -170,28 +172,17 @@ TEST(AigBuild, AppendPreservesFunction) {
     }
 }
 
-TEST(Cuts, TruthTablesMatchSimulation) {
-    Rng rng(32);
-    // Random small circuit; every enumerated cut's function must agree with
-    // simulation of the root in terms of the cut leaves.
-    Aig aig;
-    std::vector<AigLit> pool;
-    for (int i = 0; i < 6; ++i) pool.push_back(aig.add_pi());
-    for (int i = 0; i < 30; ++i) {
-        AigLit x = pool[rng.next_below(pool.size())];
-        AigLit y = pool[rng.next_below(pool.size())];
-        if (rng.next_bool()) x = !x;
-        if (rng.next_bool()) y = !y;
-        pool.push_back(aig.land(x, y));
-    }
-    aig.add_po(pool.back(), "y");
-
-    const SimPatterns patterns = SimPatterns::exhaustive(6);
+// Every enumerated cut's function must agree with simulation of the root in
+// terms of the cut leaves. Returns the most leaves of any cut.
+std::size_t check_cut_truth_tables(const Aig& aig, int cut_size, int max_cuts) {
+    const SimPatterns patterns = SimPatterns::exhaustive(aig.num_pis());
     const auto sigs = simulate(aig, patterns);
-    const CutEnumerator cuts(aig, 4, 6);
+    const CutEnumerator cuts(aig, cut_size, max_cuts);
+    std::size_t widest = 0;
     for (std::uint32_t id = 1; id < aig.num_nodes(); ++id) {
         if (!aig.is_and(id)) continue;
         for (const auto& cut : cuts.cuts(id)) {
+            widest = std::max(widest, cut.leaves.size());
             for (std::size_t p = 0; p < patterns.num_patterns(); ++p) {
                 std::uint32_t minterm = 0;
                 for (std::size_t li = 0; li < cut.leaves.size(); ++li)
@@ -203,6 +194,87 @@ TEST(Cuts, TruthTablesMatchSimulation) {
             }
         }
     }
+    return widest;
+}
+
+TEST(Cuts, TruthTablesMatchSimulation) {
+    Rng rng(32);
+    // Random small circuit.
+    Aig aig;
+    std::vector<AigLit> pool;
+    for (int i = 0; i < 6; ++i) pool.push_back(aig.add_pi());
+    for (int i = 0; i < 30; ++i) {
+        AigLit x = pool[rng.next_below(pool.size())];
+        AigLit y = pool[rng.next_below(pool.size())];
+        if (rng.next_bool()) x = !x;
+        if (rng.next_bool()) y = !y;
+        pool.push_back(aig.land(x, y));
+    }
+    aig.add_po(pool.back(), "y");
+    check_cut_truth_tables(aig, 4, 6);
+
+    // A deep random circuit on 12 PIs: each AND joins one of the three newest
+    // nodes with a PI, so some nodes keep 7-leaf cuts, whose truth tables
+    // span two words. (Ranked by leaf count, 8-leaf cuts rarely survive
+    // max cuts 6.)
+    Aig deep;
+    std::vector<AigLit> pis;
+    for (int i = 0; i < 12; ++i) pis.push_back(deep.add_pi());
+    std::vector<AigLit> nodes = pis;
+    for (int i = 0; i < 40; ++i) {
+        AigLit x = nodes[nodes.size() - 1 - rng.next_below(3)];
+        AigLit y = pis[rng.next_below(pis.size())];
+        if (rng.next_bool()) x = !x;
+        if (rng.next_bool()) y = !y;
+        nodes.push_back(deep.land(x, y));
+    }
+    deep.add_po(nodes.back(), "y");
+    EXPECT_GE(check_cut_truth_tables(deep, 8, 6), 7u);
+}
+
+// expand_truth_table's definition: extend, then permute old variable i to
+// the slot of old_leaves[i] (added variables fill the other slots in order).
+TruthTable expand_by_permute(const TruthTable& tt, const std::vector<std::uint32_t>& old_leaves,
+                             const std::vector<std::uint32_t>& new_leaves) {
+    const std::size_t n = new_leaves.size();
+    std::vector<int> perm(n, -1);
+    std::vector<bool> used(n, false);
+    for (std::size_t i = 0; i < old_leaves.size(); ++i) {
+        const auto pos = static_cast<std::size_t>(
+            std::find(new_leaves.begin(), new_leaves.end(), old_leaves[i]) - new_leaves.begin());
+        perm[pos] = static_cast<int>(i);
+        used[i] = true;
+    }
+    std::size_t next = 0;
+    for (auto& p : perm) {
+        if (p >= 0) continue;
+        while (used[next]) ++next;
+        used[next] = true;
+        p = static_cast<int>(next);
+    }
+    return tt.extend(static_cast<int>(n)).permute(perm);
+}
+
+TEST(Cuts, ExpandTruthTableMatchesPermute) {
+    Rng rng(33);
+    for (int trial = 0; trial < 300; ++trial) {
+        // A random sorted superset of up to 8 leaves and a random subset of it.
+        std::vector<std::uint32_t> new_leaves, old_leaves;
+        const std::size_t n_new = rng.next_below(9);
+        for (std::uint32_t id = 1; new_leaves.size() < n_new; ++id)
+            if (rng.next_below(3) == 0) new_leaves.push_back(id);
+        for (auto l : new_leaves)
+            if (rng.next_bool()) old_leaves.push_back(l);
+        TruthTable tt(static_cast<int>(old_leaves.size()));
+        for (std::uint64_t m = 0; m < tt.num_minterms(); ++m) tt.set_bit(m, rng.next_bool());
+        EXPECT_EQ(expand_truth_table(tt, old_leaves, new_leaves),
+                  expand_by_permute(tt, old_leaves, new_leaves))
+            << "trial " << trial;
+    }
+    // Every old leaf must be among the new ones.
+    const TruthTable f = TruthTable::variable(2, 0) & TruthTable::variable(2, 1);
+    EXPECT_THROW((void)expand_truth_table(f, {3, 5}, {3, 4, 6}), ContractViolation);
+    EXPECT_THROW((void)expand_truth_table(f, {3, 5}, {1, 5, 6}), ContractViolation);
 }
 
 TEST(Cuts, RespectsSizeLimit) {

@@ -6,6 +6,7 @@
 
 #include "baseline/flows.hpp"
 #include "cec/cec.hpp"
+#include "engine/engine.hpp"
 #include "io/blif.hpp"
 #include "io/generators.hpp"
 #include "lookahead/optimize.hpp"
@@ -80,6 +81,32 @@ TEST(Integration, CaseStudyDecompositionsOfTwoBitAdder) {
     const Aig ours = optimize_timing(rca);
     EXPECT_TRUE(check_equivalence(rca, ours).equivalent);
     EXPECT_LE(ours.depth(), rca.depth());
+}
+
+TEST(Integration, Table1DepthsArePinned) {
+    // bench_table1_adders' four flows, called in its order with its
+    // parameters: the depths EXPERIMENTS.md reports. Every flow runs
+    // restructure, so an output change there shows up here.
+    struct Row {
+        int n, sis, abc, dc, lookahead;
+    };
+    clear_engine_caches();
+    for (const Row row : {Row{2, 5, 6, 5, 5}, Row{4, 8, 10, 8, 7}, Row{8, 12, 18, 12, 10},
+                          Row{16, 20, 34, 20, 14}}) {
+        const Aig rca = ripple_carry_adder(row.n);
+        auto depth = [&](const Aig& optimized) {
+            const CecResult cec = check_equivalence(rca, optimized, 2000000);
+            EXPECT_TRUE(cec.resolved && cec.equivalent) << "n=" << row.n;
+            return optimized.depth();
+        };
+        Rng rng(1);
+        EXPECT_EQ(depth(flow_sis(rca, rng)), row.sis) << "SIS, n=" << row.n;
+        EXPECT_EQ(depth(flow_abc(rca, rng)), row.abc) << "ABC, n=" << row.n;
+        EXPECT_EQ(depth(flow_dc(rca, rng)), row.dc) << "DC, n=" << row.n;
+        LookaheadParams params;
+        params.max_iterations = 12;
+        EXPECT_EQ(depth(optimize_timing(rca, params)), row.lookahead) << "lookahead, n=" << row.n;
+    }
 }
 
 class AdderSweep : public ::testing::TestWithParam<int> {};

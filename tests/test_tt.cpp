@@ -93,6 +93,22 @@ TEST(TruthTable, SwapAndPermute) {
     EXPECT_EQ(rotated, f);
 }
 
+TEST(TruthTable, SwapVarsMatchesPermute) {
+    // Every pair on 1-10 variables covers the three kernel cases: both
+    // variables inside a word, one inside and one across words, both across.
+    Rng rng(18);
+    for (int n = 1; n <= 10; ++n) {
+        const TruthTable f = random_tt(n, rng);
+        for (int a = 0; a < n; ++a)
+            for (int b = 0; b < n; ++b) {
+                std::vector<int> perm(n);
+                for (int i = 0; i < n; ++i) perm[i] = i;
+                std::swap(perm[a], perm[b]);
+                EXPECT_EQ(f.swap_vars(a, b), f.permute(perm)) << "n=" << n << " a=" << a << " b=" << b;
+            }
+    }
+}
+
 TEST(TruthTable, ExtendAndShrink) {
     Rng rng(14);
     const TruthTable f = random_tt(3, rng);

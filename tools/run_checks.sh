@@ -129,7 +129,9 @@ done
 (cd "$WORKDIR" && "$REPO/build/tools/lls_fuzz" --cone-mem 3 4242)
 # The full test suite again under AddressSanitizer: the recovery ladder's
 # throw/catch/degrade paths and the quota exhaustion throws must be leak-
-# and corruption-free, not just functionally right.
+# and corruption-free, not just functionally right. The address build also
+# bounds-checks std::vector indexing (_GLIBCXX_ASSERTIONS), which covers the
+# truth-table word arithmetic.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLLS_SANITIZE=address
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS")
