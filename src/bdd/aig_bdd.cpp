@@ -16,22 +16,4 @@ std::vector<BddManager::Ref> build_node_bdds(const Aig& aig, BddManager& manager
     return refs;
 }
 
-bool bdd_equivalent(const Aig& a, const Aig& b, std::size_t node_limit) {
-    if (a.num_pis() != b.num_pis() || a.num_pos() != b.num_pos()) return false;
-    BddManager manager(static_cast<int>(a.num_pis()), node_limit);
-    return bdd_equivalent(a, b, manager);
-}
-
-bool bdd_equivalent(const Aig& a, const Aig& b, BddManager& manager) {
-    if (a.num_pis() != b.num_pis() || a.num_pos() != b.num_pos()) return false;
-    const auto refs_a = build_node_bdds(a, manager);
-    const auto refs_b = build_node_bdds(b, manager);
-    for (std::size_t o = 0; o < a.num_pos(); ++o) {
-        // Canonicity makes function equality ref equality.
-        if (bdd_of_lit(manager, refs_a, a.po(o)) != bdd_of_lit(manager, refs_b, b.po(o)))
-            return false;
-    }
-    return true;
-}
-
 }  // namespace lls

@@ -26,9 +26,8 @@ struct BddStats {
 /// are canonical (unique table) so equality of functions is pointer
 /// equality. Operations go through ITE with a computed table. No dynamic
 /// reordering — the package exists as an exact-function substrate (exact
-/// SPCF computation, cross-checks of the simulation-based machinery, the
-/// engine's last-resort exact verification), not as a general-purpose
-/// verification engine.
+/// SPCF computation, cross-checks of the simulation-based machinery), not
+/// as a general-purpose verification engine.
 ///
 /// The computed table (ITE cache) is a fixed-size, direct-mapped, *lossy*
 /// array: an insert simply overwrites its slot, so the table is

@@ -6,26 +6,26 @@
 // (comma-separated for several specs):
 //
 //   kind  := parse | resource | solver | verify | invariant | io | cancel | oom | fatal
-//   site  := decompose | spcf | sat | cec | ...   (engine sites)
+//   site  := decompose | spcf | sat | cec | run     (engine sites)
 //            batch                                (CLI-level fatal site)
-//   count := how many retry-ladder rungs the fault poisons (default 1);
-//            for `fatal@batch:N`, the number of journaled circuits after
-//            which the CLI simulates a crash.
+//   count := for `fatal@batch:N`, the number of journaled circuits after
+//            which the CLI simulates a crash; an engine spec takes no
+//            count other than 1.
 //
-// Injection is deterministic by construction: a spec `kind@site:count`
-// fires a synthetic LlsError of `kind` every time evaluation reaches the
-// named site on ladder rungs 0..count-1. The decision depends only on
-// (plan, site, rung) — never on wall clock, thread schedule, or cache
-// state — so fault-injected runs stay bit-identical across --jobs values,
-// and every recovery path is exercisable in tests and CI with a
-// reproducible schedule. The plan fingerprint is mixed into the engine's
-// params fingerprint (memo keys + per-cone RNG seeds), so memoized
-// evaluations replay their injected faults consistently.
+// Injection is deterministic by construction: a spec `kind@site` fires a
+// synthetic LlsError of `kind` every time evaluation reaches the named
+// site. The decision depends only on (plan, site) — never on wall clock,
+// thread schedule, or cache state — so fault-injected runs stay
+// bit-identical across --jobs values, and the engine's fault boundary is
+// exercisable in tests and CI with a reproducible schedule. The plan
+// fingerprint is mixed into the engine's params fingerprint (memo keys +
+// per-cone RNG seeds), so memoized evaluations replay their injected
+// faults consistently.
 //
-// FaultRecord is the report of one contained fault: what fired, where,
-// which ladder rungs were retried, and whether the cone recovered. The
-// engine appends records to OptimizeStats::faults at the serial commit
-// point, in deterministic task order.
+// FaultRecord is the report of one contained fault: what fired, and
+// where. A faulted cone keeps its original structure. The engine appends
+// records to OptimizeStats::faults at the serial commit point, in
+// deterministic task order.
 
 #include <cstdint>
 #include <new>
@@ -37,16 +37,13 @@
 
 namespace lls {
 
-/// One contained fault: taxonomy kind, pipeline stage, cone scope, and the
-/// retry history of the recovery ladder.
+/// One contained fault: taxonomy kind, pipeline stage, and cone scope.
 struct FaultRecord {
     ErrorKind kind = ErrorKind::InvariantViolation;
-    std::string stage;                 ///< pipeline stage that faulted
-    std::string detail;                ///< human-readable cause (exception text)
-    int cone = -1;                     ///< PO index of the cone (filled at commit)
-    std::string cone_name;             ///< PO name (filled at commit)
-    std::vector<std::string> retries;  ///< ladder rungs attempted after the first fault
-    bool recovered = false;            ///< a later rung completed; false = cone kept original
+    std::string stage;      ///< pipeline stage that faulted
+    std::string detail;     ///< human-readable cause (exception text)
+    int cone = -1;          ///< PO index of the cone (filled at commit)
+    std::string cone_name;  ///< PO name (filled at commit)
 };
 
 /// One parsed `kind@site[:count]` spec.
@@ -58,7 +55,7 @@ struct FaultSpec {
     /// path is exercised — deterministically, like every other kind.
     bool bad_alloc = false;
     std::string site;
-    int count = 1;
+    int count = 1;  ///< `fatal@site:N` threshold; always 1 for engine specs
 };
 
 /// A parsed fault-injection plan. Empty plans (the default) inject nothing
@@ -68,7 +65,8 @@ public:
     FaultPlan() = default;
 
     /// Parses the spec grammar; throws LlsError{ParseError} on malformed
-    /// input (unknown kind, empty site, non-positive count, bad syntax).
+    /// input (unknown kind, empty site, non-positive count, a count other
+    /// than 1 on an engine spec, bad syntax).
     static FaultPlan parse(const std::string& text) {
         FaultPlan plan;
         std::size_t pos = 0;
@@ -91,25 +89,23 @@ public:
     bool empty() const { return specs_.empty(); }
     const std::vector<FaultSpec>& specs() const { return specs_; }
 
-    /// Poison count of `site` for engine-level (non-fatal) specs; 0 when
-    /// the site is not in the plan.
-    int count_for(std::string_view site) const {
-        for (const auto& s : specs_)
-            if (!s.fatal && s.site == site) return s.count;
-        return 0;
-    }
-
-    ErrorKind kind_for(std::string_view site) const {
-        for (const auto& s : specs_)
-            if (!s.fatal && s.site == site) return s.kind;
-        return ErrorKind::ResourceExhausted;
-    }
-
     /// First non-fatal spec for `site`, or nullptr.
     const FaultSpec* spec_for(std::string_view site) const {
         for (const auto& s : specs_)
             if (!s.fatal && s.site == site) return &s;
         return nullptr;
+    }
+
+    /// Fires the planned fault for `site`, if any, as LlsError at `stage`
+    /// — or as a raw std::bad_alloc for `oom` specs, exactly what a real
+    /// allocation failure at the site would look like. A pure function of
+    /// (plan, site), which is what keeps injected runs deterministic.
+    void check(std::string_view site, std::string_view stage) const {
+        const FaultSpec* spec = spec_for(site);
+        if (spec == nullptr) return;
+        if (spec->bad_alloc) throw std::bad_alloc();
+        throw LlsError(spec->kind, "injected fault at site '" + std::string(site) + "'",
+                       std::string(stage));
     }
 
     /// Threshold of the CLI-level `fatal@site:count` spec, 0 when absent.
@@ -129,7 +125,6 @@ public:
             out += s.bad_alloc ? "oom" : error_kind_name(s.kind);
             out += '@';
             out += s.site;
-            out += ':' + std::to_string(s.count);
         }
         return out;
     }
@@ -154,7 +149,10 @@ public:
             // injections (bad_alloc vs. LlsError), so they must not collide.
             mix(s.bad_alloc ? "oom" : error_kind_name(s.kind));
             mix(s.site);
-            mix(std::to_string(s.count));
+            // The count of an engine spec is always 1. Mixing it in keeps
+            // fingerprints — memo keys, persisted records, checkpoint
+            // journals and cone RNG seeds — the same as when it varied.
+            mix("1");
         }
         return h;
     }
@@ -202,6 +200,10 @@ private:
                 throw LlsError(ErrorKind::ParseError,
                                "fault count '" + count + "' must be a positive integer",
                                "fault-plan");
+            if (!spec.fatal && value != 1)
+                throw LlsError(ErrorKind::ParseError,
+                               "fault spec '" + item + "': an engine spec fires once (count 1)",
+                               "fault-plan");
             spec.count = value;
         }
         if (rest.empty())
@@ -212,35 +214,6 @@ private:
     }
 
     std::vector<FaultSpec> specs_;
-};
-
-/// Per-attempt injection hook: one FaultContext per (cone evaluation,
-/// ladder rung). `check(site, stage)` throws the planned synthetic
-/// LlsError when the plan poisons `site` on this rung — a pure function of
-/// (plan, site, rung), which is what keeps injected runs deterministic.
-class FaultContext {
-public:
-    FaultContext(const FaultPlan* plan, int rung) : plan_(plan), rung_(rung) {}
-
-    /// Fires the planned fault for `site`, if any, as LlsError at `stage`
-    /// — or as a raw std::bad_alloc for `oom` specs, exactly what a real
-    /// allocation failure at the site would look like.
-    void check(std::string_view site, std::string_view stage) const {
-        if (!plan_) return;
-        const FaultSpec* spec = plan_->spec_for(site);
-        if (spec == nullptr || rung_ >= spec->count) return;
-        if (spec->bad_alloc) throw std::bad_alloc();
-        throw LlsError(spec->kind,
-                       "injected fault at site '" + std::string(site) + "' (rung " +
-                           std::to_string(rung_) + ")",
-                       std::string(stage));
-    }
-
-    int rung() const { return rung_; }
-
-private:
-    const FaultPlan* plan_ = nullptr;
-    int rung_ = 0;
 };
 
 }  // namespace lls

@@ -3,15 +3,15 @@
 // Deterministic per-cone memory quota (`lls_opt --cone-mem`), the byte
 // analogue of the work budget (common/budget.hpp). Stages charge bytes at
 // fixed program points with allocation-count-derived costs (literal
-// counts, BDD node counts, signature word counts — never malloc
-// observations), so the running total is a pure function of (cone,
-// params). Exceeding the quota throws LlsError{ResourceExhausted} at stage
-// `kMemgovStage`, which the engine's retry ladder contains by degrading
-// the cone to its original structure — a deterministic fault that
-// memoizes like any other. Like WorkCost, a MemoryQuota is deliberately
-// NOT thread-safe: it is charged at serial points, or through task-local
-// quotas merged in fixed task order after a parallel join
-// (lookahead/decompose.cpp, phase B).
+// counts, signature word counts — never malloc observations), so the
+// running total is a pure function of (cone, params). Exceeding the quota
+// throws LlsError{ResourceExhausted} at stage `kMemgovStage`, which the
+// engine's per-cone fault boundary contains by keeping the cone's
+// original structure — a deterministic fault that memoizes like any
+// other. Like WorkCost, a MemoryQuota is deliberately NOT thread-safe: it
+// is charged at serial points, or through task-local quotas merged in
+// fixed task order after a parallel join (lookahead/decompose.cpp, phase
+// B).
 
 #include <cstdint>
 #include <string>
@@ -20,23 +20,18 @@
 
 namespace lls {
 
-/// Stage name of every quota exhaustion. The engine's retry ladder
-/// recognizes it and ends the ladder immediately: escalated rungs only
-/// *grow* the footprint, so retrying under the same quota deterministically
-/// re-fails — the cone degrades at the first exhaustion, and fuzzing can
-/// assert a quota-degraded cone is never reported as recovered.
+/// Stage name of every quota exhaustion; the engine counts fault records
+/// at this stage as quota-degraded cones.
 inline constexpr const char* kMemgovStage = "memgov";
 
 /// Allocation-count-derived byte costs of the metered structures. The
-/// constants price one *counted unit* (a stored literal, a BDD node, a
-/// signature word) including its amortized container overhead — the point
-/// is a schedule-invariant charge stream, not malloc-exact totals.
+/// constants price one *counted unit* (a stored literal, a signature word)
+/// including its amortized container overhead — the point is a
+/// schedule-invariant charge stream, not malloc-exact totals.
 namespace memcost {
 /// One stored SAT literal: 4 B literal + watcher pair + clause header,
 /// amortized across typical clause lengths.
 inline constexpr std::uint64_t kSatLiteralBytes = 48;
-/// One BDD node: 8 B packed word + unique-table entry.
-inline constexpr std::uint64_t kBddNodeBytes = 32;
 /// One 64-bit simulation-signature word.
 inline constexpr std::uint64_t kSignatureWordBytes = 8;
 /// One AIG node (fanins + level + hash bucket share).
@@ -45,7 +40,7 @@ inline constexpr std::uint64_t kAigNodeBytes = 24;
 inline constexpr std::uint64_t kNetworkNodeBytes = 96;
 }  // namespace memcost
 
-/// Deterministic byte quota of one cone-evaluation rung.
+/// Deterministic byte quota of one cone evaluation.
 class MemoryQuota {
 public:
     /// `limit_bytes` = 0 disables the quota (charges still accumulate).

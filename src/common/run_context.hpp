@@ -1,13 +1,12 @@
 #pragma once
 
 // RunContext: the one plumbing path for cross-cutting run state — the
-// work-cost sink, fault-injection context, cancellation sources, memory
+// work-cost sink, fault-injection plan, cancellation sources, memory
 // quota, metrics registry and executor. The engine constructs one per cone
-// evaluation (per retry rung), and decompose -> reduce -> simplify -> cec
-// -> sat all take a `const RunContext&`. Every field is an unowned
-// pointer that must outlive the call; every field defaults to "absent", so
-// `RunContext{}` is a valid do-nothing context for tests and simple CLI
-// paths.
+// evaluation, and decompose -> reduce -> simplify -> cec -> sat all take a
+// `const RunContext&`. Every field is an unowned pointer that must outlive
+// the call; every field defaults to "absent", so `RunContext{}` is a valid
+// do-nothing context for tests and simple CLI paths.
 //
 // The `executor` field is what makes the third scheduling level possible:
 // secondary simplification fans its independent per-cube SAT don't-care
@@ -37,10 +36,10 @@ struct RunContext {
     /// (work is then unmetered, as for ad-hoc CLI verification calls).
     WorkCost* cost = nullptr;
 
-    /// Fault-injection context of the current retry rung, or null for
-    /// fault-free execution. Stages call `check_fault(site, stage)` at
-    /// their counted work points ("decompose", "spcf", "sat", "cec").
-    const FaultContext* faults = nullptr;
+    /// Fault-injection plan of the run, or null for fault-free execution.
+    /// Stages call `check_fault(site, stage)` at their counted work points
+    /// ("decompose", "spcf", "sat", "cec").
+    const FaultPlan* faults = nullptr;
 
     /// Process/batch-level shutdown token, or null. Together with
     /// `deadline` this mirrors what the evaluating thread's CancelScope
@@ -52,11 +51,7 @@ struct RunContext {
     /// Per-cone wall-clock watchdog (unarmed-or-null = never expires).
     const Deadline* deadline = nullptr;
 
-    /// Final-equivalence switch of the engine's retry ladder: SAT-based
-    /// CEC when false, canonical-BDD comparison when true (rung 2).
-    bool exact_verify = false;
-
-    /// Deterministic per-cone byte quota of this evaluation rung, or null
+    /// Deterministic per-cone byte quota of this evaluation, or null
     /// for unmetered memory (common/memgov.hpp). Like `cost`, the quota is
     /// not thread-safe: serial stages charge it directly; parallel
     /// intra-cone tasks charge task-local quotas snapshotted from

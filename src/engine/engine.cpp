@@ -121,9 +121,9 @@ DecomposeMemo& decompose_memo() {
                 bytes += sizeof(DecomposeOutcome) +
                          e.outcome->aig.num_nodes() * memcost::kAigNodeBytes +
                          e.outcome->reconstruction.capacity();
-            for (const auto& f : e.faults)
-                bytes += sizeof(FaultRecord) + f.stage.capacity() + f.detail.capacity() +
-                         f.cone_name.capacity();
+            if (e.fault)
+                bytes += e.fault->stage.capacity() + e.fault->detail.capacity() +
+                         e.fault->cone_name.capacity();
             return bytes;
         });
     return instance;
@@ -162,8 +162,6 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
     MetricCounter& budget_stops = metrics.counter("engine.budget_exhausted");
     MetricCounter& wall_clock_stops = metrics.counter("engine.wall_clock_interrupts");
     MetricCounter& fault_records = metrics.counter("engine.fault.records");
-    MetricCounter& fault_recovered = metrics.counter("engine.fault.recovered");
-    MetricCounter& fault_degraded = metrics.counter("engine.fault.degraded");
     MetricCounter& quota_degrades = metrics.counter("engine.mem.quota_degrades");
     MetricCounter& deadline_cancels = metrics.counter("engine.cancel.deadline_cancelled");
     MetricCounter& shutdown_stops = metrics.counter("engine.cancel.shutdowns");
@@ -187,7 +185,7 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
     // here, before any per-cone work — in batch mode the exception crosses
     // the item boundary, proving a run-level allocation failure degrades
     // that item to `failed` without tearing down its siblings.
-    FaultContext(&fault_plan, /*rung=*/0).check("run", "engine");
+    fault_plan.check("run", "engine");
     const std::uint64_t fingerprint = params_fingerprint(params);
 
     // Master RNG for the *serial* stages (SAT sweeping). Candidate
@@ -281,21 +279,16 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
     constexpr std::size_t kPerIterationCheckLimit = 1500;
 
     // Evaluation of one candidate: pure function of (current, po, params) —
-    // including its work cost and fault history, which the memo stores
+    // including its work cost and fault record, which the memo stores
     // alongside the outcome.
     //
-    // The retry ladder runs *inside* the memoized computation. When an
-    // exception escapes a rung, the next rung retries the cone under
-    // progressively more conservative settings:
-    //   rung 0: the caller's params;
-    //   rung 1: escalated SAT conflict cap (x16);
-    //   rung 2: rung 1 + exact BDD verification instead of SAT CEC.
-    // Every rung re-seeds the cone RNG identically and charges its work to
-    // the evaluation's cost, so the ladder — like the fault injection that
-    // exercises it — is a pure function of (cone, params): bit-identical
-    // across job counts, and replayed verbatim on a memo hit. A cone whose
-    // last rung still faults degrades to "no improvement" (the commit keeps
-    // its original structure) with `recovered = false` in the record.
+    // The per-cone fault boundary runs *inside* the memoized computation:
+    // `decompose_output` runs once, and any exception other than a shutdown
+    // becomes the evaluation's fault record while the cone keeps its
+    // original structure (the commit sees no outcome). Work spent before
+    // the throw is still charged, so a faulted evaluation — like the fault
+    // injection that exercises it — is a pure function of (cone, params):
+    // bit-identical across job counts, and replayed verbatim on a memo hit.
     auto evaluate_cone = [&](const Aig& current, std::size_t po) -> ConeEvaluation {
         const Aig cone = extract_cone(current, po);
         const std::uint64_t cone_hash = cone.hash();
@@ -303,88 +296,47 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
             cones_evaluated.add();
             // Watchdog: arm the per-cone deadline (when configured) and
             // expose the shutdown token to every poll site this evaluation
-            // reaches — the SAT solve loop, BDD node construction, and the
-            // decomposition inner loops all poll this scope.
+            // reaches — the SAT solve loop and the decomposition inner
+            // loops both poll this scope.
             const Deadline cone_deadline = params.cone_deadline_seconds > 0.0
                                                ? Deadline::after_seconds(
                                                      params.cone_deadline_seconds)
                                                : Deadline();
             const CancelScope cancel_scope(engine.cancel, &cone_deadline);
             ConeEvaluation evaluation;
-            constexpr int kNumRungs = 3;
-            static const char* const kRungLabel[kNumRungs] = {"base", "escalated-sat",
-                                                              "bdd-exact"};
-            FaultRecord record;
-            bool faulted = false;
-            for (int rung = 0; rung < kNumRungs; ++rung) {
-                LookaheadParams rung_params = params;
-                if (rung >= 1)
-                    rung_params.sat_conflict_limit =
-                        std::max<std::int64_t>(params.sat_conflict_limit, 1) * 16;
-                const FaultContext fault_context(&fault_plan, rung);
-                // Memory quota, fresh per rung: every rung starts from zero
-                // so the charge stream — and the exact point an exhaustion
-                // fires — is a pure function of (cone, params, rung).
-                MemoryQuota quota(params.cone_mem_bytes);
-                // The one plumbing path down the decompose -> reduce ->
-                // simplify -> cec -> sat stack: deterministic cost sink,
-                // fault rung, cancellation sources (mirroring the
-                // CancelScope above, so fanned-out work re-installs them on
-                // whichever worker runs it), and the intra-cone executor for
-                // the per-cube SAT don't-care fan-out (third scheduling
-                // level).
-                RunContext ctx = cone_run_context(evaluation);
-                ctx.faults = &fault_context;
-                ctx.cancel = engine.cancel;
-                ctx.deadline = &cone_deadline;
-                ctx.exact_verify = rung == 2;
-                ctx.metrics = &metrics;
-                ctx.executor = pool.size() > 0 ? &pool : nullptr;
-                if (params.cone_mem_bytes != 0) ctx.mem_quota = &quota;
-                Rng cone_rng(hash_mix(fingerprint, cone_hash));
-                try {
-                    if (auto outcome = decompose_output(cone, rung_params, cone_rng, ctx))
-                        evaluation.outcome =
-                            std::make_shared<const DecomposeOutcome>(std::move(*outcome));
-                    if (faulted) {
-                        record.retries.push_back(std::string(kRungLabel[rung]) + ": ok");
-                        record.recovered = true;
-                    }
-                    break;
-                } catch (const std::exception& e) {
-                    const ErrorKind kind = error_kind_of(e);
+            MemoryQuota quota(params.cone_mem_bytes);
+            // The one plumbing path down the decompose -> reduce -> simplify
+            // -> cec -> sat stack: deterministic cost sink, fault plan,
+            // cancellation sources (mirroring the CancelScope above, so
+            // fanned-out work re-installs them on whichever worker runs
+            // it), and the intra-cone executor for the per-cube SAT
+            // don't-care fan-out (third scheduling level).
+            RunContext ctx = cone_run_context(evaluation);
+            ctx.faults = &fault_plan;
+            ctx.cancel = engine.cancel;
+            ctx.deadline = &cone_deadline;
+            ctx.metrics = &metrics;
+            ctx.executor = pool.size() > 0 ? &pool : nullptr;
+            if (params.cone_mem_bytes != 0) ctx.mem_quota = &quota;
+            Rng cone_rng(hash_mix(fingerprint, cone_hash));
+            try {
+                if (auto outcome = decompose_output(cone, params, cone_rng, ctx))
+                    evaluation.outcome =
+                        std::make_shared<const DecomposeOutcome>(std::move(*outcome));
+            } catch (const std::exception& e) {
+                if (error_kind_of(e) == ErrorKind::Cancelled) {
                     // A shutdown cancellation propagates: the whole round is
                     // about to be discarded, so nothing is recorded or
                     // memoized for this cone — `--resume` re-evaluates it
                     // from scratch, byte-identically.
-                    if (kind == ErrorKind::Cancelled && shutdown_requested()) throw;
-                    if (!faulted) {
-                        faulted = true;
-                        record = fault_record_of(e);
-                    } else {
-                        record.retries.push_back(std::string(kRungLabel[rung]) + ": " +
-                                                 error_kind_name(kind));
-                    }
+                    if (shutdown_requested()) throw;
                     // A fired cone watchdog (or an injected `cancel` fault
-                    // exercising its path) ends the ladder immediately:
-                    // retrying under an already-expired deadline cannot
-                    // complete, and the outcome depends on wall clock, so
-                    // the evaluation is flagged to keep it out of the memo.
-                    if (kind == ErrorKind::Cancelled) {
-                        evaluation.timing_dependent = true;
-                        break;
-                    }
-                    // Quota exhaustion also ends the ladder — the
-                    // escalated rungs only *grow* the footprint, so under
-                    // the same per-rung quota they deterministically
-                    // re-fail. Unlike a deadline this is a pure function of
-                    // (cone, params): the evaluation memoizes, and the cone
-                    // can never be reported as recovered.
-                    const auto* lls_error = dynamic_cast<const LlsError*>(&e);
-                    if (lls_error != nullptr && lls_error->stage() == kMemgovStage) break;
+                    // exercising its path) depends on wall clock, so the
+                    // evaluation is flagged to keep it out of the memo.
+                    evaluation.timing_dependent = true;
                 }
+                evaluation.fault = fault_record_of(e);
             }
-            if (faulted) evaluation.faults.push_back(std::move(record));
             return evaluation;
         };
         if (!engine.use_result_cache) return compute();
@@ -452,7 +404,7 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                     // skipped outright once a shutdown is requested (the
                     // round below is discarded anyway).
                     if (run_deadline.expired() || shutdown_requested()) return;
-                    // Task-boundary backstop: the retry ladder contains
+                    // Task-boundary backstop: the per-cone boundary contains
                     // faults inside the evaluation, so anything arriving
                     // here escaped outside it (cone extraction, the memo
                     // itself, allocation). The cone degrades to "keep
@@ -465,7 +417,7 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                         if (error_kind_of(e) == ErrorKind::Cancelled && shutdown_requested())
                             return;
                         ConeEvaluation degraded;
-                        degraded.faults.push_back(fault_record_of(e));
+                        degraded.fault = fault_record_of(e);
                         evaluations[i] = std::move(degraded);
                     }
                 });
@@ -497,22 +449,20 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
             // order, stamping each record with its cone — deterministic for
             // every job count, memo hits included.
             for (std::size_t i = 0; i < tasks.size(); ++i) {
-                for (FaultRecord record : evaluations[i].faults) {
-                    record.cone = static_cast<int>(tasks[i].po);
-                    record.cone_name = current.po_name(tasks[i].po);
-                    fault_records.add();
-                    if (record.recovered) fault_recovered.add();
-                    else fault_degraded.add();
-                    if (record.kind == ErrorKind::Cancelled) {
-                        ++local.deadline_cancelled;
-                        deadline_cancels.add();
-                    }
-                    if (record.stage == kMemgovStage && !record.recovered) {
-                        ++local.quota_degraded;
-                        quota_degrades.add();
-                    }
-                    local.faults.push_back(std::move(record));
+                if (!evaluations[i].fault) continue;
+                FaultRecord record = *evaluations[i].fault;
+                record.cone = static_cast<int>(tasks[i].po);
+                record.cone_name = current.po_name(tasks[i].po);
+                fault_records.add();
+                if (record.kind == ErrorKind::Cancelled) {
+                    ++local.deadline_cancelled;
+                    deadline_cancels.add();
                 }
+                if (record.stage == kMemgovStage) {
+                    ++local.quota_degraded;
+                    quota_degrades.add();
+                }
+                local.faults.push_back(std::move(record));
             }
 
             // Serial commit in PO order: rebuild the circuit output by

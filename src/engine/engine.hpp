@@ -70,10 +70,10 @@ struct BatchOutcome {
     Aig output;
     OptimizeStats stats;
     double seconds = 0.0;
-    /// The item's optimization threw past every recovery rung. The batch
-    /// keeps going; `output` is the *input circuit unchanged* (the same
-    /// degrade-to-original rule the per-cone fault boundary applies), and
-    /// `error` carries the diagnostic.
+    /// The item's optimization threw outside every per-cone fault boundary.
+    /// The batch keeps going; `output` is the *input circuit unchanged*
+    /// (the same degrade-to-original rule the per-cone fault boundary
+    /// applies), and `error` carries the diagnostic.
     bool failed = false;
     std::string error;
     /// A batch-level cancellation (SIGTERM/SIGINT token) interrupted this

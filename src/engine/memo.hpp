@@ -6,8 +6,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
-#include <vector>
 
 #include "common/budget.hpp"
 #include "common/fault.hpp"
@@ -25,14 +25,14 @@ namespace lls {
 struct ConeEvaluation {
     std::shared_ptr<const DecomposeOutcome> outcome;
     WorkCost cost;
-    /// Faults contained by the retry ladder while evaluating this cone
-    /// (cone id/name are filled in at the serial commit). Stored in the
-    /// memo with the rest of the evaluation, so a cache hit replays its
-    /// fault history the same way it replays its cost. Entries with a
-    /// fault history are never *persisted*: recomputing them replays the
-    /// same faults and charges the same cost (injection is a pure function
-    /// of (cone, params)), so the store only ever carries clean records.
-    std::vector<FaultRecord> faults;
+    /// The fault contained at the per-cone boundary, if the evaluation
+    /// threw (cone id/name are filled in at the serial commit). Stored in
+    /// the memo with the rest of the evaluation, so a cache hit replays the
+    /// fault the same way it replays its cost. Faulted entries are never
+    /// *persisted*: recomputing them replays the same fault and charges the
+    /// same cost (injection is a pure function of (cone, params)), so the
+    /// store only ever carries clean records.
+    std::optional<FaultRecord> fault;
     /// The evaluation was cut short by a wall-clock cancellation (fired
     /// cone deadline, or an injected `cancel@site` fault exercising that
     /// path). Such evaluations are a function of elapsed time, not just of
@@ -44,7 +44,7 @@ struct ConeEvaluation {
 /// Seed of the per-cone RunContext: a context whose deterministic
 /// work-cost sink is the evaluation being computed, so every unit a cone's
 /// decomposition spends lands in the record the memo stores (and replays
-/// on a hit). The engine fills in the remaining fields — fault context,
+/// on a hit). The engine fills in the remaining fields — fault plan,
 /// cancellation sources, memory quota, metrics, intra-cone executor —
 /// before handing the context down the decompose → reduce → simplify →
 /// cec → sat stack.

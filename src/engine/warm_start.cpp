@@ -86,7 +86,7 @@ void WarmStart::flush_round() {
     // steady-state flush walks the caches but serializes nothing.
     decompose_memo().for_each(
         [&](const std::pair<std::uint64_t, std::uint64_t>& key, const ConeEvaluation& evaluation) {
-            if (!evaluation.faults.empty()) return;  // recompute replays faults identically
+            if (evaluation.fault) return;  // recompute replays the fault identically
             // Belt and braces: the engine never memoizes timing-dependent
             // (deadline-cancelled) evaluations, so none should reach here.
             if (evaluation.timing_dependent) return;

@@ -16,9 +16,9 @@
 // budgeted warm run charges the identical unit stream as the cold run that
 // produced the entries — cache state (in-process or on-disk) can never
 // move the exhaustion point. Entries whose evaluation contained a fault
-// are not exported: recomputing them replays the same faults and cost
+// are not exported: recomputing them replays the same fault and cost
 // (injection is a pure function of (cone, params)), and the store stays
-// free of fault-history state.
+// free of fault records.
 //
 // The imported key sets are immutable after construction, so the warm-hit
 // probes the workers call take no locks.

@@ -7,8 +7,6 @@
 #include <exception>
 
 #include "aig/aig_build.hpp"
-#include "bdd/aig_bdd.hpp"
-#include "bdd/bdd.hpp"
 #include "cec/cec.hpp"
 #include "common/bitops.hpp"
 #include "common/cancel.hpp"
@@ -43,9 +41,6 @@ bool signature_implies(const Signature& a, const Signature& b) {
         if (a[w] & ~b[w]) return false;
     return true;
 }
-
-/// Node limit of the private manager behind the rung-2 exact verification.
-constexpr std::size_t kExactVerifyBddLimit = std::size_t{1} << 21;
 
 Metrics& metrics_of(const RunContext& ctx) {
     return ctx.metrics != nullptr ? *ctx.metrics : Metrics::global();
@@ -422,39 +417,19 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                 levels[a.node()], levels[b.node()]);
     if (new_depth > old_depth) return std::nullopt;
     ctx.check_fault("cec", "cec");
-    if (ctx.exact_verify) {
-        // Last-resort rung of the engine's retry ladder: canonical BDDs
-        // decide equivalence exactly instead of bounding SAT effort. The
-        // manager is private to this call, so the verdict — and the
-        // resource boundary — is a pure function of (cone, params).
-        bool equivalent = false;
-        if (ctx.mem_quota != nullptr) {
-            // Node cap derived from the quota headroom. When the quota is
-            // the binding constraint (not the exact-verify BDD limit),
-            // running the manager dry *is* quota exhaustion — converted
-            // into the canonical memgov fault.
-            const std::uint64_t headroom = ctx.mem_quota->remaining();
-            const std::uint64_t quota_nodes = headroom / memcost::kBddNodeBytes;
-            const bool quota_capped = quota_nodes < kExactVerifyBddLimit;
-            const std::size_t node_cap = static_cast<std::size_t>(std::max<std::uint64_t>(
-                std::min<std::uint64_t>(kExactVerifyBddLimit, quota_nodes), 2));
-            try {
-                BddManager priv(static_cast<int>(std::max(result.num_pis(), cone.num_pis())),
-                                node_cap);
-                equivalent = bdd_equivalent(result, cone, priv);
-                ctx.mem_quota->charge(priv.num_nodes() * memcost::kBddNodeBytes);
-            } catch (const LlsError& e) {
-                if (e.kind() == ErrorKind::ResourceExhausted && quota_capped)
-                    ctx.mem_quota->charge(headroom + 1);  // throws the memgov fault
-                throw;
-            }
-        } else {
-            equivalent = bdd_equivalent(result, cone, kExactVerifyBddLimit);
-        }
-        if (!equivalent) return std::nullopt;
-    } else {
-        const CecResult cec = check_equivalence(result, cone, /*conflict_limit=*/500000, ctx);
-        if (!cec.resolved || !cec.equivalent) return std::nullopt;
+    const CecResult cec = check_equivalence(result, cone, /*conflict_limit=*/500000, ctx);
+    if (!cec.resolved) return std::nullopt;  // unresolved: a plain reject
+    if (!cec.equivalent) {
+        // Reduce, Simplify and reconstruction make y0 = y on Sigma_1 and
+        // y1 = y on !Sigma_1 by construction (DESIGN.md §5), so a proven
+        // difference is a bug, never "no improvement": it faults loudly and
+        // the engine keeps the cone's original structure.
+        std::string cex;
+        for (const bool bit : cec.counterexample) cex += bit ? '1' : '0';
+        throw LlsError(ErrorKind::VerificationFailed,
+                       "decomposed cone (" + candidates[best].rule +
+                           ") differs from the original at PI assignment " + cex,
+                       "cec");
     }
 
     DecomposeOutcome outcome;
@@ -480,7 +455,7 @@ std::optional<DecomposeOutcome> decompose_output(const Aig& cone, const Lookahea
         return result;
     } catch (...) {
         // A faulted attempt charges the budget exactly like a completed
-        // one — budgeted determinism must hold on recovery paths too.
+        // one — budgeted determinism must hold on the fault path too.
         ctx.charge(local);
         throw;
     }

@@ -33,24 +33,25 @@ struct DecomposeOutcome {
 ///     lowest-depth correct form,
 ///  6. verification (CEC) of the result against the input cone.
 ///
-/// Returns nullopt when no depth improvement is found.
+/// Returns nullopt when no depth improvement is found or the check in step
+/// 6 is unresolved. A result the check proves non-equivalent is a bug, not
+/// a reject: it throws LlsError{VerificationFailed} at stage "cec".
 ///
-/// `ctx` is the engine's per-rung RunContext (common/run_context.hpp) and
+/// `ctx` is the engine's per-cone RunContext (common/run_context.hpp) and
 /// the only plumbing path into the pipeline: its `cost` sink accumulates
 /// the deterministic work spent on this cone (one decomposition attempt
 /// for the cone itself, one per node-simplification attempt inside
 /// `reduce_cone`, and every SAT conflict of the don't-care, implication,
 /// and verification queries — a pure function of (cone, params, rng seed),
-/// which budgeted determinism rests on); `faults` carries the injection
-/// context of the current retry rung; `exact_verify` selects the rung-2
-/// exact equivalence check (canonical BDDs in a private manager);
-/// `executor` lets step 4 fan its independent per-cube SAT don't-care
-/// proofs across the pool — verdicts are committed and conflicts charged
-/// in fixed index order after the join, so the result and the charge
-/// stream are identical with and without the fan-out.
+/// which budgeted determinism rests on); `faults` carries the run's
+/// fault-injection plan; `executor` lets step 4 fan its independent
+/// per-cube SAT don't-care proofs across the pool — verdicts are committed
+/// and conflicts charged in fixed index order after the join, so the
+/// result and the charge stream are identical with and without the
+/// fan-out.
 ///
 /// Work spent before an exception is still merged into `ctx.cost`, so a
-/// faulted rung charges the budget exactly like a completed one.
+/// faulted evaluation charges the budget exactly like a completed one.
 std::optional<DecomposeOutcome> decompose_output(const Aig& cone, const LookaheadParams& params,
                                                  Rng& rng,
                                                  const RunContext& ctx = RunContext{});

@@ -39,7 +39,7 @@ struct OptimizeStats {
     /// per-cone memory quota (`params.cone_mem_bytes`). Unlike
     /// `deadline_cancelled` this count is deterministic — a pure function
     /// of (input, params) — and each degraded cone appears in `faults`
-    /// with stage "memgov" and `recovered = false`.
+    /// with stage "memgov".
     int quota_degraded = 0;
     /// A process/batch-level cancellation (CancelToken, e.g. SIGTERM) was
     /// requested during the run: the engine stopped at the next round
@@ -49,9 +49,8 @@ struct OptimizeStats {
     bool cancelled = false;
     /// Contained faults, appended during the serial commit in deterministic
     /// task order (common/fault.hpp). Every exception that escaped a cone
-    /// evaluation — real or injected — lands here with its retry history;
-    /// `recovered` tells whether a later ladder rung completed or the cone
-    /// deterministically kept its original structure.
+    /// evaluation — real or injected — lands here as one record, and its
+    /// cone keeps its original structure.
     std::vector<FaultRecord> faults;
     std::vector<std::string> log;  ///< human-readable per-iteration notes
 };

@@ -107,7 +107,7 @@ Aig decode_aig(ByteReader& in) {
 }
 
 std::string encode_cone_evaluation(const ConeEvaluation& evaluation) {
-    LLS_REQUIRE(evaluation.faults.empty());  // faulted entries are never persisted
+    LLS_REQUIRE(!evaluation.fault);  // faulted entries are never persisted
     ByteWriter w;
     w.u8(evaluation.outcome ? 1 : 0);
     w.varint(evaluation.cost.decompositions);

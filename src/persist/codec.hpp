@@ -38,9 +38,9 @@ void encode_aig(ByteWriter& out, const Aig& aig);
 Aig decode_aig(ByteReader& in);
 
 /// ConeEvaluation codec (Section::Decompose values). Only fault-free
-/// evaluations may be encoded — persisting a fault history would be
+/// evaluations may be encoded — persisting a fault record would be
 /// redundant (injection is deterministic, the recompute replays it) and
-/// the decoder always returns an empty one.
+/// the decoder never returns one.
 std::string encode_cone_evaluation(const ConeEvaluation& evaluation);
 ConeEvaluation decode_cone_evaluation(std::string_view bytes);
 

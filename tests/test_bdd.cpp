@@ -3,11 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "bdd/aig_bdd.hpp"
+#include "bdd/spcf_bdd.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "io/generators.hpp"
 #include "spcf/spcf.hpp"
-#include "spcf/spcf_bdd.hpp"
 #include "tt/truth_table.hpp"
 
 namespace lls {
@@ -175,15 +175,6 @@ TEST(Bdd, StatsCountHitsAndMisses) {
     EXPECT_GE(stats.ite_hits, 1u);
     EXPECT_GE(stats.nodes_created, 3u);  // two variables + the conjunction
     EXPECT_GE(stats.unique_hits, 1u);
-}
-
-TEST(AigBdd, BddEquivalentDistinguishesNetworks) {
-    const Aig adder = ripple_carry_adder(4);
-    EXPECT_TRUE(bdd_equivalent(adder, adder));
-    Aig other = ripple_carry_adder(4);
-    other.set_po(0, !other.po(0));
-    EXPECT_FALSE(bdd_equivalent(adder, other));
-    EXPECT_THROW(bdd_equivalent(adder, adder, 4), LlsError);
 }
 
 TEST(AigBdd, NodeBddsMatchSimulation) {

@@ -465,14 +465,22 @@ TEST(Engine, IntraConeStressConcurrentFanoutsThroughSharedPool) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault containment & recovery (PR 3)
+// Fault containment (PR 3)
 
 TEST(FaultPlan, GrammarRoundtrip) {
-    const FaultPlan plan = FaultPlan::parse("resource@decompose:2,solver@sat,fatal@batch:1");
-    EXPECT_EQ(plan.count_for("decompose"), 2);
-    EXPECT_EQ(plan.count_for("sat"), 1);
-    EXPECT_EQ(plan.count_for("cec"), 0);
-    EXPECT_EQ(plan.fatal_count_for("batch"), 1);
+    const FaultPlan plan = FaultPlan::parse("resource@decompose,solver@sat:1,fatal@batch:3");
+    ASSERT_NE(plan.spec_for("decompose"), nullptr);
+    EXPECT_EQ(plan.spec_for("decompose")->kind, ErrorKind::ResourceExhausted);
+    ASSERT_NE(plan.spec_for("sat"), nullptr);
+    EXPECT_EQ(plan.spec_for("sat")->kind, ErrorKind::SolverLimit);
+    EXPECT_EQ(plan.spec_for("cec"), nullptr);
+    EXPECT_EQ(plan.spec_for("batch"), nullptr);  // fatal specs never reach the engine
+    EXPECT_EQ(plan.fatal_count_for("batch"), 3);
+    // An engine spec fires once per evaluation, so `:1` is the only count it
+    // takes; spelling it out leaves the fingerprint (memo keys, cone RNG
+    // seeds) unchanged.
+    EXPECT_EQ(FaultPlan::parse("resource@decompose").fingerprint(),
+              FaultPlan::parse("resource@decompose:1").fingerprint());
     // engine_spec() strips fatal specs: they are CLI-level crash directives,
     // not engine faults, and must not perturb the params fingerprint.
     const std::string engine_spec = FaultPlan::parse(plan.engine_spec()).engine_spec();
@@ -489,7 +497,8 @@ TEST(FaultPlan, GrammarRoundtrip) {
     EXPECT_EQ(FaultPlan::parse("cancelled@decompose:1").fingerprint(),
               cancel_plan.fingerprint());
 
-    for (const char* bad : {"bogus@decompose", "resource", "resource@sat:x", "@sat"}) {
+    for (const char* bad : {"bogus@decompose", "resource", "resource@sat:x", "@sat",
+                            "resource@decompose:2", "oom@run:3", "fatal@batch:0"}) {
         try {
             FaultPlan::parse(bad);
             ADD_FAILURE() << "no throw for " << bad;
@@ -510,67 +519,51 @@ OptimizeStats run_faulted(const Aig& input, const std::string& plan, int jobs, A
     return stats;
 }
 
-TEST(Engine, FaultInjectionRecoversAtEverySiteClass) {
+TEST(Engine, FaultInjectionDegradesAtEverySiteClass) {
     // One plan per engine injection site, each with a distinct error kind.
-    // Every run must complete, stay CEC-equivalent, and (for the sites the
-    // small adder exercises on every cone) report contained fault records.
+    // Every run must complete and stay CEC-equivalent, and every fault keeps
+    // its cone's original structure: each accepted decomposition passes all
+    // four sites, so no cone is decomposed — containment, not propagation.
+    // Any depth gain comes from the conventional restructuring passes.
     const Aig rca = ripple_carry_adder(6);
     const struct {
         const char* plan;
         ErrorKind kind;
-        bool always_hit;  // site reached for every cone on this input
     } cases[] = {
-        {"resource@decompose:1", ErrorKind::ResourceExhausted, true},
-        {"invariant@spcf:1", ErrorKind::InvariantViolation, true},
-        {"solver@sat:1", ErrorKind::SolverLimit, false},
-        {"verify@cec:1", ErrorKind::VerificationFailed, false},
+        {"resource@decompose:1", ErrorKind::ResourceExhausted},
+        {"invariant@spcf:1", ErrorKind::InvariantViolation},
+        {"solver@sat:1", ErrorKind::SolverLimit},
+        {"verify@cec:1", ErrorKind::VerificationFailed},
     };
     for (const auto& c : cases) {
         Aig out;
         const OptimizeStats stats = run_faulted(rca, c.plan, 2, &out);
         EXPECT_TRUE(stats.verified) << c.plan;
         EXPECT_TRUE(check_equivalence(rca, out, 2000000).equivalent) << c.plan;
-        if (c.always_hit) {
-            ASSERT_FALSE(stats.faults.empty()) << c.plan;
-        }
+        ASSERT_FALSE(stats.faults.empty()) << c.plan;
+        EXPECT_EQ(stats.outputs_decomposed, 0) << c.plan;
         for (const FaultRecord& fault : stats.faults) {
             EXPECT_EQ(fault.kind, c.kind) << c.plan;
-            EXPECT_TRUE(fault.recovered) << c.plan << " cone " << fault.cone;
             EXPECT_GE(fault.cone, 0) << c.plan;
-            EXPECT_FALSE(fault.retries.empty()) << c.plan;
         }
-    }
-}
-
-// `verify@cec:2` poisons the SAT verification of rungs 0 and 1, so every
-// cone that reaches verification recovers only on the last rung: exact BDD
-// verification in a private manager.
-constexpr const char* kExactRungPlan = "verify@cec:2";
-
-void expect_recovered_by_exact_rung(const OptimizeStats& stats) {
-    ASSERT_FALSE(stats.faults.empty());
-    for (const FaultRecord& fault : stats.faults) {
-        EXPECT_TRUE(fault.recovered) << fault.cone_name;
-        ASSERT_FALSE(fault.retries.empty()) << fault.cone_name;
-        EXPECT_EQ(fault.retries.back(), "bdd-exact: ok") << fault.cone_name;
     }
 }
 
 TEST(Engine, FaultInjectionIsJobsInvariant) {
     const Aig rca = ripple_carry_adder(7);
-    for (const std::string plan : {"resource@decompose:1,verify@cec:1", kExactRungPlan}) {
+    for (const std::string plan : {"resource@decompose:1,verify@cec:1", "verify@cec:1"}) {
         auto fingerprint = [&](int jobs) {
             Aig out;
             const OptimizeStats stats = run_faulted(rca, plan, jobs, &out);
-            if (plan == kExactRungPlan) expect_recovered_by_exact_rung(stats);
+            EXPECT_FALSE(stats.faults.empty()) << plan;
             std::stringstream aag;
             write_aiger(aag, out);
             std::string fp = aag.str();
             // Fold the fault journal into the fingerprint: records must agree
-            // in order, site, and outcome — not just in count.
+            // in order and site — not just in count.
             for (const FaultRecord& fault : stats.faults) {
                 fp += "|" + std::string(error_kind_name(fault.kind)) + "@" + fault.stage + "#" +
-                      std::to_string(fault.cone) + ":" + (fault.recovered ? "r" : "d");
+                      std::to_string(fault.cone);
             }
             return fp;
         };
@@ -582,29 +575,10 @@ TEST(Engine, FaultInjectionIsJobsInvariant) {
     }
 }
 
-TEST(Engine, ExhaustedRetryLadderDegradesToOriginalCone) {
-    // count=3 poisons all three retry rungs: the cone must be kept in its
-    // original form (degraded, recovered=false) and the overall result must
-    // still verify — containment, not propagation.
-    const Aig rca = ripple_carry_adder(6);
-    Aig out;
-    const OptimizeStats stats = run_faulted(rca, "resource@decompose:3", 2, &out);
-    EXPECT_TRUE(stats.verified);
-    EXPECT_TRUE(check_equivalence(rca, out, 2000000).equivalent);
-    ASSERT_FALSE(stats.faults.empty());
-    for (const FaultRecord& fault : stats.faults) {
-        EXPECT_FALSE(fault.recovered);
-        EXPECT_EQ(fault.retries.size(), 2u);  // two escalations, both poisoned
-    }
-    // Nothing decomposed successfully; any depth gain came from the
-    // conventional restructuring passes, not from lookahead commits.
-    EXPECT_EQ(stats.outputs_decomposed, 0);
-}
-
 TEST(Engine, FaultedRunsAreCacheStateInvariant) {
     // Memo hits must replay fault records identically to cold evaluation.
     const Aig rca = ripple_carry_adder(6);
-    for (const std::string plan : {"resource@decompose:1", kExactRungPlan}) {
+    for (const std::string plan : {"resource@decompose:1", "verify@cec:1"}) {
         clear_engine_caches();
         Aig cold_out, warm_out;
         const OptimizeStats cold = run_faulted(rca, plan, 2, &cold_out);
@@ -614,11 +588,6 @@ TEST(Engine, FaultedRunsAreCacheStateInvariant) {
         for (std::size_t i = 0; i < cold.faults.size(); ++i) {
             EXPECT_EQ(cold.faults[i].cone, warm.faults[i].cone) << plan;
             EXPECT_EQ(cold.faults[i].stage, warm.faults[i].stage) << plan;
-            EXPECT_EQ(cold.faults[i].recovered, warm.faults[i].recovered) << plan;
-        }
-        if (plan == kExactRungPlan) {
-            expect_recovered_by_exact_rung(cold);
-            expect_recovered_by_exact_rung(warm);
         }
     }
 }
@@ -774,10 +743,8 @@ TEST(Engine, MetricsRecordRuns) {
 
 TEST(Engine, InjectedCancelDegradesConeWithFaultRecord) {
     // `cancel@decompose` exercises the cone-deadline path deterministically:
-    // the cancelled cone must be kept original (recovered=false) with a
-    // Cancelled fault record, the retry ladder must NOT escalate (retrying
-    // a timed-out evaluation is how a runaway cone eats the whole budget),
-    // and the run must stay equivalent.
+    // the cancelled cone must be kept original with a Cancelled fault
+    // record, and the run must stay equivalent.
     const Aig rca = ripple_carry_adder(6);
     clear_engine_caches();
     Aig out;
@@ -785,11 +752,7 @@ TEST(Engine, InjectedCancelDegradesConeWithFaultRecord) {
     EXPECT_TRUE(stats.verified);
     EXPECT_TRUE(check_equivalence(rca, out, 2000000).equivalent);
     ASSERT_FALSE(stats.faults.empty());
-    for (const FaultRecord& fault : stats.faults) {
-        EXPECT_EQ(fault.kind, ErrorKind::Cancelled);
-        EXPECT_FALSE(fault.recovered);
-        EXPECT_TRUE(fault.retries.empty());  // ladder stops on cancellation
-    }
+    for (const FaultRecord& fault : stats.faults) EXPECT_EQ(fault.kind, ErrorKind::Cancelled);
     EXPECT_EQ(stats.deadline_cancelled, static_cast<int>(stats.faults.size()));
     EXPECT_FALSE(stats.cancelled);  // a cone cancellation is not a shutdown
     EXPECT_EQ(stats.outputs_decomposed, 0);
@@ -853,10 +816,7 @@ TEST(Engine, TinyConeDeadlineDegradesAndCounts) {
     EXPECT_TRUE(check_equivalence(rca, out, 2000000).equivalent);
     EXPECT_GT(stats.deadline_cancelled, 0);
     ASSERT_FALSE(stats.faults.empty());
-    for (const FaultRecord& fault : stats.faults) {
-        EXPECT_EQ(fault.kind, ErrorKind::Cancelled);
-        EXPECT_FALSE(fault.recovered);
-    }
+    for (const FaultRecord& fault : stats.faults) EXPECT_EQ(fault.kind, ErrorKind::Cancelled);
     EXPECT_GT(Metrics::global().counter("engine.cancel.deadline_cancelled").value(),
               cancels_before);
     clear_engine_caches();  // drop any entries computed alongside the cancellations
@@ -1041,11 +1001,6 @@ TEST(Engine, ConeQuotaDegradesByteIdenticallyAcrossSchedules) {
             if (fault.stage != kMemgovStage) continue;
             ++memgov_records;
             EXPECT_EQ(fault.kind, ErrorKind::ResourceExhausted);
-            // Exhaustion ends the retry ladder: escalated rungs only grow
-            // the footprint, so the cone degrades at the first rung and can
-            // never be reported recovered.
-            EXPECT_FALSE(fault.recovered);
-            EXPECT_TRUE(fault.retries.empty());
         }
         EXPECT_EQ(memgov_records, stats.quota_degraded);
         std::stringstream aag;
@@ -1053,7 +1008,7 @@ TEST(Engine, ConeQuotaDegradesByteIdenticallyAcrossSchedules) {
         std::string fp = aag.str();
         for (const FaultRecord& fault : stats.faults)
             fp += "|" + std::string(error_kind_name(fault.kind)) + "@" + fault.stage + "#" +
-                  std::to_string(fault.cone) + ":" + (fault.recovered ? "r" : "d");
+                  std::to_string(fault.cone);
         return fp;
     };
 
@@ -1070,8 +1025,8 @@ TEST(Engine, ConeQuotaDegradesByteIdenticallyAcrossSchedules) {
 
 TEST(Engine, InjectedOomIsContainedAndMapsToResourceExhausted) {
     // `oom@...` throws a raw std::bad_alloc at the site — the containment
-    // path must classify it ResourceExhausted, recover through the retry
-    // ladder like any resource fault, and stay jobs-invariant.
+    // path must classify it ResourceExhausted, keep every cone original like
+    // any resource fault, and stay jobs-invariant.
     const FaultPlan plan = FaultPlan::parse("oom@decompose:1");
     EXPECT_EQ(FaultPlan::parse(plan.engine_spec()).engine_spec(), plan.engine_spec());
     // Same ErrorKind, different injection: the fingerprints must not
@@ -1085,10 +1040,9 @@ TEST(Engine, InjectedOomIsContainedAndMapsToResourceExhausted) {
         EXPECT_TRUE(stats.verified);
         EXPECT_TRUE(check_equivalence(rca, out, 2000000).equivalent);
         EXPECT_FALSE(stats.faults.empty());
-        for (const FaultRecord& fault : stats.faults) {
+        EXPECT_EQ(stats.outputs_decomposed, 0);  // the site is every cone's first step
+        for (const FaultRecord& fault : stats.faults)
             EXPECT_EQ(fault.kind, ErrorKind::ResourceExhausted);
-            EXPECT_TRUE(fault.recovered);
-        }
         std::stringstream aag;
         write_aiger(aag, out);
         return aag.str();

@@ -171,7 +171,7 @@ TEST(PersistCodec, ConeEvaluationRoundtripWithoutOutcome) {
     EXPECT_EQ(back.outcome, nullptr);
     EXPECT_EQ(back.cost.decompositions, 17u);
     EXPECT_EQ(back.cost.sat_conflicts, 3141u);
-    EXPECT_TRUE(back.faults.empty());
+    EXPECT_FALSE(back.fault.has_value());
 }
 
 TEST(PersistCodec, ConeEvaluationRoundtripWithOutcome) {
@@ -198,7 +198,7 @@ TEST(PersistCodec, ConeEvaluationRoundtripWithOutcome) {
 
 TEST(PersistCodec, FaultedEvaluationMustNotBePersisted) {
     ConeEvaluation eval;
-    eval.faults.push_back(FaultRecord{});
+    eval.fault = FaultRecord{};
     EXPECT_THROW(persist::encode_cone_evaluation(eval), ContractViolation);
 }
 

@@ -18,12 +18,12 @@
 //                                 input hash + params fingerprint
 //   --resume                      resume an interrupted --checkpoint batch
 //   --fault-inject SPEC           deterministic fault injection, SPEC =
-//                                 kind@site[:count][,...]; kinds parse|resource|
-//                                 solver|verify|invariant|io|cancel fire
-//                                 synthetic LlsErrors at engine sites
-//                                 (decompose|spcf|sat|cec); fatal@batch:N kills
-//                                 the process after N journaled circuits
-//                                 (crash simulation)
+//                                 kind@site[,...]; kinds parse|resource|solver|
+//                                 verify|invariant|io|cancel|oom fire a fault
+//                                 at engine sites (decompose|spcf|sat|cec|run)
+//                                 and the cone keeps its original logic;
+//                                 fatal@batch:N kills the process after N
+//                                 journaled circuits (crash simulation)
 //   --no-verify                   skip the final equivalence check
 //   --map                         print a technology-mapping report
 //   --aiger PATH                  also dump the result as ASCII AIGER
@@ -147,12 +147,16 @@ int help(const char* argv0) {
     std::printf(
         "\nDurations (DUR) are a number with a unit: 500ms, 30s, 5m.\n"
         "Sizes (SIZE) are plain bytes or a binary suffix: 4194304, 64M, 1G.\n"
+        "Fault specs (SPEC) are kind@site[,...]: kind parse|resource|solver|verify|\n"
+        "invariant|io|cancel|oom fires at site decompose|spcf|sat|cec|run, and the\n"
+        "cone keeps its original logic; fatal@batch:N simulates a crash after N\n"
+        "journaled circuits.\n"
         "\nexit codes:\n"
         "   0  success\n"
         "  %2d  result not equivalent / unresolved, or a batch item failed\n"
         "  %2d  usage error (bad flags or arguments)\n"
         "  %2d  parse error (malformed BLIF/AIGER/spec input)\n"
-        "  %2d  resource exhausted (BDD node limit, SAT literal limit, memory)\n"
+        "  %2d  resource exhausted (SAT literal limit, memory)\n"
         "  %2d  solver limit (a solver gave up within its effort bound)\n"
         "  %2d  verification failed or could not be resolved\n"
         "  %2d  internal invariant violation\n"
@@ -180,17 +184,11 @@ std::string basename_of(const std::string& path) {
 /// One-line report of every contained fault of a finished run.
 void print_fault_summary(const char* name, const lls::OptimizeStats& stats) {
     if (stats.faults.empty()) return;
-    std::size_t recovered = 0;
-    for (const auto& f : stats.faults) recovered += f.recovered ? 1 : 0;
-    std::printf("%s: %zu fault(s) contained (%zu recovered, %zu cones kept original)\n", name,
-                stats.faults.size(), recovered, stats.faults.size() - recovered);
+    std::printf("%s: %zu fault(s) contained, each cone kept its original logic\n", name,
+                stats.faults.size());
     for (const auto& f : stats.faults)
-        std::printf("  fault [%s/%s] cone %d (%s): %s%s\n", lls::error_kind_name(f.kind),
-                    f.stage.c_str(), f.cone, f.cone_name.c_str(),
-                    f.recovered ? "recovered" : "degraded",
-                    f.retries.empty() ? "" : (" after " + std::to_string(f.retries.size()) +
-                                              " retry rung(s)")
-                                                 .c_str());
+        std::printf("  fault [%s/%s] cone %d (%s)\n", lls::error_kind_name(f.kind),
+                    f.stage.c_str(), f.cone, f.cone_name.c_str());
 }
 
 }  // namespace

@@ -73,9 +73,9 @@ echo "== stage 2e: per-cone memory quota degrades deterministically =="
 # with cones actually degraded on both circuits (1M degrades cones of rca16
 # and control24; 4M degrades none, so it would check nothing).
 MEMCACHE="$WORKDIR/memgov_cache"
-# Seed run: populates the persistent store (quota-degraded evaluations
-# memoize and persist like any deterministic fault) and is the byte
-# reference for every later combination.
+# Seed run: populates the persistent store (quota-degraded evaluations are
+# never persisted, so warm runs recompute them) and is the byte reference
+# for every later combination.
 ./build/tools/lls_opt --batch --cone-mem 1M --jobs 1 \
     --iterations 6 --cache-dir "$MEMCACHE" \
     --out-dir "$WORKDIR/mg.seed" \
@@ -102,19 +102,24 @@ echo "quota'd outputs identical across --jobs 1/2/4 x cold/warm"
 echo "== stage 3: fault injection never aborts and stays jobs-invariant =="
 # Every engine site class, injected on the regression circuits: the run must
 # exit 0 (contained, not crashed), verify equivalence, and produce the same
-# bytes at every --jobs value. verify@cec:2 drives cones to the last rung
-# (exact BDD verification). Plus a short fuzz run with injection enabled.
-for spec in resource@decompose:1 invariant@spcf:1 solver@sat:1 verify@cec:1 \
-            verify@cec:2 resource@decompose:3; do
+# bytes at every --jobs value. The decompose and spcf sites are reached by
+# every cone, so those runs must also report at least one contained fault —
+# proof that the injection fired. Plus a short fuzz run with injection
+# enabled.
+for spec in resource@decompose:1 invariant@spcf:1 solver@sat:1 verify@cec:1; do
     for circuit in tests/data/rca16.blif tests/data/control24.blif; do
         name="$(basename "$circuit" .blif)"
         tag="${spec//[@:]/_}"
         for j in 1 2 4; do
             ./build/tools/lls_opt --fault-inject "$spec" --jobs "$j" --iterations 6 \
-                "$circuit" "$WORKDIR/$name.$tag.j$j.blif" > /dev/null
+                "$circuit" "$WORKDIR/$name.$tag.j$j.blif" > "$WORKDIR/$name.$tag.j$j.log"
         done
         cmp "$WORKDIR/$name.$tag.j1.blif" "$WORKDIR/$name.$tag.j2.blif"
         cmp "$WORKDIR/$name.$tag.j1.blif" "$WORKDIR/$name.$tag.j4.blif"
+        if [[ "$spec" == resource@decompose:1 || "$spec" == invariant@spcf:1 ]]; then
+            grep -q "/$name\.blif: [1-9][0-9]* fault(s) contained" "$WORKDIR/$name.$tag.j1.log" || {
+                echo "expected $spec to fire on at least one cone of $name"; exit 1; }
+        fi
         echo "$name: $spec contained, outputs identical for --jobs 1/2/4"
     done
 done
@@ -124,14 +129,13 @@ done
 # always degrade to a byte-identical cold recompute, never a crash.
 (cd "$WORKDIR" && "$REPO/build/tools/lls_fuzz" --mutate-store 3 4242)
 # Memory-quota fuzzing: random tight per-cone quotas must always be
-# contained (equivalent, never "recovered", byte-identical across job
-# counts).
+# contained (equivalent, byte-identical across job counts).
 (cd "$WORKDIR" && "$REPO/build/tools/lls_fuzz" --cone-mem 3 4242)
-# The full test suite again under AddressSanitizer: the recovery ladder's
-# throw/catch/degrade paths and the quota exhaustion throws must be leak-
-# and corruption-free, not just functionally right. The address build also
-# bounds-checks std::vector indexing (_GLIBCXX_ASSERTIONS), which covers the
-# truth-table word arithmetic.
+# The full test suite again under AddressSanitizer: the per-cone fault
+# boundary's throw/catch/degrade path and the quota exhaustion throws must
+# be leak- and corruption-free, not just functionally right. The address
+# build also bounds-checks std::vector indexing (_GLIBCXX_ASSERTIONS), which
+# covers the truth-table word arithmetic.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLLS_SANITIZE=address
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS")
