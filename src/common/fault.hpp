@@ -25,7 +25,8 @@
 // FaultRecord is the report of one contained fault: what fired, and
 // where. A faulted cone keeps its original structure. The engine appends
 // records to OptimizeStats::faults at the serial commit point, in
-// deterministic task order.
+// deterministic task order, and one whole-circuit record (cone -1) for
+// each candidate a pass CEC proves wrong.
 
 #include <cstdint>
 #include <new>
@@ -42,7 +43,7 @@ struct FaultRecord {
     ErrorKind kind = ErrorKind::InvariantViolation;
     std::string stage;      ///< pipeline stage that faulted
     std::string detail;     ///< human-readable cause (exception text)
-    int cone = -1;          ///< PO index of the cone (filled at commit)
+    int cone = -1;          ///< PO index of the cone (filled at commit); -1 = whole circuit
     std::string cone_name;  ///< PO name (filled at commit)
 };
 

@@ -94,45 +94,6 @@ inline bool parse_duration_option(const char* flag, const char* text, double* ou
     return true;
 }
 
-/// Strict byte-size option: a decimal digit run with an optional binary
-/// unit suffix `K`, `M`, or `G` (case-insensitive; `64M`, `1G`, `4096`).
-/// Writes the value in bytes. Signs, fractions, whitespace, trailing
-/// garbage ("64MB"), empty digit runs ("M"), and anything that would
-/// overflow 64 bits are rejected with an error naming `flag`, leaving
-/// `*out_bytes` untouched.
-inline bool parse_size_option(const char* flag, const char* text, std::uint64_t* out_bytes) {
-    const std::size_t len = std::strlen(text);
-    std::uint64_t multiplier = 1;
-    std::size_t digits = len;
-    if (len > 0) {
-        const char suffix = text[len - 1];
-        if (suffix == 'K' || suffix == 'k') multiplier = std::uint64_t{1} << 10;
-        else if (suffix == 'M' || suffix == 'm') multiplier = std::uint64_t{1} << 20;
-        else if (suffix == 'G' || suffix == 'g') multiplier = std::uint64_t{1} << 30;
-        if (multiplier != 1) digits = len - 1;
-    }
-    bool ok = digits > 0;
-    std::uint64_t value = 0;
-    for (std::size_t i = 0; i < digits && ok; ++i) {
-        const char c = text[i];
-        if (c < '0' || c > '9') {
-            ok = false;
-            break;
-        }
-        const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-        if (value > (~std::uint64_t{0} - d) / 10) ok = false;  // digit-run overflow
-        else value = value * 10 + d;
-    }
-    if (ok && multiplier != 1 && value > ~std::uint64_t{0} / multiplier) ok = false;
-    if (!ok) {
-        std::fprintf(stderr, "error: %s expects a size like 4096, 64M, or 1G, got '%s'\n", flag,
-                     text);
-        return false;
-    }
-    *out_bytes = value * multiplier;
-    return true;
-}
-
 /// Strict unsigned-64-bit variant (seeds, work budgets). Rejects negative
 /// numbers, non-numbers, trailing garbage, and values above `max_value`.
 inline bool parse_u64_option(const char* flag, const char* text, std::uint64_t max_value,

@@ -1,8 +1,8 @@
 #pragma once
 
 // RunContext: the one plumbing path for cross-cutting run state — the
-// work-cost sink, fault-injection plan, cancellation sources, memory
-// quota, metrics registry and executor. The engine constructs one per cone
+// work-cost sink, fault-injection plan, cancellation sources, metrics
+// registry and executor. The engine constructs one per cone
 // evaluation, and decompose -> reduce -> simplify -> cec -> sat all take a
 // `const RunContext&`. Every field is an unowned pointer that must outlive
 // the call; every field defaults to "absent", so `RunContext{}` is a valid
@@ -22,7 +22,6 @@
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "common/memgov.hpp"
 
 namespace lls {
 
@@ -51,13 +50,6 @@ struct RunContext {
     /// Per-cone wall-clock watchdog (unarmed-or-null = never expires).
     const Deadline* deadline = nullptr;
 
-    /// Deterministic per-cone byte quota of this evaluation, or null
-    /// for unmetered memory (common/memgov.hpp). Like `cost`, the quota is
-    /// not thread-safe: serial stages charge it directly; parallel
-    /// intra-cone tasks charge task-local quotas snapshotted from
-    /// `remaining()` at a serial point and merged in fixed task order.
-    MemoryQuota* mem_quota = nullptr;
-
     /// Metrics registry, or null to fall back to the process-global one.
     Metrics* metrics = nullptr;
 
@@ -75,13 +67,6 @@ struct RunContext {
     /// Merges `delta` into the context's work sink, if one is attached.
     void charge(const WorkCost& delta) const {
         if (cost != nullptr) *cost += delta;
-    }
-
-    /// Charges `bytes` against the memory quota, if one is attached;
-    /// throws LlsError{ResourceExhausted, kMemgovStage} past the limit.
-    /// Callers must only invoke this at deterministic program points.
-    void charge_memory(std::uint64_t bytes) const {
-        if (mem_quota != nullptr) mem_quota->charge(bytes);
     }
 
     /// True when the context's token was requested or its deadline has

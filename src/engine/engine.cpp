@@ -16,7 +16,6 @@
 #include "common/budget.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "common/memgov.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "engine/memo.hpp"
@@ -47,7 +46,8 @@ bool better(const Aig& a, const Aig& b) {
 /// memo entry is only valid for identical parameters, and the per-cone RNG
 /// seed is derived from this fingerprint + the cone's structural hash so
 /// that a cone's outcome depends on nothing but (cone, params) — the root
-/// of the jobs-invariance guarantee.
+/// of the jobs-invariance guarantee. The wall rails (time budget, cone
+/// deadline) change no completed evaluation, so they stay out of it.
 std::uint64_t params_fingerprint(const LookaheadParams& p) {
     std::uint64_t h = 0x6c6f6f6b61686561ULL;  // "lookahea"
     h = hash_mix(h, static_cast<std::uint64_t>(p.cut_size));
@@ -63,11 +63,6 @@ std::uint64_t params_fingerprint(const LookaheadParams& p) {
     // must change the memo key; an empty plan adds nothing, keeping every
     // fault-free fingerprint (and so every RNG stream) exactly as before.
     if (!p.fault_plan.empty()) h = hash_mix(h, FaultPlan::parse(p.fault_plan).fingerprint());
-    // The per-cone memory quota is deterministic and result-changing (a
-    // quota-degraded cone keeps its original structure), so it keys the
-    // memo; zero adds nothing, like the empty fault plan. The wall rails
-    // (time budget, cone deadline) stay excluded.
-    if (p.cone_mem_bytes != 0) h = hash_mix(h, p.cone_mem_bytes);
     return h;
 }
 
@@ -113,13 +108,15 @@ FaultRecord fault_record_of(const std::exception& e) {
 }  // namespace
 
 DecomposeMemo& decompose_memo() {
+    // Ledger price of one stored AIG node: fanins, level, hash-bucket share.
+    constexpr std::size_t kAigNodeBytes = 24;
     static DecomposeMemo instance(
         "decompose_memo", /*max_entries_per_shard=*/2048,
         [](const std::pair<std::uint64_t, std::uint64_t>&, const ConeEvaluation& e) {
             std::size_t bytes = sizeof(ConeEvaluation) + DecomposeMemo::kEntryOverheadBytes;
             if (e.outcome)
                 bytes += sizeof(DecomposeOutcome) +
-                         e.outcome->aig.num_nodes() * memcost::kAigNodeBytes +
+                         e.outcome->aig.num_nodes() * kAigNodeBytes +
                          e.outcome->reconstruction.capacity();
             if (e.fault)
                 bytes += e.fault->stage.capacity() + e.fault->detail.capacity() +
@@ -162,7 +159,6 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
     MetricCounter& budget_stops = metrics.counter("engine.budget_exhausted");
     MetricCounter& wall_clock_stops = metrics.counter("engine.wall_clock_interrupts");
     MetricCounter& fault_records = metrics.counter("engine.fault.records");
-    MetricCounter& quota_degrades = metrics.counter("engine.mem.quota_degrades");
     MetricCounter& deadline_cancels = metrics.counter("engine.cancel.deadline_cancelled");
     MetricCounter& shutdown_stops = metrics.counter("engine.cancel.shutdowns");
     const ScopedTimer total_scope(total_timer);
@@ -243,7 +239,11 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
     // restructuring paths: SAT sweeping and CEC against the verdict memo,
     // both metered for --metrics but never charged to the budget. A failed
     // or unresolved check means the candidate cannot be trusted (callers
-    // revert); an unresolved one also marks the run unverified.
+    // revert); an unresolved one also marks the run unverified. A proven
+    // difference is a bug — every committed cone passed its own CEC — so
+    // it is also recorded as a whole-circuit fault (`cone` = -1) naming
+    // `check` and, unless the verdict came from the memo, the
+    // counterexample.
     auto sweep = [&](const Aig& aig) {
         const ScopedTimer sweep_scope(sweep_timer);
         WorkCost sweep_cost;
@@ -252,7 +252,8 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
         work_sweep_conflicts.add(sweep_cost.sat_conflicts);
         return swept;
     };
-    auto proven_equivalent = [&](const Aig& a, const Aig& b, std::int64_t conflict_limit) {
+    auto proven_equivalent = [&](const Aig& a, const Aig& b, std::int64_t conflict_limit,
+                                 const char* check) {
         const ScopedTimer cec_scope(cec_timer);
         WorkCost cec_cost;
         const CecResult cec = check_equivalence_memo(a, b, conflict_limit,
@@ -260,6 +261,18 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                                                      serial_context(cec_cost), engine.warm_start);
         work_cec_conflicts.add(cec_cost.sat_conflicts);
         local.verified = local.verified && cec.resolved;
+        if (cec.resolved && !cec.equivalent) {
+            FaultRecord record;
+            record.kind = ErrorKind::VerificationFailed;
+            record.stage = "cec";
+            record.detail = std::string(check) + " CEC proved the candidate non-equivalent";
+            if (!cec.counterexample.empty()) {
+                record.detail += " at PI assignment ";
+                for (const bool bit : cec.counterexample) record.detail += bit ? '1' : '0';
+            }
+            fault_records.add();
+            local.faults.push_back(std::move(record));
+        }
         return cec.resolved && cec.equivalent;
     };
 
@@ -304,7 +317,6 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                                                : Deadline();
             const CancelScope cancel_scope(engine.cancel, &cone_deadline);
             ConeEvaluation evaluation;
-            MemoryQuota quota(params.cone_mem_bytes);
             // The one plumbing path down the decompose -> reduce -> simplify
             // -> cec -> sat stack: deterministic cost sink, fault plan,
             // cancellation sources (mirroring the CancelScope above, so
@@ -317,7 +329,6 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
             ctx.deadline = &cone_deadline;
             ctx.metrics = &metrics;
             ctx.executor = pool.size() > 0 ? &pool : nullptr;
-            if (params.cone_mem_bytes != 0) ctx.mem_quota = &quota;
             Rng cone_rng(hash_mix(fingerprint, cone_hash));
             try {
                 if (auto outcome = decompose_output(cone, params, cone_rng, ctx))
@@ -458,10 +469,6 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                     ++local.deadline_cancelled;
                     deadline_cancels.add();
                 }
-                if (record.stage == kMemgovStage) {
-                    ++local.quota_degraded;
-                    quota_degrades.add();
-                }
                 local.faults.push_back(std::move(record));
             }
 
@@ -535,7 +542,8 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
 
             // An untrusted round keeps the last verified circuit.
             if (params.verify_each_iteration && small &&
-                !proven_equivalent(candidate, current, /*conflict_limit=*/1000000))
+                !proven_equivalent(candidate, current, /*conflict_limit=*/1000000,
+                                   "per-iteration"))
                 break;
 
             local.outputs_decomposed += improved_outputs;
@@ -554,7 +562,7 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
             }
             // An untrusted pass cannot keep anything it produced.
             if (params.verify_each_iteration &&
-                !proven_equivalent(best, original, /*conflict_limit=*/4000000))
+                !proven_equivalent(best, original, /*conflict_limit=*/4000000, "pass-level"))
                 best = original;
         }
     };
@@ -585,7 +593,8 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                 preopt = std::move(restructured);
             }
             if (params.verify_each_iteration &&
-                !proven_equivalent(preopt, original, /*conflict_limit=*/1000000))
+                !proven_equivalent(preopt, original, /*conflict_limit=*/1000000,
+                                   "restructure-only"))
                 preopt = original;
             if (better(preopt, best)) best = preopt;
             if (preopt.depth() < original.depth() && !shutdown_requested())

@@ -45,9 +45,8 @@ struct ConeEvaluation {
 /// work-cost sink is the evaluation being computed, so every unit a cone's
 /// decomposition spends lands in the record the memo stores (and replays
 /// on a hit). The engine fills in the remaining fields — fault plan,
-/// cancellation sources, memory quota, metrics, intra-cone executor —
-/// before handing the context down the decompose → reduce → simplify →
-/// cec → sat stack.
+/// cancellation sources, metrics, intra-cone executor — before handing
+/// the context down the decompose → reduce → simplify → cec → sat stack.
 inline RunContext cone_run_context(ConeEvaluation& evaluation) {
     RunContext ctx;
     ctx.cost = &evaluation.cost;

@@ -11,7 +11,6 @@
 #include "common/bitops.hpp"
 #include "common/cancel.hpp"
 #include "common/error.hpp"
-#include "common/memgov.hpp"
 #include "common/thread_pool.hpp"
 #include "engine/metrics.hpp"
 #include "lookahead/reduce.hpp"
@@ -61,7 +60,6 @@ struct DcProofTask {
     std::vector<std::uint32_t> queries;   ///< minterms still needing a SAT proof
     std::vector<char> verdicts;           ///< parallel to `queries`; 1 = proven unreachable
     std::uint64_t conflicts = 0;          ///< this task's solver conflicts
-    std::uint64_t mem_bytes = 0;          ///< this task's quota-counted bytes
     std::exception_ptr error;             ///< contained failure, rethrown at the join
 };
 
@@ -84,12 +82,6 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
         exhaustive ? SimPatterns::exhaustive(cone.num_pis())
                    : SimPatterns::random(cone.num_pis(), params.num_random_patterns, rng);
     const auto aig_sigs = simulate(cone, patterns);
-    // Quota charge site: simulation signatures, priced by their counted
-    // word footprint — a pure function of (cone, params), like every charge
-    // below, so the quota trips at the same point on every schedule.
-    ctx.charge_memory(aig_sigs.size() *
-                      (aig_sigs.empty() ? 0 : aig_sigs.front().size()) *
-                      memcost::kSignatureWordBytes);
     const Spcf spcf = compute_spcf(cone, patterns, aig_sigs, /*delta=*/0);
     const std::int32_t delta = std::max<std::int32_t>(1, spcf.max_arrival - params.spcf_slack);
     const Spcf spcf_at_delta = delta == spcf.delta
@@ -102,12 +94,6 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
     // --- 2. cluster into a technology-independent network -------------------
     Network net = Network::from_aig(cone, params.cut_size, params.max_cuts);
     std::vector<Signature> sigs = net.simulate(patterns);
-    // Charge site: the clustered network plus its per-node signatures.
-    const std::uint64_t sig_words =
-        sigs.empty() ? 0 : static_cast<std::uint64_t>(sigs.front().size());
-    const std::uint64_t net_node_bytes =
-        memcost::kNetworkNodeBytes + sig_words * memcost::kSignatureWordBytes;
-    ctx.charge_memory(net.num_nodes() * net_node_bytes);
     const std::uint32_t y_orig = net.po(0).node;
     if (!net.is_internal(y_orig)) return std::nullopt;
 
@@ -125,8 +111,6 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
     const std::size_t size_before_primary = net.num_nodes();
     const std::uint32_t y0_root = net.duplicate_cone(y_orig, &primary_map);
     extend_sigs_for_copies(primary_map, size_before_primary);
-    // Charge site: the primary duplicate's node growth.
-    ctx.charge_memory((net.num_nodes() - size_before_primary) * net_node_bytes);
 
     const ReduceResult reduced =
         reduce_cone(net, y0_root, sigs, patterns.num_patterns(), spcf_sig, ctx);
@@ -163,9 +147,6 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
     const std::size_t size_before_secondary = net.num_nodes();
     const std::uint32_t y1_root = net.duplicate_cone(y_orig, &secondary_map);
     extend_sigs_for_copies(secondary_map, size_before_secondary);
-    // Charge site: the secondary duplicate (window nodes built in between
-    // are part of this growth window, priced at the same per-node cost).
-    ctx.charge_memory((net.num_nodes() - size_before_secondary) * net_node_bytes);
 
     if (params.secondary_simplification) {
         ctx.check_fault("sat", "simplify");
@@ -175,12 +156,7 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
         const bool need_sat = !patterns.is_exhaustive();
         std::vector<AigLit> node_map;
         Aig snapshot;
-        if (need_sat) {
-            snapshot = net.to_aig_with_map(&node_map);
-            // Charge site: the read-only AIG snapshot the proof tasks
-            // encode against.
-            ctx.charge_memory(snapshot.num_nodes() * memcost::kAigNodeBytes);
-        }
+        if (need_sat) snapshot = net.to_aig_with_map(&node_map);
 
         // Phase A (serial): collect per-node don't-care candidates from the
         // sampled signatures. Node functions are untouched during this and
@@ -231,18 +207,6 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
         // the join below charges conflicts in task order up to the first
         // error — so the charge stream cannot depend on the schedule.
         if (need_sat && !proof_tasks.empty()) {
-            // Quota headroom snapshot, taken at this serial point: each
-            // proof task charges a *task-local* quota bounded by the same
-            // snapshot (sharing the cone quota across threads would be a
-            // data race and make the trip point schedule-dependent). The
-            // join below merges the task byte counts into the cone quota in
-            // fixed task order — the same discipline as the conflict
-            // charges. An exhausted snapshot (0 headroom) clamps to 1 so
-            // any task allocation still trips deterministically.
-            const std::uint64_t task_quota_limit =
-                ctx.mem_quota == nullptr
-                    ? 0
-                    : std::max<std::uint64_t>(1, ctx.mem_quota->remaining());
             auto run_task = [&](std::size_t t) {
                 DcProofTask& task = proof_tasks[t];
                 // A pool worker may arrive here from any cone or batch
@@ -250,11 +214,8 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                 // thread-local polls inside the solver see the right
                 // deadline (nesting-safe: CancelScope saves/restores).
                 const CancelScope task_scope(ctx.cancel, ctx.deadline);
-                RunContext task_ctx = ctx;
-                MemoryQuota task_quota(task_quota_limit);
-                task_ctx.mem_quota = ctx.mem_quota != nullptr ? &task_quota : nullptr;
                 sat::Solver solver;
-                solver.bind_run_context(&task_ctx);
+                solver.bind_run_context(&ctx);
                 try {
                     std::vector<int> pi_vars(snapshot.num_pis());
                     for (auto& v : pi_vars) v = solver.new_var();
@@ -282,7 +243,6 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                     task.error = std::current_exception();
                 }
                 task.conflicts = static_cast<std::uint64_t>(solver.num_conflicts());
-                task.mem_bytes = task_quota.charged();
             };
 
             if (ctx.executor != nullptr && proof_tasks.size() > 1) {
@@ -305,10 +265,6 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
             for (DcProofTask& task : proof_tasks) {
                 cost.sat_conflicts += task.conflicts;
                 sat_queries += task.queries.size();
-                // Merge the task's counted bytes into the cone quota at
-                // this fixed-order point; an exhaustion raised here is the
-                // deterministic quota fault, identical on every schedule.
-                if (ctx.mem_quota != nullptr) ctx.mem_quota->charge(task.mem_bytes);
                 if (task.error) {
                     first_error = task.error;
                     break;

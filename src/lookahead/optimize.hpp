@@ -35,22 +35,19 @@ struct OptimizeStats {
     /// cones (or none). Each cancelled cone also appears in `faults` as a
     /// FaultRecord{Cancelled}.
     int deadline_cancelled = 0;
-    /// Cones degraded to their original structure by the deterministic
-    /// per-cone memory quota (`params.cone_mem_bytes`). Unlike
-    /// `deadline_cancelled` this count is deterministic — a pure function
-    /// of (input, params) — and each degraded cone appears in `faults`
-    /// with stage "memgov".
-    int quota_degraded = 0;
     /// A process/batch-level cancellation (CancelToken, e.g. SIGTERM) was
     /// requested during the run: the engine stopped at the next round
     /// boundary and returned the best verified circuit so far. Batch mode
     /// treats such items as *not finished* — they are never journaled, so
     /// `--resume` re-runs them from scratch, byte-identically.
     bool cancelled = false;
-    /// Contained faults, appended during the serial commit in deterministic
-    /// task order (common/fault.hpp). Every exception that escaped a cone
-    /// evaluation — real or injected — lands here as one record, and its
-    /// cone keeps its original structure.
+    /// Contained faults, appended at serial points in deterministic order
+    /// (common/fault.hpp). Every exception that escaped a cone evaluation —
+    /// real or injected — lands here as one record, and its cone keeps its
+    /// original structure. A whole-circuit candidate that a per-iteration,
+    /// pass-level or restructure-only CEC proves wrong lands here too, as a
+    /// VerificationFailed record at stage "cec" with `cone` = -1; the
+    /// candidate is reverted.
     std::vector<FaultRecord> faults;
     std::vector<std::string> log;  ///< human-readable per-iteration notes
 };

@@ -85,18 +85,6 @@ struct LookaheadParams {
     /// deadline computes exactly what it computes without one.
     double cone_deadline_seconds = 0.0;
 
-    /// Deterministic per-cone memory quota in bytes (0 = none). Each cone
-    /// evaluation charges its SAT clause/watch arenas and decomposition
-    /// scratch against a fresh quota at fixed program points, with
-    /// allocation-count-derived byte costs (common/memgov.hpp) — never
-    /// malloc-observed sizes — so exceeding the quota raises
-    /// LlsError{ResourceExhausted, "memgov"} at identical points whatever
-    /// the job count or cache state. The cone keeps its original structure
-    /// with a FaultRecord, which memoizes like any other deterministic
-    /// fault. Unlike `cone_deadline_seconds`, a nonzero quota IS part of
-    /// the params fingerprint: it changes what evaluations compute.
-    std::uint64_t cone_mem_bytes = 0;
-
     /// Deterministic fault-injection plan, `kind@site` specs separated by
     /// commas (common/fault.hpp; empty = inject nothing). Each spec fires a
     /// synthetic LlsError of `kind` whenever a cone evaluation reaches

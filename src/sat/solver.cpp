@@ -5,7 +5,6 @@
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
-#include "common/memgov.hpp"
 #include "common/run_context.hpp"
 
 namespace lls::sat {
@@ -16,12 +15,6 @@ void Solver::charge_literals(std::size_t count) {
                        "SAT literal limit exceeded (" + std::to_string(literal_limit_) +
                            " literals)",
                        "sat");
-    // Per-cone deterministic quota: clause/watch arena bytes, charged from
-    // the literal count — the same allocation-count accounting the literal
-    // limit itself uses. May throw LlsError{ResourceExhausted, "memgov"};
-    // nothing was stored yet, so the solver stays usable.
-    if (run_context_ != nullptr)
-        run_context_->charge_memory(count * memcost::kSatLiteralBytes);
     num_literals_ += count;
 }
 

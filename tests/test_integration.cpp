@@ -105,7 +105,12 @@ TEST(Integration, Table1DepthsArePinned) {
         EXPECT_EQ(depth(flow_dc(rca, rng)), row.dc) << "DC, n=" << row.n;
         LookaheadParams params;
         params.max_iterations = 12;
-        EXPECT_EQ(depth(optimize_timing(rca, params)), row.lookahead) << "lookahead, n=" << row.n;
+        OptimizeStats stats;
+        EXPECT_EQ(depth(optimize_timing(rca, params, &stats)), row.lookahead)
+            << "lookahead, n=" << row.n;
+        // A clean run contains no fault: no cone threw, and no
+        // whole-circuit CEC proved a candidate wrong.
+        EXPECT_TRUE(stats.faults.empty()) << "lookahead, n=" << row.n;
     }
 }
 

@@ -112,47 +112,6 @@ TEST(ParseDuration, RejectsGarbageWithoutTouchingOutput) {
     EXPECT_DOUBLE_EQ(out, 99.0);
 }
 
-TEST(ParseSize, AcceptsBytesAndBinarySuffixes) {
-    std::uint64_t out = 0;
-    EXPECT_TRUE(parse_size_option("--m", "4096", &out));
-    EXPECT_EQ(out, 4096u);
-    EXPECT_TRUE(parse_size_option("--m", "64M", &out));
-    EXPECT_EQ(out, std::uint64_t{64} << 20);
-    EXPECT_TRUE(parse_size_option("--m", "1G", &out));
-    EXPECT_EQ(out, std::uint64_t{1} << 30);
-    EXPECT_TRUE(parse_size_option("--m", "16k", &out));
-    EXPECT_EQ(out, std::uint64_t{16} << 10);
-    EXPECT_TRUE(parse_size_option("--m", "2g", &out));
-    EXPECT_EQ(out, std::uint64_t{2} << 30);
-    // 0 parses (it means "off", like the params default).
-    EXPECT_TRUE(parse_size_option("--m", "0", &out));
-    EXPECT_EQ(out, 0u);
-}
-
-TEST(ParseSize, RejectsGarbageWithoutTouchingOutput) {
-    std::uint64_t out = 77;
-    EXPECT_FALSE(parse_size_option("--m", "", &out));
-    EXPECT_FALSE(parse_size_option("--m", "M", &out));       // empty digit run
-    EXPECT_FALSE(parse_size_option("--m", "64MB", &out));    // trailing garbage
-    EXPECT_FALSE(parse_size_option("--m", "-64M", &out));    // signs
-    EXPECT_FALSE(parse_size_option("--m", "1.5G", &out));    // fractions
-    EXPECT_FALSE(parse_size_option("--m", "64 M", &out));    // whitespace
-    EXPECT_FALSE(parse_size_option("--m", "x64M", &out));
-    EXPECT_EQ(out, 77u);
-}
-
-TEST(ParseSize, RejectsOverflow) {
-    std::uint64_t out = 77;
-    // Digit-run overflow and multiplier overflow are both caught.
-    EXPECT_FALSE(parse_size_option("--m", "18446744073709551616", &out));
-    EXPECT_FALSE(parse_size_option("--m", "18446744073709551615K", &out));
-    EXPECT_FALSE(parse_size_option("--m", "99999999999G", &out));
-    EXPECT_EQ(out, 77u);
-    // The largest representable suffixed values still parse.
-    EXPECT_TRUE(parse_size_option("--m", "17179869183G", &out));
-    EXPECT_EQ(out, std::uint64_t{17179869183u} << 30);
-}
-
 TEST(ParseDuration, RejectsZeroAndNonPositive) {
     // Durations arm watchdogs; zero means "off" and is expressed by not
     // passing the flag, never by "0s".

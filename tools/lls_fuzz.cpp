@@ -3,14 +3,14 @@
 //   lls_fuzz [iterations] [base_seed] [--fault-inject SPEC]
 //   lls_fuzz --mutate-store [iterations] [base_seed]
 //   lls_fuzz --deadline [iterations] [base_seed]
-//   lls_fuzz --cone-mem [iterations] [base_seed]
 //
 // Each iteration generates a random circuit (random shape, PI/PO counts and
 // operator mix), pushes it through every optimization flow plus mapping and
 // the BLIF/AIGER round-trips, and verifies every step by CEC. Any failure —
 // a mismatch, an unresolved check, an exception escaping a flow, or a
 // fault record from a clean lookahead run (a cone that threw, such as a
-// decomposition the per-cone CEC proved wrong) — writes the offending
+// decomposition the per-cone CEC proved wrong, or a whole-circuit
+// candidate a pass CEC proved wrong) — writes the offending
 // generated circuit to fuzz_corpus/ as a BLIF reproducer and prints the
 // exact replay command before exiting nonzero. Used before releases; the
 // unit-test suites run fixed subsets of the same checks.
@@ -28,14 +28,6 @@
 // (cancelled cones degrade to original with a Cancelled FaultRecord), and
 // it round-trips through the writers as a well-formed AIG.
 //
-// --cone-mem exercises the per-cone memory quota (common/memgov.hpp): each
-// iteration runs the lookahead flow under a tight random per-cone byte
-// quota, at a random job count. Whatever the quota trips must be contained
-// deterministically: the run completes, the result is equivalent to the
-// input, the quota-degraded count matches the memgov fault records, the
-// quota'd result is byte-identical across job counts, and it round-trips
-// through the writers as a well-formed AIG.
-//
 // --mutate-store exercises the persistent memo store (src/persist/): each
 // iteration populates a cache directory from a cold run, proves an intact
 // warm replay is byte-identical with warm hits registered, then mutates
@@ -50,7 +42,6 @@
 #include <string>
 
 #include "common/fault.hpp"
-#include "common/memgov.hpp"
 #include "common/parse.hpp"
 
 #include "baseline/flows.hpp"
@@ -161,14 +152,17 @@ bool run_iteration(std::uint64_t seed, const std::string& fault_plan) {
         const lls::Aig optimized = lls::optimize_timing(circuit, params, &stats);
         if (!check(verify("lookahead", seed, circuit, optimized))) return false;
         // Without injection nothing may fault: a record here is a cone that
-        // threw, e.g. a decomposition its own CEC proved non-equivalent.
+        // threw, e.g. a decomposition its own CEC proved non-equivalent, or
+        // a whole-circuit candidate (cone -1) a pass CEC proved wrong.
         if (fault_plan.empty() && !stats.faults.empty()) {
             const lls::FaultRecord& f = stats.faults.front();
+            const std::string where =
+                f.cone < 0 ? "whole circuit" : "cone " + std::to_string(f.cone);
             std::fprintf(stderr,
                          "FUZZ FAILURE: clean lookahead run faulted at seed %llu: %zu record(s), "
-                         "first [%s/%s] cone %d: %s\n",
+                         "first [%s/%s] %s: %s\n",
                          static_cast<unsigned long long>(seed), stats.faults.size(),
-                         lls::error_kind_name(f.kind), f.stage.c_str(), f.cone,
+                         lls::error_kind_name(f.kind), f.stage.c_str(), where.c_str(),
                          f.detail.c_str());
             dump_reproducer(seed, circuit);
             return false;
@@ -265,84 +259,6 @@ bool run_deadline_iteration(std::uint64_t seed) {
         return true;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "FUZZ FAILURE: deadline exception at seed %llu: %s\n",
-                     static_cast<unsigned long long>(seed), e.what());
-        dump_reproducer(seed, circuit);
-        return false;
-    }
-}
-
-/// One memory-quota iteration: the lookahead flow under a tight random
-/// per-cone quota (a few KB to ~128 KB, so cones regularly trip it at some
-/// charge site), at a random job count. Containment must be deterministic:
-/// the run completes, stays equivalent (degrade-to-original), counts one
-/// quota-degraded cone per memgov fault, produces byte-identical output
-/// across job counts, and the result round-trips.
-bool run_cone_mem_iteration(std::uint64_t seed) {
-    const lls::Aig circuit = random_circuit(seed);
-    auto check = [&](bool ok) {
-        if (!ok) dump_reproducer(seed, circuit);
-        return ok;
-    };
-    try {
-        lls::Rng rng(seed ^ 0x4e4f4d);
-        lls::LookaheadParams params;
-        params.max_iterations = 4;
-        params.seed = seed;
-        // 1KB .. ~128KB: tight enough that many cones exhaust it, wide
-        // enough that some complete (both the degrade path and the success
-        // path run under accounting).
-        params.cone_mem_bytes = (std::uint64_t{1} << 10) + rng.next_below(std::uint64_t{1} << 17);
-
-        auto run = [&](int jobs, lls::OptimizeStats* stats) {
-            lls::EngineOptions engine;
-            engine.jobs = jobs;
-            const lls::Aig optimized =
-                lls::optimize_timing_engine(circuit, params, engine, stats);
-            std::stringstream aag;
-            lls::write_aiger(aag, optimized);
-            return std::make_pair(optimized, aag.str());
-        };
-
-        lls::OptimizeStats stats;
-        const auto [optimized, bytes] = run(1 + static_cast<int>(rng.next_below(4)), &stats);
-
-        if (!check(verify("memgov lookahead", seed, circuit, optimized))) return false;
-        int memgov_faults = 0;
-        for (const auto& f : stats.faults)
-            if (f.stage == lls::kMemgovStage) ++memgov_faults;
-        if (memgov_faults != stats.quota_degraded) {
-            std::fprintf(stderr,
-                         "FUZZ FAILURE: quota_degraded=%d disagrees with %d memgov fault(s) at "
-                         "seed %llu\n",
-                         stats.quota_degraded, memgov_faults,
-                         static_cast<unsigned long long>(seed));
-            dump_reproducer(seed, circuit);
-            return false;
-        }
-        // The quota is deterministic: a serial re-run must reproduce the
-        // same bytes whatever schedule the first run used.
-        lls::OptimizeStats serial_stats;
-        const auto [serial_aig, serial_bytes] = run(1, &serial_stats);
-        (void)serial_aig;
-        if (bytes != serial_bytes || serial_stats.quota_degraded != stats.quota_degraded) {
-            std::fprintf(stderr, "FUZZ FAILURE: quota'd run diverged across job counts at seed "
-                                 "%llu\n",
-                         static_cast<unsigned long long>(seed));
-            dump_reproducer(seed, circuit);
-            return false;
-        }
-        // A quota-degraded run must still hand the writers a well-formed AIG.
-        std::stringstream blif;
-        lls::write_blif(blif, optimized, "fuzz");
-        if (!check(verify("memgov blif roundtrip", seed, optimized, lls::read_blif(blif))))
-            return false;
-        std::printf("seed %llu ok (quota %llu B, %d cone(s) degraded, depth %d -> %d)\n",
-                    static_cast<unsigned long long>(seed),
-                    static_cast<unsigned long long>(params.cone_mem_bytes),
-                    stats.quota_degraded, circuit.depth(), optimized.depth());
-        return true;
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "FUZZ FAILURE: memgov exception at seed %llu: %s\n",
                      static_cast<unsigned long long>(seed), e.what());
         dump_reproducer(seed, circuit);
         return false;
@@ -466,15 +382,14 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "usage: %s [iterations] [base_seed] [--fault-inject SPEC]\n"
                      "       %s --mutate-store [iterations] [base_seed]\n"
-                     "       %s --deadline [iterations] [base_seed]\n"
-                     "       %s --cone-mem [iterations] [base_seed]\n",
-                     argv[0], argv[0], argv[0], argv[0]);
+                     "       %s --deadline [iterations] [base_seed]\n",
+                     argv[0], argv[0], argv[0]);
         return 2;
     };
     int iterations = 25;
     std::uint64_t base_seed = 1000;
     std::string fault_plan;
-    bool mutate_store = false, deadline_mode = false, cone_mem_mode = false;
+    bool mutate_store = false, deadline_mode = false;
     int positional = 0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -485,8 +400,6 @@ int main(int argc, char** argv) {
             mutate_store = true;
         } else if (arg == "--deadline") {
             deadline_mode = true;
-        } else if (arg == "--cone-mem") {
-            cone_mem_mode = true;
         } else if (positional == 0) {
             if (!lls::parse_int_option("iterations", arg.c_str(), 1, 1000000000, &iterations))
                 return usage();
@@ -510,17 +423,14 @@ int main(int argc, char** argv) {
         }
     }
 
-    if ((mutate_store || deadline_mode || cone_mem_mode) && !g_fault_spec.empty()) {
+    if ((mutate_store || deadline_mode) && !g_fault_spec.empty()) {
         std::fprintf(stderr,
-                     "error: --mutate-store/--deadline/--cone-mem and --fault-inject are "
-                     "mutually exclusive\n");
+                     "error: --mutate-store/--deadline and --fault-inject are mutually "
+                     "exclusive\n");
         return 2;
     }
-    if (static_cast<int>(mutate_store) + static_cast<int>(deadline_mode) +
-            static_cast<int>(cone_mem_mode) >
-        1) {
-        std::fprintf(stderr, "error: --mutate-store, --deadline, and --cone-mem are mutually "
-                             "exclusive\n");
+    if (mutate_store && deadline_mode) {
+        std::fprintf(stderr, "error: --mutate-store and --deadline are mutually exclusive\n");
         return 2;
     }
 
@@ -528,7 +438,6 @@ int main(int argc, char** argv) {
         const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
         const bool ok = mutate_store    ? run_store_iteration(seed)
                         : deadline_mode ? run_deadline_iteration(seed)
-                        : cone_mem_mode ? run_cone_mem_iteration(seed)
                                         : run_iteration(seed, fault_plan);
         if (!ok) return 1;
     }

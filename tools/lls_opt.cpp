@@ -47,13 +47,6 @@
 //   --time-budget DUR             wall-clock safety rail for the whole run
 //                                 (nondeterministic; use --work-budget for
 //                                 reproducible budgeted runs)
-//   --cone-mem SIZE               deterministic per-cone memory quota (64M,
-//                                 1G, plain bytes; default off): a cone whose
-//                                 evaluation would exceed it keeps its
-//                                 original logic with a FaultRecord — at the
-//                                 same program point whatever --jobs or
-//                                 cache state, so quota'd runs stay
-//                                 byte-identical
 //
 // Exit codes are documented in --help: 0 success; 1 not equivalent / item
 // failed; 2 usage; 10..16 per ErrorKind; 30 terminated by SIGTERM/SIGINT
@@ -124,7 +117,6 @@ void print_usage(std::FILE* out, const char* argv0) {
                  "usage: %s [--flow sis|abc|dc|lookahead] [--iterations N] [--jobs N|auto]\n"
                  "          [--work-budget N]\n"
                  "          [--cone-deadline DUR] [--time-budget DUR]\n"
-                 "          [--cone-mem SIZE]\n"
                  "          [--fault-inject SPEC]\n"
                  "          [--cache-dir DIR] [--cache-mode read|write|rw|off]\n"
                  "          [--no-verify] [--map]\n"
@@ -146,7 +138,6 @@ int help(const char* argv0) {
     print_usage(stdout, argv0);
     std::printf(
         "\nDurations (DUR) are a number with a unit: 500ms, 30s, 5m.\n"
-        "Sizes (SIZE) are plain bytes or a binary suffix: 4194304, 64M, 1G.\n"
         "Fault specs (SPEC) are kind@site[,...]: kind parse|resource|solver|verify|\n"
         "invariant|io|cancel|oom fires at site decompose|spcf|sat|cec|run, and the\n"
         "cone keeps its original logic; fatal@batch:N simulates a crash after N\n"
@@ -156,7 +147,7 @@ int help(const char* argv0) {
         "  %2d  result not equivalent / unresolved, or a batch item failed\n"
         "  %2d  usage error (bad flags or arguments)\n"
         "  %2d  parse error (malformed BLIF/AIGER/spec input)\n"
-        "  %2d  resource exhausted (SAT literal limit, memory)\n"
+        "  %2d  resource exhausted (SAT literal limit, out of memory)\n"
         "  %2d  solver limit (a solver gave up within its effort bound)\n"
         "  %2d  verification failed or could not be resolved\n"
         "  %2d  internal invariant violation\n"
@@ -181,14 +172,21 @@ std::string basename_of(const std::string& path) {
     return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-/// One-line report of every contained fault of a finished run.
+/// One-line report of every contained fault of a finished run. A record
+/// without a cone is a whole-circuit candidate that a CEC proved wrong.
 void print_fault_summary(const char* name, const lls::OptimizeStats& stats) {
     if (stats.faults.empty()) return;
-    std::printf("%s: %zu fault(s) contained, each cone kept its original logic\n", name,
-                stats.faults.size());
-    for (const auto& f : stats.faults)
-        std::printf("  fault [%s/%s] cone %d (%s)\n", lls::error_kind_name(f.kind),
-                    f.stage.c_str(), f.cone, f.cone_name.c_str());
+    std::printf("%s: %zu fault(s) contained, each reverted to the logic it would have "
+                "replaced\n",
+                name, stats.faults.size());
+    for (const auto& f : stats.faults) {
+        if (f.cone < 0)
+            std::printf("  fault [%s/%s] whole circuit: %s\n", lls::error_kind_name(f.kind),
+                        f.stage.c_str(), f.detail.c_str());
+        else
+            std::printf("  fault [%s/%s] cone %d (%s)\n", lls::error_kind_name(f.kind),
+                        f.stage.c_str(), f.cone, f.cone_name.c_str());
+    }
 }
 
 }  // namespace
@@ -202,7 +200,6 @@ int main(int argc, char** argv) {
     int iterations = 10;
     int jobs = 1;
     std::uint64_t work_budget = 0;
-    std::uint64_t cone_mem_bytes = 0;
     double cone_deadline = 0.0, time_budget = 0.0;
     bool verify = true, map_report = false, print_stats = false, print_metrics = false;
     bool batch = false, resume = false;
@@ -226,9 +223,6 @@ int main(int argc, char** argv) {
                 return usage(argv[0]);
         } else if (arg == "--time-budget" && i + 1 < argc) {
             if (!lls::parse_duration_option("--time-budget", argv[++i], &time_budget))
-                return usage(argv[0]);
-        } else if (arg == "--cone-mem" && i + 1 < argc) {
-            if (!lls::parse_size_option("--cone-mem", argv[++i], &cone_mem_bytes))
                 return usage(argv[0]);
         } else if (arg == "--batch") {
             batch = true;
@@ -281,7 +275,6 @@ int main(int argc, char** argv) {
     params.work_budget = work_budget;
     params.cone_deadline_seconds = cone_deadline;
     params.time_budget_seconds = time_budget;
-    params.cone_mem_bytes = cone_mem_bytes;
     lls::EngineOptions engine;
     engine.jobs = jobs;
 
@@ -445,10 +438,6 @@ int main(int argc, char** argv) {
                 exit_code = 1;
             }
             print_fault_summary(r.name.c_str(), r.stats);
-            if (r.stats.quota_degraded > 0)
-                std::printf("%s: %d cone(s) exceeded --cone-mem and kept their original "
-                            "logic\n",
-                            r.name.c_str(), r.stats.quota_degraded);
             if (work_budget > 0)
                 std::printf("%s: work budget spent %llu of %llu units%s\n", r.name.c_str(),
                             static_cast<unsigned long long>(r.stats.work_units),
@@ -574,10 +563,6 @@ int main(int argc, char** argv) {
                      "warning: %d cone(s) hit --cone-deadline and kept their original "
                      "logic; this result is timing-dependent\n",
                      stats.deadline_cancelled);
-    if (stats.quota_degraded > 0)
-        std::printf("%d cone(s) exceeded --cone-mem and kept their original logic "
-                    "(deterministic; byte-identical across --jobs)\n",
-                    stats.quota_degraded);
     print_fault_summary(input_path.c_str(), stats);
     if (print_stats)
         for (const auto& line : stats.log) std::printf("  %s\n", line.c_str());

@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
 # run_checks.sh: tier-1 tests in the default configuration, a budgeted
 # determinism check of the CLI (same circuit + work budget at several
-# --jobs values must produce byte-identical outputs), a batch
-# jobs-invariance check (outputs byte-identical across --jobs 1/2/4 while
-# freed workers steal cone and intra-cone work from running items), a
-# per-cone memory-quota determinism check (tight --cone-mem batch runs
-# byte-identical across --jobs x cold/warm cache, with the full suite
-# re-run under AddressSanitizer), fault-injection and checkpoint/resume
-# checks of the containment subsystem (including a crash/resume cycle with
-# more workers than items), persistent-memo-store checks (warm runs
-# byte-identical to cold across --jobs, corrupted stores degrade to cold
-# start), a graceful-shutdown check (SIGTERM mid-batch must exit with the
-# documented resumable code, leave a valid journal, and --resume must
-# reproduce the uninterrupted bytes), then the concurrency-sensitive
+# --jobs values must produce byte-identical outputs), a batch invariance
+# check (outputs byte-identical across --jobs 1/2/4 x cold/warm persistent
+# store while freed workers steal cone and intra-cone work from running
+# items), fault-injection checks of the containment subsystem with the
+# full suite re-run under AddressSanitizer, checkpoint/resume checks
+# (including a crash/resume cycle with more workers than items),
+# persistent-memo-store checks (warm runs byte-identical to cold across
+# --jobs, corrupted stores degrade to cold start), a graceful-shutdown
+# check (SIGTERM mid-batch must exit with the documented resumable code,
+# leave a valid journal, and --resume must reproduce the uninterrupted
+# bytes), then the concurrency-sensitive
 # engine/cancel/parse/io/persist tests — including the
 # nested-parallel_for deadlock regressions in test_thread_pool and the
 # cancellation watchdog paths — under ThreadSanitizer.
@@ -50,54 +49,34 @@ for circuit in tests/data/rca16.blif tests/data/control24.blif; do
     echo "$name: budgeted outputs identical for --jobs 1/2/4"
 done
 
-echo "== stage 2c: batch outputs are jobs-invariant =="
-# Two-level work stealing and the intra-cone fan-out are execution details:
-# batch outputs must be byte-identical across --jobs 1/2/4. --jobs 1 is the
-# strictly serial schedule; --jobs 4 has freed workers joining other items'
-# cone fan-outs and per-cube SAT proofs.
+echo "== stage 2c: batch outputs are invariant across --jobs x cold/warm store =="
+# Two-level work stealing, the intra-cone fan-out and the persistent memo
+# store are execution details: batch outputs must be byte-identical across
+# --jobs 1/2/4, cold or replayed from a store. --jobs 1 cold is the strictly
+# serial reference; --jobs 4 has freed workers joining other items' cone
+# fan-outs and per-cube SAT proofs.
 for j in 1 2 4; do
     ./build/tools/lls_opt --batch --jobs "$j" --out-dir "$WORKDIR/batch.j$j" \
         tests/data/rca16.blif tests/data/control24.blif > /dev/null
 done
-for j in 2 4; do
-    for name in rca16 control24; do
-        cmp "$WORKDIR/batch.j1/$name.blif" "$WORKDIR/batch.j$j/$name.blif"
-    done
-done
-echo "batch outputs identical across --jobs 1/2/4"
-
-echo "== stage 2e: per-cone memory quota degrades deterministically =="
-# The per-cone memory quota's core claim: a tight --cone-mem must trip at
-# identical program points whatever the job count or cache state — batch
-# outputs byte-identical across --jobs 1/2/4 x cold/warm persistent cache,
-# with cones actually degraded on both circuits (1M degrades cones of rca16
-# and control24; 4M degrades none, so it would check nothing).
-MEMCACHE="$WORKDIR/memgov_cache"
-# Seed run: populates the persistent store (quota-degraded evaluations are
-# never persisted, so warm runs recompute them) and is the byte reference
-# for every later combination.
-./build/tools/lls_opt --batch --cone-mem 1M --jobs 1 \
-    --iterations 6 --cache-dir "$MEMCACHE" \
-    --out-dir "$WORKDIR/mg.seed" \
-    tests/data/rca16.blif tests/data/control24.blif > "$WORKDIR/mg.seed.log"
-for name in rca16 control24; do
-    grep -q "/$name\.blif: [1-9][0-9]* cone(s) exceeded --cone-mem" "$WORKDIR/mg.seed.log" || {
-        echo "expected $name to degrade at least one cone under --cone-mem 1M"; exit 1; }
-done
+# Seed a store with a --jobs 1 run, then replay it read-only at every job
+# count.
+BATCHCACHE="$WORKDIR/batch_cache"
+./build/tools/lls_opt --batch --jobs 1 --cache-dir "$BATCHCACHE" \
+    --out-dir "$WORKDIR/batch.seed" tests/data/rca16.blif tests/data/control24.blif > /dev/null
 for j in 1 2 4; do
-    ./build/tools/lls_opt --batch --cone-mem 1M --jobs "$j" --iterations 6 \
-        --out-dir "$WORKDIR/mg.j$j.cold" \
-        tests/data/rca16.blif tests/data/control24.blif > "$WORKDIR/mg.j$j.cold.log"
-    ./build/tools/lls_opt --batch --cone-mem 1M --jobs "$j" --iterations 6 \
-        --cache-dir "$MEMCACHE" --cache-mode read --out-dir "$WORKDIR/mg.j$j.warm" \
-        tests/data/rca16.blif tests/data/control24.blif > "$WORKDIR/mg.j$j.warm.log"
-    for pass in cold warm; do
-        for name in rca16 control24; do
-            cmp "$WORKDIR/mg.seed/$name.blif" "$WORKDIR/mg.j$j.$pass/$name.blif"
-        done
+    ./build/tools/lls_opt --batch --jobs "$j" --cache-dir "$BATCHCACHE" --cache-mode read \
+        --out-dir "$WORKDIR/batch.j$j.warm" \
+        tests/data/rca16.blif tests/data/control24.blif > "$WORKDIR/batch.j$j.warm.log"
+    grep -q "persist: warm start" "$WORKDIR/batch.j$j.warm.log" || {
+        echo "expected a warm start from the seeded store at --jobs $j"; exit 1; }
+done
+for name in rca16 control24; do
+    for out in batch.j2 batch.j4 batch.seed batch.j1.warm batch.j2.warm batch.j4.warm; do
+        cmp "$WORKDIR/batch.j1/$name.blif" "$WORKDIR/$out/$name.blif"
     done
 done
-echo "quota'd outputs identical across --jobs 1/2/4 x cold/warm"
+echo "batch outputs identical across --jobs 1/2/4 x cold/warm"
 
 echo "== stage 3: fault injection never aborts and stays jobs-invariant =="
 # Every engine site class, injected on the regression circuits: the run must
@@ -128,12 +107,9 @@ done
 # Store-file mutation fuzzing: random corruption of published shards must
 # always degrade to a byte-identical cold recompute, never a crash.
 (cd "$WORKDIR" && "$REPO/build/tools/lls_fuzz" --mutate-store 3 4242)
-# Memory-quota fuzzing: random tight per-cone quotas must always be
-# contained (equivalent, byte-identical across job counts).
-(cd "$WORKDIR" && "$REPO/build/tools/lls_fuzz" --cone-mem 3 4242)
 # The full test suite again under AddressSanitizer: the per-cone fault
-# boundary's throw/catch/degrade path and the quota exhaustion throws must
-# be leak- and corruption-free, not just functionally right. The address
+# boundary's throw/catch/degrade path, injected std::bad_alloc included,
+# must be leak- and corruption-free, not just functionally right. The address
 # build also bounds-checks std::vector indexing (_GLIBCXX_ASSERTIONS), which
 # covers the truth-table word arithmetic.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLLS_SANITIZE=address
