@@ -121,6 +121,21 @@ void BM_SatSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_SatSweep);
 
+// The sparc_exu_ecl_flat Table 2 stand-in (572 PIs) against one delay
+// restructure (cut 8) + balance round of itself: a CEC whose sweep issues
+// thousands of mostly satisfiable queries on a solver with ~6k variables.
+void BM_CecRestructured(benchmark::State& state) {
+    const Aig circuit = synthetic_control_circuit(table2_profiles()[7]);
+    RestructureOptions opt;
+    opt.delay_oriented = true;
+    opt.cut_size = 8;
+    const Aig restructured = balance(restructure(circuit, opt));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(check_equivalence(circuit, restructured));
+    }
+}
+BENCHMARK(BM_CecRestructured)->Unit(benchmark::kMillisecond);
+
 void BM_Balance(benchmark::State& state) {
     const Aig adder = ripple_carry_adder(64);
     for (auto _ : state) {

@@ -9,13 +9,64 @@
 
 namespace lls::sat {
 
-void Solver::charge_literals(std::size_t count) {
-    if (num_literals_ + count > literal_limit_)
-        throw LlsError(ErrorKind::ResourceExhausted,
-                       "SAT literal limit exceeded (" + std::to_string(literal_limit_) +
-                           " literals)",
-                       "sat");
-    num_literals_ += count;
+void Solver::OrderHeap::insert(int var) {
+    if (static_cast<std::size_t>(var) >= pos_.size()) pos_.resize(var + 1, -1);
+    if (pos_[var] >= 0) {
+        LLS_DCHECK(heap_[pos_[var]] == var);
+        return;
+    }
+    heap_.push_back(var);
+    sift_up(heap_.size() - 1);
+}
+
+void Solver::OrderHeap::bumped(int var) {
+    if (pos_[var] < 0) return;
+    LLS_DCHECK(heap_[pos_[var]] == var);
+    sift_up(static_cast<std::size_t>(pos_[var]));
+}
+
+int Solver::OrderHeap::pop() {
+    LLS_DCHECK(!heap_.empty());
+    const int top = heap_[0];
+    LLS_DCHECK(pos_[top] == 0);
+    LLS_DCHECK(heap_.size() < 2 || !before(heap_[1], top));
+    LLS_DCHECK(heap_.size() < 3 || !before(heap_[2], top));
+    pos_[top] = -1;
+    const int last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+        place(0, last);
+        sift_down(0);
+    }
+    return top;
+}
+
+void Solver::OrderHeap::rebuild() {
+    for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
+}
+
+void Solver::OrderHeap::sift_up(std::size_t i) {
+    const int var = heap_[i];
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 2;
+        if (!before(var, heap_[parent])) break;
+        place(i, heap_[parent]);
+        i = parent;
+    }
+    place(i, var);
+}
+
+void Solver::OrderHeap::sift_down(std::size_t i) {
+    const int var = heap_[i];
+    while (true) {
+        std::size_t child = 2 * i + 1;
+        if (child >= heap_.size()) break;
+        if (child + 1 < heap_.size() && before(heap_[child + 1], heap_[child])) ++child;
+        if (!before(heap_[child], var)) break;
+        place(i, heap_[child]);
+        i = child;
+    }
+    place(i, var);
 }
 
 int Solver::new_var() {
@@ -28,33 +79,37 @@ int Solver::new_var() {
     seen_.push_back(0);
     model_.push_back(0);
     watches_.resize(2 * assign_.size());
+    order_.insert(v);
     return v;
 }
 
-bool Solver::add_clause(std::vector<Lit> lits) {
+bool Solver::add_clause(std::vector<Lit> lits) { return add_clause_lits(lits); }
+
+bool Solver::add_clause_lits(std::span<Lit> lits) {
     LLS_REQUIRE(trail_lim_.empty() && "clauses must be added at decision level 0");
     if (unsat_) return false;
 
     // Normalize: sort, remove duplicates, detect tautologies and falsified
-    // literals (at level 0).
+    // literals (at level 0). Kept literals are compacted to the front in
+    // place; kept <= i, so lits[i - 1] still holds its sorted value here.
     std::sort(lits.begin(), lits.end(), [](Lit a, Lit b) { return a.value < b.value; });
-    std::vector<Lit> kept;
+    std::size_t kept = 0;
     for (std::size_t i = 0; i < lits.size(); ++i) {
-        LLS_REQUIRE(lits[i].var() < num_vars());
+        LLS_REQUIRE(is_var(lits[i]));
         if (i > 0 && lits[i] == lits[i - 1]) continue;
         if (i > 0 && lits[i] == !lits[i - 1]) return true;  // tautology
         const int v = lit_value(lits[i]);
         if (v == 1) return true;  // already satisfied at level 0
         if (v == 0) continue;     // falsified at level 0, drop
-        kept.push_back(lits[i]);
+        lits[kept++] = lits[i];
     }
 
-    if (kept.empty()) {
+    if (kept == 0) {
         unsat_ = true;
         return false;
     }
-    if (kept.size() == 1) {
-        enqueue(kept[0], -1);
+    if (kept == 1) {
+        enqueue(lits[0], -1);
         if (propagate() != -1) {
             unsat_ = true;
             return false;
@@ -62,15 +117,27 @@ bool Solver::add_clause(std::vector<Lit> lits) {
         return true;
     }
 
-    charge_literals(kept.size());
-    clauses_.push_back(Clause{std::move(kept), false, 0.0});
-    attach_clause(static_cast<int>(clauses_.size()) - 1);
+    store_clause(lits.first(kept), false);
     return true;
 }
 
+int Solver::store_clause(std::span<const Lit> lits, bool learned) {
+    if (lits_.size() + lits.size() > literal_limit_)
+        throw LlsError(ErrorKind::ResourceExhausted,
+                       "SAT literal limit exceeded (" + std::to_string(literal_limit_) +
+                           " literals)",
+                       "sat");
+    clauses_.push_back(Clause{lits_.size(), static_cast<int>(lits.size()), learned,
+                              learned ? clause_inc_ : 0.0});
+    lits_.insert(lits_.end(), lits.begin(), lits.end());
+    const int ci = static_cast<int>(clauses_.size()) - 1;
+    attach_clause(ci);
+    return ci;
+}
+
 void Solver::attach_clause(int ci) {
-    const auto& c = clauses_[ci].lits;
-    LLS_DCHECK(c.size() >= 2);
+    const Lit* c = clause_lits(ci);
+    LLS_DCHECK(clauses_[ci].size >= 2);
     watches_[(!c[0]).value].push_back(Watcher{ci, c[1]});
     watches_[(!c[1]).value].push_back(Watcher{ci, c[0]});
 }
@@ -96,7 +163,8 @@ int Solver::propagate() {
                 ws[keep++] = w;
                 continue;
             }
-            auto& lits = clauses_[w.clause].lits;
+            Lit* lits = clause_lits(w.clause);
+            const int size = clauses_[w.clause].size;
             // Make sure the falsified literal is lits[1].
             const Lit false_lit = !p;
             if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
@@ -107,7 +175,7 @@ int Solver::propagate() {
             }
             // Look for a new literal to watch.
             bool found = false;
-            for (std::size_t k = 2; k < lits.size(); ++k) {
+            for (int k = 2; k < size; ++k) {
                 if (lit_value(lits[k]) != 0) {
                     std::swap(lits[1], lits[k]);
                     watches_[(!lits[1]).value].push_back(Watcher{w.clause, lits[0]});
@@ -137,6 +205,11 @@ void Solver::bump_var(int var) {
     if (activity_[var] > 1e100) {
         for (auto& a : activity_) a *= 1e-100;
         var_inc_ *= 1e-100;
+        // Scaling can round two different activities to the same value,
+        // and then the index must break the tie: re-heapify everything.
+        order_.rebuild();
+    } else {
+        order_.bumped(var);
     }
 }
 
@@ -156,9 +229,10 @@ void Solver::decay_activities() {
     clause_inc_ /= 0.999;
 }
 
-void Solver::analyze(int confl, std::vector<Lit>* learned, int* backtrack_level) {
-    learned->clear();
-    learned->push_back(Lit{});  // slot for the asserting literal
+void Solver::analyze(int confl, int* backtrack_level) {
+    std::vector<Lit>& learned = learned_;
+    learned.clear();
+    learned.push_back(Lit{});  // slot for the asserting literal
     int counter = 0;
     Lit p{};
     std::size_t index = trail_.size();
@@ -167,10 +241,11 @@ void Solver::analyze(int confl, std::vector<Lit>* learned, int* backtrack_level)
     do {
         LLS_DCHECK(confl != -1);
         bump_clause(confl);
-        const auto& lits = clauses_[confl].lits;
+        const Lit* lits = clause_lits(confl);
+        const int size = clauses_[confl].size;
         // Skip lits[0] on the first iteration only when it is the conflict
         // clause (all literals false); afterwards lits[0] == p.
-        for (std::size_t i = (p.value == -1 ? 0 : 1); i < lits.size(); ++i) {
+        for (int i = (p.value == -1 ? 0 : 1); i < size; ++i) {
             const Lit q = lits[i];
             if (seen_[q.var()] || level_[q.var()] == 0) continue;
             seen_[q.var()] = 1;
@@ -178,7 +253,7 @@ void Solver::analyze(int confl, std::vector<Lit>* learned, int* backtrack_level)
             if (level_[q.var()] == current_level)
                 ++counter;
             else
-                learned->push_back(q);
+                learned.push_back(q);
         }
         // Find the next literal on the trail that is marked.
         while (!seen_[trail_[index - 1].var()]) --index;
@@ -188,19 +263,22 @@ void Solver::analyze(int confl, std::vector<Lit>* learned, int* backtrack_level)
         seen_[p.var()] = 0;
         --counter;
     } while (counter > 0);
-    (*learned)[0] = !p;
+    learned[0] = !p;
 
     // Simple self-subsumption minimization: drop literals whose reason
     // clause is entirely covered by the learned clause.
-    std::vector<Lit> minimized;
-    minimized.push_back((*learned)[0]);
-    for (std::size_t i = 1; i < learned->size(); ++i) {
-        const Lit q = (*learned)[i];
+    std::vector<Lit>& minimized = minimized_;
+    minimized.clear();
+    minimized.push_back(learned[0]);
+    for (std::size_t i = 1; i < learned.size(); ++i) {
+        const Lit q = learned[i];
         const int r = reason_[q.var()];
         bool redundant = false;
         if (r != -1) {
             redundant = true;
-            for (const Lit x : clauses_[r].lits) {
+            const Lit* reason = clause_lits(r);
+            for (int k = 0; k < clauses_[r].size; ++k) {
+                const Lit x = reason[k];
                 if (x == !q) continue;
                 if (level_[x.var()] == 0) continue;
                 if (!seen_[x.var()]) {
@@ -211,17 +289,17 @@ void Solver::analyze(int confl, std::vector<Lit>* learned, int* backtrack_level)
         }
         if (!redundant) minimized.push_back(q);
     }
-    for (std::size_t i = 1; i < learned->size(); ++i) seen_[(*learned)[i].var()] = 0;
-    *learned = std::move(minimized);
+    for (std::size_t i = 1; i < learned.size(); ++i) seen_[learned[i].var()] = 0;
+    learned.swap(minimized);
 
     // Backtrack level = second highest level in the clause.
     *backtrack_level = 0;
-    if (learned->size() > 1) {
+    if (learned.size() > 1) {
         std::size_t max_i = 1;
-        for (std::size_t i = 2; i < learned->size(); ++i)
-            if (level_[(*learned)[i].var()] > level_[(*learned)[max_i].var()]) max_i = i;
-        std::swap((*learned)[1], (*learned)[max_i]);
-        *backtrack_level = level_[(*learned)[1].var()];
+        for (std::size_t i = 2; i < learned.size(); ++i)
+            if (level_[learned[i].var()] > level_[learned[max_i].var()]) max_i = i;
+        std::swap(learned[1], learned[max_i]);
+        *backtrack_level = level_[learned[1].var()];
     }
 }
 
@@ -232,6 +310,7 @@ void Solver::backtrack(int level) {
         const int v = trail_[i - 1].var();
         assign_[v] = kUndef;
         reason_[v] = -1;
+        order_.insert(v);
     }
     trail_.resize(bound);
     trail_lim_.resize(static_cast<std::size_t>(level));
@@ -239,17 +318,13 @@ void Solver::backtrack(int level) {
 }
 
 Lit Solver::pick_branch() {
-    int best = -1;
-    double best_act = -1.0;
-    for (int v = 0; v < num_vars(); ++v) {
-        if (assign_[v] != kUndef) continue;
-        if (activity_[v] > best_act) {
-            best_act = activity_[v];
-            best = v;
-        }
+    // A SAT answer assigns every variable; do not drain the heap to see it.
+    if (trail_.size() == assign_.size()) return Lit{};
+    while (!order_.empty()) {
+        const int v = order_.pop();
+        if (assign_[v] == kUndef) return Lit(v, phase_[v] == 0);
     }
-    if (best == -1) return Lit{};
-    return Lit(best, phase_[best] == 0);
+    return Lit{};
 }
 
 std::int64_t Solver::luby(std::int64_t i) {
@@ -281,16 +356,24 @@ void Solver::reduce_learned() {
     for (std::size_t i = 0; i < learned_idx.size() / 2; ++i)
         if (!is_reason[learned_idx[i]]) drop[learned_idx[i]] = 1;
 
-    std::vector<Clause> kept;
+    // Compact the headers and the literal arena in clause order; a kept
+    // clause only ever moves towards the front.
     std::vector<int> remap(clauses_.size(), -1);
+    int kept = 0;
+    std::size_t end = 0;
     for (int i = 0; i < static_cast<int>(clauses_.size()); ++i) {
         if (drop[i]) continue;
-        remap[i] = static_cast<int>(kept.size());
-        kept.push_back(std::move(clauses_[i]));
+        Clause c = clauses_[i];
+        if (c.begin != end)
+            std::copy_n(lits_.begin() + static_cast<std::ptrdiff_t>(c.begin), c.size,
+                        lits_.begin() + static_cast<std::ptrdiff_t>(end));
+        c.begin = end;
+        end += static_cast<std::size_t>(c.size);
+        remap[i] = kept;
+        clauses_[kept++] = c;
     }
-    clauses_ = std::move(kept);
-    num_literals_ = 0;
-    for (const auto& c : clauses_) num_literals_ += c.lits.size();
+    clauses_.resize(static_cast<std::size_t>(kept));
+    lits_.resize(end);
     for (int v = 0; v < num_vars(); ++v)
         if (reason_[v] != -1) reason_[v] = remap[reason_[v]];
     for (auto& ws : watches_) ws.clear();
@@ -334,23 +417,18 @@ Status Solver::solve(const std::vector<Lit>& assumptions, std::int64_t conflict_
                 unsat_ = true;
                 return Status::Unsat;
             }
-            std::vector<Lit> learned;
             int bt_level = 0;
-            analyze(confl, &learned, &bt_level);
+            analyze(confl, &bt_level);
             // Backtracking below the assumption levels is fine: the pending
             // assumptions are re-applied as decisions before the next branch,
             // and a learned unit contradicting an assumption surfaces as
             // UNSAT below.
             backtrack(bt_level);
-            if (learned.size() == 1) {
-                if (lit_value(learned[0]) == 0) return Status::Unsat;
-                if (lit_value(learned[0]) == kUndef) enqueue(learned[0], -1);
+            if (learned_.size() == 1) {
+                if (lit_value(learned_[0]) == 0) return Status::Unsat;
+                if (lit_value(learned_[0]) == kUndef) enqueue(learned_[0], -1);
             } else {
-                charge_literals(learned.size());
-                clauses_.push_back(Clause{learned, true, clause_inc_});
-                const int ci = static_cast<int>(clauses_.size()) - 1;
-                attach_clause(ci);
-                enqueue(learned[0], ci);
+                enqueue(learned_[0], store_clause(learned_, true));
             }
             decay_activities();
             if (conflict_limit >= 0 && conflicts_ - start_conflicts >= conflict_limit)
@@ -367,7 +445,7 @@ Status Solver::solve(const std::vector<Lit>& assumptions, std::int64_t conflict_
         // Apply pending assumptions as decisions.
         if (trail_lim_.size() < assumptions.size()) {
             const Lit a = assumptions[trail_lim_.size()];
-            LLS_REQUIRE(a.var() < num_vars());
+            LLS_REQUIRE(is_var(a));
             const int v = lit_value(a);
             if (v == 0) return Status::Unsat;  // conflicting assumption
             trail_lim_.push_back(static_cast<int>(trail_.size()));

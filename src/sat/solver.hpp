@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -30,10 +31,12 @@ struct Lit {
 
 enum class Status { Sat, Unsat, Unknown };
 
-/// A self-contained CDCL SAT solver: two-literal watching, VSIDS branching,
-/// first-UIP clause learning, phase saving, and Luby restarts. It is the
-/// decision engine behind the combinational equivalence checks and SAT
-/// sweeping used by the synthesis flow.
+/// A self-contained CDCL SAT solver: two-literal watching, VSIDS branching
+/// from an order heap, first-UIP clause learning, phase saving, and Luby
+/// restarts. Every clause's literals live in one arena, so adding a clause
+/// or learning one from a conflict allocates nothing once the buffers have
+/// grown. It is the decision engine behind the combinational equivalence
+/// checks and SAT sweeping used by the synthesis flow.
 class Solver {
 public:
     Solver() = default;
@@ -50,9 +53,18 @@ public:
     /// Returns false if the solver is already known to be UNSAT.
     bool add_clause(std::vector<Lit> lits);
 
-    bool add_clause(Lit a) { return add_clause(std::vector<Lit>{a}); }
-    bool add_clause(Lit a, Lit b) { return add_clause(std::vector<Lit>{a, b}); }
-    bool add_clause(Lit a, Lit b, Lit c) { return add_clause(std::vector<Lit>{a, b, c}); }
+    bool add_clause(Lit a) {
+        Lit lits[] = {a};
+        return add_clause_lits(lits);
+    }
+    bool add_clause(Lit a, Lit b) {
+        Lit lits[] = {a, b};
+        return add_clause_lits(lits);
+    }
+    bool add_clause(Lit a, Lit b, Lit c) {
+        Lit lits[] = {a, b, c};
+        return add_clause_lits(lits);
+    }
 
     /// Solves under the given assumptions. `conflict_limit` < 0 means no
     /// limit; when the limit is hit, returns Status::Unknown.
@@ -76,7 +88,7 @@ public:
     /// generous (hundreds of MB); tests shrink it to exercise recovery.
     void set_literal_limit(std::size_t limit) { literal_limit_ = limit; }
     std::size_t literal_limit() const { return literal_limit_; }
-    std::size_t num_literals() const { return num_literals_; }
+    std::size_t num_literals() const { return lits_.size(); }
 
     /// Binds the run's cancellation context (common/run_context.hpp): the
     /// decide loop then polls the context's token every iteration and its
@@ -92,10 +104,43 @@ public:
 private:
     static constexpr int kUndef = -1;
 
+    /// A clause header: its literals are lits_[begin, begin + size).
     struct Clause {
-        std::vector<Lit> lits;
+        std::size_t begin = 0;
+        int size = 0;
         bool learned = false;
         double activity = 0.0;
+    };
+
+    /// VSIDS decision order (MiniSat's design): a binary max-heap of
+    /// variables keyed on (activity descending, index ascending). Its top is
+    /// the first variable of maximum activity, the one a scan over all
+    /// variables would pick. The solver keeps every unassigned variable in
+    /// the heap; assigned ones are dropped lazily when popped.
+    class OrderHeap {
+    public:
+        explicit OrderHeap(const std::vector<double>& activity) : activity_(activity) {}
+
+        bool empty() const { return heap_.empty(); }
+        void insert(int var);  // no-op when var is already in the heap
+        void bumped(int var);  // var's activity grew: restore the order
+        int pop();
+        void rebuild();  // after every activity was rescaled
+
+    private:
+        bool before(int a, int b) const {
+            return activity_[a] > activity_[b] || (activity_[a] == activity_[b] && a < b);
+        }
+        void place(std::size_t i, int var) {
+            heap_[i] = var;
+            pos_[var] = static_cast<int>(i);
+        }
+        void sift_up(std::size_t i);
+        void sift_down(std::size_t i);
+
+        const std::vector<double>& activity_;
+        std::vector<int> heap_;
+        std::vector<int> pos_;  // per variable: its index in heap_, or -1
     };
 
     struct Watcher {
@@ -110,9 +155,14 @@ private:
         return v ^ (l.negated() ? 1 : 0);
     }
 
+    Lit* clause_lits(int ci) { return lits_.data() + clauses_[ci].begin; }
+    bool is_var(Lit l) const { return l.var() >= 0 && l.var() < num_vars(); }
+
+    bool add_clause_lits(std::span<Lit> lits);  // normalizes lits in place
+    int store_clause(std::span<const Lit> lits, bool learned);
     void enqueue(Lit l, int reason);
     int propagate();  // returns conflicting clause index or -1
-    void analyze(int confl, std::vector<Lit>* learned, int* backtrack_level);
+    void analyze(int confl, int* backtrack_level);  // fills learned_
     void backtrack(int level);
     Lit pick_branch();
     void bump_var(int var);
@@ -120,22 +170,24 @@ private:
     void decay_activities();
     void reduce_learned();
     void attach_clause(int ci);
-    void charge_literals(std::size_t count);
     static std::int64_t luby(std::int64_t i);
 
     std::vector<Clause> clauses_;
+    std::vector<Lit> lits_;                      // every clause's literals
     std::vector<std::vector<Watcher>> watches_;  // indexed by literal value
     std::vector<int> assign_;                    // per var: 0/1/kUndef
     std::vector<int> level_;                     // decision level per var
     std::vector<int> reason_;                    // clause index or -1
     std::vector<char> phase_;                    // saved phase per var
     std::vector<double> activity_;
+    OrderHeap order_{activity_};
     std::vector<Lit> trail_;
     std::vector<int> trail_lim_;
     std::vector<char> seen_;
     std::vector<char> model_;
+    std::vector<Lit> learned_;    // analyze's result, reused across conflicts
+    std::vector<Lit> minimized_;  // analyze's minimization buffer
     std::size_t qhead_ = 0;
-    std::size_t num_literals_ = 0;
     std::size_t literal_limit_ = std::size_t{1} << 27;  // ~128M lits = 512 MB
     double var_inc_ = 1.0;
     double clause_inc_ = 1.0;

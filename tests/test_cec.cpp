@@ -77,6 +77,32 @@ TEST(EncodeAig, MiterSemantics) {
               sat::Status::Sat);
 }
 
+TEST(EncodeAig, AssumptionQueriesPinTheSearch) {
+    // Many short queries on one solver, most of them SAT, as SAT sweeping
+    // issues them: each SAT answer assigns every variable, so this drives
+    // the decision order through thousands of decisions and backtracks.
+    // The cumulative counts pin the search.
+    const Aig adder = ripple_carry_adder(16);
+    sat::Solver solver;
+    std::vector<int> pi_vars(adder.num_pis());
+    for (auto& v : pi_vars) v = solver.new_var();
+    const auto node_lits = encode_aig_nodes(adder, solver, pi_vars);
+    Rng rng(7);
+    int sat_answers = 0;
+    for (int q = 0; q < 200; ++q) {
+        std::vector<sat::Lit> assumptions;
+        for (int k = 0; k < 3; ++k) {
+            const sat::Lit node = node_lits[rng.next_below(adder.num_nodes())];
+            assumptions.push_back(rng.next_bool() ? !node : node);
+        }
+        if (solver.solve(assumptions, /*conflict_limit=*/1000) == sat::Status::Sat) ++sat_answers;
+    }
+    EXPECT_EQ(sat_answers, 192);
+    EXPECT_EQ(solver.num_conflicts(), 8);
+    EXPECT_EQ(solver.num_decisions(), 5697);
+    EXPECT_EQ(solver.num_propagations(), 34262);
+}
+
 TEST(SatSweep, MergesDuplicatedLogic) {
     Aig aig;
     const AigLit a = aig.add_pi();

@@ -122,7 +122,64 @@ TEST(SatSolver, HardPigeonholeExercisesClauseDatabaseReduction) {
             for (int p2 = p1 + 1; p2 < pigeons; ++p2)
                 s.add_clause(Lit(v[p1][h], true), Lit(v[p2][h], true));
     EXPECT_EQ(s.solve(), Status::Unsat);
-    EXPECT_GT(s.num_conflicts(), 2000);
+    // The exact counts pin the search through many restarts, reductions and
+    // activity rescales: the solver's data structures may change only if
+    // every decision, propagation and conflict stays the same.
+    EXPECT_EQ(s.num_conflicts(), 19046);
+    EXPECT_EQ(s.num_decisions(), 22662);
+    EXPECT_EQ(s.num_propagations(), 242272);
+}
+
+std::uint64_t model_hash(const Solver& s) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the model bits
+    for (int v = 0; v < s.num_vars(); ++v) {
+        h ^= s.model_value(v) ? 1u : 0u;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(SatSolver, Random3SatSearchIsPinned) {
+    // 150 variables and 600 random 3-clauses: satisfiable, but each instance
+    // takes hundreds of conflicts and many SAT-answer decisions. The counts
+    // and the model pin the search, like the pigeonhole test above.
+    struct Expected {
+        std::uint64_t seed;
+        std::int64_t conflicts, decisions, propagations;
+        std::uint64_t model;
+    };
+    const Expected expected[] = {
+        {1, 237, 323, 7720, 0x030b4743200dfbffULL},
+        {2, 495, 639, 16024, 0x54df93a2d800852eULL},
+        {3, 165, 245, 5516, 0x24f54b541ac89db9ULL},
+        {4, 2023, 2509, 66649, 0xb8221c63c1214c9bULL},
+    };
+    for (const Expected& e : expected) {
+        Rng rng(e.seed);
+        Solver s;
+        for (int v = 0; v < 150; ++v) s.new_var();
+        for (int c = 0; c < 600; ++c) {
+            std::array<Lit, 3> lits;
+            for (Lit& l : lits) {
+                const bool negated = rng.next_below(2) != 0;  // the sign is drawn first
+                l = Lit(static_cast<int>(rng.next_below(150)), negated);
+            }
+            s.add_clause(lits[0], lits[1], lits[2]);
+        }
+        ASSERT_EQ(s.solve(), Status::Sat) << "seed " << e.seed;
+        EXPECT_EQ(s.num_conflicts(), e.conflicts) << "seed " << e.seed;
+        EXPECT_EQ(s.num_decisions(), e.decisions) << "seed " << e.seed;
+        EXPECT_EQ(s.num_propagations(), e.propagations) << "seed " << e.seed;
+        EXPECT_EQ(model_hash(s), e.model) << "seed " << e.seed;
+    }
+}
+
+TEST(SatSolver, RejectsUndefinedLiteral) {
+    // A default-constructed Lit has no variable (var() == -1).
+    Solver s;
+    const int a = s.new_var();
+    EXPECT_THROW(s.add_clause(Lit{}, Lit(a, false)), ContractViolation);
+    EXPECT_THROW(s.solve({Lit{}}), ContractViolation);
 }
 
 TEST(SatSolver, TautologyAndDuplicateLiterals) {

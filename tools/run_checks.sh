@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# run_checks.sh: tier-1 tests in the default configuration, a budgeted
+# run_checks.sh: tier-1 tests in the default configuration, the SAT,
+# CEC, SOP, truth-table and lookahead tests in a Debug build (the only
+# stage where the LLS_DCHECK invariant checks run), a budgeted
 # determinism check of the CLI (same circuit + work budget at several
 # --jobs values must produce byte-identical outputs), a batch invariance
 # check (outputs byte-identical across --jobs 1/2/4 x cold/warm persistent
@@ -31,6 +33,16 @@ echo "== stage 1: tier-1 tests (RelWithDebInfo) =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
+
+echo "== stage 1b: LLS_DCHECK invariants (Debug) =="
+# Every other stage builds with NDEBUG, which compiles LLS_DCHECK out. These
+# suites reach the solver's watch, trail and order-heap checks and the
+# truth-table and SOP internals; the stage takes under a minute on 4 cores.
+cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
+cmake --build build-debug -j "$JOBS" --target test_sat test_cec test_sop test_tt test_lookahead
+for t in test_sat test_cec test_sop test_tt test_lookahead; do
+    "build-debug/tests/$t" --gtest_brief=1
+done
 
 echo "== stage 2: budgeted determinism across job counts =="
 # The core claim of the deterministic work budget: exhausting it must cut
