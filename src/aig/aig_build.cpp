@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 
 namespace lls {
 
@@ -48,18 +49,33 @@ AigLit build_sop(Aig& aig, const Sop& sop, const std::vector<AigLit>& fanins) {
     return aig.lor_many(std::move(cube_lits));
 }
 
+TruthTableForms truth_table_forms(const TruthTable& tt) {
+    LLS_DCHECK(!tt.is_const0() && !tt.is_const1());
+    TruthTableForms forms;
+    forms.on = isop(tt);
+    forms.off = isop(~tt);
+    FactorExpr on_expr = factor(forms.on);
+    FactorExpr off_expr = factor(forms.off);
+    forms.factored_is_off = off_expr.num_literals() < on_expr.num_literals();
+    forms.factored = forms.factored_is_off ? std::move(off_expr) : std::move(on_expr);
+    return forms;
+}
+
+namespace {
+
+AigLit build_factored_forms(Aig& aig, const TruthTableForms& forms,
+                            const std::vector<AigLit>& fanins) {
+    const AigLit lit = build_factored(aig, forms.factored, fanins);
+    return forms.factored_is_off ? !lit : lit;
+}
+
+}  // namespace
+
 AigLit build_truth_table(Aig& aig, const TruthTable& tt, const std::vector<AigLit>& fanins) {
     LLS_REQUIRE(static_cast<int>(fanins.size()) >= tt.num_vars());
     if (tt.is_const0()) return AigLit::constant(false);
     if (tt.is_const1()) return AigLit::constant(true);
-    const Sop on = isop(tt);
-    const Sop off = isop(~tt);
-    // Build whichever phase factors into fewer literals; invert if off-set.
-    const FactorExpr on_expr = factor(on);
-    const FactorExpr off_expr = factor(off);
-    if (off_expr.num_literals() < on_expr.num_literals())
-        return !build_factored(aig, off_expr, fanins);
-    return build_factored(aig, on_expr, fanins);
+    return build_factored_forms(aig, truth_table_forms(tt), fanins);
 }
 
 void AigLevelTracker::refresh() {
@@ -113,14 +129,18 @@ AigLit build_truth_table_timed(Aig& aig, const TruthTable& tt, const std::vector
     LLS_REQUIRE(static_cast<int>(fanins.size()) >= tt.num_vars());
     if (tt.is_const0()) return AigLit::constant(false);
     if (tt.is_const1()) return AigLit::constant(true);
-    const Sop on = isop(tt);
-    const Sop off = isop(~tt);
-    const AigLit timed_on = build_sop_timed(aig, on, fanins, levels);
-    const AigLit timed_off = !build_sop_timed(aig, off, fanins, levels);
+    return build_truth_table_timed(aig, truth_table_forms(tt), fanins, levels);
+}
+
+AigLit build_truth_table_timed(Aig& aig, const TruthTableForms& forms,
+                               const std::vector<AigLit>& fanins, AigLevelTracker& levels) {
+    LLS_REQUIRE(static_cast<int>(fanins.size()) >= forms.on.num_vars());
+    const AigLit timed_on = build_sop_timed(aig, forms.on, fanins, levels);
+    const AigLit timed_off = !build_sop_timed(aig, forms.off, fanins, levels);
     const AigLit timed =
         levels.level(timed_off) < levels.level(timed_on) ? timed_off : timed_on;
     // Factored realization: usually smaller, sometimes also shallower.
-    const AigLit factored = build_truth_table(aig, tt, fanins);
+    const AigLit factored = build_factored_forms(aig, forms, fanins);
     return levels.level(factored) < levels.level(timed) ? factored : timed;
 }
 

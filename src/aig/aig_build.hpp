@@ -17,6 +17,21 @@ AigLit build_factored(Aig& aig, const FactorExpr& expr, const std::vector<AigLit
 /// tree over the cubes); used when depth, not area, is the goal.
 AigLit build_sop(Aig& aig, const Sop& sop, const std::vector<AigLit>& fanins);
 
+/// The forms a non-constant truth table is instantiated from: the ISOPs of
+/// its on-set and off-set, and the factored form of whichever of the two
+/// has fewer literals. A pure function of the table, so callers may compute
+/// it once per distinct function and reuse it.
+struct TruthTableForms {
+    Sop on;
+    Sop off;
+    FactorExpr factored;
+    bool factored_is_off = false;  ///< `factored` realizes ~tt: invert its output
+};
+
+/// Computes the forms of `tt`, which must not be constant. Every truth-table
+/// build goes through here, so ISOPs and factoring are computed in one place.
+TruthTableForms truth_table_forms(const TruthTable& tt);
+
 /// Instantiates a truth table over the given fanin literals, by factoring
 /// its irredundant SOP (choosing the cheaper of the on-set and off-set).
 AigLit build_truth_table(Aig& aig, const TruthTable& tt, const std::vector<AigLit>& fanins);
@@ -52,6 +67,10 @@ AigLit build_sop_timed(Aig& aig, const Sop& sop, const std::vector<AigLit>& fani
 /// shallower of the two.
 AigLit build_truth_table_timed(Aig& aig, const TruthTable& tt, const std::vector<AigLit>& fanins,
                                AigLevelTracker& levels);
+
+/// The same from precomputed forms of a non-constant table.
+AigLit build_truth_table_timed(Aig& aig, const TruthTableForms& forms,
+                               const std::vector<AigLit>& fanins, AigLevelTracker& levels);
 
 /// Builds the single-output cone of PO `po_index` as a standalone AIG whose
 /// PIs are the original PIs (same order, full interface).

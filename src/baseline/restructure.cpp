@@ -81,9 +81,6 @@ Aig restructure(const Aig& aig, const RestructureOptions& options) {
         Sop on, off;                    // ISOPs of the on-set and the off-set
         int lits_on = 0, lits_off = 0;  // their factored literal counts (area mode)
     };
-    struct TruthTableHash {
-        std::size_t operator()(const TruthTable& tt) const { return tt.hash(); }
-    };
     std::unordered_map<TruthTable, CutFunction, TruthTableHash> memo;
     auto function_of = [&](const TruthTable& tt) -> const CutFunction& {
         const auto [it, inserted] = memo.try_emplace(tt);

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <optional>
 
 #include "aig/aig_build.hpp"
 #include "cec/cec.hpp"
@@ -48,9 +47,9 @@ Metrics& metrics_of(const RunContext& ctx) {
 /// One node's don't-care proof obligation in secondary simplification: the
 /// candidate minterms no !Sigma_1 pattern reached, to be proven genuinely
 /// unreachable by SAT (one independent query per minterm). Tasks are
-/// self-contained — each runs against its own solver encoding of the same
-/// pre-simplification network snapshot — so they can execute in any order,
-/// on any thread, and still produce identical verdicts and identical
+/// self-contained — each runs against its own copy of one solver encoding
+/// of the pre-simplification network snapshot — so they can execute in any
+/// order, on any thread, and still produce identical verdicts and identical
 /// per-task conflict counts. That purity is the whole determinism argument
 /// of the intra-cone fan-out: the joined results are a function of the
 /// task list, never of the schedule.
@@ -198,15 +197,33 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
             proof_tasks.push_back(std::move(task));
         }
 
-        // Phase B: prove the candidates. Each task encodes the shared
-        // snapshot into its own solver and runs its minterm queries in
-        // minterm order — structurally identical work whether the tasks run
-        // serially here or fanned out across the pool, which is what keeps
-        // every --jobs value byte-identical.
+        // Phase B: prove the candidates. The snapshot is encoded once, and
+        // each task copies that encoding and runs its minterm queries in
+        // minterm order. A copy is in exactly the state a fresh encoding
+        // would be in, so the work is structurally identical whether the
+        // tasks run serially here or fanned out across the pool, which is
+        // what keeps every --jobs value byte-identical.
         // Errors are contained per task, every index always executes, and
         // the join below charges conflicts in task order up to the first
         // error — so the charge stream cannot depend on the schedule.
         if (need_sat && !proof_tasks.empty()) {
+            sat::Solver encoding;
+            encoding.bind_run_context(&ctx);
+            std::vector<sat::Lit> aig_lits;
+            try {
+                std::vector<int> pi_vars(snapshot.num_pis());
+                for (auto& v : pi_vars) v = encoding.new_var();
+                aig_lits = encode_aig_nodes(snapshot, encoding, pi_vars);
+            } catch (...) {
+                // Every task would fail here alike: surface it as the join
+                // surfaces the first task's error, with that task's queries
+                // counted (and no conflicts to charge: nothing was solved).
+                metrics_of(ctx)
+                    .counter("engine.intracone.queries")
+                    .add(proof_tasks[0].queries.size());
+                throw;
+            }
+
             auto run_task = [&](std::size_t t) {
                 DcProofTask& task = proof_tasks[t];
                 // A pool worker may arrive here from any cone or batch
@@ -214,12 +231,9 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                 // thread-local polls inside the solver see the right
                 // deadline (nesting-safe: CancelScope saves/restores).
                 const CancelScope task_scope(ctx.cancel, ctx.deadline);
-                sat::Solver solver;
-                solver.bind_run_context(&ctx);
+                std::optional<sat::Solver> solver;
                 try {
-                    std::vector<int> pi_vars(snapshot.num_pis());
-                    for (auto& v : pi_vars) v = solver.new_var();
-                    const auto aig_lits = encode_aig_nodes(snapshot, solver, pi_vars);
+                    solver.emplace(encoding);
                     const sat::Lit sigma_lit = sat_lit_of(aig_lits, node_map[sigma]);
                     const auto& fanins = net.fanins(task.node);
                     task.verdicts.assign(task.queries.size(), 0);
@@ -236,13 +250,13 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                             assumptions.push_back(((minterm >> f) & 1) ? l : !l);
                         }
                         task.verdicts[q] =
-                            solver.solve(assumptions, params.sat_conflict_limit) ==
+                            solver->solve(assumptions, params.sat_conflict_limit) ==
                             sat::Status::Unsat;
                     }
                 } catch (...) {
                     task.error = std::current_exception();
                 }
-                task.conflicts = static_cast<std::uint64_t>(solver.num_conflicts());
+                if (solver) task.conflicts = static_cast<std::uint64_t>(solver->num_conflicts());
             };
 
             if (ctx.executor != nullptr && proof_tasks.size() > 1) {
@@ -367,10 +381,6 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
     // optimize_timing can then flatten across decomposition levels
     // (the telescoping of the paper's Eqn. 2).
     const int new_depth = result.depth();
-    if (getenv("LLS_DEBUG"))
-        fprintf(stderr, "[decompose] old=%d new=%d rule=%s sigma_lvl=%d y0_lvl=%d y1_lvl=%d\n",
-                old_depth, new_depth, candidates[best].rule.c_str(), levels[s.node()],
-                levels[a.node()], levels[b.node()]);
     if (new_depth > old_depth) return std::nullopt;
     ctx.check_fault("cec", "cec");
     const CecResult cec = check_equivalence(result, cone, /*conflict_limit=*/500000, ctx);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <unordered_map>
 
 #include "aig/aig_build.hpp"
 #include "aig/cuts.hpp"
@@ -252,15 +253,25 @@ Aig Network::to_aig_with_map(std::vector<AigLit>* node_map) const {
     AigLevelTracker levels(aig);
     std::vector<AigLit> map(nodes_.size(), AigLit::constant(false));
     for (std::size_t i = 0; i < pis_.size(); ++i) map[pis_[i]] = aig.add_pi(pi_names_[i]);
+    // Node functions repeat (decompose_output duplicates whole cones), and
+    // forms are pure: compute them once per distinct function.
+    std::unordered_map<TruthTable, TruthTableForms, TruthTableHash> forms;
     for (std::uint32_t id = 1; id < nodes_.size(); ++id) {
         if (!is_internal(id)) continue;
+        const TruthTable& tt = nodes_[id].tt;
+        if (tt.is_const0() || tt.is_const1()) {
+            map[id] = AigLit::constant(tt.is_const1());
+            continue;
+        }
         std::vector<AigLit> fanin_lits;
         fanin_lits.reserve(nodes_[id].fanins.size());
         for (const auto f : nodes_[id].fanins) fanin_lits.push_back(map[f]);
+        const auto [it, inserted] = forms.try_emplace(tt);
+        if (inserted) it->second = truth_table_forms(tt);
         // Arrival-aware instantiation: node functions sit on reconstructed
         // critical paths, so the SOP trees must respect fanin skew (this is
         // the AIG realization of the SOP-aware level metric).
-        map[id] = build_truth_table_timed(aig, nodes_[id].tt, fanin_lits, levels);
+        map[id] = build_truth_table_timed(aig, it->second, fanin_lits, levels);
     }
     for (const auto& po : pos_) {
         const AigLit lit = po.complemented ? !map[po.node] : map[po.node];
@@ -310,20 +321,22 @@ Signature Network::eval_node_signature(std::uint32_t node, const std::vector<Sig
     const std::size_t words = words_for_bits(num_patterns);
     Signature out(words, 0);
     const std::size_t k = n.fanins.size();
-    // Evaluate the truth table word-by-word: assemble the minterm index per
-    // pattern from the fanin signatures.
+    // Fold the truth table over the fanin words, 64 patterns at a time: start
+    // from one all-0/all-1 word per minterm, then let each fanin in turn
+    // select between the two halves (a Shannon mux per minterm pair).
+    std::vector<std::uint64_t> minterms(std::size_t{1} << k);
+    for (std::size_t m = 0; m < minterms.size(); ++m) minterms[m] = n.tt.get_bit(m) ? ~0ULL : 0ULL;
+    std::vector<std::uint64_t> fold(minterms.size());
     for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t out_word = 0;
-        const std::size_t base = w * 64;
-        const std::size_t limit = std::min<std::size_t>(64, num_patterns - base);
-        for (std::size_t b = 0; b < limit; ++b) {
-            std::uint32_t minterm = 0;
-            for (std::size_t f = 0; f < k; ++f)
-                minterm |= static_cast<std::uint32_t>((sigs[n.fanins[f]][w] >> b) & 1) << f;
-            if (n.tt.get_bit(minterm)) out_word |= 1ULL << b;
+        std::copy(minterms.begin(), minterms.end(), fold.begin());
+        for (std::size_t f = 0, size = fold.size(); f < k; ++f, size /= 2) {
+            const std::uint64_t x = sigs[n.fanins[f]][w];
+            for (std::size_t j = 0; j < size / 2; ++j)
+                fold[j] = (x & fold[2 * j + 1]) | (~x & fold[2 * j]);
         }
-        out[w] = out_word;
+        out[w] = fold[0];
     }
+    out.back() &= tail_mask(num_patterns);
     return out;
 }
 

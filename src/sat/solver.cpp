@@ -9,60 +9,60 @@
 
 namespace lls::sat {
 
-void Solver::OrderHeap::insert(int var) {
+void Solver::OrderHeap::insert(int var, const Activity& act) {
     if (static_cast<std::size_t>(var) >= pos_.size()) pos_.resize(var + 1, -1);
     if (pos_[var] >= 0) {
         LLS_DCHECK(heap_[pos_[var]] == var);
         return;
     }
     heap_.push_back(var);
-    sift_up(heap_.size() - 1);
+    sift_up(heap_.size() - 1, act);
 }
 
-void Solver::OrderHeap::bumped(int var) {
+void Solver::OrderHeap::bumped(int var, const Activity& act) {
     if (pos_[var] < 0) return;
     LLS_DCHECK(heap_[pos_[var]] == var);
-    sift_up(static_cast<std::size_t>(pos_[var]));
+    sift_up(static_cast<std::size_t>(pos_[var]), act);
 }
 
-int Solver::OrderHeap::pop() {
+int Solver::OrderHeap::pop(const Activity& act) {
     LLS_DCHECK(!heap_.empty());
     const int top = heap_[0];
     LLS_DCHECK(pos_[top] == 0);
-    LLS_DCHECK(heap_.size() < 2 || !before(heap_[1], top));
-    LLS_DCHECK(heap_.size() < 3 || !before(heap_[2], top));
+    LLS_DCHECK(heap_.size() < 2 || !before(heap_[1], top, act));
+    LLS_DCHECK(heap_.size() < 3 || !before(heap_[2], top, act));
     pos_[top] = -1;
     const int last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
         place(0, last);
-        sift_down(0);
+        sift_down(0, act);
     }
     return top;
 }
 
-void Solver::OrderHeap::rebuild() {
-    for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
+void Solver::OrderHeap::rebuild(const Activity& act) {
+    for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i, act);
 }
 
-void Solver::OrderHeap::sift_up(std::size_t i) {
+void Solver::OrderHeap::sift_up(std::size_t i, const Activity& act) {
     const int var = heap_[i];
     while (i > 0) {
         const std::size_t parent = (i - 1) / 2;
-        if (!before(var, heap_[parent])) break;
+        if (!before(var, heap_[parent], act)) break;
         place(i, heap_[parent]);
         i = parent;
     }
     place(i, var);
 }
 
-void Solver::OrderHeap::sift_down(std::size_t i) {
+void Solver::OrderHeap::sift_down(std::size_t i, const Activity& act) {
     const int var = heap_[i];
     while (true) {
         std::size_t child = 2 * i + 1;
         if (child >= heap_.size()) break;
-        if (child + 1 < heap_.size() && before(heap_[child + 1], heap_[child])) ++child;
-        if (!before(heap_[child], var)) break;
+        if (child + 1 < heap_.size() && before(heap_[child + 1], heap_[child], act)) ++child;
+        if (!before(heap_[child], var, act)) break;
         place(i, heap_[child]);
         i = child;
     }
@@ -79,7 +79,7 @@ int Solver::new_var() {
     seen_.push_back(0);
     model_.push_back(0);
     watches_.resize(2 * assign_.size());
-    order_.insert(v);
+    order_.insert(v, activity_);
     return v;
 }
 
@@ -207,9 +207,9 @@ void Solver::bump_var(int var) {
         var_inc_ *= 1e-100;
         // Scaling can round two different activities to the same value,
         // and then the index must break the tie: re-heapify everything.
-        order_.rebuild();
+        order_.rebuild(activity_);
     } else {
-        order_.bumped(var);
+        order_.bumped(var, activity_);
     }
 }
 
@@ -310,7 +310,7 @@ void Solver::backtrack(int level) {
         const int v = trail_[i - 1].var();
         assign_[v] = kUndef;
         reason_[v] = -1;
-        order_.insert(v);
+        order_.insert(v, activity_);
     }
     trail_.resize(bound);
     trail_lim_.resize(static_cast<std::size_t>(level));
@@ -321,7 +321,7 @@ Lit Solver::pick_branch() {
     // A SAT answer assigns every variable; do not drain the heap to see it.
     if (trail_.size() == assign_.size()) return Lit{};
     while (!order_.empty()) {
-        const int v = order_.pop();
+        const int v = order_.pop(activity_);
         if (assign_[v] == kUndef) return Lit(v, phase_[v] == 0);
     }
     return Lit{};

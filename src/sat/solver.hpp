@@ -35,13 +35,17 @@ enum class Status { Sat, Unsat, Unknown };
 /// from an order heap, first-UIP clause learning, phase saving, and Luby
 /// restarts. Every clause's literals live in one arena, so adding a clause
 /// or learning one from a conflict allocates nothing once the buffers have
-/// grown. It is the decision engine behind the combinational equivalence
-/// checks and SAT sweeping used by the synthesis flow.
+/// grown. A copy is an independent solver in the same state (clauses,
+/// trail, activities, order heap, counters), so it searches exactly as the
+/// original would from there: copying one encoding stands in for encoding
+/// the same instance again. It is the decision engine behind the
+/// combinational equivalence checks and SAT sweeping used by the synthesis
+/// flow.
 class Solver {
 public:
     Solver() = default;
 
-    Solver(const Solver&) = delete;
+    Solver(const Solver&) = default;
     Solver& operator=(const Solver&) = delete;
 
     /// Creates a fresh variable and returns its index.
@@ -116,29 +120,30 @@ private:
     /// variables keyed on (activity descending, index ascending). Its top is
     /// the first variable of maximum activity, the one a scan over all
     /// variables would pick. The solver keeps every unassigned variable in
-    /// the heap; assigned ones are dropped lazily when popped.
+    /// the heap; assigned ones are dropped lazily when popped. The heap holds
+    /// no reference into the solver (each call is passed the activities), so
+    /// a memberwise copy of the solver copies a working heap.
     class OrderHeap {
     public:
-        explicit OrderHeap(const std::vector<double>& activity) : activity_(activity) {}
+        using Activity = std::vector<double>;
 
         bool empty() const { return heap_.empty(); }
-        void insert(int var);  // no-op when var is already in the heap
-        void bumped(int var);  // var's activity grew: restore the order
-        int pop();
-        void rebuild();  // after every activity was rescaled
+        void insert(int var, const Activity& act);  // no-op when var is already in the heap
+        void bumped(int var, const Activity& act);  // var's activity grew: restore the order
+        int pop(const Activity& act);
+        void rebuild(const Activity& act);  // after every activity was rescaled
 
     private:
-        bool before(int a, int b) const {
-            return activity_[a] > activity_[b] || (activity_[a] == activity_[b] && a < b);
+        static bool before(int a, int b, const Activity& act) {
+            return act[a] > act[b] || (act[a] == act[b] && a < b);
         }
         void place(std::size_t i, int var) {
             heap_[i] = var;
             pos_[var] = static_cast<int>(i);
         }
-        void sift_up(std::size_t i);
-        void sift_down(std::size_t i);
+        void sift_up(std::size_t i, const Activity& act);
+        void sift_down(std::size_t i, const Activity& act);
 
-        const std::vector<double>& activity_;
         std::vector<int> heap_;
         std::vector<int> pos_;  // per variable: its index in heap_, or -1
     };
@@ -180,7 +185,7 @@ private:
     std::vector<int> reason_;                    // clause index or -1
     std::vector<char> phase_;                    // saved phase per var
     std::vector<double> activity_;
-    OrderHeap order_{activity_};
+    OrderHeap order_;
     std::vector<Lit> trail_;
     std::vector<int> trail_lim_;
     std::vector<char> seen_;

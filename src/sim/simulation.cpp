@@ -1,6 +1,7 @@
 #include "sim/simulation.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bitops.hpp"
 
@@ -72,38 +73,63 @@ Signature literal_signature(const Aig& aig, AigLit lit, const std::vector<Signat
 
 TimingSimResult timing_simulate(const Aig& aig, const SimPatterns& patterns,
                                 const std::vector<Signature>& node_sigs) {
+    const std::size_t num_patterns = patterns.num_patterns();
     TimingSimResult result;
-    result.po_arrival.assign(aig.num_pos(),
-                             std::vector<std::int32_t>(patterns.num_patterns(), 0));
-    std::vector<std::int32_t> arrival(aig.num_nodes(), 0);
+    result.po_arrival.assign(aig.num_pos(), std::vector<std::int32_t>(num_patterns, 0));
 
-    for (std::size_t p = 0; p < patterns.num_patterns(); ++p) {
-        const std::size_t word = p >> 6;
-        const std::uint64_t bit = 1ULL << (p & 63);
+    // Bit-sliced arrivals, one 64-pattern word at a time: node id's arrival
+    // under the word's patterns is the number whose bit b is the word
+    // arrival[id * planes + b]. An arrival never exceeds its node's level,
+    // so bit_width(max level) planes hold every one. PIs and the constant
+    // arrive at 0 and are never written.
+    const auto level = aig.compute_levels();
+    const std::size_t planes =
+        std::bit_width(static_cast<unsigned>(*std::max_element(level.begin(), level.end())));
+    std::vector<std::uint64_t> arrival(aig.num_nodes() * planes, 0);
+
+    for (std::size_t w = 0; w < patterns.num_words(); ++w) {
         for (std::uint32_t id = 1; id < aig.num_nodes(); ++id) {
             if (!aig.is_and(id)) continue;
             const auto& n = aig.node(id);
-            const bool v0 =
-                ((node_sigs[n.fanin0.node()][word] & bit) != 0) != n.fanin0.complemented();
-            const bool v1 =
-                ((node_sigs[n.fanin1.node()][word] & bit) != 0) != n.fanin1.complemented();
-            const std::int32_t a0 = arrival[n.fanin0.node()];
-            const std::int32_t a1 = arrival[n.fanin1.node()];
-            std::int32_t a;
-            if (v0 && v1)
-                a = std::max(a0, a1);
-            else if (!v0 && !v1)
-                a = std::min(a0, a1);
-            else
-                a = v0 ? a1 : a0;  // the controlling (0-valued) fanin decides
-            arrival[id] = a + 1;
+            const std::uint64_t v0 =
+                node_sigs[n.fanin0.node()][w] ^ (n.fanin0.complemented() ? ~0ULL : 0ULL);
+            const std::uint64_t v1 =
+                node_sigs[n.fanin1.node()][w] ^ (n.fanin1.complemented() ? ~0ULL : 0ULL);
+            const std::uint64_t* a0 = arrival.data() + n.fanin0.node() * planes;
+            const std::uint64_t* a1 = arrival.data() + n.fanin1.node() * planes;
+            // a0 < a1 per pattern, compared from the most significant plane.
+            std::uint64_t lt = 0;
+            std::uint64_t eq = ~0ULL;
+            for (std::size_t b = planes; b-- > 0;) {
+                lt |= eq & ~a0[b] & a1[b];
+                eq &= ~(a0[b] ^ a1[b]);
+            }
+            // The gate takes fanin 1's arrival where both fanins are 1 and it
+            // is the later, where both are 0 and it is not the later (the
+            // earliest controlling 0 decides), or where it alone is 0.
+            const std::uint64_t take1 = (v0 & v1 & lt) | (~v0 & ~v1 & ~lt) | (v0 & ~v1);
+            // Select, then add one gate delay.
+            std::uint64_t* a = arrival.data() + id * planes;
+            std::uint64_t carry = ~0ULL;
+            for (std::size_t b = 0; b < planes; ++b) {
+                const std::uint64_t selected = (take1 & a1[b]) | (~take1 & a0[b]);
+                a[b] = selected ^ carry;
+                carry &= selected;
+            }
+            LLS_DCHECK(carry == 0);  // the arrival still fits: it is at most the level
         }
+        const std::size_t base = w * 64;
+        const std::size_t count = std::min<std::size_t>(64, num_patterns - base);
         for (std::size_t o = 0; o < aig.num_pos(); ++o) {
-            const std::int32_t a = arrival[aig.po(o).node()];
-            result.po_arrival[o][p] = a;
-            result.max_arrival = std::max(result.max_arrival, a);
+            const std::uint64_t* a = arrival.data() + aig.po(o).node() * planes;
+            std::int32_t* out = result.po_arrival[o].data() + base;
+            for (std::size_t b = 0; b < planes; ++b)
+                for (std::size_t p = 0; p < count; ++p)
+                    out[p] |= static_cast<std::int32_t>((a[b] >> p) & 1) << b;
         }
     }
+    for (const auto& po : result.po_arrival)
+        for (const std::int32_t a : po) result.max_arrival = std::max(result.max_arrival, a);
     return result;
 }
 

@@ -66,7 +66,10 @@ struct TimingSimResult {
 /// value 0 the gate settles as soon as the earliest controlling fanin
 /// arrives; otherwise it waits for the latest fanin. This is the standard
 /// vector-delay model used by the telescopic-unit/timed-supersetting line of
-/// work the paper cites for approximate SPCF computation.
+/// work the paper cites for approximate SPCF computation. Arrivals are
+/// computed bit-sliced, 64 patterns per word, in as many bit-planes per node
+/// as the largest level needs; an AND is a bit-sliced compare, select and
+/// increment.
 TimingSimResult timing_simulate(const Aig& aig, const SimPatterns& patterns,
                                 const std::vector<Signature>& node_sigs);
 

@@ -144,4 +144,9 @@ private:
     std::vector<std::uint64_t> words_;
 };
 
+/// Hash functor for unordered containers keyed by truth table.
+struct TruthTableHash {
+    std::size_t operator()(const TruthTable& tt) const { return tt.hash(); }
+};
+
 }  // namespace lls

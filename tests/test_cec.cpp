@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "io/generators.hpp"
 #include "sim/simulation.hpp"
 
@@ -77,6 +79,22 @@ TEST(EncodeAig, MiterSemantics) {
               sat::Status::Sat);
 }
 
+/// The pinned draw: 200 queries of three random node assumptions each.
+/// Returns the number of SAT answers.
+int run_pinned_queries(sat::Solver& solver, const std::vector<sat::Lit>& node_lits) {
+    Rng rng(7);
+    int sat_answers = 0;
+    for (int q = 0; q < 200; ++q) {
+        std::vector<sat::Lit> assumptions;
+        for (int k = 0; k < 3; ++k) {
+            const sat::Lit node = node_lits[rng.next_below(node_lits.size())];
+            assumptions.push_back(rng.next_bool() ? !node : node);
+        }
+        if (solver.solve(assumptions, /*conflict_limit=*/1000) == sat::Status::Sat) ++sat_answers;
+    }
+    return sat_answers;
+}
+
 TEST(EncodeAig, AssumptionQueriesPinTheSearch) {
     // Many short queries on one solver, most of them SAT, as SAT sweeping
     // issues them: each SAT answer assigns every variable, so this drives
@@ -87,17 +105,26 @@ TEST(EncodeAig, AssumptionQueriesPinTheSearch) {
     std::vector<int> pi_vars(adder.num_pis());
     for (auto& v : pi_vars) v = solver.new_var();
     const auto node_lits = encode_aig_nodes(adder, solver, pi_vars);
-    Rng rng(7);
-    int sat_answers = 0;
-    for (int q = 0; q < 200; ++q) {
-        std::vector<sat::Lit> assumptions;
-        for (int k = 0; k < 3; ++k) {
-            const sat::Lit node = node_lits[rng.next_below(adder.num_nodes())];
-            assumptions.push_back(rng.next_bool() ? !node : node);
-        }
-        if (solver.solve(assumptions, /*conflict_limit=*/1000) == sat::Status::Sat) ++sat_answers;
-    }
-    EXPECT_EQ(sat_answers, 192);
+    EXPECT_EQ(run_pinned_queries(solver, node_lits), 192);
+    EXPECT_EQ(solver.num_conflicts(), 8);
+    EXPECT_EQ(solver.num_decisions(), 5697);
+    EXPECT_EQ(solver.num_propagations(), 34262);
+}
+
+TEST(EncodeAig, CopiedSolverSearchesLikeAFreshEncoding) {
+    // Secondary simplification encodes its proof snapshot once and hands
+    // each don't-care task a copy. The copy must search exactly as a fresh
+    // encoding does, and must not lean on its source: the source dies first
+    // (a heap still bound to it would be a use-after-free under ASan).
+    const Aig adder = ripple_carry_adder(16);
+    auto source = std::make_unique<sat::Solver>();
+    std::vector<int> pi_vars(adder.num_pis());
+    for (auto& v : pi_vars) v = source->new_var();
+    const auto node_lits = encode_aig_nodes(adder, *source, pi_vars);
+    sat::Solver solver(*source);
+    source.reset();
+
+    EXPECT_EQ(run_pinned_queries(solver, node_lits), 192);
     EXPECT_EQ(solver.num_conflicts(), 8);
     EXPECT_EQ(solver.num_decisions(), 5697);
     EXPECT_EQ(solver.num_propagations(), 34262);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "aig/aig_build.hpp"
 #include "cec/cec.hpp"
+#include "common/bitops.hpp"
 #include "io/generators.hpp"
 
 namespace lls {
@@ -133,20 +135,25 @@ TEST(Network, AreaRebuildIsEquivalentAndSmaller) {
 TEST(Network, SimulateMatchesAig) {
     const Aig adder = ripple_carry_adder(4);
     const Network net = Network::from_aig(adder, 4, 6);
-    const SimPatterns patterns = SimPatterns::exhaustive(adder.num_pis());
-    const auto aig_sigs = simulate(adder, patterns);
-    const auto net_sigs = net.simulate(patterns);
-    for (std::size_t o = 0; o < adder.num_pos(); ++o) {
-        Signature aig_out = literal_signature(adder, adder.po(o), aig_sigs, patterns.num_patterns());
-        Signature net_out = net_sigs[net.po(o).node];
-        if (net.po(o).complemented)
-            for (std::size_t w = 0; w < net_out.size(); ++w) net_out[w] = ~net_out[w];
-        // Mask tail bits before comparing.
-        const std::uint64_t tail =
-            patterns.num_patterns() % 64 ? (1ULL << (patterns.num_patterns() % 64)) - 1 : ~0ULL;
-        aig_out.back() &= tail;
-        net_out.back() &= tail;
-        EXPECT_EQ(aig_out, net_out) << "po " << o;
+    Rng rng(9);
+    // 1000 random patterns leave the last word partial.
+    for (const SimPatterns& patterns : {SimPatterns::exhaustive(adder.num_pis()),
+                                        SimPatterns::random(adder.num_pis(), 1000, rng)}) {
+        const auto aig_sigs = simulate(adder, patterns);
+        const auto net_sigs = net.simulate(patterns);
+        const std::uint64_t tail = tail_mask(patterns.num_patterns());
+        for (std::uint32_t id = 0; id < net.num_nodes(); ++id)
+            EXPECT_EQ(net_sigs[id].back() & ~tail, 0u) << "bits past the last pattern, node " << id;
+        for (std::size_t o = 0; o < adder.num_pos(); ++o) {
+            const Signature aig_out =
+                literal_signature(adder, adder.po(o), aig_sigs, patterns.num_patterns());
+            Signature net_out = net_sigs[net.po(o).node];
+            if (net.po(o).complemented) {
+                for (auto& w : net_out) w = ~w;
+                net_out.back() &= tail;
+            }
+            EXPECT_EQ(aig_out, net_out) << "po " << o;
+        }
     }
 }
 
@@ -193,6 +200,26 @@ TEST(Network, EvalNodeSignatureIncremental) {
     const Signature fresh = net.eval_node_signature(n, sigs, patterns.num_patterns());
     EXPECT_EQ(fresh, sigs[n]);
     EXPECT_EQ(fresh[0] & 0xf, 0x6u);  // xor pattern over minterms 0..3
+}
+
+TEST(Network, ToAigWithMapIsPinned) {
+    // decompose_output's shape: a clustered cone plus two duplicate_cone
+    // copies of it, so every node function recurs three times. The AIG hash
+    // covers every node in creation order; the map hash pins the literal of
+    // every network node.
+    const Aig rca = ripple_carry_adder(8);
+    Network net = Network::from_aig(extract_cone(rca, rca.num_pos() - 1), 5, 8);
+    const std::uint32_t y = net.po(0).node;
+    net.duplicate_cone(y);
+    net.duplicate_cone(y);
+    std::vector<AigLit> map;
+    const Aig aig = net.to_aig_with_map(&map);
+    std::uint64_t map_hash = 0xcbf29ce484222325ULL;
+    for (const AigLit lit : map) map_hash = (map_hash ^ lit.value) * 0x100000001b3ULL;
+    EXPECT_EQ(aig.hash(), 7702041345742776654u);
+    EXPECT_EQ(aig.num_ands(), 117u);
+    EXPECT_EQ(map.size(), net.num_nodes());
+    EXPECT_EQ(map_hash, 1685323963866276593u);
 }
 
 TEST(Network, ToAigWithMapExposesInternalSignals) {

@@ -2,10 +2,71 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "io/generators.hpp"
 
 namespace lls {
 namespace {
+
+/// The per-pattern floating-mode loop timing_simulate replaces with a
+/// bit-sliced kernel: one integer arrival per node, one pattern at a time.
+TimingSimResult scalar_timing_simulate(const Aig& aig, const SimPatterns& patterns,
+                                       const std::vector<Signature>& node_sigs) {
+    TimingSimResult result;
+    result.po_arrival.assign(aig.num_pos(),
+                             std::vector<std::int32_t>(patterns.num_patterns(), 0));
+    std::vector<std::int32_t> arrival(aig.num_nodes(), 0);
+    for (std::size_t p = 0; p < patterns.num_patterns(); ++p) {
+        const std::size_t word = p >> 6;
+        const std::uint64_t bit = 1ULL << (p & 63);
+        for (std::uint32_t id = 1; id < aig.num_nodes(); ++id) {
+            if (!aig.is_and(id)) continue;
+            const auto& n = aig.node(id);
+            const bool v0 =
+                ((node_sigs[n.fanin0.node()][word] & bit) != 0) != n.fanin0.complemented();
+            const bool v1 =
+                ((node_sigs[n.fanin1.node()][word] & bit) != 0) != n.fanin1.complemented();
+            const std::int32_t a0 = arrival[n.fanin0.node()];
+            const std::int32_t a1 = arrival[n.fanin1.node()];
+            std::int32_t a;
+            if (v0 && v1)
+                a = std::max(a0, a1);
+            else if (!v0 && !v1)
+                a = std::min(a0, a1);
+            else
+                a = v0 ? a1 : a0;  // the controlling (0-valued) fanin decides
+            arrival[id] = a + 1;
+        }
+        for (std::size_t o = 0; o < aig.num_pos(); ++o) {
+            const std::int32_t a = arrival[aig.po(o).node()];
+            result.po_arrival[o][p] = a;
+            result.max_arrival = std::max(result.max_arrival, a);
+        }
+    }
+    return result;
+}
+
+/// A random AIG in which every AND takes one fanin from the last few
+/// signals (so paths grow deep) and one from anywhere (so they reconverge).
+/// Its POs include a PI and the constant, which arrive at 0.
+Aig random_aig(std::uint64_t seed, std::size_t num_pis, std::size_t num_ands) {
+    Rng rng(seed);
+    Aig aig;
+    std::vector<AigLit> pool;
+    for (std::size_t i = 0; i < num_pis; ++i) pool.push_back(aig.add_pi());
+    auto polarity = [&](AigLit l) { return rng.next_bool() ? !l : l; };
+    for (std::size_t i = 0; i < num_ands; ++i) {
+        const std::size_t back = rng.next_below(std::min<std::size_t>(pool.size(), 4));
+        const AigLit recent = polarity(pool[pool.size() - 1 - back]);
+        const AigLit any = polarity(pool[rng.next_below(pool.size())]);
+        pool.push_back(aig.land(recent, any));
+    }
+    for (std::size_t o = 0; o < 6; ++o) aig.add_po(polarity(pool[pool.size() - 1 - 7 * o]));
+    aig.add_po(pool[0]);
+    aig.add_po(AigLit::constant(true));
+    return aig;
+}
 
 TEST(SimPatterns, ExhaustiveEnumeratesAllMinterm) {
     const SimPatterns p = SimPatterns::exhaustive(4);
@@ -114,6 +175,32 @@ TEST(TimingSim, ArrivalNeverExceedsTopologicalLevel) {
     for (std::size_t o = 0; o < adder.num_pos(); ++o) {
         const int topo = levels[adder.po(o).node()];
         for (const auto a : timing.po_arrival[o]) EXPECT_LE(a, topo);
+    }
+}
+
+TEST(TimingSim, MatchesScalarReference) {
+    const Aig rca32 = ripple_carry_adder(32);
+    ASSERT_GT(rca32.depth(), 63);  // arrivals need 7 bit-planes
+    const Aig random = random_aig(11, 9, 400);
+    ASSERT_GT(random.depth(), 63);
+    Aig wires;  // no AND at all: zero bit-planes
+    wires.add_po(wires.add_pi());
+    wires.add_po(!wires.add_pi());
+    wires.add_po(AigLit::constant(false));
+    Rng rng(3);
+    std::vector<std::pair<const Aig*, SimPatterns>> cases;
+    for (const Aig* aig : {&rca32, &random})
+        for (const std::size_t count : {1000, 1024})  // 1000: the last word is partial
+            cases.emplace_back(aig, SimPatterns::random(aig->num_pis(), count, rng));
+    cases.emplace_back(&random, SimPatterns::exhaustive(9));
+    cases.emplace_back(&wires, SimPatterns::exhaustive(2));
+    for (const auto& [aig, patterns] : cases) {
+        const auto sigs = simulate(*aig, patterns);
+        const TimingSimResult got = timing_simulate(*aig, patterns, sigs);
+        const TimingSimResult want = scalar_timing_simulate(*aig, patterns, sigs);
+        EXPECT_EQ(got.po_arrival, want.po_arrival)
+            << aig->num_pis() << " PIs, " << patterns.num_patterns() << " patterns";
+        EXPECT_EQ(got.max_arrival, want.max_arrival);
     }
 }
 

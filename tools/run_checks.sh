@@ -36,11 +36,14 @@ cmake --build build -j "$JOBS"
 
 echo "== stage 1b: LLS_DCHECK invariants (Debug) =="
 # Every other stage builds with NDEBUG, which compiles LLS_DCHECK out. These
-# suites reach the solver's watch, trail and order-heap checks and the
-# truth-table and SOP internals; the stage takes under a minute on 4 cores.
+# suites reach the solver's watch, trail and order-heap checks, the
+# truth-table and SOP internals, and the bit-sliced timing simulation's
+# no-overflow check (test_sim, test_spcf) next to the word-parallel node
+# evaluation (test_network); the stage takes under a minute on 4 cores.
+DEBUG_TESTS=(test_sat test_cec test_sop test_tt test_lookahead test_sim test_network test_spcf)
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
-cmake --build build-debug -j "$JOBS" --target test_sat test_cec test_sop test_tt test_lookahead
-for t in test_sat test_cec test_sop test_tt test_lookahead; do
+cmake --build build-debug -j "$JOBS" --target "${DEBUG_TESTS[@]}"
+for t in "${DEBUG_TESTS[@]}"; do
     "build-debug/tests/$t" --gtest_brief=1
 done
 
