@@ -126,7 +126,6 @@ CecResult check_equivalence(const Aig& a, const Aig& b, std::int64_t conflict_li
     }
 
     sat::Solver solver;
-    solver.bind_run_context(&ctx);
     std::vector<int> pi_vars(swept.num_pis());
     for (auto& v : pi_vars) v = solver.new_var();
     const auto node_lits = encode_aig_nodes(swept, solver, pi_vars);
@@ -176,7 +175,6 @@ Aig sat_sweep(const Aig& aig, Rng& rng, std::int64_t conflict_limit, std::size_t
     std::vector<Signature> sigs = simulate(aig, patterns);
 
     sat::Solver solver;
-    solver.bind_run_context(&ctx);
     std::vector<int> pi_vars(aig.num_pis());
     for (auto& v : pi_vars) v = solver.new_var();
     const std::vector<sat::Lit> node_lit = encode_aig_nodes(aig, solver, pi_vars);
@@ -249,12 +247,10 @@ Aig sat_sweep(const Aig& aig, Rng& rng, std::int64_t conflict_limit, std::size_t
 
     // Returns 1 if (x=1 and y=1) proven impossible, 0 if satisfiable (the
     // model is recorded as a refinement pattern), -1 if unresolved.
-    // Cancellation is polled here, between queries, so a fired cone
-    // deadline ends the sweep at query granularity rather than only when
-    // the next solve's amortized in-loop poll happens to trigger.
+    // Cancellation is polled here, between queries, as well as inside
+    // each solve.
     auto try_impossible = [&](sat::Lit x, sat::Lit y) -> int {
         poll_cancellation("sweep");
-        ctx.poll_cancellation("sweep");
         const sat::Status status = solver.solve({x, y}, conflict_limit);
         if (status == sat::Status::Unsat) return 1;
         if (status == sat::Status::Sat) {

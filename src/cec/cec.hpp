@@ -39,9 +39,9 @@ struct CecResult {
 /// without touching the solver. `ctx` (common/run_context.hpp) is the
 /// caller's run context: its `cost` sink (when attached) accumulates the
 /// SAT conflicts spent by the internal sweep and the final miter
-/// (deterministic work metering for budgeted runs, common/budget.hpp),
-/// and its cancellation sources are bound into every solver so a fired
-/// cone deadline or shutdown token reaches the miter mid-solve.
+/// (deterministic work metering for budgeted runs, common/budget.hpp).
+/// Every solve polls the thread's CancelScope, so a shutdown request
+/// reaches the miter mid-solve.
 CecResult check_equivalence(const Aig& a, const Aig& b, std::int64_t conflict_limit = -1,
                             const RunContext& ctx = RunContext{});
 
@@ -59,8 +59,8 @@ CecResult check_equivalence(const Aig& a, const Aig& b, std::int64_t conflict_li
 ///
 /// `ctx.cost` (when attached) accumulates the solver's conflicts; the
 /// sweep additionally polls cancellation between individual SAT queries —
-/// not just inside the solve loop — so `--cone-deadline` and shutdown
-/// tokens fire at query granularity during area recovery.
+/// not just inside the solve loop — so a shutdown request fires at query
+/// granularity during area recovery.
 Aig sat_sweep(const Aig& aig, Rng& rng, std::int64_t conflict_limit = 2000,
               std::size_t num_patterns = 1024, bool depth_aware = true,
               const RunContext& ctx = RunContext{});

@@ -50,7 +50,6 @@ Aig remove_redundancies(const Aig& aig, Rng& rng, int max_removals,
             if (!current.is_and(id)) continue;
             for (int slot = 0; slot < 2 && !changed; ++slot) {
                 poll_cancellation("redundancy");
-                ctx.poll_cancellation("redundancy");
                 const Aig faulty = with_edge_stuck_at_1(current, id, slot);
 
                 // Simulation screen: a pattern that detects the fault

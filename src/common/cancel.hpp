@@ -1,28 +1,18 @@
 #pragma once
 
-// Cooperative cancellation: tokens, deadlines, and cheap polls.
+// Cooperative cancellation: one source, one carrier, one cheap poll.
 //
-// Two cancellation sources share one mechanism:
-//
-//   - CancelToken: a process- or batch-level "stop now" request (SIGTERM /
+//   - CancelToken: the process- or batch-level "stop now" request (SIGTERM /
 //     SIGINT installs one). Cross-thread, sticky, relaxed-atomic.
-//   - Deadline: a per-cone wall-clock watchdog (`--cone-deadline`). Armed
-//     when the cone evaluation starts; expiry is checked only every
-//     kCancelPollPeriod polls so the common path never reads the clock.
+//   - CancelScope: installs a token for the current thread; the polls read
+//     it from a thread-local.
 //
-// Hot loops call `poll_cancellation(stage)` — SAT decide loop, BDD node
-// construction, decomposition / simplification / exact-synthesis inner
-// loops. The poll reads one thread-local struct and one relaxed atomic;
-// with no scope installed it is a couple of predictable branches. When a
-// source fires, the poll throws LlsError{Cancelled}, which the engine's
-// existing per-cone fault boundary contains exactly like a PR 3 fault:
-// the cone degrades to its original form with a FaultRecord.
-//
-// The two sources are told apart *after* the throw: if the active token
-// was requested, it is a shutdown (propagate, stop dispatching); otherwise
-// the cone's deadline fired (contain, flag nondeterministic, never memoize
-// — deadline expiry depends on wall clock, so a deadline-cancelled
-// evaluation must not poison caches that byte-identity relies on).
+// Hot loops call `poll_cancellation(stage)` once per iteration — SAT decide
+// loop, decomposition / simplification / exact-synthesis inner loops. The
+// poll reads one thread-local pointer and one relaxed atomic; with no scope
+// installed it is a single predictable branch. When the token was
+// requested, the poll throws LlsError{Cancelled}, which the engine treats
+// as a shutdown: it stops dispatching and discards the in-flight round.
 //
 // Scopes nest via RAII save/restore, which keeps them correct under the
 // thread pool's help-while-waiting execution: a worker that inlines
@@ -30,7 +20,6 @@
 // return.
 
 #include <atomic>
-#include <chrono>
 
 #include "common/error.hpp"
 
@@ -48,111 +37,42 @@ private:
     std::atomic<bool> requested_{false};
 };
 
-/// Wall-clock deadline. Default-constructed deadlines are unarmed and
-/// never expire; `after_seconds` arms one relative to now.
-class Deadline {
-public:
-    Deadline() = default;
-
-    static Deadline after_seconds(double seconds) {
-        Deadline d;
-        d.armed_ = true;
-        d.expiry_ = std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(seconds));
-        return d;
-    }
-
-    bool armed() const { return armed_; }
-
-    /// Reads the clock; call sites that poll frequently should go through
-    /// `cancel_pending()`, which amortizes this check.
-    bool expired() const { return armed_ && std::chrono::steady_clock::now() >= expiry_; }
-
-private:
-    bool armed_ = false;
-    std::chrono::steady_clock::time_point expiry_{};
-};
-
-/// Clock reads happen at most once per this many polls. The first poll in
-/// a fresh scope always checks (countdown starts at zero), so an
-/// already-expired deadline cancels on the very first poll.
-inline constexpr unsigned kCancelPollPeriod = 256;
-
-/// Thread-local cancellation context installed by CancelScope.
-struct CancelState {
-    const CancelToken* token = nullptr;
-    const Deadline* deadline = nullptr;
-    bool deadline_fired = false;  ///< latch: expiry is checked once, then sticky
-    unsigned countdown = 0;       ///< polls remaining until the next clock read
-};
-
 namespace detail {
-inline CancelState& cancel_state() {
-    thread_local CancelState state;
-    return state;
+/// The token of the innermost CancelScope on this thread, or null.
+inline const CancelToken*& cancel_token() {
+    thread_local const CancelToken* token = nullptr;
+    return token;
 }
 }  // namespace detail
 
-/// RAII scope: installs (token, deadline) for the current thread, restores
-/// the previous state on destruction. Either pointer may be null. The
-/// pointees must outlive the scope.
+/// RAII scope: installs `token` (may be null) for the current thread and
+/// restores the previous one on destruction. The token must outlive the
+/// scope.
 class CancelScope {
 public:
-    CancelScope(const CancelToken* token, const Deadline* deadline) {
-        CancelState& s = detail::cancel_state();
-        saved_ = s;
-        s.token = token;
-        s.deadline = deadline;
-        s.deadline_fired = false;
-        s.countdown = 0;
+    explicit CancelScope(const CancelToken* token) : saved_(detail::cancel_token()) {
+        detail::cancel_token() = token;
     }
-    ~CancelScope() { detail::cancel_state() = saved_; }
+    ~CancelScope() { detail::cancel_token() = saved_; }
 
     CancelScope(const CancelScope&) = delete;
     CancelScope& operator=(const CancelScope&) = delete;
 
 private:
-    CancelState saved_;
+    const CancelToken* saved_;
 };
 
-/// True when the active scope's token was requested or its deadline has
-/// expired. No-throw; safe to call with no scope installed (returns
-/// false). This is the cheap poll: a relaxed atomic load plus a counter
-/// decrement on the common path.
+/// True when the active scope's token was requested. No-throw; safe to
+/// call with no scope installed (returns false).
 inline bool cancel_pending() {
-    CancelState& s = detail::cancel_state();
-    if (s.token != nullptr && s.token->requested()) return true;
-    if (s.deadline_fired) return true;
-    if (s.deadline == nullptr || !s.deadline->armed()) return false;
-    if (s.countdown > 0) {
-        --s.countdown;
-        return false;
-    }
-    s.countdown = kCancelPollPeriod - 1;
-    if (s.deadline->expired()) {
-        s.deadline_fired = true;
-        return true;
-    }
-    return false;
+    const CancelToken* token = detail::cancel_token();
+    return token != nullptr && token->requested();
 }
 
-/// True when the active scope's *token* (not deadline) was requested —
-/// what the engine checks after catching a Cancelled error to distinguish
-/// process shutdown from a fired cone watchdog.
-inline bool cancel_requested_by_token() {
-    const CancelState& s = detail::cancel_state();
-    return s.token != nullptr && s.token->requested();
-}
-
-/// The poll hot loops call: throws LlsError{Cancelled} at `stage` when a
-/// cancellation source fired, otherwise returns immediately.
+/// The poll hot loops call: throws LlsError{Cancelled} at `stage` when the
+/// active token was requested, otherwise returns immediately.
 inline void poll_cancellation(const char* stage) {
-    if (!cancel_pending()) return;
-    const CancelState& s = detail::cancel_state();
-    const bool shutdown = s.token != nullptr && s.token->requested();
-    throw LlsError(ErrorKind::Cancelled,
-                   shutdown ? "cancellation requested" : "cone deadline expired", stage);
+    if (cancel_pending()) throw LlsError(ErrorKind::Cancelled, "cancellation requested", stage);
 }
 
 }  // namespace lls

@@ -26,7 +26,7 @@ enum class ErrorKind {
     VerificationFailed,  ///< an equivalence check failed or could not be resolved
     InvariantViolation,  ///< an internal contract was broken
     IoError,             ///< filesystem open/read/write failure
-    Cancelled,           ///< cooperative cancellation: shutdown token or cone deadline
+    Cancelled,           ///< cooperative cancellation: the shutdown token was requested
 };
 
 inline const char* error_kind_name(ErrorKind kind) {

@@ -1,7 +1,7 @@
 #pragma once
 
 // RunContext: the one plumbing path for cross-cutting run state — the
-// work-cost sink, fault-injection plan, cancellation sources, metrics
+// work-cost sink, fault-injection plan, cancellation token, metrics
 // registry and executor. The engine constructs one per cone
 // evaluation, and decompose -> reduce -> simplify -> cec -> sat all take a
 // `const RunContext&`. Every field is an unowned pointer that must outlive
@@ -20,7 +20,6 @@
 
 #include "common/budget.hpp"
 #include "common/cancel.hpp"
-#include "common/error.hpp"
 #include "common/fault.hpp"
 
 namespace lls {
@@ -40,15 +39,11 @@ struct RunContext {
     /// ("decompose", "spcf", "sat", "cec").
     const FaultPlan* faults = nullptr;
 
-    /// Process/batch-level shutdown token, or null. Together with
-    /// `deadline` this mirrors what the evaluating thread's CancelScope
-    /// holds — carried explicitly so work fanned out via `executor` can
-    /// install the same scope on whichever worker picks it up, and so the
-    /// SAT solver can poll the context directly between decisions.
+    /// Process/batch-level shutdown token, or null: the token the
+    /// evaluating thread's CancelScope holds, carried explicitly so work
+    /// fanned out via `executor` can install the same scope on whichever
+    /// worker picks it up. Polls read the scope, never this field.
     const CancelToken* cancel = nullptr;
-
-    /// Per-cone wall-clock watchdog (unarmed-or-null = never expires).
-    const Deadline* deadline = nullptr;
 
     /// Metrics registry, or null to fall back to the process-global one.
     Metrics* metrics = nullptr;
@@ -67,25 +62,6 @@ struct RunContext {
     /// Merges `delta` into the context's work sink, if one is attached.
     void charge(const WorkCost& delta) const {
         if (cost != nullptr) *cost += delta;
-    }
-
-    /// True when the context's token was requested or its deadline has
-    /// expired. Unlike the thread-local `lls::cancel_pending()`, this reads
-    /// the clock unamortized — it is the *between-queries* poll, where each
-    /// unit of work dwarfs a clock read. Per-decision hot loops amortize it
-    /// themselves (sat::Solver::bind_run_context).
-    bool cancel_pending() const {
-        if (cancel != nullptr && cancel->requested()) return true;
-        return deadline != nullptr && deadline->expired();
-    }
-
-    /// Throws LlsError{Cancelled} at `stage` when a cancellation source
-    /// fired, otherwise returns immediately.
-    void poll_cancellation(const char* stage) const {
-        if (!cancel_pending()) return;
-        const bool shutdown = cancel != nullptr && cancel->requested();
-        throw LlsError(ErrorKind::Cancelled,
-                       shutdown ? "cancellation requested" : "cone deadline expired", stage);
     }
 };
 

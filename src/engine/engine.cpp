@@ -46,8 +46,8 @@ bool better(const Aig& a, const Aig& b) {
 /// memo entry is only valid for identical parameters, and the per-cone RNG
 /// seed is derived from this fingerprint + the cone's structural hash so
 /// that a cone's outcome depends on nothing but (cone, params) — the root
-/// of the jobs-invariance guarantee. The wall rails (time budget, cone
-/// deadline) change no completed evaluation, so they stay out of it.
+/// of the jobs-invariance guarantee. The wall-clock rail (time budget)
+/// changes no completed evaluation, so it stays out of it.
 std::uint64_t params_fingerprint(const LookaheadParams& p) {
     std::uint64_t h = 0x6c6f6f6b61686561ULL;  // "lookahea"
     h = hash_mix(h, static_cast<std::uint64_t>(p.cut_size));
@@ -159,7 +159,6 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
     MetricCounter& budget_stops = metrics.counter("engine.budget_exhausted");
     MetricCounter& wall_clock_stops = metrics.counter("engine.wall_clock_interrupts");
     MetricCounter& fault_records = metrics.counter("engine.fault.records");
-    MetricCounter& deadline_cancels = metrics.counter("engine.cancel.deadline_cancelled");
     MetricCounter& shutdown_stops = metrics.counter("engine.cancel.shutdowns");
     const ScopedTimer total_scope(total_timer);
     metrics.counter("engine.runs").add();
@@ -195,28 +194,30 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
     // per-cone costs of each round's evaluations, so `budget.exhausted()`
     // is a pure function of work performed — identical on every thread
     // schedule. The wall-clock rail stays as a nondeterministic emergency
-    // stop: a run-level Deadline checked before each round, before each
-    // cone task, and after each round's fan-out. Once it has expired the
-    // in-flight round is discarded (partially evaluated rounds are never
-    // committed) and the run is flagged. Expiry is monotone, so a task
-    // that skipped on it guarantees the post-fan-out check fires too.
+    // stop: the run's elapsed time, checked against `time_budget_seconds`
+    // before each round, before each cone task, and after each round's
+    // fan-out. Once it has run out the in-flight round is discarded
+    // (partially evaluated rounds are never committed) and the run is
+    // flagged. Elapsed time is monotone, so a task that skipped on it
+    // guarantees the post-fan-out check fires too.
     WorkBudget budget(params.work_budget);
-    const Deadline run_deadline = params.time_budget_seconds > 0.0
-                                      ? Deadline::after_seconds(params.time_budget_seconds)
-                                      : Deadline();
+    const Stopwatch run_clock;
+    auto time_budget_expired = [&]() {
+        return params.time_budget_seconds > 0.0 &&
+               run_clock.elapsed_seconds() >= params.time_budget_seconds;
+    };
     bool wall_clock_interrupted = false;
     // Process/batch-level cooperative cancellation. The serial stages run
-    // under this scope (token only — the per-cone watchdog is armed inside
-    // each evaluation), so a SIGTERM reaches the polls in SAT sweeping and
+    // under this scope, so a SIGTERM reaches the polls in SAT sweeping and
     // CEC too; the Cancelled error it raises is caught around the passes
     // below and the best verified circuit so far is returned.
     auto shutdown_requested = [&]() {
         return engine.cancel != nullptr && engine.cancel->requested();
     };
-    const CancelScope serial_cancel_scope(engine.cancel, nullptr);
+    const CancelScope serial_cancel_scope(engine.cancel);
     // Context of the *serial* stages (SAT sweeping, CEC): observability
-    // cost sink plus the shutdown token, never a deadline or executor —
-    // serial-stage work is uncharged and single-threaded by design.
+    // cost sink plus the shutdown token, never an executor — serial-stage
+    // work is uncharged and single-threaded by design.
     auto serial_context = [&](WorkCost& cost) {
         RunContext ctx;
         ctx.cost = &cost;
@@ -232,7 +233,7 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
     // Serial-point check of both stop sources; flags the run when the
     // wall-clock rail is what fired.
     auto stop_requested = [&]() {
-        if (run_deadline.expired()) wall_clock_interrupted = true;
+        if (time_budget_expired()) wall_clock_interrupted = true;
         return wall_clock_interrupted || shutdown_requested();
     };
     // The serial stages shared by the per-iteration, pass-level, and
@@ -307,26 +308,20 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
         const std::uint64_t cone_hash = cone.hash();
         auto compute = [&]() -> ConeEvaluation {
             cones_evaluated.add();
-            // Watchdog: arm the per-cone deadline (when configured) and
-            // expose the shutdown token to every poll site this evaluation
+            // Expose the shutdown token to every poll site this evaluation
             // reaches — the SAT solve loop and the decomposition inner
             // loops both poll this scope.
-            const Deadline cone_deadline = params.cone_deadline_seconds > 0.0
-                                               ? Deadline::after_seconds(
-                                                     params.cone_deadline_seconds)
-                                               : Deadline();
-            const CancelScope cancel_scope(engine.cancel, &cone_deadline);
+            const CancelScope cancel_scope(engine.cancel);
             ConeEvaluation evaluation;
             // The one plumbing path down the decompose -> reduce -> simplify
             // -> cec -> sat stack: deterministic cost sink, fault plan,
-            // cancellation sources (mirroring the CancelScope above, so
-            // fanned-out work re-installs them on whichever worker runs
-            // it), and the intra-cone executor for the per-cube SAT
-            // don't-care fan-out (third scheduling level).
+            // shutdown token (the one the CancelScope above holds, so
+            // fanned-out work re-installs it on whichever worker runs it),
+            // and the intra-cone executor for the per-cube SAT don't-care
+            // fan-out (third scheduling level).
             RunContext ctx = cone_run_context(evaluation);
             ctx.faults = &fault_plan;
             ctx.cancel = engine.cancel;
-            ctx.deadline = &cone_deadline;
             ctx.metrics = &metrics;
             ctx.executor = pool.size() > 0 ? &pool : nullptr;
             Rng cone_rng(hash_mix(fingerprint, cone_hash));
@@ -335,17 +330,12 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                     evaluation.outcome =
                         std::make_shared<const DecomposeOutcome>(std::move(*outcome));
             } catch (const std::exception& e) {
-                if (error_kind_of(e) == ErrorKind::Cancelled) {
-                    // A shutdown cancellation propagates: the whole round is
-                    // about to be discarded, so nothing is recorded or
-                    // memoized for this cone — `--resume` re-evaluates it
-                    // from scratch, byte-identically.
-                    if (shutdown_requested()) throw;
-                    // A fired cone watchdog (or an injected `cancel` fault
-                    // exercising its path) depends on wall clock, so the
-                    // evaluation is flagged to keep it out of the memo.
-                    evaluation.timing_dependent = true;
-                }
+                // A shutdown cancellation propagates: the whole round is
+                // about to be discarded, so nothing is recorded or memoized
+                // for this cone — `--resume` re-evaluates it from scratch,
+                // byte-identically. Anything else, an injected `cancel`
+                // fault included, is an ordinary contained fault.
+                if (error_kind_of(e) == ErrorKind::Cancelled && shutdown_requested()) throw;
                 evaluation.fault = fault_record_of(e);
             }
             return evaluation;
@@ -359,9 +349,7 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
             return std::move(*cached);
         }
         ConeEvaluation value = compute();
-        // Timing-dependent (deadline-cancelled) evaluations are a function
-        // of wall clock, not of (cone, params): never memoize them.
-        if (!value.timing_dependent) decompose_memo().put(key, value);
+        decompose_memo().put(key, value);
         return value;
     };
 
@@ -414,7 +402,7 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                     // Stop dispatching: tasks that have not started yet are
                     // skipped outright once a shutdown is requested (the
                     // round below is discarded anyway).
-                    if (run_deadline.expired() || shutdown_requested()) return;
+                    if (time_budget_expired() || shutdown_requested()) return;
                     // Task-boundary backstop: the per-cone boundary contains
                     // faults inside the evaluation, so anything arriving
                     // here escaped outside it (cone extraction, the memo
@@ -465,10 +453,6 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
                 record.cone = static_cast<int>(tasks[i].po);
                 record.cone_name = current.po_name(tasks[i].po);
                 fault_records.add();
-                if (record.kind == ErrorKind::Cancelled) {
-                    ++local.deadline_cancelled;
-                    deadline_cancels.add();
-                }
                 local.faults.push_back(std::move(record));
             }
 

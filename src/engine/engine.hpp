@@ -18,10 +18,10 @@ class WarmStart;
 /// Execution knobs of the concurrent optimization engine. These control
 /// *how* the flow runs, never *what* it computes: the result is
 /// bit-identical for every `jobs` value, including runs bounded by the
-/// deterministic `params.work_budget`. The only escape hatch is the
+/// deterministic `params.work_budget`. The only escape hatches are the
 /// wall-clock safety rail `params.time_budget_seconds`, which is reported
-/// as nondeterministic when it fires (see docs/ENGINE.md, "Determinism
-/// contract" and "Budget semantics").
+/// as nondeterministic when it fires, and a shutdown request on `cancel`
+/// (see docs/ENGINE.md, "Determinism contract" and "Budget semantics").
 struct EngineOptions {
     /// Worker threads used to evaluate per-cone decomposition candidates
     /// (and, in batch mode, to run whole circuits). 1 = serial.

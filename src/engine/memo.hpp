@@ -33,19 +33,13 @@ struct ConeEvaluation {
     /// same cost (injection is a pure function of (cone, params)), so the
     /// store only ever carries clean records.
     std::optional<FaultRecord> fault;
-    /// The evaluation was cut short by a wall-clock cancellation (fired
-    /// cone deadline, or an injected `cancel@site` fault exercising that
-    /// path). Such evaluations are a function of elapsed time, not just of
-    /// (cone, params): the engine never memoizes or persists them, so one
-    /// slow run cannot poison the byte-identity of later runs.
-    bool timing_dependent = false;
 };
 
 /// Seed of the per-cone RunContext: a context whose deterministic
 /// work-cost sink is the evaluation being computed, so every unit a cone's
 /// decomposition spends lands in the record the memo stores (and replays
 /// on a hit). The engine fills in the remaining fields — fault plan,
-/// cancellation sources, metrics, intra-cone executor — before handing
+/// cancellation token, metrics, intra-cone executor — before handing
 /// the context down the decompose → reduce → simplify → cec → sat stack.
 inline RunContext cone_run_context(ConeEvaluation& evaluation) {
     RunContext ctx;

@@ -87,9 +87,6 @@ void WarmStart::flush_round() {
     decompose_memo().for_each(
         [&](const std::pair<std::uint64_t, std::uint64_t>& key, const ConeEvaluation& evaluation) {
             if (evaluation.fault) return;  // recompute replays the fault identically
-            // Belt and braces: the engine never memoizes timing-dependent
-            // (deadline-cancelled) evaluations, so none should reach here.
-            if (evaluation.timing_dependent) return;
             store_.record(Section::Decompose, persist::encode_pair_key(key.first, key.second),
                           [&] { return persist::encode_cone_evaluation(evaluation); });
         });

@@ -208,7 +208,6 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
         // error — so the charge stream cannot depend on the schedule.
         if (need_sat && !proof_tasks.empty()) {
             sat::Solver encoding;
-            encoding.bind_run_context(&ctx);
             std::vector<sat::Lit> aig_lits;
             try {
                 std::vector<int> pi_vars(snapshot.num_pis());
@@ -227,10 +226,10 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
             auto run_task = [&](std::size_t t) {
                 DcProofTask& task = proof_tasks[t];
                 // A pool worker may arrive here from any cone or batch
-                // item; install this cone's cancellation scope so the
-                // thread-local polls inside the solver see the right
-                // deadline (nesting-safe: CancelScope saves/restores).
-                const CancelScope task_scope(ctx.cancel, ctx.deadline);
+                // item; install this run's cancellation scope so the
+                // thread-local polls inside the solver see the right token
+                // (nesting-safe: CancelScope saves/restores).
+                const CancelScope task_scope(ctx.cancel);
                 std::optional<sat::Solver> solver;
                 try {
                     solver.emplace(encoding);
@@ -238,11 +237,10 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                     const auto& fanins = net.fanins(task.node);
                     task.verdicts.assign(task.queries.size(), 0);
                     for (std::size_t q = 0; q < task.queries.size(); ++q) {
-                        // Between-queries poll: a fired cone deadline (or a
-                        // shutdown) stops the sweep at the next query
-                        // boundary instead of grinding through the rest of
-                        // the proof batch.
-                        ctx.poll_cancellation("simplify");
+                        // Between-queries poll: a shutdown stops the task
+                        // at the next query boundary instead of grinding
+                        // through the rest of the proof batch.
+                        poll_cancellation("simplify");
                         const std::uint32_t minterm = task.queries[q];
                         std::vector<sat::Lit> assumptions{!sigma_lit};
                         for (std::size_t f = 0; f < fanins.size(); ++f) {
@@ -315,7 +313,6 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
     // Implication oracle: signature screen first (sound for refutation),
     // exhaustive patterns prove directly, otherwise SAT proves.
     sat::Solver impl_solver;
-    impl_solver.bind_run_context(&ctx);
     std::vector<sat::Lit> full_sat;
     bool impl_solver_ready = false;
     auto ensure_impl_solver = [&]() {

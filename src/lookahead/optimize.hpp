@@ -29,12 +29,6 @@ struct OptimizeStats {
     /// in-flight round was discarded and the result is timing-dependent —
     /// reruns may differ. Never set on purely work-budgeted runs.
     bool wall_clock_interrupted = false;
-    /// Cone evaluations cancelled by the per-cone deadline watchdog
-    /// (`cone_deadline_seconds`). Like `wall_clock_interrupted`, nonzero
-    /// means the result is timing-dependent: a rerun may cancel different
-    /// cones (or none). Each cancelled cone also appears in `faults` as a
-    /// FaultRecord{Cancelled}.
-    int deadline_cancelled = 0;
     /// A process/batch-level cancellation (CancelToken, e.g. SIGTERM) was
     /// requested during the run: the engine stopped at the next round
     /// boundary and returned the best verified circuit so far. Batch mode

@@ -70,21 +70,6 @@ struct LookaheadParams {
     /// reproducible budgeted runs; keep this only as a hard upper bound.
     double time_budget_seconds = 0.0;
 
-    /// Per-cone wall-clock watchdog in seconds (0 = off). Each cone
-    /// evaluation arms a Deadline (common/cancel.hpp) when it starts; an
-    /// evaluation that outlives it is cancelled at its next poll and the
-    /// cone degrades to its original form with a FaultRecord{Cancelled} —
-    /// the same containment as an injected fault. Like
-    /// `time_budget_seconds` this is inherently nondeterministic: fired
-    /// watchdogs flag the run timing-dependent
-    /// (`OptimizeStats::deadline_cancelled` /
-    /// `engine.cancel.deadline_cancelled` in --metrics), and
-    /// deadline-cancelled evaluations are never memoized or persisted so
-    /// they cannot poison byte-identity of later runs. Deliberately NOT
-    /// part of the params fingerprint: a cone that completes under a
-    /// deadline computes exactly what it computes without one.
-    double cone_deadline_seconds = 0.0;
-
     /// Deterministic fault-injection plan, `kind@site` specs separated by
     /// commas (common/fault.hpp; empty = inject nothing). Each spec fires a
     /// synthetic LlsError of `kind` whenever a cone evaluation reaches

@@ -5,7 +5,6 @@
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
-#include "common/run_context.hpp"
 
 namespace lls::sat {
 
@@ -394,22 +393,9 @@ Status Solver::solve(const std::vector<Lit>& assumptions, std::int64_t conflict_
 
     while (true) {
         // The solve loop is unbounded when no conflict limit is set; this
-        // poll is what guarantees a runaway query still honors shutdown
-        // tokens and cone deadlines.
+        // poll of the thread's CancelScope is what guarantees a runaway
+        // query still honors a shutdown request.
         poll_cancellation("sat");
-        // A bound RunContext is polled too: its token on every iteration
-        // (one relaxed load) and its deadline every kCancelPollPeriod
-        // iterations, so queries fanned out to pool workers stay cancelable
-        // even if the worker's thread-local scope belongs to another cone.
-        if (run_context_ != nullptr) {
-            if (run_context_->cancel != nullptr && run_context_->cancel->requested())
-                throw LlsError(ErrorKind::Cancelled, "cancellation requested", "sat");
-            if (context_poll_countdown_ == 0) {
-                context_poll_countdown_ = kCancelPollPeriod;
-                run_context_->poll_cancellation("sat");
-            }
-            --context_poll_countdown_;
-        }
         const int confl = propagate();
         if (confl != -1) {
             ++conflicts_;

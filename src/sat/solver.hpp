@@ -6,10 +6,6 @@
 
 #include "common/check.hpp"
 
-namespace lls {
-struct RunContext;
-}
-
 namespace lls::sat {
 
 /// A SAT literal: variable index with sign. Encoded as 2*var + (negated).
@@ -93,17 +89,6 @@ public:
     void set_literal_limit(std::size_t limit) { literal_limit_ = limit; }
     std::size_t literal_limit() const { return literal_limit_; }
     std::size_t num_literals() const { return lits_.size(); }
-
-    /// Binds the run's cancellation context (common/run_context.hpp): the
-    /// decide loop then polls the context's token every iteration and its
-    /// deadline every kCancelPollPeriod iterations, in addition to the
-    /// thread-local scope poll. This is what keeps a solver responsive
-    /// when its query was fanned out to a pool worker whose thread-local
-    /// scope belongs to someone else. Not owned; must outlive every solve.
-    void bind_run_context(const RunContext* ctx) {
-        run_context_ = ctx;
-        context_poll_countdown_ = 0;
-    }
 
 private:
     static constexpr int kUndef = -1;
@@ -201,9 +186,6 @@ private:
     std::int64_t conflicts_ = 0;
     std::int64_t decisions_ = 0;
     std::int64_t propagations_ = 0;
-
-    const lls::RunContext* run_context_ = nullptr;
-    unsigned context_poll_countdown_ = 0;  // amortizes the context's clock read
 };
 
 }  // namespace lls::sat

@@ -113,8 +113,8 @@ TEST(ParseDuration, RejectsGarbageWithoutTouchingOutput) {
 }
 
 TEST(ParseDuration, RejectsZeroAndNonPositive) {
-    // Durations arm watchdogs; zero means "off" and is expressed by not
-    // passing the flag, never by "0s".
+    // A duration arms the wall-clock rail; zero means "off" and is
+    // expressed by not passing the flag, never by "0s".
     double out = 99.0;
     EXPECT_FALSE(parse_duration_option("--d", "0s", &out));
     EXPECT_FALSE(parse_duration_option("--d", "0.0ms", &out));

@@ -4,6 +4,8 @@
 
 #include <array>
 
+#include "common/cancel.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace lls::sat {
@@ -85,8 +87,9 @@ TEST(SatSolver, Assumptions) {
     EXPECT_FALSE(s.model_value(a));
 }
 
-TEST(SatSolver, ConflictLimitReturnsUnknown) {
-    // A hard pigeonhole instance with a 1-conflict budget cannot finish.
+/// php(7,6): 7 pigeons in 6 holes, unsatisfiable and hard enough that a
+/// search cannot finish in a handful of conflicts.
+Solver hard_pigeonhole() {
     Solver s;
     const int pigeons = 7, holes = 6;
     std::vector<std::vector<int>> v(pigeons, std::vector<int>(holes));
@@ -101,7 +104,30 @@ TEST(SatSolver, ConflictLimitReturnsUnknown) {
         for (int p1 = 0; p1 < pigeons; ++p1)
             for (int p2 = p1 + 1; p2 < pigeons; ++p2)
                 s.add_clause(Lit(v[p1][h], true), Lit(v[p2][h], true));
+    return s;
+}
+
+TEST(SatSolver, ConflictLimitReturnsUnknown) {
+    // A hard pigeonhole instance with a 1-conflict budget cannot finish.
+    Solver s = hard_pigeonhole();
     EXPECT_EQ(s.solve({}, 1), Status::Unknown);
+}
+
+TEST(SatSolver, RequestedTokenStopsTheSearch) {
+    // The decide loop polls the thread's CancelScope once per iteration;
+    // that poll is the solver's only cancellation path. The finite conflict
+    // limit makes a missing poll fail this test instead of hanging it.
+    Solver s = hard_pigeonhole();
+    CancelToken token;
+    token.request();
+    const CancelScope scope(&token);
+    try {
+        s.solve({}, 1000000);
+        FAIL() << "solve() ignored the requested token";
+    } catch (const LlsError& e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Cancelled);
+        EXPECT_EQ(e.stage(), "sat");
+    }
 }
 
 TEST(SatSolver, HardPigeonholeExercisesClauseDatabaseReduction) {

@@ -2,7 +2,6 @@
 //
 //   lls_fuzz [iterations] [base_seed] [--fault-inject SPEC]
 //   lls_fuzz --mutate-store [iterations] [base_seed]
-//   lls_fuzz --deadline [iterations] [base_seed]
 //
 // Each iteration generates a random circuit (random shape, PI/PO counts and
 // operator mix), pushes it through every optimization flow plus mapping and
@@ -19,14 +18,6 @@
 // grammar) into the lookahead flow, exercising the engine's per-cone fault
 // boundary under fuzz workloads: injected faults must degrade cones, never
 // break equivalence or crash the harness.
-//
-// --deadline exercises the runaway-cone watchdog (common/cancel.hpp): each
-// iteration runs the lookahead flow under a tight random per-cone
-// wall-clock deadline, so evaluations are cancelled at arbitrary poll
-// points. Whatever the watchdog interrupts must be contained: the run
-// completes (no crash, no hang), the result is equivalent to the input
-// (cancelled cones degrade to original with a Cancelled FaultRecord), and
-// it round-trips through the writers as a well-formed AIG.
 //
 // --mutate-store exercises the persistent memo store (src/persist/): each
 // iteration populates a cache directory from a cold run, proves an intact
@@ -218,53 +209,6 @@ bool run_iteration(std::uint64_t seed, const std::string& fault_plan) {
     }
 }
 
-/// One watchdog iteration: the lookahead flow under a tight random
-/// per-cone deadline (microseconds to a few milliseconds, so many cones
-/// are cancelled mid-evaluation at whatever poll site the clock catches).
-/// The run must complete, stay equivalent (degrade-to-original), and
-/// produce a circuit the writers accept.
-bool run_deadline_iteration(std::uint64_t seed) {
-    const lls::Aig circuit = random_circuit(seed);
-    auto check = [&](bool ok) {
-        if (!ok) dump_reproducer(seed, circuit);
-        return ok;
-    };
-    try {
-        lls::Rng rng(seed ^ 0xdead11e5);
-        lls::LookaheadParams params;
-        params.max_iterations = 4;
-        params.seed = seed;
-        // 1us .. ~2ms: tight enough that cones regularly outlive it.
-        params.cone_deadline_seconds = static_cast<double>(1 + rng.next_below(2000)) * 1e-6;
-        // Randomize the job count the deadline interacts with: extra jobs
-        // let the watchdog fire concurrently in several cones and move the
-        // intra-cone cancellation polls onto pool workers (each proof task
-        // re-installs the deadline scope). Neither may change what
-        // containment guarantees hold.
-        lls::EngineOptions engine;
-        engine.jobs = 1 + static_cast<int>(rng.next_below(4));
-        lls::OptimizeStats stats;
-        const lls::Aig optimized = lls::optimize_timing_engine(circuit, params, engine, &stats);
-
-        if (!check(verify("deadline lookahead", seed, circuit, optimized))) return false;
-        // A cancelled run must still hand the writers a well-formed AIG.
-        std::stringstream blif;
-        lls::write_blif(blif, optimized, "fuzz");
-        if (!check(verify("deadline blif roundtrip", seed, optimized, lls::read_blif(blif))))
-            return false;
-        std::printf("seed %llu ok (deadline %.0fus, %d cone(s) cancelled, depth %d -> %d)\n",
-                    static_cast<unsigned long long>(seed),
-                    params.cone_deadline_seconds * 1e6, stats.deadline_cancelled,
-                    circuit.depth(), optimized.depth());
-        return true;
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "FUZZ FAILURE: deadline exception at seed %llu: %s\n",
-                     static_cast<unsigned long long>(seed), e.what());
-        dump_reproducer(seed, circuit);
-        return false;
-    }
-}
-
 /// AIGER bytes of one lookahead run of `circuit` through the engine, with
 /// an optional warm-start bridge — the byte-level QoR probe of the store
 /// mutation mode.
@@ -381,15 +325,14 @@ int main(int argc, char** argv) {
     const auto usage = [&]() {
         std::fprintf(stderr,
                      "usage: %s [iterations] [base_seed] [--fault-inject SPEC]\n"
-                     "       %s --mutate-store [iterations] [base_seed]\n"
-                     "       %s --deadline [iterations] [base_seed]\n",
-                     argv[0], argv[0], argv[0]);
+                     "       %s --mutate-store [iterations] [base_seed]\n",
+                     argv[0], argv[0]);
         return 2;
     };
     int iterations = 25;
     std::uint64_t base_seed = 1000;
     std::string fault_plan;
-    bool mutate_store = false, deadline_mode = false;
+    bool mutate_store = false;
     int positional = 0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -398,8 +341,6 @@ int main(int argc, char** argv) {
             g_fault_spec = argv[++i];
         } else if (arg == "--mutate-store") {
             mutate_store = true;
-        } else if (arg == "--deadline") {
-            deadline_mode = true;
         } else if (positional == 0) {
             if (!lls::parse_int_option("iterations", arg.c_str(), 1, 1000000000, &iterations))
                 return usage();
@@ -423,22 +364,14 @@ int main(int argc, char** argv) {
         }
     }
 
-    if ((mutate_store || deadline_mode) && !g_fault_spec.empty()) {
-        std::fprintf(stderr,
-                     "error: --mutate-store/--deadline and --fault-inject are mutually "
-                     "exclusive\n");
-        return 2;
-    }
-    if (mutate_store && deadline_mode) {
-        std::fprintf(stderr, "error: --mutate-store and --deadline are mutually exclusive\n");
+    if (mutate_store && !g_fault_spec.empty()) {
+        std::fprintf(stderr, "error: --mutate-store and --fault-inject are mutually exclusive\n");
         return 2;
     }
 
     for (int i = 0; i < iterations; ++i) {
         const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
-        const bool ok = mutate_store    ? run_store_iteration(seed)
-                        : deadline_mode ? run_deadline_iteration(seed)
-                                        : run_iteration(seed, fault_plan);
+        const bool ok = mutate_store ? run_store_iteration(seed) : run_iteration(seed, fault_plan);
         if (!ok) return 1;
     }
     std::printf("fuzz: %d iterations passed\n", iterations);

@@ -39,14 +39,9 @@
 //                                 cold start, never a failure
 //   --cache-mode read|write|rw|off
 //                                 what --cache-dir may do (default rw)
-//   --cone-deadline DUR           per-cone wall-clock watchdog (500ms/30s/5m;
-//                                 default off): a cone evaluation that outlives
-//                                 it is cancelled and kept original with a
-//                                 FaultRecord — nondeterministic, like the
-//                                 wall-clock rail
 //   --time-budget DUR             wall-clock safety rail for the whole run
-//                                 (nondeterministic; use --work-budget for
-//                                 reproducible budgeted runs)
+//                                 (500ms/30s/5m; nondeterministic; use
+//                                 --work-budget for reproducible budgeted runs)
 //
 // Exit codes are documented in --help: 0 success; 1 not equivalent / item
 // failed; 2 usage; 10..16 per ErrorKind; 30 terminated by SIGTERM/SIGINT
@@ -115,8 +110,7 @@ void install_signal_handlers() {
 void print_usage(std::FILE* out, const char* argv0) {
     std::fprintf(out,
                  "usage: %s [--flow sis|abc|dc|lookahead] [--iterations N] [--jobs N|auto]\n"
-                 "          [--work-budget N]\n"
-                 "          [--cone-deadline DUR] [--time-budget DUR]\n"
+                 "          [--work-budget N] [--time-budget DUR]\n"
                  "          [--fault-inject SPEC]\n"
                  "          [--cache-dir DIR] [--cache-mode read|write|rw|off]\n"
                  "          [--no-verify] [--map]\n"
@@ -200,7 +194,7 @@ int main(int argc, char** argv) {
     int iterations = 10;
     int jobs = 1;
     std::uint64_t work_budget = 0;
-    double cone_deadline = 0.0, time_budget = 0.0;
+    double time_budget = 0.0;
     bool verify = true, map_report = false, print_stats = false, print_metrics = false;
     bool batch = false, resume = false;
 
@@ -217,9 +211,6 @@ int main(int argc, char** argv) {
             if (!lls::parse_jobs_option("--jobs", argv[++i], 1024, &jobs)) return usage(argv[0]);
         } else if (arg == "--work-budget" && i + 1 < argc) {
             if (!lls::parse_u64_option("--work-budget", argv[++i], UINT64_MAX, &work_budget))
-                return usage(argv[0]);
-        } else if (arg == "--cone-deadline" && i + 1 < argc) {
-            if (!lls::parse_duration_option("--cone-deadline", argv[++i], &cone_deadline))
                 return usage(argv[0]);
         } else if (arg == "--time-budget" && i + 1 < argc) {
             if (!lls::parse_duration_option("--time-budget", argv[++i], &time_budget))
@@ -273,7 +264,6 @@ int main(int argc, char** argv) {
     lls::LookaheadParams params;
     params.max_iterations = iterations;
     params.work_budget = work_budget;
-    params.cone_deadline_seconds = cone_deadline;
     params.time_budget_seconds = time_budget;
     lls::EngineOptions engine;
     engine.jobs = jobs;
@@ -558,11 +548,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "warning: wall-clock budget fired; this result is timing-dependent "
                      "(use --work-budget for deterministic budgeted runs)\n");
-    if (stats.deadline_cancelled > 0)
-        std::fprintf(stderr,
-                     "warning: %d cone(s) hit --cone-deadline and kept their original "
-                     "logic; this result is timing-dependent\n",
-                     stats.deadline_cancelled);
     print_fault_summary(input_path.c_str(), stats);
     if (print_stats)
         for (const auto& line : stats.log) std::printf("  %s\n", line.c_str());
