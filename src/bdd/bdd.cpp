@@ -4,7 +4,6 @@
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
-#include "engine/metrics.hpp"
 
 namespace lls {
 
@@ -36,19 +35,6 @@ BddManager::BddManager(int num_vars, std::size_t node_limit)
     // Terminals use var = num_vars_ (below every real variable in the order).
     nodes_.push_back(pack(num_vars_, kFalse, kFalse));
     nodes_.push_back(pack(num_vars_, kTrue, kTrue));
-}
-
-BddManager::~BddManager() {
-    // Aggregate this manager's counters into the process-wide registry so
-    // `lls_opt --metrics` reports BDD work no matter how many managers the
-    // run created.
-    Metrics& metrics = Metrics::global();
-    if (stats_.unique_hits) metrics.counter("bdd.unique.hits").add(stats_.unique_hits);
-    if (stats_.nodes_created) metrics.counter("bdd.unique.nodes").add(stats_.nodes_created);
-    if (stats_.ite_hits) metrics.counter("bdd.ite_cache.hits").add(stats_.ite_hits);
-    if (stats_.ite_misses) metrics.counter("bdd.ite_cache.misses").add(stats_.ite_misses);
-    if (stats_.ite_evictions)
-        metrics.counter("bdd.ite_cache.evictions").add(stats_.ite_evictions);
 }
 
 BddManager::Ref BddManager::make_node(int var, Ref low, Ref high) {

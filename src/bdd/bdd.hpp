@@ -8,10 +8,7 @@
 
 namespace lls {
 
-/// Point-in-time counters of one BddManager (tests and benches). The same
-/// numbers are flushed into the global metrics registry (`bdd.unique.*`,
-/// `bdd.ite_cache.*`) when the manager is destroyed, so `lls_opt --metrics`
-/// aggregates them across every manager the process created.
+/// Point-in-time counters of one BddManager, read through `stats()`.
 struct BddStats {
     std::uint64_t unique_hits = 0;     ///< make_node found an existing node
     std::uint64_t nodes_created = 0;   ///< make_node allocated a fresh node
@@ -43,7 +40,6 @@ public:
     static constexpr Ref kTrue = 1;
 
     explicit BddManager(int num_vars, std::size_t node_limit = 1u << 22);
-    ~BddManager();
 
     BddManager(const BddManager&) = delete;
     BddManager& operator=(const BddManager&) = delete;

@@ -4,14 +4,11 @@
 
 #include "bdd/aig_bdd.hpp"
 #include "common/error.hpp"
-#include "engine/metrics.hpp"
 
 namespace lls {
 
 std::optional<ExactSpcf> compute_spcf_exact(const Aig& aig, std::int32_t delta,
                                             std::size_t bdd_node_limit) {
-    static MetricTimer& exact_timer = Metrics::global().timer("spcf.exact");
-    const ScopedTimer timer_scope(exact_timer);
     auto manager = std::make_unique<BddManager>(static_cast<int>(aig.num_pis()), bdd_node_limit);
     try {
         const auto values = build_node_bdds(aig, *manager);

@@ -10,13 +10,10 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
-
-#include "tt/truth_table.hpp"
 
 namespace lls {
 
-/// Point-in-time statistics of one process-wide cache.
+/// Point-in-time statistics of one cache.
 struct CacheStatsSnapshot {
     std::string name;
     std::uint64_t hits = 0;
@@ -25,18 +22,6 @@ struct CacheStatsSnapshot {
     std::uint64_t entries = 0;
     std::uint64_t bytes = 0;  ///< estimated resident bytes (sizer-derived)
 };
-
-namespace detail {
-/// Registers a cache's stats provider with the global registry (cache.cpp),
-/// so `all_cache_stats()` and `lls_opt --metrics` see every instance no
-/// matter which translation unit created it. Returns the id the cache
-/// passes to `unregister_cache` when it is destroyed.
-std::uint64_t register_cache(std::function<CacheStatsSnapshot()> provider);
-void unregister_cache(std::uint64_t id);
-}  // namespace detail
-
-/// Snapshots of every live registered cache, in registration order.
-std::vector<CacheStatsSnapshot> all_cache_stats();
 
 /// Mixes a value into a 64-bit hash accumulator (splitmix64 finalizer).
 inline std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
@@ -55,8 +40,7 @@ inline std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
 /// would push a shard past `max_entries_per_shard`, the shard drops half of
 /// its entries (in map order — the entries are pure memos, so eviction only
 /// costs recomputation, never correctness). Hit/miss/eviction counters are
-/// lock-free and the instance registers itself with the global stats
-/// registry for its lifetime.
+/// lock-free.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class ShardedCache {
 public:
@@ -81,9 +65,7 @@ public:
             sizer_ = [](const Key&, const Value&) {
                 return sizeof(Key) + sizeof(Value) + kEntryOverheadBytes;
             };
-        registration_ = detail::register_cache([this] { return stats(); });
     }
-    ~ShardedCache() { detail::unregister_cache(registration_); }
 
     ShardedCache(const ShardedCache&) = delete;
     ShardedCache& operator=(const ShardedCache&) = delete;
@@ -198,7 +180,6 @@ private:
     Sizer sizer_;
     mutable std::array<Shard, kShards> shards_;
     std::atomic<std::uint64_t> hits_{0}, misses_{0}, evictions_{0};
-    std::uint64_t registration_ = 0;
 };
 
 /// Hash for pair-of-u64 keys (structural-hash pairs, e.g. the CEC memo).
@@ -208,17 +189,5 @@ struct U64PairHash {
                                                  p.second));
     }
 };
-
-/// NPN-canonical cache key of a truth table: canonization maps every
-/// function of an NPN equivalence class onto one representative, so memos
-/// keyed this way are shared across input permutations and polarities.
-std::string npn_cache_key(const TruthTable& canonical, int extra = 0);
-
-/// Verdict memo for combinational equivalence checks, keyed by the ordered
-/// pair of structural hashes of the two circuits. Only *resolved* checks
-/// are memoized (an unresolved check may succeed with a fresh conflict
-/// budget). The 128-bit key treats structural-hash equality as identity;
-/// see docs/ENGINE.md for the collision discussion.
-ShardedCache<std::pair<std::uint64_t, std::uint64_t>, bool, U64PairHash>& cec_memo();
 
 }  // namespace lls

@@ -21,7 +21,6 @@
 #include "engine/memo.hpp"
 #include "engine/metrics.hpp"
 #include "engine/warm_start.hpp"
-#include "exact/rewrite.hpp"
 #include "lookahead/decompose.hpp"
 
 namespace lls {
@@ -75,9 +74,8 @@ std::uint64_t params_fingerprint(const LookaheadParams& p) {
 /// A hit on a verdict imported from the persistent store is noted against
 /// `warm` for the `persist.warm_hits` split.
 CecResult check_equivalence_memo(const Aig& a, const Aig& b, std::int64_t conflict_limit,
-                                 bool use_cache, const RunContext& ctx = RunContext{},
+                                 const RunContext& ctx = RunContext{},
                                  WarmStart* warm = nullptr) {
-    if (!use_cache) return check_equivalence(a, b, conflict_limit, ctx);
     // Not std::minmax: it returns references into the hash() temporaries,
     // which dangle once this statement ends.
     const std::uint64_t ha = a.hash(), hb = b.hash();
@@ -123,6 +121,11 @@ DecomposeMemo& decompose_memo() {
                          e.fault->cone_name.capacity();
             return bytes;
         });
+    return instance;
+}
+
+CecMemo& cec_memo() {
+    static CecMemo instance("cec_memo", /*max_entries_per_shard=*/8192);
     return instance;
 }
 
@@ -258,7 +261,6 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
         const ScopedTimer cec_scope(cec_timer);
         WorkCost cec_cost;
         const CecResult cec = check_equivalence_memo(a, b, conflict_limit,
-                                                     engine.use_result_cache,
                                                      serial_context(cec_cost), engine.warm_start);
         work_cec_conflicts.add(cec_cost.sat_conflicts);
         local.verified = local.verified && cec.resolved;
@@ -340,7 +342,6 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
             }
             return evaluation;
         };
-        if (!engine.use_result_cache) return compute();
         // Explicit get/put instead of get_or_compute so a hit on an entry
         // the persistent store imported can be metered as a warm hit.
         const std::pair<std::uint64_t, std::uint64_t> key{cone_hash, fingerprint};
@@ -442,7 +443,7 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
             // the persistent store. Serial point, after the charge — a
             // publication failure is contained in the store and cannot
             // perturb the budget stream or the round's results.
-            if (engine.warm_start && engine.use_result_cache) engine.warm_start->flush_round();
+            if (engine.warm_start) engine.warm_start->flush_round();
 
             // Report contained faults at the same serial point, in task
             // order, stamping each record with its cone — deterministic for
@@ -715,13 +716,13 @@ std::uint64_t lookahead_params_fingerprint(const LookaheadParams& params) {
     return params_fingerprint(params);
 }
 
-CacheStatsSnapshot decomposition_cache_stats() { return decompose_memo().stats(); }
+std::vector<CacheStatsSnapshot> all_cache_stats() {
+    return {decompose_memo().stats(), cec_memo().stats()};
+}
 
 void clear_engine_caches() {
     decompose_memo().clear();
     cec_memo().clear();
-    npn_memo().clear();
-    exact_structure_memo().clear();
 }
 
 }  // namespace lls

@@ -27,14 +27,10 @@ struct EngineOptions {
     /// (and, in batch mode, to run whole circuits). 1 = serial.
     int jobs = 1;
 
-    /// Consult/populate the process-wide decomposition memo (keyed by cone
-    /// structural hash + parameter fingerprint) and the CEC verdict memo.
-    bool use_result_cache = true;
-
     /// Persistent-store bridge (engine/warm_start.hpp), or nullptr for a
-    /// memory-only run. When set (and `use_result_cache` is on), the
-    /// engine notes warm hits against the imported entries and flushes
-    /// newly computed memo entries to the store at round boundaries.
+    /// memory-only run. When set, the engine notes warm hits against the
+    /// imported entries and flushes newly computed memo entries to the
+    /// store at round boundaries.
     /// Imported entries replay their stored WorkCost, so budgeted warm
     /// runs stay bit-identical to cold ones. Not owned.
     WarmStart* warm_start = nullptr;
@@ -117,13 +113,12 @@ std::vector<BatchOutcome> optimize_timing_batch(
 /// malformed.
 std::uint64_t lookahead_params_fingerprint(const LookaheadParams& params);
 
-/// Stats of the process-wide decomposition memo (tests and --metrics).
-CacheStatsSnapshot decomposition_cache_stats();
+/// Stats of the engine's two process-wide memos, `decompose_memo` then
+/// `cec_memo` (tests, lls_opt --metrics and the benchmark).
+std::vector<CacheStatsSnapshot> all_cache_stats();
 
-/// Drops every entry of the engine's process-wide caches (decomposition
-/// memo, CEC memo, and the exact-rewrite NPN/structure memos) — what the
-/// persistence tests use to simulate a fresh process. Counters are not
-/// reset.
+/// Drops every entry of the engine's two memos — what the persistence
+/// tests use to simulate a fresh process. Counters are not reset.
 void clear_engine_caches();
 
 }  // namespace lls

@@ -1,8 +1,9 @@
 #pragma once
 
-// The engine's decomposition memo, factored out of engine.cpp so the
-// persistence bridge (engine/warm_start.hpp) can export and import entries
-// without reaching into the driver's translation unit.
+// The engine's two memos, decomposition and CEC verdicts, declared apart
+// from engine.cpp so the persistence bridge (engine/warm_start.hpp) can
+// export and import entries without reaching into the driver's
+// translation unit.
 
 #include <cstdint>
 #include <memory>
@@ -54,5 +55,15 @@ using DecomposeMemo =
 
 /// The process-wide instance (defined in engine.cpp).
 DecomposeMemo& decompose_memo();
+
+/// Verdict memo for combinational equivalence checks, keyed by the ordered
+/// pair of structural hashes of the two circuits. Only *resolved* checks
+/// are memoized (an unresolved check may succeed with a fresh conflict
+/// budget). The 128-bit key treats structural-hash equality as identity;
+/// see docs/ENGINE.md for the collision discussion.
+using CecMemo = ShardedCache<std::pair<std::uint64_t, std::uint64_t>, bool, U64PairHash>;
+
+/// The process-wide instance (defined in engine.cpp).
+CecMemo& cec_memo();
 
 }  // namespace lls

@@ -72,7 +72,7 @@ void Metrics::reset() {
     for (auto& [n, t] : i.timers) t.reset();
 }
 
-void Metrics::report(std::FILE* out) const {
+void Metrics::report(std::FILE* out, const std::vector<CacheStatsSnapshot>& caches) const {
     std::fprintf(out, "-- metrics ------------------------------------------------\n");
     for (const auto& row : counters())
         std::fprintf(out, "  %-32s %12llu\n", row.name.c_str(),
@@ -80,7 +80,7 @@ void Metrics::report(std::FILE* out) const {
     for (const auto& row : timers())
         std::fprintf(out, "  %-32s %11.3fs  (%llu samples)\n", row.name.c_str(),
                      row.total_seconds, static_cast<unsigned long long>(row.samples));
-    for (const auto& cache : all_cache_stats())
+    for (const auto& cache : caches)
         std::fprintf(out, "  cache %-26s %llu hits, %llu misses, %llu evictions, %llu entries\n",
                      cache.name.c_str(), static_cast<unsigned long long>(cache.hits),
                      static_cast<unsigned long long>(cache.misses),
@@ -88,7 +88,7 @@ void Metrics::report(std::FILE* out) const {
                      static_cast<unsigned long long>(cache.entries));
 }
 
-std::string Metrics::to_json() const {
+std::string Metrics::to_json(const std::vector<CacheStatsSnapshot>& caches) const {
     // Names come from code today, but nothing enforces that (cache names
     // are arbitrary constructor strings) — always escape.
     std::string json = "{\"counters\":{";
@@ -109,7 +109,7 @@ std::string Metrics::to_json() const {
     }
     json += "},\"caches\":{";
     first = true;
-    for (const auto& cache : all_cache_stats()) {
+    for (const auto& cache : caches) {
         if (!first) json += ',';
         first = false;
         json += '"' + json_escape(cache.name) + "\":{\"hits\":" + std::to_string(cache.hits) +

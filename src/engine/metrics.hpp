@@ -10,6 +10,8 @@
 
 namespace lls {
 
+struct CacheStatsSnapshot;
+
 /// One named monotonically increasing counter. Handles returned by
 /// `Metrics::counter` stay valid for the life of the process.
 class MetricCounter {
@@ -72,11 +74,12 @@ public:
     /// Zeroes every counter and timer (entries stay registered).
     void reset();
 
-    /// Human-readable report: counters, timers, and the global cache stats.
-    void report(std::FILE* out) const;
+    /// Human-readable report: counters, timers, and the given cache stats
+    /// (the engine's are `all_cache_stats()`).
+    void report(std::FILE* out, const std::vector<CacheStatsSnapshot>& caches) const;
 
     /// The same data as a JSON object string (stable key order).
-    std::string to_json() const;
+    std::string to_json(const std::vector<CacheStatsSnapshot>& caches) const;
 
 private:
     Metrics() = default;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "engine/memo.hpp"
-#include "exact/rewrite.hpp"
 #include "persist/codec.hpp"
 
 namespace lls {
@@ -62,22 +61,6 @@ void WarmStart::import_loaded() {
             undecodable.add();
         }
     }
-    for (auto& [key, value] : snapshot_section(store_, Section::Npn)) {
-        try {
-            npn_memo().put(key, persist::decode_npn_result(value));
-            ++imported_records_;
-        } catch (const std::exception&) {
-            undecodable.add();
-        }
-    }
-    for (auto& [key, value] : snapshot_section(store_, Section::ExactStruct)) {
-        try {
-            exact_structure_memo().put(key, persist::decode_exact_structure(value));
-            ++imported_records_;
-        } catch (const std::exception&) {
-            undecodable.add();
-        }
-    }
 }
 
 void WarmStart::flush_round() {
@@ -94,14 +77,6 @@ void WarmStart::flush_round() {
         store_.record(Section::Cec, persist::encode_pair_key(key.first, key.second),
                       [&] { return persist::encode_cec_verdict(equivalent); });
     });
-    npn_memo().for_each([&](const std::string& key, const NpnResult& npn) {
-        store_.record(Section::Npn, key, [&] { return persist::encode_npn_result(npn); });
-    });
-    exact_structure_memo().for_each(
-        [&](const std::string& key, const std::optional<ExactStructure>& structure) {
-            store_.record(Section::ExactStruct, key,
-                          [&] { return persist::encode_exact_structure(structure); });
-        });
     store_.publish();
 }
 

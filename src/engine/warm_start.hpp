@@ -1,11 +1,11 @@
 #pragma once
 
-// Bridge between the engine's live memo caches and the persistent on-disk
-// store (src/persist/). One WarmStart instance spans a CLI invocation:
+// Bridge between the engine's two memos and the persistent on-disk store
+// (src/persist/). One WarmStart instance spans a CLI invocation:
 //
 //   construction  — opens the store, loads every intact shard, decodes the
-//                   records, and seeds the live caches (decomposition, CEC,
-//                   NPN, exact-structure) before any optimization runs;
+//                   records, and seeds the decomposition and CEC memos
+//                   before any optimization runs;
 //   flush_round() — called by the engine at round boundaries (and safe from
 //                   concurrent batch items): exports entries the live
 //                   caches gained since the last flush and publishes them

@@ -1,7 +1,7 @@
 #include "exact/rewrite.hpp"
 
 #include <optional>
-#include <unordered_map>
+#include <string>
 
 #include "aig/aig_build.hpp"
 #include "aig/cuts.hpp"
@@ -13,6 +13,37 @@ namespace lls {
 
 namespace {
 
+/// NPN-canonical cache key of a truth table: canonization maps every
+/// function of an NPN equivalence class onto one representative, so memos
+/// keyed this way are shared across input permutations and polarities.
+std::string npn_cache_key(const TruthTable& canonical, int extra = 0) {
+    std::string key = std::to_string(canonical.num_vars());
+    key += ':';
+    key += canonical.to_hex();
+    if (extra != 0) {
+        key += ':';
+        key += std::to_string(extra);
+    }
+    return key;
+}
+
+/// Process-wide caches: NPN canonization and exact structures per canonical
+/// class. Both are pure functions of the truth table, so sharing them
+/// across rewrite() calls (and circuits) is sound and makes repeated flow
+/// invocations cheap. Sharded + mutex-striped so concurrent rewrite() calls
+/// do not race.
+ShardedCache<std::string, NpnResult>& npn_memo() {
+    static ShardedCache<std::string, NpnResult> instance("npn_canon");
+    return instance;
+}
+
+/// Canonical class + gate bound + conflict limit -> minimal structure,
+/// nullopt = none within bounds.
+ShardedCache<std::string, std::optional<ExactStructure>>& exact_structure_memo() {
+    static ShardedCache<std::string, std::optional<ExactStructure>> instance("exact_structures");
+    return instance;
+}
+
 NpnResult canonize_cached(const TruthTable& tt) {
     return npn_memo().get_or_compute(npn_cache_key(tt), [&] { return npn_canonize(tt); });
 }
@@ -21,42 +52,13 @@ std::optional<ExactStructure> structure_cached(const TruthTable& canonical, int 
                                                std::int64_t conflict_limit) {
     // The conflict limit is part of the key: a nullopt produced under a
     // small SAT budget must not shadow a realization a larger budget would
-    // find — and with the memo persisted across processes, entries now
-    // outlive any single run's fixed options.
+    // find, and the memo outlives any single call's options.
     return exact_structure_memo().get_or_compute(
         npn_cache_key(canonical, max_gates) + ":c" + std::to_string(conflict_limit),
         [&] { return exact_synthesize(canonical, max_gates, conflict_limit); });
 }
 
 }  // namespace
-
-/// Process-wide caches: NPN canonization and exact structures per canonical
-/// class. Both are pure functions of the truth table, so sharing them
-/// across rewrite() calls (and circuits) is sound and makes repeated flow
-/// invocations cheap. Sharded + mutex-striped so the engine's workers and
-/// batch-mode circuits can rewrite concurrently.
-ShardedCache<std::string, NpnResult>& npn_memo() {
-    static ShardedCache<std::string, NpnResult> instance(
-        "npn_canon", /*max_entries_per_shard=*/4096,
-        [](const std::string& key, const NpnResult& npn) {
-            return sizeof(NpnResult) + key.capacity() + npn.perm.capacity() * sizeof(int) +
-                   ShardedCache<std::string, NpnResult>::kEntryOverheadBytes;
-        });
-    return instance;
-}
-
-ShardedCache<std::string, std::optional<ExactStructure>>& exact_structure_memo() {
-    static ShardedCache<std::string, std::optional<ExactStructure>> instance(
-        "exact_structures", /*max_entries_per_shard=*/4096,
-        [](const std::string& key, const std::optional<ExactStructure>& s) {
-            std::size_t bytes = sizeof(std::optional<ExactStructure>) + key.capacity() +
-                                ShardedCache<std::string,
-                                             std::optional<ExactStructure>>::kEntryOverheadBytes;
-            if (s) bytes += s->gates.capacity() * sizeof(ExactStructure::Gate);
-            return bytes;
-        });
-    return instance;
-}
 
 Aig rewrite(const Aig& aig, const RewriteOptions& options) {
     LLS_REQUIRE(options.cut_size >= 2 && options.cut_size <= 4);

@@ -1,11 +1,8 @@
 #pragma once
 
-#include <optional>
+#include <cstdint>
 
 #include "aig/aig.hpp"
-#include "engine/cache.hpp"
-#include "exact/exact_synthesis.hpp"
-#include "tt/npn.hpp"
 
 namespace lls {
 
@@ -27,14 +24,5 @@ struct RewriteOptions {
 /// structure — with sharing measured on the actual graph — beats the
 /// incremental rebuild. The result is logically equivalent to the input.
 Aig rewrite(const Aig& aig, const RewriteOptions& options = {});
-
-/// The process-wide NPN-canonization memo (truth-table key ->
-/// canonization). Exposed for the persistent memo store's export/import
-/// bridge and for tests; treat as read/insert-only.
-ShardedCache<std::string, NpnResult>& npn_memo();
-
-/// The process-wide exact-synthesis memo (canonical class + gate bound +
-/// conflict limit -> minimal structure, nullopt = none within bounds).
-ShardedCache<std::string, std::optional<ExactStructure>>& exact_structure_memo();
 
 }  // namespace lls

@@ -14,22 +14,6 @@ std::uint64_t bounded(std::uint64_t v, std::uint64_t max, const char* what) {
     return v;
 }
 
-void encode_truth_table(ByteWriter& out, const TruthTable& tt) {
-    out.varint(static_cast<std::uint64_t>(tt.num_vars()));
-    out.blob(tt.to_hex());
-}
-
-TruthTable decode_truth_table(ByteReader& in) {
-    const int num_vars =
-        static_cast<int>(bounded(in.varint(), TruthTable::kMaxVars, "truth-table arity"));
-    const std::string_view hex = in.blob();
-    try {
-        return TruthTable::from_hex(num_vars, std::string(hex));
-    } catch (const std::exception& e) {
-        malformed(std::string("persisted truth table rejected: ") + e.what());
-    }
-}
-
 }  // namespace
 
 std::string encode_pair_key(std::uint64_t a, std::uint64_t b) {
@@ -155,87 +139,6 @@ bool decode_cec_verdict(std::string_view bytes) {
     if (v > 1) malformed("persisted CEC verdict is not a boolean");
     r.expect_end();
     return v == 1;
-}
-
-std::string encode_npn_result(const NpnResult& npn) {
-    ByteWriter w;
-    encode_truth_table(w, npn.canonical);
-    w.varint(npn.perm.size());
-    for (const int p : npn.perm) w.varint(static_cast<std::uint64_t>(p));
-    w.u32(npn.input_negation);
-    w.u8(npn.output_negation ? 1 : 0);
-    return w.take();
-}
-
-NpnResult decode_npn_result(std::string_view bytes) {
-    ByteReader r(bytes);
-    NpnResult npn;
-    npn.canonical = decode_truth_table(r);
-    const std::size_t n =
-        static_cast<std::size_t>(bounded(r.varint(), TruthTable::kMaxVars, "NPN perm size"));
-    npn.perm.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        npn.perm[i] = static_cast<int>(bounded(r.varint(), n ? n - 1 : 0, "NPN perm entry"));
-    npn.input_negation = r.u32();
-    const std::uint8_t out_neg = r.u8();
-    if (out_neg > 1) malformed("persisted NPN output negation is not a boolean");
-    npn.output_negation = out_neg == 1;
-    r.expect_end();
-    return npn;
-}
-
-std::string encode_exact_structure(const std::optional<ExactStructure>& structure) {
-    ByteWriter w;
-    w.u8(structure ? 1 : 0);
-    if (structure) {
-        w.varint(static_cast<std::uint64_t>(structure->num_inputs));
-        w.varint(structure->gates.size());
-        for (const auto& g : structure->gates) {
-            w.varint(static_cast<std::uint64_t>(g.fanin0));
-            w.varint(static_cast<std::uint64_t>(g.fanin1));
-            w.u8(static_cast<std::uint8_t>((g.complement0 ? 1 : 0) | (g.complement1 ? 2 : 0)));
-        }
-        w.varint(static_cast<std::uint64_t>(structure->output_signal));
-        w.u8(static_cast<std::uint8_t>((structure->output_complemented ? 1 : 0) |
-                                       (structure->output_constant ? 2 : 0)));
-    }
-    return w.take();
-}
-
-std::optional<ExactStructure> decode_exact_structure(std::string_view bytes) {
-    ByteReader r(bytes);
-    const std::uint8_t present = r.u8();
-    if (present > 1) malformed("persisted exact structure has unknown flags");
-    if (!present) {
-        r.expect_end();
-        return std::nullopt;
-    }
-    ExactStructure s;
-    s.num_inputs = static_cast<int>(bounded(r.varint(), 16, "exact-structure input count"));
-    const std::size_t num_gates =
-        static_cast<std::size_t>(bounded(r.varint(), 64, "exact-structure gate count"));
-    s.gates.resize(num_gates);
-    for (std::size_t i = 0; i < num_gates; ++i) {
-        // Gate i may only read inputs and earlier gates.
-        const std::uint64_t max_signal = static_cast<std::uint64_t>(s.num_inputs) + i;
-        s.gates[i].fanin0 =
-            static_cast<int>(bounded(r.varint(), max_signal ? max_signal - 1 : 0, "gate fanin"));
-        s.gates[i].fanin1 =
-            static_cast<int>(bounded(r.varint(), max_signal ? max_signal - 1 : 0, "gate fanin"));
-        const std::uint8_t flags = r.u8();
-        if (flags > 3) malformed("persisted gate has unknown complement flags");
-        s.gates[i].complement0 = flags & 1;
-        s.gates[i].complement1 = flags & 2;
-    }
-    const std::uint64_t max_out = static_cast<std::uint64_t>(s.num_inputs) + num_gates;
-    s.output_signal =
-        static_cast<int>(bounded(r.varint(), max_out ? max_out - 1 : 0, "output signal"));
-    const std::uint8_t out_flags = r.u8();
-    if (out_flags > 3) malformed("persisted structure has unknown output flags");
-    s.output_complemented = out_flags & 1;
-    s.output_constant = out_flags & 2;
-    r.expect_end();
-    return s;
 }
 
 }  // namespace lls::persist

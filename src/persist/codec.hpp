@@ -9,16 +9,13 @@
 // wrong structure.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "aig/aig.hpp"
 #include "engine/memo.hpp"
-#include "exact/exact_synthesis.hpp"
 #include "persist/format.hpp"
-#include "tt/npn.hpp"
 
 namespace lls::persist {
 
@@ -47,14 +44,5 @@ ConeEvaluation decode_cone_evaluation(std::string_view bytes);
 /// CEC verdict codec (Section::Cec values).
 std::string encode_cec_verdict(bool equivalent);
 bool decode_cec_verdict(std::string_view bytes);
-
-/// NpnResult codec (Section::Npn values).
-std::string encode_npn_result(const NpnResult& npn);
-NpnResult decode_npn_result(std::string_view bytes);
-
-/// optional<ExactStructure> codec (Section::ExactStruct values); nullopt
-/// records "no realization within the gate/conflict bounds".
-std::string encode_exact_structure(const std::optional<ExactStructure>& structure);
-std::optional<ExactStructure> decode_exact_structure(std::string_view bytes);
 
 }  // namespace lls::persist

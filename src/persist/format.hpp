@@ -42,10 +42,9 @@ inline constexpr const char* kShardExtension = ".shard";
 /// structurally valid record is skipped (forward compatibility), not an
 /// error.
 enum class Section : std::uint8_t {
-    Decompose = 1,    ///< (cone hash, params fp) -> ConeEvaluation
-    Cec = 2,          ///< ordered structural-hash pair -> verdict
-    Npn = 3,          ///< truth-table key -> NpnResult
-    ExactStruct = 4,  ///< canonical-class key -> optional<ExactStructure>
+    Decompose = 1,  ///< (cone hash, params fp) -> ConeEvaluation
+    Cec = 2,        ///< ordered structural-hash pair -> verdict
+    // 3 and 4 are retired (see MemoStore::kNumSections): the next section is 5.
 };
 
 /// FNV-1a over arbitrary bytes — the per-record checksum.

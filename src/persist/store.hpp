@@ -112,7 +112,11 @@ private:
     struct SectionMap {
         std::map<std::string, std::string> entries;  // ordered: deterministic shard bytes
     };
-    static constexpr std::size_t kNumSections = 4;
+    // Ids 3 and 4 (the exact-rewrite NPN and structure memos) are retired
+    // and must never be reused. Old shards still load: their 3/4 records
+    // are skipped like any unknown section and dropped at the next
+    // compaction.
+    static constexpr std::size_t kNumSections = 2;
     static std::size_t section_index(Section s);
 
     bool publish_locked();

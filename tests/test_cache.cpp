@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -211,29 +210,6 @@ TEST(ShardedCache, CustomSizerChargesTheStoredEntry) {
         expected += sizeof(int) + v.capacity() + StringCache::kEntryOverheadBytes;
     });
     EXPECT_EQ(cache.stats().bytes, expected);
-}
-
-TEST(ShardedCache, RegisteredInGlobalStats) {
-    ShardedCache<std::string, int> cache("test.registry.unique", 16);
-    cache.put("a", 1);
-    bool found = false;
-    for (const auto& s : all_cache_stats()) {
-        if (s.name == "test.registry.unique") {
-            found = true;
-            EXPECT_EQ(s.entries, 1u);
-        }
-    }
-    EXPECT_TRUE(found);
-}
-
-TEST(ShardedCache, DestroyedCacheLeavesGlobalStats) {
-    {
-        // Heap-allocated so a dangling stats provider is a heap
-        // use-after-free, which AddressSanitizer always reports.
-        auto cache = std::make_unique<ShardedCache<int, int>>("test.registry.scoped", 16);
-        cache->put(1, 1);
-    }
-    for (const auto& s : all_cache_stats()) EXPECT_NE(s.name, "test.registry.scoped");
 }
 
 }  // namespace

@@ -25,12 +25,11 @@ struct Result {
     std::uint64_t hash;
 };
 
-Result run(const Aig& input, int jobs, bool use_cache = true) {
+Result run(const Aig& input, int jobs) {
     LookaheadParams params;
     params.max_iterations = 6;
     EngineOptions engine;
     engine.jobs = jobs;
-    engine.use_result_cache = use_cache;
     OptimizeStats stats;
     const Aig out = optimize_timing_engine(input, params, engine, &stats);
     EXPECT_TRUE(stats.verified);
@@ -73,15 +72,6 @@ TEST(Engine, JobsInvariantOnBlifRoundtrip) {
     EXPECT_EQ(serial.hash, parallel3.hash);
 }
 
-TEST(Engine, ResultCacheDoesNotChangeQoR) {
-    const Aig rca = ripple_carry_adder(7);
-    const Result cached = run(rca, 2, /*use_cache=*/true);
-    const Result uncached = run(rca, 2, /*use_cache=*/false);
-    EXPECT_EQ(cached.depth, uncached.depth);
-    EXPECT_EQ(cached.ands, uncached.ands);
-    EXPECT_EQ(cached.hash, uncached.hash);
-}
-
 std::string run_aiger(const Aig& input, int jobs) {
     LookaheadParams params;
     params.max_iterations = 6;
@@ -96,8 +86,8 @@ std::string run_aiger(const Aig& input, int jobs) {
 }
 
 TEST(Engine, SerializedOutputIsByteIdenticalAcrossJobs) {
-    // Every jobs value shares one run-wide BDD manager across a different
-    // number of workers: the serialized output must match the serial run.
+    // Every jobs value spreads the cones over a different number of
+    // workers: the serialized output must match the serial run.
     const Aig rca = ripple_carry_adder(8);
     const std::string baseline = run_aiger(rca, 1);
     for (const int jobs : {2, 4}) EXPECT_EQ(run_aiger(rca, jobs), baseline) << "jobs=" << jobs;
@@ -105,13 +95,22 @@ TEST(Engine, SerializedOutputIsByteIdenticalAcrossJobs) {
 
 TEST(Engine, CacheHitCountersIncreaseOnRepeatedRuns) {
     const Aig rca = ripple_carry_adder(9);
-    run(rca, 1);
-    const CacheStatsSnapshot after_first = decomposition_cache_stats();
-    run(rca, 1);
-    const CacheStatsSnapshot after_second = decomposition_cache_stats();
-    // The second run re-derives the same cones, so it must hit the memo.
-    EXPECT_GT(after_second.hits, after_first.hits);
-    EXPECT_GT(after_second.entries, 0u);
+    clear_engine_caches();
+    const Result cold = run(rca, 1);
+    const std::vector<CacheStatsSnapshot> after_first = all_cache_stats();
+    // The engine has exactly two memos.
+    ASSERT_EQ(after_first.size(), 2u);
+    EXPECT_EQ(after_first[0].name, "decompose_memo");
+    EXPECT_EQ(after_first[1].name, "cec_memo");
+    const Result warm = run(rca, 1);
+    const std::vector<CacheStatsSnapshot> after_second = all_cache_stats();
+    // The second run re-derives the same cones, so it must hit the memo,
+    // and the memo must not change what it commits.
+    EXPECT_GT(after_second[0].hits, after_first[0].hits);
+    EXPECT_GT(after_second[0].entries, 0u);
+    EXPECT_EQ(warm.depth, cold.depth);
+    EXPECT_EQ(warm.ands, cold.ands);
+    EXPECT_EQ(warm.hash, cold.hash);
 }
 
 TEST(Engine, BatchMatchesIndividualRuns) {
@@ -737,7 +736,7 @@ TEST(Engine, MetricsRecordRuns) {
     run(ripple_carry_adder(5), 2);
     EXPECT_GT(metrics.counter("engine.runs").value(), runs_before);
     EXPECT_GT(metrics.timer("engine.evaluate").samples(), 0u);
-    const std::string json = metrics.to_json();
+    const std::string json = metrics.to_json(all_cache_stats());
     EXPECT_NE(json.find("\"engine.runs\""), std::string::npos);
     EXPECT_NE(json.find("\"caches\""), std::string::npos);
 }

@@ -7,9 +7,9 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -21,7 +21,6 @@
 #include "io/blif.hpp"
 #include "io/generators.hpp"
 #include "persist/codec.hpp"
-#include "tt/npn.hpp"
 
 namespace lls {
 namespace {
@@ -67,6 +66,41 @@ std::string slurp(const fs::path& p) {
 void dump(const fs::path& p, const std::string& bytes) {
     std::ofstream out(p, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// A hand-made shard image: `records` (section id, key, value) in order,
+/// framed and checksummed as the store writes them.
+std::string shard_image(
+    const std::vector<std::tuple<std::uint8_t, std::string, std::string>>& records) {
+    ByteWriter file;
+    file.raw(std::string_view(persist::kMagic, sizeof(persist::kMagic)));
+    file.u32(persist::kFormatVersion);
+    file.u32(0);
+    for (const auto& [section, key, value] : records) {
+        ByteWriter payload;
+        payload.u8(section);
+        payload.blob(key);
+        payload.blob(value);
+        file.u32(static_cast<std::uint32_t>(payload.str().size()));
+        file.raw(payload.str());
+        file.u64(persist::fnv1a(payload.str()));
+    }
+    return file.take();
+}
+
+/// The section id of every record of a shard image, in file order.
+std::vector<std::uint8_t> section_ids(const std::string& shard) {
+    ByteReader reader(shard);
+    for (std::size_t i = 0; i < sizeof(persist::kMagic) + 8; ++i) reader.u8();
+    std::vector<std::uint8_t> ids;
+    while (!reader.at_end()) {
+        reader.u32();  // payload length
+        ids.push_back(reader.u8());
+        reader.blob();
+        reader.blob();
+        reader.u64();  // checksum
+    }
+    return ids;
 }
 
 // ---------------------------------------------------------------- format --
@@ -208,47 +242,6 @@ TEST(PersistCodec, CecVerdictRoundtrip) {
     EXPECT_THROW(persist::decode_cec_verdict("\x07"), LlsError);
 }
 
-TEST(PersistCodec, NpnResultRoundtrip) {
-    TruthTable tt(4);
-    tt.set_bit(3, true);
-    tt.set_bit(7, true);
-    tt.set_bit(14, true);
-    const NpnResult npn = npn_canonize(tt);
-    const NpnResult back = persist::decode_npn_result(persist::encode_npn_result(npn));
-    EXPECT_EQ(back.canonical, npn.canonical);
-    EXPECT_EQ(back.perm, npn.perm);
-    EXPECT_EQ(back.input_negation, npn.input_negation);
-    EXPECT_EQ(back.output_negation, npn.output_negation);
-}
-
-TEST(PersistCodec, ExactStructureRoundtrip) {
-    ExactStructure s;
-    s.num_inputs = 3;
-    s.gates.push_back({0, 1, true, false});
-    s.gates.push_back({2, 3, false, true});
-    s.output_signal = 4;
-    s.output_complemented = true;
-    const auto back = persist::decode_exact_structure(
-        persist::encode_exact_structure(std::optional<ExactStructure>(s)));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->num_inputs, 3);
-    ASSERT_EQ(back->gates.size(), 2u);
-    EXPECT_EQ(back->gates[0].fanin0, 0);
-    EXPECT_EQ(back->gates[0].fanin1, 1);
-    EXPECT_TRUE(back->gates[0].complement0);
-    EXPECT_FALSE(back->gates[0].complement1);
-    EXPECT_EQ(back->gates[1].fanin0, 2);
-    EXPECT_TRUE(back->gates[1].complement1);
-    EXPECT_EQ(back->output_signal, 4);
-    EXPECT_TRUE(back->output_complemented);
-    EXPECT_FALSE(back->output_constant);
-
-    // "no realization in budget" is itself a memo worth persisting.
-    const auto none = persist::decode_exact_structure(
-        persist::encode_exact_structure(std::nullopt));
-    EXPECT_FALSE(none.has_value());
-}
-
 // ----------------------------------------------------------------- store --
 
 TEST(PersistStore, PublishLoadRoundtripAcrossAllSections) {
@@ -261,13 +254,10 @@ TEST(PersistStore, PublishLoadRoundtripAcrossAllSections) {
                                  [] { return std::string("dval"); }));
         EXPECT_TRUE(store.record(Section::Cec, persist::encode_pair_key(3, 4),
                                  [] { return persist::encode_cec_verdict(true); }));
-        EXPECT_TRUE(store.record(Section::Npn, "4:abcd", [] { return std::string("nval"); }));
-        EXPECT_TRUE(store.record(Section::ExactStruct, "4:abcd:c512",
-                                 [] { return std::string("xval"); }));
-        EXPECT_EQ(store.fresh_count(), 4u);
+        EXPECT_EQ(store.fresh_count(), 2u);
         EXPECT_TRUE(store.publish());
         EXPECT_EQ(store.fresh_count(), 0u);
-        EXPECT_EQ(store.loaded_count(), 4u);
+        EXPECT_EQ(store.loaded_count(), 2u);
     }
     ASSERT_EQ(shard_files(dir.path).size(), 1u);
 
@@ -276,7 +266,7 @@ TEST(PersistStore, PublishLoadRoundtripAcrossAllSections) {
     EXPECT_EQ(report.files_scanned, 1u);
     EXPECT_EQ(report.files_loaded, 1u);
     EXPECT_EQ(report.files_rejected, 0u);
-    EXPECT_EQ(report.records_loaded, 4u);
+    EXPECT_EQ(report.records_loaded, 2u);
     EXPECT_FALSE(report.cold_start);
 
     std::map<std::string, std::string> decompose;
@@ -305,12 +295,12 @@ TEST(PersistStore, RecordDeduplicatesAndIsLazy) {
         ++calls;
         return std::string("v");
     };
-    EXPECT_TRUE(store.record(Section::Npn, "k", value));
-    EXPECT_FALSE(store.record(Section::Npn, "k", value));
+    EXPECT_TRUE(store.record(Section::Cec, "k", value));
+    EXPECT_FALSE(store.record(Section::Cec, "k", value));
     EXPECT_EQ(calls, 1);
     EXPECT_TRUE(store.publish());
     // Promoted-to-loaded keys stay known: still not re-staged.
-    EXPECT_FALSE(store.record(Section::Npn, "k", value));
+    EXPECT_FALSE(store.record(Section::Cec, "k", value));
     EXPECT_EQ(calls, 1);
 }
 
@@ -318,7 +308,7 @@ TEST(PersistStore, ReadOnlyModeNeverPublishes) {
     TempDir dir("readonly");
     MemoStore store(dir.str(), StoreMode::Read);
     store.load();
-    store.record(Section::Npn, "k", [] { return std::string("v"); });
+    store.record(Section::Cec, "k", [] { return std::string("v"); });
     EXPECT_FALSE(store.publish());
     EXPECT_TRUE(shard_files(dir.path).empty());
 }
@@ -332,12 +322,11 @@ TEST(PersistStore, OffModeIsInert) {
     EXPECT_FALSE(store.publish());
 }
 
-/// Publishes one good shard holding a single NPN record and returns its
-/// path.
+/// Publishes one good shard holding a single record and returns its path.
 fs::path publish_one_shard(const TempDir& dir) {
     MemoStore store(dir.str(), StoreMode::ReadWrite);
     store.load();
-    store.record(Section::Npn, "key", [] { return std::string("value"); });
+    store.record(Section::Decompose, "key", [] { return std::string("value"); });
     EXPECT_TRUE(store.publish());
     const auto files = shard_files(dir.path);
     EXPECT_EQ(files.size(), 1u);
@@ -400,25 +389,14 @@ TEST(PersistStore, BadMagicIsRejected) {
 
 TEST(PersistStore, UnknownSectionRecordIsSkippedNotFatal) {
     TempDir dir("unknown_section");
-    // Hand-craft a shard: one record of an id from the future (9) and one
-    // the loader understands.
-    ByteWriter file;
-    file.raw(std::string_view(persist::kMagic, sizeof(persist::kMagic)));
-    file.u32(persist::kFormatVersion);
-    file.u32(0);
-    const auto append_record = [&file](std::uint8_t section, std::string_view key,
-                                       std::string_view value) {
-        ByteWriter payload;
-        payload.u8(section);
-        payload.blob(key);
-        payload.blob(value);
-        file.u32(static_cast<std::uint32_t>(payload.str().size()));
-        file.raw(payload.str());
-        file.u64(persist::fnv1a(payload.str()));
-    };
-    append_record(9, "future-key", "future-value");
-    append_record(static_cast<std::uint8_t>(Section::Npn), "known", "v");
-    dump(dir.path / ("hand" + std::string(persist::kShardExtension)), file.str());
+    // Hand-craft a shard: one record of an id from the future (9), one each
+    // of the retired exact-rewrite sections (3, 4) as older stores hold
+    // them, and one the loader understands.
+    dump(dir.path / ("hand" + std::string(persist::kShardExtension)),
+         shard_image({{9, "future-key", "future-value"},
+                      {3, "4:abcd", "npn-value"},
+                      {4, "4:abcd:6:c12000", "exact-value"},
+                      {static_cast<std::uint8_t>(Section::Decompose), "known", "v"}}));
 
     MemoStore reader(dir.str(), StoreMode::Read);
     const LoadReport& report = reader.load();
@@ -446,17 +424,25 @@ TEST(PersistStore, CompactionMergesManyShardsIntoOne) {
     for (int i = 0; i < 10; ++i) {
         MemoStore store(dir.str(), StoreMode::ReadWrite);
         store.load();
-        store.record(Section::Npn, "key" + std::to_string(i),
+        store.record(Section::Decompose, "key" + std::to_string(i),
                      [i] { return "value" + std::to_string(i); });
         ASSERT_TRUE(store.publish());
     }
-    EXPECT_EQ(shard_files(dir.path).size(), 10u);
+    // And one written before sections 3 and 4 were retired.
+    const fs::path retired = dir.path / ("retired" + std::string(persist::kShardExtension));
+    dump(retired, shard_image({{3, "4:abcd", "npn-value"}, {4, "4:abcd:6:c12000", "exact-value"}}));
+    EXPECT_EQ(shard_files(dir.path).size(), 11u);
 
     MemoStore store(dir.str(), StoreMode::ReadWrite);
     store.load();
     EXPECT_EQ(store.report().records_loaded, 10u);
     store.compact(/*max_shards=*/8);
-    EXPECT_EQ(shard_files(dir.path).size(), 1u);
+    const auto files = shard_files(dir.path);
+    ASSERT_EQ(files.size(), 1u);
+    EXPECT_FALSE(fs::exists(retired));
+    // The snapshot drops the retired records.
+    for (const std::uint8_t id : section_ids(slurp(files[0])))
+        EXPECT_EQ(id, static_cast<std::uint8_t>(Section::Decompose));
 
     MemoStore reader(dir.str(), StoreMode::Read);
     EXPECT_EQ(reader.load().records_loaded, 10u);

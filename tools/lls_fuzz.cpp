@@ -337,10 +337,16 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--fault-inject") {
-            if (i + 1 >= argc) return usage();
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "error: --fault-inject expects a value\n");
+                return usage();
+            }
             g_fault_spec = argv[++i];
         } else if (arg == "--mutate-store") {
             mutate_store = true;
+        } else if (arg.starts_with("--")) {
+            std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
+            return usage();
         } else if (positional == 0) {
             if (!lls::parse_int_option("iterations", arg.c_str(), 1, 1000000000, &iterations))
                 return usage();
@@ -350,6 +356,7 @@ int main(int argc, char** argv) {
                 return usage();
             ++positional;
         } else {
+            std::fprintf(stderr, "error: unexpected argument '%s'\n", arg.c_str());
             return usage();
         }
     }

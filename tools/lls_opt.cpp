@@ -200,50 +200,75 @@ int main(int argc, char** argv) {
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        // The value of an option that takes one, or nullptr after naming
+        // the option when the command line ends before it.
+        const auto value = [&]() -> const char* {
+            if (i + 1 < argc) return argv[++i];
+            std::fprintf(stderr, "error: %s expects a value\n", arg.c_str());
+            return nullptr;
+        };
+        const char* v = nullptr;
         if (arg == "--help" || arg == "-h") {
             return help(argv[0]);
-        } else if (arg == "--flow" && i + 1 < argc) {
-            flow = argv[++i];
-        } else if (arg == "--iterations" && i + 1 < argc) {
-            if (!lls::parse_int_option("--iterations", argv[++i], 0, 1000000, &iterations))
+        } else if (arg == "--flow") {
+            if (!(v = value())) return usage(argv[0]);
+            flow = v;
+            if (flow != "sis" && flow != "abc" && flow != "dc" && flow != "lookahead") {
+                std::fprintf(stderr, "error: --flow expects sis|abc|dc|lookahead, got '%s'\n", v);
                 return usage(argv[0]);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            if (!lls::parse_jobs_option("--jobs", argv[++i], 1024, &jobs)) return usage(argv[0]);
-        } else if (arg == "--work-budget" && i + 1 < argc) {
-            if (!lls::parse_u64_option("--work-budget", argv[++i], UINT64_MAX, &work_budget))
+            }
+        } else if (arg == "--iterations") {
+            if (!(v = value()) ||
+                !lls::parse_int_option("--iterations", v, 0, 1000000, &iterations))
                 return usage(argv[0]);
-        } else if (arg == "--time-budget" && i + 1 < argc) {
-            if (!lls::parse_duration_option("--time-budget", argv[++i], &time_budget))
+        } else if (arg == "--jobs") {
+            if (!(v = value()) || !lls::parse_jobs_option("--jobs", v, 1024, &jobs))
+                return usage(argv[0]);
+        } else if (arg == "--work-budget") {
+            if (!(v = value()) ||
+                !lls::parse_u64_option("--work-budget", v, UINT64_MAX, &work_budget))
+                return usage(argv[0]);
+        } else if (arg == "--time-budget") {
+            if (!(v = value()) || !lls::parse_duration_option("--time-budget", v, &time_budget))
                 return usage(argv[0]);
         } else if (arg == "--batch") {
             batch = true;
-        } else if (arg == "--out-dir" && i + 1 < argc) {
-            out_dir = argv[++i];
-        } else if (arg == "--checkpoint" && i + 1 < argc) {
-            checkpoint_path = argv[++i];
+        } else if (arg == "--out-dir") {
+            if (!(v = value())) return usage(argv[0]);
+            out_dir = v;
+        } else if (arg == "--checkpoint") {
+            if (!(v = value())) return usage(argv[0]);
+            checkpoint_path = v;
         } else if (arg == "--resume") {
             resume = true;
-        } else if (arg == "--fault-inject" && i + 1 < argc) {
-            fault_spec = argv[++i];
+        } else if (arg == "--fault-inject") {
+            if (!(v = value())) return usage(argv[0]);
+            fault_spec = v;
         } else if (arg == "--no-verify") {
             verify = false;
         } else if (arg == "--map") {
             map_report = true;
-        } else if (arg == "--aiger" && i + 1 < argc) {
-            aiger_path = argv[++i];
-        } else if (arg == "--verilog" && i + 1 < argc) {
-            verilog_path = argv[++i];
+        } else if (arg == "--aiger") {
+            if (!(v = value())) return usage(argv[0]);
+            aiger_path = v;
+        } else if (arg == "--verilog") {
+            if (!(v = value())) return usage(argv[0]);
+            verilog_path = v;
         } else if (arg == "--stats") {
             print_stats = true;
         } else if (arg == "--metrics") {
             print_metrics = true;
-        } else if (arg == "--metrics-json" && i + 1 < argc) {
-            metrics_json_path = argv[++i];
-        } else if (arg == "--cache-dir" && i + 1 < argc) {
-            cache_dir = argv[++i];
-        } else if (arg == "--cache-mode" && i + 1 < argc) {
-            cache_mode = argv[++i];
+        } else if (arg == "--metrics-json") {
+            if (!(v = value())) return usage(argv[0]);
+            metrics_json_path = v;
+        } else if (arg == "--cache-dir") {
+            if (!(v = value())) return usage(argv[0]);
+            cache_dir = v;
+        } else if (arg == "--cache-mode") {
+            if (!(v = value())) return usage(argv[0]);
+            cache_mode = v;
         } else if (!arg.empty() && arg[0] == '-') {
+            std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
             return usage(argv[0]);
         } else if (batch) {
             inputs.push_back(arg);
@@ -252,6 +277,7 @@ int main(int argc, char** argv) {
         } else if (output_path.empty()) {
             output_path = arg;
         } else {
+            std::fprintf(stderr, "error: unexpected argument '%s'\n", arg.c_str());
             return usage(argv[0]);
         }
     }
@@ -331,10 +357,10 @@ int main(int argc, char** argv) {
     // Returns false (-> exit 1) only when --metrics-json cannot be written.
     auto epilogue = [&]() -> bool {
         if (warm) warm->finalize();
-        if (print_metrics) lls::Metrics::global().report(stdout);
+        if (print_metrics) lls::Metrics::global().report(stdout, lls::all_cache_stats());
         if (!metrics_json_path.empty()) {
             std::ofstream out(metrics_json_path);
-            out << lls::Metrics::global().to_json() << '\n';
+            out << lls::Metrics::global().to_json(lls::all_cache_stats()) << '\n';
             out.flush();
             if (!out.good()) {
                 std::fprintf(stderr, "error writing %s\n", metrics_json_path.c_str());
@@ -523,7 +549,7 @@ int main(int argc, char** argv) {
         optimized = lls::flow_abc(circuit, rng);
     } else if (flow == "dc") {
         optimized = lls::flow_dc(circuit, rng);
-    } else if (flow == "lookahead") {
+    } else {
         try {
             optimized = lls::optimize_timing_engine(circuit, params, engine, &stats);
         } catch (const std::exception& e) {
@@ -533,8 +559,6 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "error: optimization failed: %s\n", e.what());
             return lls::exit_code_for(lls::error_kind_of(e));
         }
-    } else {
-        return usage(argv[0]);
     }
     std::printf("%s flow: depth %d -> %d, %zu -> %zu AND nodes (%.2fs, %d jobs)\n", flow.c_str(),
                 circuit.depth(), optimized.depth(), circuit.count_reachable_ands(),

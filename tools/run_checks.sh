@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# run_checks.sh: tier-1 tests in the default configuration, eight suites
+# run_checks.sh: tier-1 tests in the default configuration, usage-error
+# checks of lls_opt and lls_fuzz (an unknown option or a bad --flow value
+# exits 2 and names the argument), eight suites
 # (SAT, CEC, SOP, truth-table, lookahead, simulation, network and SPCF) in
 # a Debug build (the only stage where the LLS_DCHECK invariant checks run),
 # a budgeted determinism check of the CLI (same circuit + work budget at
@@ -34,6 +36,30 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
+echo "== stage 1a: usage errors name the rejected argument =="
+# Each exits 2 with the usage text and names the bad argument on stderr: an
+# unknown lls_opt option (the deleted per-cone watchdog flag), a bad --flow
+# value (rejected while parsing, before the input is read, so nothing is
+# printed on stdout) and an unknown lls_fuzz option (not read as the
+# iteration count).
+WORKDIR="$(mktemp -d)"
+trap 'rm -rf "$WORKDIR"' EXIT
+expect_usage_error() {  # <rejected argument> <command...>
+    local rejected="$1" rc=0
+    shift
+    "$@" > "$WORKDIR/usage.out" 2> "$WORKDIR/usage.err" || rc=$?
+    [[ "$rc" == 2 ]] || { echo "expected exit 2 from '$*', got $rc"; exit 1; }
+    grep -qF -- "'$rejected'" "$WORKDIR/usage.err" || {
+        echo "stderr of '$*' does not name '$rejected'"; cat "$WORKDIR/usage.err"; exit 1; }
+    grep -q '^usage:' "$WORKDIR/usage.err" || { echo "no usage text from '$*'"; exit 1; }
+}
+expect_usage_error --cone-deadline ./build/tools/lls_opt --cone-deadline 30s \
+    tests/data/rca16.blif "$WORKDIR/usage.blif"
+expect_usage_error xyz ./build/tools/lls_opt --flow xyz tests/data/rca16.blif "$WORKDIR/usage.blif"
+[[ ! -s "$WORKDIR/usage.out" ]] || { echo "--flow xyz printed on stdout"; exit 1; }
+expect_usage_error --deadline ./build/tools/lls_fuzz --deadline 1
+echo "usage errors exit 2 and name the rejected argument"
+
 echo "== stage 1b: LLS_DCHECK invariants (Debug) =="
 # Every other stage builds with NDEBUG, which compiles LLS_DCHECK out. These
 # suites reach the solver's watch, trail and order-heap checks, the
@@ -51,8 +77,6 @@ echo "== stage 2: budgeted determinism across job counts =="
 # The core claim of the deterministic work budget: exhausting it must cut
 # the run at the same round on every thread schedule, so the output files
 # are byte-identical across --jobs. Checked on both regression circuits.
-WORKDIR="$(mktemp -d)"
-trap 'rm -rf "$WORKDIR"' EXIT
 for circuit in tests/data/rca16.blif tests/data/control24.blif; do
     name="$(basename "$circuit" .blif)"
     for j in 1 2 4; do
