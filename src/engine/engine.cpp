@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
+#include <mutex>
+#include <thread>
 #include <unordered_map>
 #include <utility>
-
-#include <mutex>
-
-#include <thread>
 
 #include "aig/aig_build.hpp"
 #include "baseline/restructure.hpp"
@@ -41,30 +38,6 @@ bool better(const Aig& a, const Aig& b) {
     return da < db || (da == db && a.count_reachable_ands() < b.count_reachable_ands());
 }
 
-/// Fingerprint of every LookaheadParams field `decompose_output` reads. A
-/// memo entry is only valid for identical parameters, and the per-cone RNG
-/// seed is derived from this fingerprint + the cone's structural hash so
-/// that a cone's outcome depends on nothing but (cone, params) — the root
-/// of the jobs-invariance guarantee. The wall-clock rail (time budget)
-/// changes no completed evaluation, so it stays out of it.
-std::uint64_t params_fingerprint(const LookaheadParams& p) {
-    std::uint64_t h = 0x6c6f6f6b61686561ULL;  // "lookahea"
-    h = hash_mix(h, static_cast<std::uint64_t>(p.cut_size));
-    h = hash_mix(h, static_cast<std::uint64_t>(p.max_cuts));
-    h = hash_mix(h, p.num_random_patterns);
-    h = hash_mix(h, p.force_random_patterns);
-    h = hash_mix(h, p.seed);
-    h = hash_mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(p.spcf_slack)));
-    h = hash_mix(h, static_cast<std::uint64_t>(p.sat_conflict_limit));
-    h = hash_mix(h, p.use_implication_rules);
-    h = hash_mix(h, p.secondary_simplification);
-    // A non-empty fault plan changes what the evaluations compute, so it
-    // must change the memo key; an empty plan adds nothing, keeping every
-    // fault-free fingerprint (and so every RNG stream) exactly as before.
-    if (!p.fault_plan.empty()) h = hash_mix(h, FaultPlan::parse(p.fault_plan).fingerprint());
-    return h;
-}
-
 /// Equivalence check with the structural-hash verdict memo in front. Only
 /// resolved verdicts are stored; a memo hit returns no counterexample
 /// (engine callers only branch on resolved/equivalent). `ctx.cost` meters
@@ -72,10 +45,9 @@ std::uint64_t params_fingerprint(const LookaheadParams& p) {
 /// which is why serial-stage CEC work feeds --metrics but is never charged
 /// against the deterministic budget (docs/ENGINE.md, "Budget semantics").
 /// A hit on a verdict imported from the persistent store is noted against
-/// `warm` for the `persist.warm_hits` split.
+/// `warm` (may be null) for the `persist.warm_hits` split.
 CecResult check_equivalence_memo(const Aig& a, const Aig& b, std::int64_t conflict_limit,
-                                 const RunContext& ctx = RunContext{},
-                                 WarmStart* warm = nullptr) {
+                                 const RunContext& ctx, WarmStart* warm) {
     // Not std::minmax: it returns references into the hash() temporaries,
     // which dangle once this statement ends.
     const std::uint64_t ha = a.hash(), hb = b.hash();
@@ -103,7 +75,42 @@ FaultRecord fault_record_of(const std::exception& e) {
     return record;
 }
 
+bool shutdown_requested(const CancelToken* cancel) {
+    return cancel != nullptr && cancel->requested();
+}
+
+/// A shutdown unwinding the run: a Cancelled error while the shutdown token
+/// is requested. An injected `cancel` fault raises the same kind with no
+/// request pending; it is an ordinary contained fault.
+bool is_shutdown(const std::exception& e, const CancelToken* cancel) {
+    return error_kind_of(e) == ErrorKind::Cancelled && shutdown_requested(cancel);
+}
+
 }  // namespace
+
+std::uint64_t lookahead_params_fingerprint(const LookaheadParams& p) {
+    // Each cone's RNG is seeded from this and the cone's structural hash, so
+    // its outcome depends on nothing but (cone, params) — the root of the
+    // jobs-invariance guarantee. The wall-clock rail changes no completed
+    // evaluation, so it stays out.
+    std::uint64_t h = 0x6c6f6f6b61686561ULL;  // "lookahea"
+    h = hash_mix(h, static_cast<std::uint64_t>(p.cut_size));
+    h = hash_mix(h, static_cast<std::uint64_t>(p.max_cuts));
+    h = hash_mix(h, p.num_random_patterns);
+    h = hash_mix(h, p.force_random_patterns);
+    h = hash_mix(h, p.seed);
+    h = hash_mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(p.spcf_slack)));
+    // The retired sat_conflict_limit field's value: keeps every fingerprint,
+    // RNG stream, memo key and stored record as it was.
+    h = hash_mix(h, std::uint64_t{2000});
+    h = hash_mix(h, p.use_implication_rules);
+    h = hash_mix(h, p.secondary_simplification);
+    // A non-empty fault plan changes what the evaluations compute, so it
+    // must change the memo key; an empty plan adds nothing, keeping every
+    // fault-free fingerprint (and so every RNG stream) exactly as before.
+    if (!p.fault_plan.empty()) h = hash_mix(h, FaultPlan::parse(p.fault_plan).fingerprint());
+    return h;
+}
 
 DecomposeMemo& decompose_memo() {
     // Ledger price of one stored AIG node: fanins, level, hash-bucket share.
@@ -131,427 +138,458 @@ CecMemo& cec_memo() {
 
 namespace {
 
-/// The engine run behind both public drivers. `shared_pool` is the batch
-/// driver's hook (null for a standalone run): the batch-wide pool to fan
-/// each round's cone evaluations across instead of a run-private pool sized
-/// from `jobs`. Every in-flight item publishes its per-round `parallel_for`
-/// range to the one queue that *freed* workers — threads whose own items
-/// have completed — also drain (two-level scheduling). Commits stay serial
-/// per item in deterministic cone order, so outputs are byte-identical with
-/// and without it.
-Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOptions& engine,
-               ThreadPool* shared_pool, OptimizeStats* stats) {
-    Metrics& metrics = Metrics::global();
-    MetricCounter& cones_evaluated = metrics.counter("engine.cones_evaluated");
-    MetricCounter& cones_improved = metrics.counter("engine.cones_improved");
-    MetricCounter& rounds_run = metrics.counter("engine.rounds");
-    MetricTimer& evaluate_timer = metrics.timer("engine.evaluate");
-    MetricTimer& commit_timer = metrics.timer("engine.commit");
-    MetricTimer& restructure_timer = metrics.timer("engine.restructure");
-    MetricTimer& sweep_timer = metrics.timer("engine.sat_sweep");
-    MetricTimer& cec_timer = metrics.timer("engine.cec");
-    MetricTimer& total_timer = metrics.timer("engine.total");
+// Above this size, SAT sweeping and CEC run per *pass* instead of per
+// iteration (every per-cone decomposition is CEC-verified regardless, and
+// the returned circuit is always verified against the input).
+constexpr std::size_t kPerIterationCheckLimit = 1500;
+// Iterations in a row that may keep the depth flat: the rewrite into window
+// form often pays off only once a later round flattens the nested windows.
+constexpr int kMaxPlateau = 2;
+
+/// One round's cone tasks: one per distinct timing-critical driver node,
+/// keyed to the first PO that references it (a complemented sibling PO
+/// reuses the result with an inverted output).
+struct Round {
+    std::vector<std::size_t> task_po;
+    std::unordered_map<std::uint32_t, std::size_t> driver_task;  ///< critical drivers only
+    std::vector<ConeEvaluation> evaluations;  ///< per task; empty keeps the cone's logic
+};
+
+/// One engine run: the state the paper's loop carries across rounds, with
+/// each stage of a round as a member function. `optimize_timing_engine` and
+/// each batch item construct one and call `run()` once. `evaluate` runs
+/// `evaluate_cone` on the pool's workers, which only read the run's state
+/// and bump its atomic counters; every member is written at serial points.
+///
+/// `shared_pool` is the batch driver's pool (null for a standalone run,
+/// which sizes a private pool from `jobs`): every in-flight item publishes
+/// its per-round fan-out to the one queue that *freed* workers — threads
+/// whose own items have completed — also drain (two-level scheduling).
+class EngineRun {
+public:
+    EngineRun(const Aig& input, const LookaheadParams& params, const EngineOptions& engine,
+              ThreadPool* shared_pool);
+
+    /// Both passes; returns the best verified circuit and spends the run.
+    Aig run(OptimizeStats* stats) &&;
+
+private:
+    static Round gather(const Aig& current, int depth);
+    void evaluate(const Aig& current, Round& round) const;
+    ConeEvaluation evaluate_cone(const Aig& current, std::size_t po) const;
+    void charge(const Aig& current, const Round& round);
+    Aig commit(const Aig& current, const Round& round, int iter, int& improved_outputs);
+    Aig restructure(Aig candidate);
+    Aig sweep(const Aig& aig);
+    bool verify(const Aig& a, const Aig& b, std::int64_t conflict_limit, const char* check);
+    void decomposition_pass(Aig current);
+    void restructure_pass();
+
+    bool time_budget_expired() const {
+        return params_.time_budget_seconds > 0.0 &&
+               run_clock_.elapsed_seconds() >= params_.time_budget_seconds;
+    }
+    /// Serial-point check of both stop sources; flags the run when the
+    /// wall-clock rail is what fired.
+    bool stop_requested() {
+        if (time_budget_expired()) wall_clock_interrupted_ = true;
+        return wall_clock_interrupted_ || shutdown_requested(engine_.cancel);
+    }
+    /// Context of the *serial* stages (SAT sweeping, CEC): a cost sink for
+    /// --metrics and the shutdown token, never an executor.
+    RunContext serial_context(WorkCost& cost) const {
+        RunContext ctx;
+        ctx.cost = &cost;
+        ctx.cancel = engine_.cancel;
+        ctx.metrics = &metrics_;
+        return ctx;
+    }
+
+    const LookaheadParams& params_;
+    const EngineOptions& engine_;
+    Metrics& metrics_ = Metrics::global();
+    MetricCounter& cones_evaluated_ = metrics_.counter("engine.cones_evaluated");
+    MetricCounter& cones_improved_ = metrics_.counter("engine.cones_improved");
+    MetricCounter& rounds_run_ = metrics_.counter("engine.rounds");
+    MetricTimer& evaluate_timer_ = metrics_.timer("engine.evaluate");
+    MetricTimer& commit_timer_ = metrics_.timer("engine.commit");
+    MetricTimer& restructure_timer_ = metrics_.timer("engine.restructure");
+    MetricTimer& sweep_timer_ = metrics_.timer("engine.sat_sweep");
+    MetricTimer& cec_timer_ = metrics_.timer("engine.cec");
+    MetricTimer& total_timer_ = metrics_.timer("engine.total");
     // Work-unit meters: `work.evaluate.*` is what the deterministic budget
     // charges (memo hits replay the stored cost, so the charge stream is
     // cache-invariant); the serial-stage meters report work actually
     // performed and are observability-only.
-    MetricCounter& work_decompositions = metrics.counter("engine.work.evaluate.decompositions");
-    MetricCounter& work_eval_conflicts = metrics.counter("engine.work.evaluate.sat_conflicts");
-    MetricCounter& work_sweep_conflicts = metrics.counter("engine.work.sat_sweep.sat_conflicts");
-    MetricCounter& work_cec_conflicts = metrics.counter("engine.work.cec.sat_conflicts");
-    MetricCounter& budget_stops = metrics.counter("engine.budget_exhausted");
-    MetricCounter& wall_clock_stops = metrics.counter("engine.wall_clock_interrupts");
-    MetricCounter& fault_records = metrics.counter("engine.fault.records");
-    MetricCounter& shutdown_stops = metrics.counter("engine.cancel.shutdowns");
-    const ScopedTimer total_scope(total_timer);
-    metrics.counter("engine.runs").add();
+    MetricCounter& work_decompositions_ = metrics_.counter("engine.work.evaluate.decompositions");
+    MetricCounter& work_eval_conflicts_ = metrics_.counter("engine.work.evaluate.sat_conflicts");
+    MetricCounter& work_sweep_conflicts_ = metrics_.counter("engine.work.sat_sweep.sat_conflicts");
+    MetricCounter& work_cec_conflicts_ = metrics_.counter("engine.work.cec.sat_conflicts");
+    MetricCounter& budget_stops_ = metrics_.counter("engine.budget_exhausted");
+    MetricCounter& wall_clock_stops_ = metrics_.counter("engine.wall_clock_interrupts");
+    MetricCounter& fault_records_ = metrics_.counter("engine.fault.records");
+    MetricCounter& shutdown_stops_ = metrics_.counter("engine.cancel.shutdowns");
+    MetricCounter& runs_ = metrics_.counter("engine.runs");
+    MetricCounter& steal_donated_ = metrics_.counter("engine.steal.donated_ranges");
+    MetricCounter& steal_stolen_ = metrics_.counter("engine.steal.stolen_indices");
+    const ScopedTimer total_scope_{total_timer_};
 
-    // The calling thread participates in parallel_for, so a pool of
+    // The calling thread participates in parallel_for, so a private pool of
     // jobs - 1 workers applies exactly `jobs` threads to the cone fan-out.
-    // Under two-level scheduling the run instead publishes its fan-out to
-    // the caller-owned shared pool (batch mode), where freed workers from
-    // completed sibling items pick it up.
-    const int jobs = std::max(1, engine.jobs);
-    std::optional<ThreadPool> own_pool;
-    if (!shared_pool) own_pool.emplace(static_cast<std::size_t>(jobs - 1));
-    ThreadPool& pool = shared_pool ? *shared_pool : *own_pool;
-    MetricCounter& steal_donated = metrics.counter("engine.steal.donated_ranges");
-    MetricCounter& steal_stolen = metrics.counter("engine.steal.stolen_indices");
-    // A malformed plan is an entry error, raised before any work starts.
-    const FaultPlan fault_plan = FaultPlan::parse(params.fault_plan);
-    // Run-entry fault site: `oom@run` (or any kind at site "run") fires
-    // here, before any per-cone work — in batch mode the exception crosses
-    // the item boundary, proving a run-level allocation failure degrades
-    // that item to `failed` without tearing down its siblings.
-    fault_plan.check("run", "engine");
-    const std::uint64_t fingerprint = params_fingerprint(params);
-
+    std::unique_ptr<ThreadPool> own_pool_;
+    ThreadPool& pool_;
+    FaultPlan fault_plan_;
+    std::uint64_t fingerprint_ = 0;
     // Master RNG for the *serial* stages (SAT sweeping). Candidate
     // evaluation never draws from it: each cone gets its own generator
     // seeded from (params fingerprint, cone hash), so the fan-out order —
     // and therefore the job count — cannot influence any outcome.
-    Rng rng(params.seed);
-    const Aig original = input.cleanup();
-
+    Rng rng_{params_.seed};
+    const Aig original_;
     // Deterministic work budget: charged only at serial points with the
-    // per-cone costs of each round's evaluations, so `budget.exhausted()`
+    // per-cone costs of each round's evaluations, so `budget_.exhausted()`
     // is a pure function of work performed — identical on every thread
     // schedule. The wall-clock rail stays as a nondeterministic emergency
     // stop: the run's elapsed time, checked against `time_budget_seconds`
     // before each round, before each cone task, and after each round's
-    // fan-out. Once it has run out the in-flight round is discarded
-    // (partially evaluated rounds are never committed) and the run is
-    // flagged. Elapsed time is monotone, so a task that skipped on it
-    // guarantees the post-fan-out check fires too.
-    WorkBudget budget(params.work_budget);
-    const Stopwatch run_clock;
-    auto time_budget_expired = [&]() {
-        return params.time_budget_seconds > 0.0 &&
-               run_clock.elapsed_seconds() >= params.time_budget_seconds;
-    };
-    bool wall_clock_interrupted = false;
-    // Process/batch-level cooperative cancellation. The serial stages run
-    // under this scope, so a SIGTERM reaches the polls in SAT sweeping and
-    // CEC too; the Cancelled error it raises is caught around the passes
-    // below and the best verified circuit so far is returned.
-    auto shutdown_requested = [&]() {
-        return engine.cancel != nullptr && engine.cancel->requested();
-    };
-    const CancelScope serial_cancel_scope(engine.cancel);
-    // Context of the *serial* stages (SAT sweeping, CEC): observability
-    // cost sink plus the shutdown token, never an executor — serial-stage
-    // work is uncharged and single-threaded by design.
-    auto serial_context = [&](WorkCost& cost) {
+    // fan-out. Once it has run out the in-flight round is discarded and
+    // the run is flagged. Elapsed time is monotone, so a task that skipped
+    // on it guarantees the post-fan-out check fires too.
+    WorkBudget budget_{params_.work_budget};
+    const Stopwatch run_clock_;
+    bool wall_clock_interrupted_ = false;
+    // The serial stages run under the shutdown token, so a SIGTERM reaches
+    // the polls in SAT sweeping and CEC too; `run` catches the Cancelled
+    // error and returns the best verified circuit so far.
+    const CancelScope serial_cancel_scope_{engine_.cancel};
+    OptimizeStats stats_;
+    std::size_t and_budget_ = 0;
+    Aig best_ = original_;
+};
+
+EngineRun::EngineRun(const Aig& input, const LookaheadParams& params,
+                     const EngineOptions& engine, ThreadPool* shared_pool)
+    : params_(params),
+      engine_(engine),
+      own_pool_(shared_pool ? nullptr
+                            : std::make_unique<ThreadPool>(
+                                  static_cast<std::size_t>(std::max(1, engine.jobs) - 1))),
+      pool_(shared_pool ? *shared_pool : *own_pool_),
+      original_(input.cleanup()) {
+    runs_.add();
+    // A malformed plan is an entry error, raised before any work starts.
+    fault_plan_ = FaultPlan::parse(params.fault_plan);
+    // Run-entry fault site: `oom@run` (or any kind at site "run") fires
+    // here, before any per-cone work — in batch mode the exception crosses
+    // the item boundary, proving a run-level allocation failure degrades
+    // that item to `failed` without tearing down its siblings.
+    fault_plan_.check("run", "engine");
+    fingerprint_ = lookahead_params_fingerprint(params);
+    stats_.initial_depth = original_.depth();
+    stats_.initial_ands = original_.count_reachable_ands();
+    and_budget_ = 8 * std::max<std::size_t>(stats_.initial_ands, 64);
+}
+
+/// Gather: the POs whose driver sits at the critical depth, one task per
+/// distinct driver.
+Round EngineRun::gather(const Aig& current, int depth) {
+    const auto levels = current.compute_levels();
+    Round round;
+    for (std::size_t o = 0; o < current.num_pos(); ++o) {
+        const AigLit driver = current.po(o);
+        if (levels[driver.node()] != depth) continue;
+        if (round.driver_task.emplace(driver.node(), round.task_po.size()).second)
+            round.task_po.push_back(o);
+    }
+    return round;
+}
+
+/// Evaluate: fans the round's cone evaluations across the workers. Workers
+/// only read `current` (cone extraction copies what they need) and build
+/// private cones, simulators and SAT solvers. The work budget is never
+/// consulted here — every admitted task runs to completion, so the set of
+/// evaluated cones cannot depend on the schedule. Only the wall-clock rail
+/// or a shutdown may abandon a round, and then the caller discards it.
+void EngineRun::evaluate(const Aig& current, Round& round) const {
+    const ScopedTimer evaluate_scope(evaluate_timer_);
+    round.evaluations.resize(round.task_po.size());
+    // On a shared pool this range is *donated*: the helper tasks land in the
+    // batch-wide queue where any freed worker can drain them. An index
+    // executed by a thread other than this item's owner is a stolen index —
+    // observability only, never part of the result.
+    const bool donated = !own_pool_ && pool_.size() > 0 && round.task_po.size() > 1;
+    if (donated) steal_donated_.add();
+    const std::thread::id owner = std::this_thread::get_id();
+    pool_.parallel_for(0, round.task_po.size(), [&](std::size_t i) {
+        if (donated && std::this_thread::get_id() != owner) steal_stolen_.add();
+        // Stop dispatching: a task that has not started is skipped.
+        if (time_budget_expired() || shutdown_requested(engine_.cancel)) return;
+        // Task-boundary backstop for what escaped the per-cone boundary
+        // (cone extraction, the memo itself, allocation): the cone keeps its
+        // original structure and the round continues. A shutdown leaves the
+        // slot empty, with no fault record.
+        try {
+            round.evaluations[i] = evaluate_cone(current, round.task_po[i]);
+        } catch (const std::exception& e) {
+            if (is_shutdown(e, engine_.cancel)) return;
+            ConeEvaluation degraded;
+            degraded.fault = fault_record_of(e);
+            round.evaluations[i] = std::move(degraded);
+        }
+    });
+}
+
+/// One candidate, memoized by (cone structural hash, params fingerprint):
+/// a pure function of (cone, params), its work cost and fault record
+/// included. The per-cone fault boundary runs *inside* the memoized
+/// computation: any exception other than a shutdown becomes the fault
+/// record, the cone keeps its original structure, and the work spent before
+/// the throw is still charged — bit-identical across job counts and
+/// replayed verbatim on a memo hit. A shutdown propagates unrecorded and
+/// unmemoized: the round is discarded, and `--resume` re-evaluates the cone.
+ConeEvaluation EngineRun::evaluate_cone(const Aig& current, std::size_t po) const {
+    const Aig cone = extract_cone(current, po);
+    const std::uint64_t cone_hash = cone.hash();
+    // Explicit get/put instead of get_or_compute so a hit on an entry the
+    // persistent store imported can be metered as a warm hit.
+    const std::pair<std::uint64_t, std::uint64_t> key{cone_hash, fingerprint_};
+    if (auto cached = decompose_memo().get(key)) {
+        if (engine_.warm_start) engine_.warm_start->note_decompose_hit(cone_hash, fingerprint_);
+        return std::move(*cached);
+    }
+    cones_evaluated_.add();
+    ConeEvaluation evaluation;
+    {
+        // The token reaches every poll site of this evaluation; the context
+        // carries it to fanned-out work on whichever worker runs it, with
+        // the evaluation's own cost sink (the memo stores and replays every
+        // unit spent), the fault plan and the intra-cone executor for the
+        // per-cube SAT don't-care fan-out (third scheduling level).
+        const CancelScope cancel_scope(engine_.cancel);
         RunContext ctx;
-        ctx.cost = &cost;
-        ctx.cancel = engine.cancel;
-        ctx.metrics = &metrics;
-        return ctx;
-    };
-    OptimizeStats local;
-    local.initial_depth = original.depth();
-    local.initial_ands = original.count_reachable_ands();
-    const std::size_t and_budget = 8 * std::max<std::size_t>(local.initial_ands, 64);
-
-    // Serial-point check of both stop sources; flags the run when the
-    // wall-clock rail is what fired.
-    auto stop_requested = [&]() {
-        if (time_budget_expired()) wall_clock_interrupted = true;
-        return wall_clock_interrupted || shutdown_requested();
-    };
-    // The serial stages shared by the per-iteration, pass-level, and
-    // restructuring paths: SAT sweeping and CEC against the verdict memo,
-    // both metered for --metrics but never charged to the budget. A failed
-    // or unresolved check means the candidate cannot be trusted (callers
-    // revert); an unresolved one also marks the run unverified. A proven
-    // difference is a bug — every committed cone passed its own CEC — so
-    // it is also recorded as a whole-circuit fault (`cone` = -1) naming
-    // `check` and, unless the verdict came from the memo, the
-    // counterexample.
-    auto sweep = [&](const Aig& aig) {
-        const ScopedTimer sweep_scope(sweep_timer);
-        WorkCost sweep_cost;
-        Aig swept = sat_sweep(aig, rng, /*conflict_limit=*/2000, /*num_patterns=*/1024,
-                              /*depth_aware=*/true, serial_context(sweep_cost));
-        work_sweep_conflicts.add(sweep_cost.sat_conflicts);
-        return swept;
-    };
-    auto proven_equivalent = [&](const Aig& a, const Aig& b, std::int64_t conflict_limit,
-                                 const char* check) {
-        const ScopedTimer cec_scope(cec_timer);
-        WorkCost cec_cost;
-        const CecResult cec = check_equivalence_memo(a, b, conflict_limit,
-                                                     serial_context(cec_cost), engine.warm_start);
-        work_cec_conflicts.add(cec_cost.sat_conflicts);
-        local.verified = local.verified && cec.resolved;
-        if (cec.resolved && !cec.equivalent) {
-            FaultRecord record;
-            record.kind = ErrorKind::VerificationFailed;
-            record.stage = "cec";
-            record.detail = std::string(check) + " CEC proved the candidate non-equivalent";
-            if (!cec.counterexample.empty()) {
-                record.detail += " at PI assignment ";
-                for (const bool bit : cec.counterexample) record.detail += bit ? '1' : '0';
-            }
-            fault_records.add();
-            local.faults.push_back(std::move(record));
+        ctx.cost = &evaluation.cost;
+        ctx.faults = &fault_plan_;
+        ctx.cancel = engine_.cancel;
+        ctx.metrics = &metrics_;
+        ctx.executor = pool_.size() > 0 ? &pool_ : nullptr;
+        Rng cone_rng(hash_mix(fingerprint_, cone_hash));
+        try {
+            if (auto outcome = decompose_output(cone, params_, cone_rng, ctx))
+                evaluation.outcome = std::make_shared<const DecomposeOutcome>(std::move(*outcome));
+        } catch (const std::exception& e) {
+            if (is_shutdown(e, engine_.cancel)) throw;
+            evaluation.fault = fault_record_of(e);
         }
-        return cec.resolved && cec.equivalent;
-    };
+    }
+    decompose_memo().put(key, evaluation);
+    return evaluation;
+}
 
-    Aig best = original;
+/// Charge, at a serial point after the round's join and in task order: the
+/// round's deterministic cost to the budget and the work meters, then its
+/// contained faults, each stamped with its cone — the same for every job
+/// count, memo hits included. The round will be fully committed;
+/// exhaustion takes effect before the *next* round. The round's new memo
+/// entries go to the persistent store, which contains its own failures.
+void EngineRun::charge(const Aig& current, const Round& round) {
+    WorkCost round_cost;
+    for (const auto& evaluation : round.evaluations) round_cost += evaluation.cost;
+    budget_.charge(round_cost);
+    work_decompositions_.add(round_cost.decompositions);
+    work_eval_conflicts_.add(round_cost.sat_conflicts);
 
-    // Each iteration applies one level of lookahead decomposition to every
-    // critical output, then (optionally) rounds of conventional
-    // restructuring that flatten the freshly built window/mux logic — the
-    // step that turns iterated single-level decompositions into the
-    // prefix-style trees of the paper's Eqn. 2. An iteration that keeps the
-    // depth flat is tolerated for a bounded number of rounds (the rewrite
-    // into window form often pays off only once a later round flattens the
-    // nested windows); the best circuit seen anywhere is what is returned.
-    // Above this size, SAT sweeping and CEC run per *pass* instead of per
-    // iteration (every per-cone decomposition is CEC-verified regardless,
-    // and the returned circuit is always verified against the input).
-    constexpr std::size_t kPerIterationCheckLimit = 1500;
+    if (engine_.warm_start) engine_.warm_start->flush_round();
 
-    // Evaluation of one candidate: pure function of (current, po, params) —
-    // including its work cost and fault record, which the memo stores
-    // alongside the outcome.
-    //
-    // The per-cone fault boundary runs *inside* the memoized computation:
-    // `decompose_output` runs once, and any exception other than a shutdown
-    // becomes the evaluation's fault record while the cone keeps its
-    // original structure (the commit sees no outcome). Work spent before
-    // the throw is still charged, so a faulted evaluation — like the fault
-    // injection that exercises it — is a pure function of (cone, params):
-    // bit-identical across job counts, and replayed verbatim on a memo hit.
-    auto evaluate_cone = [&](const Aig& current, std::size_t po) -> ConeEvaluation {
-        const Aig cone = extract_cone(current, po);
-        const std::uint64_t cone_hash = cone.hash();
-        auto compute = [&]() -> ConeEvaluation {
-            cones_evaluated.add();
-            // Expose the shutdown token to every poll site this evaluation
-            // reaches — the SAT solve loop and the decomposition inner
-            // loops both poll this scope.
-            const CancelScope cancel_scope(engine.cancel);
-            ConeEvaluation evaluation;
-            // The one plumbing path down the decompose -> reduce -> simplify
-            // -> cec -> sat stack: deterministic cost sink, fault plan,
-            // shutdown token (the one the CancelScope above holds, so
-            // fanned-out work re-installs it on whichever worker runs it),
-            // and the intra-cone executor for the per-cube SAT don't-care
-            // fan-out (third scheduling level).
-            RunContext ctx = cone_run_context(evaluation);
-            ctx.faults = &fault_plan;
-            ctx.cancel = engine.cancel;
-            ctx.metrics = &metrics;
-            ctx.executor = pool.size() > 0 ? &pool : nullptr;
-            Rng cone_rng(hash_mix(fingerprint, cone_hash));
-            try {
-                if (auto outcome = decompose_output(cone, params, cone_rng, ctx))
-                    evaluation.outcome =
-                        std::make_shared<const DecomposeOutcome>(std::move(*outcome));
-            } catch (const std::exception& e) {
-                // A shutdown cancellation propagates: the whole round is
-                // about to be discarded, so nothing is recorded or memoized
-                // for this cone — `--resume` re-evaluates it from scratch,
-                // byte-identically. Anything else, an injected `cancel`
-                // fault included, is an ordinary contained fault.
-                if (error_kind_of(e) == ErrorKind::Cancelled && shutdown_requested()) throw;
-                evaluation.fault = fault_record_of(e);
+    for (std::size_t i = 0; i < round.task_po.size(); ++i) {
+        if (!round.evaluations[i].fault) continue;
+        FaultRecord record = *round.evaluations[i].fault;
+        record.cone = static_cast<int>(round.task_po[i]);
+        record.cone_name = current.po_name(round.task_po[i]);
+        fault_records_.add();
+        stats_.faults.push_back(std::move(record));
+    }
+}
+
+/// Commit: rebuilds the circuit output by output in PO order, splicing in
+/// each critical driver's new cone. The order is fixed, so the result is
+/// identical for every job count. `improved_outputs` counts the POs that
+/// took a new cone.
+Aig EngineRun::commit(const Aig& current, const Round& round, int iter, int& improved_outputs) {
+    const ScopedTimer commit_scope(commit_timer_);
+    Aig next;
+    std::vector<AigLit> pi_map;
+    pi_map.reserve(current.num_pis());
+    for (std::size_t i = 0; i < current.num_pis(); ++i)
+        pi_map.push_back(next.add_pi(current.pi_name(i)));
+    const auto original_pos = append_aig(next, current, pi_map);
+
+    // Literal of the *uncomplemented* driver function per task, valid once
+    // the task's outcome has been appended.
+    std::vector<AigLit> task_base(round.task_po.size());
+    std::vector<bool> task_appended(round.task_po.size(), false);
+    improved_outputs = 0;
+    for (std::size_t o = 0; o < current.num_pos(); ++o) {
+        AigLit po_lit = original_pos[o];
+        const AigLit driver = current.po(o);
+        const auto it = round.driver_task.find(driver.node());
+        if (it != round.driver_task.end() && round.evaluations[it->second].outcome) {
+            const std::size_t t = it->second;
+            const std::size_t first_po = round.task_po[t];
+            const DecomposeOutcome& outcome = *round.evaluations[t].outcome;
+            if (!task_appended[t]) {
+                const auto new_outs = append_aig(next, outcome.aig, pi_map);
+                task_base[t] = current.po(first_po).complemented() ? !new_outs[0] : new_outs[0];
+                task_appended[t] = true;
+                stats_.log.push_back("iter " + std::to_string(iter) + " po " +
+                                     current.po_name(first_po) + ": depth " +
+                                     std::to_string(outcome.old_depth) + " -> " +
+                                     std::to_string(outcome.new_depth) + " (" +
+                                     std::to_string(outcome.num_windows) + " windows, " +
+                                     outcome.reconstruction + ")");
             }
-            return evaluation;
-        };
-        // Explicit get/put instead of get_or_compute so a hit on an entry
-        // the persistent store imported can be metered as a warm hit.
-        const std::pair<std::uint64_t, std::uint64_t> key{cone_hash, fingerprint};
-        if (auto cached = decompose_memo().get(key)) {
-            if (engine.warm_start) engine.warm_start->note_decompose_hit(cone_hash, fingerprint);
-            return std::move(*cached);
+            po_lit = driver.complemented() ? !task_base[t] : task_base[t];
+            ++improved_outputs;
         }
-        ConeEvaluation value = compute();
-        decompose_memo().put(key, value);
-        return value;
-    };
+        next.add_po(po_lit, current.po_name(o));
+    }
+    return next;
+}
 
-    auto run_decomposition_loop = [&](Aig current) {
-        int plateau = 0;
-        constexpr int kMaxPlateau = 2;
-        bool touched = false;
-        for (int iter = 0; iter < params.max_iterations && !budget.exhausted(); ++iter) {
-            if (stop_requested()) break;
-            const int depth = current.depth();
-            if (depth < 2) break;
-            const auto levels = current.compute_levels();
+/// Restructure: up to 10 rounds of conventional restructuring that flatten
+/// a round's freshly built window/mux logic, while each lowers the depth —
+/// the step that turns iterated single-level decompositions into the
+/// prefix-style trees of the paper's Eqn. 2.
+Aig EngineRun::restructure(Aig candidate) {
+    const ScopedTimer restructure_scope(restructure_timer_);
+    for (int r = 0; r < 10; ++r) {
+        Aig restructured = restructure_round(candidate);
+        if (restructured.depth() >= candidate.depth()) break;
+        candidate = std::move(restructured);
+    }
+    return candidate;
+}
 
-            // Gather the timing-critical POs: one evaluation task per
-            // distinct driver node (a complemented sibling PO reuses the
-            // result with an inverted output), keyed to the first PO that
-            // references the driver.
-            struct ConeTask {
-                std::size_t po;
-            };
-            std::vector<ConeTask> tasks;
-            std::unordered_map<std::uint32_t, std::size_t> driver_task;
-            for (std::size_t o = 0; o < current.num_pos(); ++o) {
-                const AigLit driver = current.po(o);
-                if (levels[driver.node()] != depth) continue;
-                if (driver_task.emplace(driver.node(), tasks.size()).second)
-                    tasks.push_back({o});
-            }
+/// Sweep: depth-aware SAT sweeping as area recovery, drawing on the serial
+/// RNG; metered for --metrics but never charged to the budget.
+Aig EngineRun::sweep(const Aig& aig) {
+    const ScopedTimer sweep_scope(sweep_timer_);
+    WorkCost sweep_cost;
+    Aig swept = sat_sweep(aig, rng_, /*conflict_limit=*/2000, /*num_patterns=*/1024,
+                          /*depth_aware=*/true, serial_context(sweep_cost));
+    work_sweep_conflicts_.add(sweep_cost.sat_conflicts);
+    return swept;
+}
 
-            // Fan the candidate evaluations across the workers. Workers
-            // only read `current` (cone extraction copies what they need)
-            // and build private cones, simulators, and SAT solvers. The
-            // work budget is never consulted here — every admitted task
-            // runs to completion, so the set of evaluated cones cannot
-            // depend on the schedule. Only the wall-clock rail may abandon
-            // a round, and then the whole round is discarded below.
-            std::vector<ConeEvaluation> evaluations(tasks.size());
-            {
-                const ScopedTimer evaluate_scope(evaluate_timer);
-                // On a shared pool this range is *donated*: the helper
-                // tasks land in the batch-wide queue where any freed
-                // worker can drain them. An index executed by a thread
-                // other than this item's owner is a stolen index —
-                // observability only, never part of the result.
-                const bool donated = shared_pool != nullptr && pool.size() > 0 && tasks.size() > 1;
-                if (donated) steal_donated.add();
-                const std::thread::id owner = std::this_thread::get_id();
-                pool.parallel_for(0, tasks.size(), [&](std::size_t i) {
-                    if (donated && std::this_thread::get_id() != owner) steal_stolen.add();
-                    // Stop dispatching: tasks that have not started yet are
-                    // skipped outright once a shutdown is requested (the
-                    // round below is discarded anyway).
-                    if (time_budget_expired() || shutdown_requested()) return;
-                    // Task-boundary backstop: the per-cone boundary contains
-                    // faults inside the evaluation, so anything arriving
-                    // here escaped outside it (cone extraction, the memo
-                    // itself, allocation). The cone degrades to "keep
-                    // original structure" and the round continues.
-                    try {
-                        evaluations[i] = evaluate_cone(current, tasks[i].po);
-                    } catch (const std::exception& e) {
-                        // In-flight shutdown cancellation: leave the slot
-                        // empty, no fault record — the round is discarded.
-                        if (error_kind_of(e) == ErrorKind::Cancelled && shutdown_requested())
-                            return;
-                        ConeEvaluation degraded;
-                        degraded.fault = fault_record_of(e);
-                        evaluations[i] = std::move(degraded);
-                    }
-                });
-            }
-            // Wall-clock interruption or shutdown: the partially evaluated
-            // round is discarded — never charged, never committed — so a
-            // resumed run retraces the uninterrupted trajectory exactly.
-            if (stop_requested()) break;
-
-            // Charge this round's deterministic cost, in task order, at a
-            // serial point. The round is fully evaluated by now and will be
-            // fully committed; exhaustion takes effect before the *next*
-            // round starts.
-            {
-                WorkCost round_cost;
-                for (const auto& evaluation : evaluations) round_cost += evaluation.cost;
-                budget.charge(round_cost);
-                work_decompositions.add(round_cost.decompositions);
-                work_eval_conflicts.add(round_cost.sat_conflicts);
-            }
-
-            // Round boundary: push the memo entries this round created to
-            // the persistent store. Serial point, after the charge — a
-            // publication failure is contained in the store and cannot
-            // perturb the budget stream or the round's results.
-            if (engine.warm_start) engine.warm_start->flush_round();
-
-            // Report contained faults at the same serial point, in task
-            // order, stamping each record with its cone — deterministic for
-            // every job count, memo hits included.
-            for (std::size_t i = 0; i < tasks.size(); ++i) {
-                if (!evaluations[i].fault) continue;
-                FaultRecord record = *evaluations[i].fault;
-                record.cone = static_cast<int>(tasks[i].po);
-                record.cone_name = current.po_name(tasks[i].po);
-                fault_records.add();
-                local.faults.push_back(std::move(record));
-            }
-
-            // Serial commit in PO order: rebuild the circuit output by
-            // output, splicing in the verified candidates. The order is
-            // fixed, so the result is identical for every job count.
-            Aig next;
-            int improved_outputs = 0;
-            {
-                const ScopedTimer commit_scope(commit_timer);
-                std::vector<AigLit> pi_map;
-                pi_map.reserve(current.num_pis());
-                for (std::size_t i = 0; i < current.num_pis(); ++i)
-                    pi_map.push_back(next.add_pi(current.pi_name(i)));
-                const auto original_pos = append_aig(next, current, pi_map);
-
-                // Literal of the *uncomplemented* driver function per task,
-                // valid once the task's outcome has been appended.
-                std::vector<AigLit> task_base(tasks.size());
-                std::vector<bool> task_appended(tasks.size(), false);
-                for (std::size_t o = 0; o < current.num_pos(); ++o) {
-                    AigLit po_lit = original_pos[o];
-                    const AigLit driver = current.po(o);
-                    const auto it = levels[driver.node()] == depth
-                                        ? driver_task.find(driver.node())
-                                        : driver_task.end();
-                    if (it != driver_task.end() && evaluations[it->second].outcome) {
-                        const std::size_t t = it->second;
-                        const DecomposeOutcome& outcome = *evaluations[t].outcome;
-                        if (!task_appended[t]) {
-                            const auto new_outs = append_aig(next, outcome.aig, pi_map);
-                            const bool first_complemented =
-                                current.po(tasks[t].po).complemented();
-                            task_base[t] = first_complemented ? !new_outs[0] : new_outs[0];
-                            task_appended[t] = true;
-                            local.log.push_back(
-                                "iter " + std::to_string(iter) + " po " +
-                                current.po_name(tasks[t].po) + ": depth " +
-                                std::to_string(outcome.old_depth) + " -> " +
-                                std::to_string(outcome.new_depth) + " (" +
-                                std::to_string(outcome.num_windows) + " windows, " +
-                                outcome.reconstruction + ")");
-                        }
-                        po_lit = driver.complemented() ? !task_base[t] : task_base[t];
-                        ++improved_outputs;
-                    }
-                    next.add_po(po_lit, current.po_name(o));
-                }
-            }
-
-            Aig candidate = next.cleanup();
-            if (params.baseline_preoptimize) {
-                const ScopedTimer restructure_scope(restructure_timer);
-                for (int r = 0; r < 10; ++r) {
-                    Aig restructured = restructure_round(candidate);
-                    if (restructured.depth() >= candidate.depth()) break;
-                    candidate = std::move(restructured);
-                }
-            }
-            const bool small = candidate.count_reachable_ands() <= kPerIterationCheckLimit;
-            if (params.area_recovery && small) candidate = sweep(candidate);
-
-            const int candidate_depth = candidate.depth();
-            if (candidate_depth > depth) break;  // regression: keep the best seen
-            if (candidate_depth == depth) {
-                if (improved_outputs == 0 || ++plateau > kMaxPlateau) break;
-            } else {
-                plateau = 0;
-            }
-            if (candidate.count_reachable_ands() > and_budget) break;  // runaway duplication
-
-            // An untrusted round keeps the last verified circuit.
-            if (params.verify_each_iteration && small &&
-                !proven_equivalent(candidate, current, /*conflict_limit=*/1000000,
-                                   "per-iteration"))
-                break;
-
-            local.outputs_decomposed += improved_outputs;
-            ++local.iterations;
-            touched = true;
-            current = std::move(candidate);
-            if (better(current, best)) best = current;
+/// Verify: whole-circuit CEC against the verdict memo, metered for
+/// --metrics but never charged to the budget. A failed or unresolved check
+/// means the candidate cannot be trusted (callers revert); an unresolved
+/// one also marks the run unverified. A proven difference is a bug — every
+/// committed cone passed its own CEC — so it is also recorded as a
+/// whole-circuit fault (`cone` = -1) naming `check` and, unless the verdict
+/// came from the memo, the counterexample.
+bool EngineRun::verify(const Aig& a, const Aig& b, std::int64_t conflict_limit,
+                       const char* check) {
+    const ScopedTimer cec_scope(cec_timer_);
+    WorkCost cec_cost;
+    const CecResult cec = check_equivalence_memo(a, b, conflict_limit,
+                                                 serial_context(cec_cost), engine_.warm_start);
+    work_cec_conflicts_.add(cec_cost.sat_conflicts);
+    stats_.verified = stats_.verified && cec.resolved;
+    if (cec.resolved && !cec.equivalent) {
+        FaultRecord record;
+        record.kind = ErrorKind::VerificationFailed;
+        record.stage = "cec";
+        record.detail = std::string(check) + " CEC proved the candidate non-equivalent";
+        if (!cec.counterexample.empty()) {
+            record.detail += " at PI assignment ";
+            for (const bool bit : cec.counterexample) record.detail += bit ? '1' : '0';
         }
+        fault_records_.add();
+        stats_.faults.push_back(std::move(record));
+    }
+    return cec.resolved && cec.equivalent;
+}
 
-        // Pass-level area recovery and verification for circuits that were
-        // too large for per-iteration checks.
-        if (touched && best.count_reachable_ands() > kPerIterationCheckLimit) {
-            if (params.area_recovery) {
-                Aig swept = sweep(best);
-                if (!better(best, swept)) best = std::move(swept);
-            }
-            // An untrusted pass cannot keep anything it produced.
-            if (params.verify_each_iteration &&
-                !proven_equivalent(best, original, /*conflict_limit=*/4000000, "pass-level"))
-                best = original;
+/// One pass of the paper's loop from `current`: each iteration applies one
+/// level of lookahead decomposition to every critical output, then
+/// restructures, recovers area and verifies. An iteration that keeps the
+/// depth flat is tolerated up to kMaxPlateau times in a row; the best
+/// circuit seen anywhere is what `run` returns.
+void EngineRun::decomposition_pass(Aig current) {
+    int plateau = 0;
+    bool touched = false;
+    for (int iter = 0; iter < params_.max_iterations && !budget_.exhausted(); ++iter) {
+        if (stop_requested()) break;
+        const int depth = current.depth();
+        if (depth < 2) break;
+        Round round = gather(current, depth);
+        evaluate(current, round);
+        // Wall-clock interruption or shutdown: the partially evaluated round
+        // is discarded — never charged, never committed — so a resumed run
+        // retraces the uninterrupted trajectory exactly.
+        if (stop_requested()) break;
+        charge(current, round);
+        int improved_outputs = 0;
+        Aig candidate = commit(current, round, iter, improved_outputs).cleanup();
+        if (params_.baseline_preoptimize) candidate = restructure(std::move(candidate));
+        const bool small = candidate.count_reachable_ands() <= kPerIterationCheckLimit;
+        if (params_.area_recovery && small) candidate = sweep(candidate);
+
+        const int candidate_depth = candidate.depth();
+        if (candidate_depth > depth) break;  // regression: keep the best seen
+        if (candidate_depth == depth) {
+            if (improved_outputs == 0 || ++plateau > kMaxPlateau) break;
+        } else {
+            plateau = 0;
         }
-    };
+        if (candidate.count_reachable_ands() > and_budget_) break;  // runaway duplication
+        // An untrusted round keeps the last verified circuit.
+        if (small && !verify(candidate, current, /*conflict_limit=*/1000000, "per-iteration"))
+            break;
 
+        stats_.outputs_decomposed += improved_outputs;
+        ++stats_.iterations;
+        touched = true;
+        current = std::move(candidate);
+        if (better(current, best_)) best_ = current;
+    }
+
+    // Pass-level area recovery and verification for circuits that were too
+    // large for per-iteration checks. An untrusted pass cannot keep
+    // anything it produced.
+    if (touched && best_.count_reachable_ands() > kPerIterationCheckLimit) {
+        if (params_.area_recovery) {
+            Aig swept = sweep(best_);
+            if (!better(best_, swept)) best_ = std::move(swept);
+        }
+        if (!verify(best_, original_, /*conflict_limit=*/4000000, "pass-level")) best_ = original_;
+    }
+}
+
+/// Pass 2: conventional restructuring alone, then decomposition on top of
+/// it — the paper's deployment ("complements existing logic optimization
+/// algorithms"). Whichever pass wins is returned.
+void EngineRun::restructure_pass() {
+    Aig preopt = balance(original_);
+    if (better(preopt, best_)) best_ = preopt;
+    for (int r = 0; r < 10 && !shutdown_requested(engine_.cancel); ++r) {
+        Aig restructured;
+        {
+            const ScopedTimer restructure_scope(restructure_timer_);
+            restructured = restructure_round(preopt);
+        }
+        if (params_.area_recovery) restructured = sweep(restructured);
+        if (restructured.depth() >= preopt.depth()) break;
+        preopt = std::move(restructured);
+    }
+    if (!verify(preopt, original_, /*conflict_limit=*/1000000, "restructure-only"))
+        preopt = original_;
+    if (better(preopt, best_)) best_ = preopt;
+    if (preopt.depth() < original_.depth() && !shutdown_requested(engine_.cancel))
+        decomposition_pass(std::move(preopt));
+}
+
+Aig EngineRun::run(OptimizeStats* stats) && {
     // The passes run under a graceful-shutdown boundary: a Cancelled error
     // raised by a poll in the *serial* stages (SAT sweeping, CEC,
     // restructuring's solver work) unwinds to here and the run returns the
@@ -559,67 +597,44 @@ Aig run_engine(const Aig& input, const LookaheadParams& params, const EngineOpti
     try {
         // Pass 1: decomposition starting from the raw circuit (deep chains
         // are where the windows are easiest to find).
-        run_decomposition_loop(original);
-
-        // Pass 2: conventional restructuring alone, then decomposition on
-        // top of it — the paper's deployment ("complements existing logic
-        // optimization algorithms"). Whichever pass wins is returned.
-        if (params.baseline_preoptimize && !shutdown_requested()) {
-            Aig preopt = balance(original);
-            if (better(preopt, best)) best = preopt;
-            for (int r = 0; r < 10 && !shutdown_requested(); ++r) {
-                Aig restructured;
-                {
-                    const ScopedTimer restructure_scope(restructure_timer);
-                    restructured = restructure_round(preopt);
-                }
-                if (params.area_recovery) restructured = sweep(restructured);
-                if (restructured.depth() >= preopt.depth()) break;
-                preopt = std::move(restructured);
-            }
-            if (params.verify_each_iteration &&
-                !proven_equivalent(preopt, original, /*conflict_limit=*/1000000,
-                                   "restructure-only"))
-                preopt = original;
-            if (better(preopt, best)) best = preopt;
-            if (preopt.depth() < original.depth() && !shutdown_requested())
-                run_decomposition_loop(preopt);
-        }
+        decomposition_pass(original_);
+        if (params_.baseline_preoptimize && !shutdown_requested(engine_.cancel))
+            restructure_pass();
     } catch (const std::exception& e) {
-        if (error_kind_of(e) != ErrorKind::Cancelled || !shutdown_requested()) throw;
+        if (!is_shutdown(e, engine_.cancel)) throw;
     }
 
-    local.cancelled = shutdown_requested();
-    if (local.cancelled) shutdown_stops.add();
-    local.final_depth = best.depth();
-    local.final_ands = best.count_reachable_ands();
-    local.work_units = budget.spent();
-    local.budget_exhausted = budget.exhausted();
-    local.wall_clock_interrupted = wall_clock_interrupted;
-    if (local.budget_exhausted) budget_stops.add();
-    if (local.wall_clock_interrupted) wall_clock_stops.add();
-    rounds_run.add(static_cast<std::uint64_t>(local.iterations));
-    cones_improved.add(static_cast<std::uint64_t>(local.outputs_decomposed));
+    stats_.cancelled = shutdown_requested(engine_.cancel);
+    if (stats_.cancelled) shutdown_stops_.add();
+    stats_.final_depth = best_.depth();
+    stats_.final_ands = best_.count_reachable_ands();
+    stats_.work_units = budget_.spent();
+    stats_.budget_exhausted = budget_.exhausted();
+    stats_.wall_clock_interrupted = wall_clock_interrupted_;
+    if (stats_.budget_exhausted) budget_stops_.add();
+    if (stats_.wall_clock_interrupted) wall_clock_stops_.add();
+    rounds_run_.add(static_cast<std::uint64_t>(stats_.iterations));
+    cones_improved_.add(static_cast<std::uint64_t>(stats_.outputs_decomposed));
     // Indices an exception-aborted fan-out skipped. A run-private pool is
     // exported here; a shared pool is exported once by the batch that owns
     // it (the counter is pool-cumulative).
-    if (own_pool && own_pool->aborted_indices() > 0)
-        metrics.counter("engine.pool.aborted_indices").add(own_pool->aborted_indices());
+    if (own_pool_ && own_pool_->aborted_indices() > 0)
+        metrics_.counter("engine.pool.aborted_indices").add(own_pool_->aborted_indices());
     // Time a run-private pool's threads spent waiting idle across this
     // run's fan-outs (cone rounds and intra-cone proof batches) — the cost
     // help-while-waiting exists to shrink. A shared pool's wait is exported
     // by the batch as engine.steal.idle_wait instead.
-    if (own_pool && own_pool->size() > 0)
-        metrics.timer("engine.intracone.idle_wait").add_nanos(own_pool->idle_wait_nanos());
-    if (stats) *stats = local;
-    return best;
+    if (own_pool_ && own_pool_->size() > 0)
+        metrics_.timer("engine.intracone.idle_wait").add_nanos(own_pool_->idle_wait_nanos());
+    if (stats) *stats = stats_;
+    return std::move(best_);
 }
 
 }  // namespace
 
 Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
                            const EngineOptions& engine, OptimizeStats* stats) {
-    return run_engine(input, params, engine, /*shared_pool=*/nullptr, stats);
+    return EngineRun(input, params, engine, /*shared_pool=*/nullptr).run(stats);
 }
 
 Aig optimize_timing(const Aig& input, const LookaheadParams& params, OptimizeStats* stats) {
@@ -644,62 +659,46 @@ std::vector<BatchOutcome> optimize_timing_batch(
     EngineOptions per_item = engine;
     per_item.jobs = 1;  // item-level parallelism still dominates a full batch
     std::mutex complete_mutex;
-    const auto batch_cancelled = [&engine]() {
-        return engine.cancel != nullptr && engine.cancel->requested();
-    };
-    // An item that never ran to completion keeps its cleaned input, with
-    // fresh stats marked unverified.
-    const auto keep_input = [&](std::size_t i) {
-        outcomes[i].output = items[i].input.cleanup();
-        outcomes[i].stats = OptimizeStats{};
-        outcomes[i].stats.verified = false;
-    };
     pool.parallel_for(0, items.size(), [&](std::size_t i) {
-        Stopwatch item_clock;
-        outcomes[i].name = items[i].name;
-        // Graceful shutdown: once the token is requested, items that have
-        // not started are never dispatched — they are marked cancelled with
-        // their input unchanged so the CLI neither journals nor writes
-        // them, and `--resume` re-runs them from scratch.
-        if (batch_cancelled()) {
-            outcomes[i].cancelled = true;
-            keep_input(i);
-            Metrics::global().counter("engine.cancel.batch_items_cancelled").add();
-            if (on_complete) {
-                const std::lock_guard<std::mutex> lock(complete_mutex);
-                on_complete(outcomes[i], i);
-            }
-            return;
-        }
+        const Stopwatch item_clock;
+        BatchOutcome& outcome = outcomes[i];
+        outcome.name = items[i].name;
         // Item-level fault boundary: one failing circuit must not abort the
-        // other 99. The failed item degrades to its unmodified input — the
-        // same keep-original rule the per-cone boundary applies — and is
-        // reported through `failed`/`error` and the metrics registry.
-        try {
-            outcomes[i].output = run_engine(items[i].input, params, per_item, &pool,
-                                            &outcomes[i].stats);
-            // An in-flight shutdown returns gracefully with stats.cancelled;
-            // the item is demoted to cancelled (not finished, not failed).
-            if (outcomes[i].stats.cancelled) {
-                outcomes[i].cancelled = true;
-                Metrics::global().counter("engine.cancel.batch_items_cancelled").add();
-            }
-        } catch (const std::exception& e) {
-            if (error_kind_of(e) == ErrorKind::Cancelled && batch_cancelled()) {
-                outcomes[i].cancelled = true;
-                keep_input(i);
-                Metrics::global().counter("engine.cancel.batch_items_cancelled").add();
-            } else {
-                outcomes[i].failed = true;
-                outcomes[i].error = e.what();
-                keep_input(i);
-                Metrics::global().counter("engine.batch.item_failures").add();
+        // other 99; it is reported through `failed`/`error` and the metrics
+        // registry. Once a shutdown is requested, no item starts.
+        bool returned = false;
+        if (!shutdown_requested(engine.cancel)) {
+            try {
+                outcome.output =
+                    EngineRun(items[i].input, params, per_item, &pool).run(&outcome.stats);
+                returned = true;
+            } catch (const std::exception& e) {
+                if (!is_shutdown(e, engine.cancel)) {
+                    outcome.failed = true;
+                    outcome.error = e.what();
+                    Metrics::global().counter("engine.batch.item_failures").add();
+                }
             }
         }
-        outcomes[i].seconds = item_clock.elapsed_seconds();
+        // An item that did not run to completion keeps its cleaned input —
+        // the per-cone boundary's keep-original rule — with fresh stats
+        // marked unverified.
+        if (!returned) {
+            outcome.output = items[i].input.cleanup();
+            outcome.stats = OptimizeStats{};
+            outcome.stats.verified = false;
+        }
+        // A shutdown before the item started, or while it ran (the run then
+        // returns its best verified circuit with stats.cancelled), cancels
+        // it: the CLI neither journals nor writes it, and `--resume` re-runs
+        // it from scratch.
+        outcome.cancelled = returned ? outcome.stats.cancelled : !outcome.failed;
+        if (outcome.cancelled)
+            Metrics::global().counter("engine.cancel.batch_items_cancelled").add();
+        outcome.seconds = item_clock.elapsed_seconds();
         if (on_complete) {
             const std::lock_guard<std::mutex> lock(complete_mutex);
-            on_complete(outcomes[i], i);
+            on_complete(outcome, i);
         }
     });
     // Pool-lifetime observability: time threads spent waiting idle in
@@ -710,10 +709,6 @@ std::vector<BatchOutcome> optimize_timing_batch(
     if (pool.aborted_indices() > 0)
         Metrics::global().counter("engine.pool.aborted_indices").add(pool.aborted_indices());
     return outcomes;
-}
-
-std::uint64_t lookahead_params_fingerprint(const LookaheadParams& params) {
-    return params_fingerprint(params);
 }
 
 std::vector<CacheStatsSnapshot> all_cache_stats() {

@@ -12,7 +12,6 @@
 
 #include "common/budget.hpp"
 #include "common/fault.hpp"
-#include "common/run_context.hpp"
 #include "engine/cache.hpp"
 #include "lookahead/decompose.hpp"
 
@@ -35,18 +34,6 @@ struct ConeEvaluation {
     /// store only ever carries clean records.
     std::optional<FaultRecord> fault;
 };
-
-/// Seed of the per-cone RunContext: a context whose deterministic
-/// work-cost sink is the evaluation being computed, so every unit a cone's
-/// decomposition spends lands in the record the memo stores (and replays
-/// on a hit). The engine fills in the remaining fields — fault plan,
-/// cancellation token, metrics, intra-cone executor — before handing
-/// the context down the decompose → reduce → simplify → cec → sat stack.
-inline RunContext cone_run_context(ConeEvaluation& evaluation) {
-    RunContext ctx;
-    ctx.cost = &evaluation.cost;
-    return ctx;
-}
 
 /// Decomposition memo: (cone structural hash, params fingerprint) -> the
 /// evaluation. Shared across runs in the process.

@@ -21,6 +21,10 @@ namespace lls {
 
 namespace {
 
+/// Conflict limit of each SAT query a cone evaluation makes: the secondary
+/// simplification's don't-care proofs and the implication-rule premises.
+constexpr std::int64_t kSatConflictLimit = 2000;
+
 /// Two-input AND truth table (minterm 3 only).
 TruthTable and2_tt() {
     TruthTable tt(2);
@@ -247,9 +251,8 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                             const sat::Lit l = sat_lit_of(aig_lits, node_map[fanins[f]]);
                             assumptions.push_back(((minterm >> f) & 1) ? l : !l);
                         }
-                        task.verdicts[q] =
-                            solver->solve(assumptions, params.sat_conflict_limit) ==
-                            sat::Status::Unsat;
+                        task.verdicts[q] = solver->solve(assumptions, kSatConflictLimit) ==
+                                           sat::Status::Unsat;
                     }
                 } catch (...) {
                     task.error = std::current_exception();
@@ -327,7 +330,7 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
         if (patterns.is_exhaustive()) return true;
         ensure_impl_solver();
         return impl_solver.solve({sat_lit_of(full_sat, x), sat_lit_of(full_sat, !y)},
-                                 params.sat_conflict_limit) == sat::Status::Unsat;
+                                 kSatConflictLimit) == sat::Status::Unsat;
     };
 
     struct Candidate {

@@ -31,9 +31,6 @@ struct LookaheadParams {
     /// >= (max_arrival - spcf_slack); 0 = strictly critical paths.
     std::int32_t spcf_slack = 0;
 
-    // SAT budgets.
-    std::int64_t sat_conflict_limit = 2000;
-
     /// Use the implication-rule library when reconstructing
     /// y = S*y0 + !S*y1 (ablation switch; the paper's Sec. 3.1
     /// "Reconstructing y").
@@ -49,9 +46,6 @@ struct LookaheadParams {
     /// Outer loop bound: each iteration adds one level of lookahead
     /// decomposition (Sigma_1, Sigma_2, ... in the paper's notation).
     int max_iterations = 10;
-
-    /// Verify every accepted iteration against the previous circuit by CEC.
-    bool verify_each_iteration = true;
 
     /// Deterministic work budget for the whole optimization (0 = none),
     /// counted in work units (common/budget.hpp): decomposition attempts

@@ -129,6 +129,9 @@ TEST(EdgeCases, TimeBudgetZeroDecompositions) {
     const Aig out = optimize_timing(aig, params, &stats);
     EXPECT_TRUE(check_equivalence(aig, out).equivalent);
     EXPECT_LE(out.depth(), aig.depth());
+    // The rail fires before the first round, and the run says so.
+    EXPECT_TRUE(stats.wall_clock_interrupted);
+    EXPECT_EQ(stats.iterations, 0);
 }
 
 }  // namespace

@@ -93,6 +93,69 @@ TEST(Engine, SerializedOutputIsByteIdenticalAcrossJobs) {
     for (const int jobs : {2, 4}) EXPECT_EQ(run_aiger(rca, jobs), baseline) << "jobs=" << jobs;
 }
 
+/// Everything a cold run of the flow produces, as one comparable line: the
+/// circuit, the accounting, an FNV-1a hash of the stats log and each fault
+/// record's kind, stage, cone and cone name.
+std::string flow_summary(const Aig& input, const LookaheadParams& params, int jobs) {
+    clear_engine_caches();
+    EngineOptions engine;
+    engine.jobs = jobs;
+    OptimizeStats stats;
+    const Aig out = optimize_timing_engine(input, params, engine, &stats);
+    std::string log;
+    for (const std::string& line : stats.log) log += line + '\n';
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "hash %016llx ands %zu depth %d work %llu iterations %d decomposed %d "
+                  "verified %d log %016llx",
+                  static_cast<unsigned long long>(out.hash()), out.count_reachable_ands(),
+                  out.depth(), static_cast<unsigned long long>(stats.work_units),
+                  stats.iterations, stats.outputs_decomposed, stats.verified ? 1 : 0,
+                  static_cast<unsigned long long>(checkpoint_bytes_hash(log)));
+    std::string summary = line;
+    for (const FaultRecord& f : stats.faults)
+        summary += std::string("; ") + error_kind_name(f.kind) + "/" + f.stage + "/" +
+                   std::to_string(f.cone) + "/" + f.cone_name;
+    return summary;
+}
+
+TEST(Engine, FlowOutputIsPinned) {
+    // The whole flow's output, pinned: restructuring the engine must not
+    // move a bit of it. lsu_stb_ctl_flat starts at 1480 ANDs and its
+    // candidates exceed kPerIterationCheckLimit (1500), so the pass-level
+    // sweep and CEC run too.
+    Aig lsu;
+    for (const BenchmarkProfile& profile : table2_profiles())
+        if (profile.name == "lsu_stb_ctl_flat") lsu = synthetic_control_circuit(profile);
+    ASSERT_EQ(lsu.count_reachable_ands(), 1480u);
+    LookaheadParams four_iterations;
+    four_iterations.max_iterations = 4;
+    LookaheadParams faulted;
+    faulted.fault_plan = "resource@decompose:1";
+    const struct {
+        const char* name;
+        Aig input;
+        LookaheadParams params;
+        const char* summary;
+    } cases[] = {
+        {"rca16", ripple_carry_adder(16), LookaheadParams{},
+         "hash 7fbe37dfc6659c44 ands 493 depth 14 work 3963 iterations 9 decomposed 22 "
+         "verified 1 log 2e31ac468ac1787e"},
+        {"lsu_stb_ctl_flat", lsu, four_iterations,
+         "hash 3e18650427336ed7 ands 2814 depth 23 work 1663 iterations 3 decomposed 3 "
+         "verified 1 log 0bd2718590b801f1"},
+        {"rca16 resource@decompose:1", ripple_carry_adder(16), faulted,
+         "hash 1ebf8b3762ce2890 ands 181 depth 20 work 4 iterations 1 decomposed 0 "
+         "verified 1 log cbf29ce484222325; resource/decompose/15/sum15; "
+         "resource/decompose/16/cout; resource/decompose/15/sum15; "
+         "resource/decompose/15/sum15"},
+    };
+    for (const auto& c : cases)
+        for (const int jobs : {1, 4})
+            EXPECT_EQ(flow_summary(c.input, c.params, jobs), c.summary)
+                << c.name << " jobs=" << jobs;
+}
+
 TEST(Engine, CacheHitCountersIncreaseOnRepeatedRuns) {
     const Aig rca = ripple_carry_adder(9);
     clear_engine_caches();

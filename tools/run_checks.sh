@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
 # run_checks.sh: tier-1 tests in the default configuration, usage-error
-# checks of lls_opt and lls_fuzz (an unknown option or a bad --flow value
-# exits 2 and names the argument), eight suites
+# checks of lls_opt and lls_fuzz (an unknown option, a bad --flow value or
+# --cache-dir outside the lookahead flow exits 2 and names the argument; an
+# unreadable input exits before the memo store is opened), eight suites
 # (SAT, CEC, SOP, truth-table, lookahead, simulation, network and SPCF) in
 # a Debug build (the only stage where the LLS_DCHECK invariant checks run),
 # a budgeted determinism check of the CLI (same circuit + work budget at
 # several --jobs values must produce byte-identical outputs), a batch invariance
 # check (outputs byte-identical across --jobs 1/2/4 x cold/warm persistent
 # store while freed workers steal cone and intra-cone work from running
-# items), fault-injection checks of the containment subsystem with the
-# full suite re-run under AddressSanitizer, checkpoint/resume checks
-# (including a crash/resume cycle with more workers than items),
-# persistent-memo-store checks (warm runs byte-identical to cold across
-# --jobs, corrupted stores degrade to cold start), a graceful-shutdown
+# items), fault-injection checks of the containment subsystem (outputs and
+# fault journals identical across --jobs) with the full suite re-run under
+# AddressSanitizer, checkpoint/resume checks (including a crash/resume cycle
+# with more workers than items), persistent-memo-store checks (warm runs
+# byte-identical to cold across --jobs, with the same per-round log and
+# fault lines; corrupted stores degrade to cold start), a graceful-shutdown
 # check (SIGTERM mid-batch must exit with the documented resumable code,
 # leave a valid journal, and --resume must reproduce the uninterrupted
 # bytes), then the concurrency-sensitive
@@ -40,8 +42,8 @@ echo "== stage 1a: usage errors name the rejected argument =="
 # Each exits 2 with the usage text and names the bad argument on stderr: an
 # unknown lls_opt option (the deleted per-cone watchdog flag), a bad --flow
 # value (rejected while parsing, before the input is read, so nothing is
-# printed on stdout) and an unknown lls_fuzz option (not read as the
-# iteration count).
+# printed on stdout), --cache-dir with a flow that never reads the engine's
+# memos, and an unknown lls_fuzz option (not read as the iteration count).
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
 expect_usage_error() {  # <rejected argument> <command...>
@@ -53,12 +55,23 @@ expect_usage_error() {  # <rejected argument> <command...>
         echo "stderr of '$*' does not name '$rejected'"; cat "$WORKDIR/usage.err"; exit 1; }
     grep -q '^usage:' "$WORKDIR/usage.err" || { echo "no usage text from '$*'"; exit 1; }
 }
+# The per-round log and fault lines of an lls_opt log (iter lines need --stats).
+journal() { grep -E '^  iter |fault\(s\) contained|^  fault ' "$1" || true; }
 expect_usage_error --cone-deadline ./build/tools/lls_opt --cone-deadline 30s \
     tests/data/rca16.blif "$WORKDIR/usage.blif"
 expect_usage_error xyz ./build/tools/lls_opt --flow xyz tests/data/rca16.blif "$WORKDIR/usage.blif"
 [[ ! -s "$WORKDIR/usage.out" ]] || { echo "--flow xyz printed on stdout"; exit 1; }
+expect_usage_error --cache-dir ./build/tools/lls_opt --flow abc --cache-dir "$WORKDIR/usage_cache" \
+    tests/data/rca16.blif "$WORKDIR/usage.blif"
 expect_usage_error --deadline ./build/tools/lls_fuzz --deadline 1
-echo "usage errors exit 2 and name the rejected argument"
+# An unreadable input is an I/O error (15), reported before the memo store
+# is opened: no store load, no persist: line.
+rc=0
+./build/tools/lls_opt --cache-dir "$WORKDIR/usage_cache" "$WORKDIR/missing.blif" \
+    > "$WORKDIR/usage.out" 2> /dev/null || rc=$?
+[[ "$rc" == 15 ]] && ! grep -q '^persist:' "$WORKDIR/usage.out" || {
+    echo "a missing input must exit 15 before the store opens (exit $rc)"; exit 1; }
+echo "usage errors exit 2 and name the rejected argument; a missing input opens no store"
 
 echo "== stage 1b: LLS_DCHECK invariants (Debug) =="
 # Every other stage builds with NDEBUG, which compiles LLS_DCHECK out. These
@@ -120,9 +133,9 @@ echo "batch outputs identical across --jobs 1/2/4 x cold/warm"
 echo "== stage 3: fault injection never aborts and stays jobs-invariant =="
 # Every engine site class, injected on the regression circuits: the run must
 # exit 0 (contained, not crashed), verify equivalence, and produce the same
-# bytes at every --jobs value. The decompose and spcf sites are reached by
-# every cone, so those runs must also report at least one contained fault —
-# proof that the injection fired. cancel@decompose:1 raises a Cancelled
+# bytes and fault summary lines at every --jobs value. The decompose and spcf
+# sites are reached by every cone, so those runs must also report at least
+# one contained fault — proof that the injection fired. cancel@decompose:1 raises a Cancelled
 # error with no shutdown requested: it is contained like any other fault.
 # Plus a short fuzz run with injection enabled.
 for spec in resource@decompose:1 invariant@spcf:1 solver@sat:1 verify@cec:1 \
@@ -133,15 +146,18 @@ for spec in resource@decompose:1 invariant@spcf:1 solver@sat:1 verify@cec:1 \
         for j in 1 2 4; do
             ./build/tools/lls_opt --fault-inject "$spec" --jobs "$j" --iterations 6 \
                 "$circuit" "$WORKDIR/$name.$tag.j$j.blif" > "$WORKDIR/$name.$tag.j$j.log"
+            journal "$WORKDIR/$name.$tag.j$j.log" > "$WORKDIR/$name.$tag.j$j.faults"
         done
-        cmp "$WORKDIR/$name.$tag.j1.blif" "$WORKDIR/$name.$tag.j2.blif"
-        cmp "$WORKDIR/$name.$tag.j1.blif" "$WORKDIR/$name.$tag.j4.blif"
+        for j in 2 4; do
+            cmp "$WORKDIR/$name.$tag.j1.blif" "$WORKDIR/$name.$tag.j$j.blif"
+            cmp "$WORKDIR/$name.$tag.j1.faults" "$WORKDIR/$name.$tag.j$j.faults"
+        done
         if [[ "$spec" == resource@decompose:1 || "$spec" == invariant@spcf:1 ||
             "$spec" == cancel@decompose:1 ]]; then
             grep -q "/$name\.blif: [1-9][0-9]* fault(s) contained" "$WORKDIR/$name.$tag.j1.log" || {
                 echo "expected $spec to fire on at least one cone of $name"; exit 1; }
         fi
-        echo "$name: $spec contained, outputs identical for --jobs 1/2/4"
+        echo "$name: $spec contained, outputs and fault lines identical for --jobs 1/2/4"
     done
 done
 # From inside WORKDIR so a failure's fuzz_corpus/ lands in the temp dir.
@@ -193,23 +209,27 @@ echo "--jobs 4 checkpoint/resume outputs identical to uninterrupted run"
 
 echo "== stage 4b: persistent store warm runs are byte-identical =="
 # Cold run populates the cache directory; warm runs at several --jobs
-# values must replay to byte-identical AIGER output with warm hits > 0.
+# values must replay to byte-identical AIGER output, the same per-round
+# `iter` log lines and fault lines, with warm hits > 0.
 CACHE="$WORKDIR/memo_cache"
-./build/tools/lls_opt --cache-dir "$CACHE" --jobs 1 --iterations 6 \
+./build/tools/lls_opt --cache-dir "$CACHE" --jobs 1 --iterations 6 --stats \
     --aiger "$WORKDIR/persist.cold.aag" \
-    tests/data/rca16.blif "$WORKDIR/persist.cold.blif" > /dev/null
+    tests/data/rca16.blif "$WORKDIR/persist.cold.blif" > "$WORKDIR/persist.cold.log"
+journal "$WORKDIR/persist.cold.log" > "$WORKDIR/persist.cold.journal"
+grep -q '^  iter ' "$WORKDIR/persist.cold.journal" || { echo "no iter lines from --stats"; exit 1; }
 for j in 1 2 4; do
     ./build/tools/lls_opt --cache-dir "$CACHE" --cache-mode read --jobs "$j" \
-        --iterations 6 --aiger "$WORKDIR/persist.warm.j$j.aag" \
+        --iterations 6 --stats --aiger "$WORKDIR/persist.warm.j$j.aag" \
         --metrics-json "$WORKDIR/persist.warm.j$j.json" \
-        tests/data/rca16.blif "$WORKDIR/persist.warm.j$j.blif" > /dev/null
+        tests/data/rca16.blif "$WORKDIR/persist.warm.j$j.blif" > "$WORKDIR/persist.warm.j$j.log"
     cmp "$WORKDIR/persist.cold.aag" "$WORKDIR/persist.warm.j$j.aag"
+    journal "$WORKDIR/persist.warm.j$j.log" | cmp "$WORKDIR/persist.cold.journal" -
     grep -q '"persist.warm_hits":0' "$WORKDIR/persist.warm.j$j.json" && {
         echo "expected persist.warm_hits > 0 at --jobs $j"; exit 1; }
     grep -q '"persist.warm_hits":' "$WORKDIR/persist.warm.j$j.json" || {
         echo "persist.warm_hits missing from metrics JSON"; exit 1; }
 done
-echo "warm outputs identical to cold for --jobs 1/2/4, warm hits recorded"
+echo "warm outputs, iter and fault lines identical to cold for --jobs 1/2/4, warm hits recorded"
 
 echo "== stage 4c: corrupted store degrades to cold start, not failure =="
 # Truncate and bit-flip every shard: the run must exit 0, report a cold
