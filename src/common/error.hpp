@@ -3,12 +3,12 @@
 // Structured error taxonomy for the LLS library.
 //
 // Every failure the library can surface is an LlsError carrying an
-// ErrorKind plus optional context (pipeline stage, circuit name, cone/PO
-// id). The kind is what recovery code dispatches on — the engine's
-// per-cone retry ladder treats a SolverLimit differently from a
-// VerificationFailed — while the context fields make a contained fault
-// reportable without re-deriving where it happened. LlsError derives from
-// std::runtime_error so existing catch sites keep working.
+// ErrorKind plus the pipeline stage that raised it. The kind is what the
+// callers dispatch on — the per-cone fault boundary records it in the
+// FaultRecord, and the CLI maps it to an exit code — while the stage makes
+// a contained fault reportable without re-deriving where it happened.
+// LlsError derives from std::runtime_error so existing catch sites keep
+// working.
 
 #include <cstdint>
 #include <new>
@@ -67,39 +67,27 @@ inline int exit_code_for(ErrorKind kind) {
 
 class LlsError : public std::runtime_error {
 public:
-    LlsError(ErrorKind kind, const std::string& message, std::string stage = {},
-             std::string circuit = {}, std::int64_t cone = -1)
-        : std::runtime_error(format(kind, message, stage, circuit, cone)),
+    LlsError(ErrorKind kind, const std::string& message, std::string stage = {})
+        : std::runtime_error(format(kind, message, stage)),
           kind_(kind),
-          stage_(std::move(stage)),
-          circuit_(std::move(circuit)),
-          cone_(cone) {}
+          stage_(std::move(stage)) {}
 
     ErrorKind kind() const { return kind_; }
     /// Pipeline stage that raised ("decompose", "spcf", "cec", "bdd", ...).
     const std::string& stage() const { return stage_; }
-    /// Circuit (batch item / file) being processed, when known.
-    const std::string& circuit() const { return circuit_; }
-    /// Cone / primary-output index being processed, -1 when not cone-scoped.
-    std::int64_t cone() const { return cone_; }
 
 private:
     static std::string format(ErrorKind kind, const std::string& message,
-                              const std::string& stage, const std::string& circuit,
-                              std::int64_t cone) {
+                              const std::string& stage) {
         std::string s = "[";
         s += error_kind_name(kind);
         if (!stage.empty()) s += "/" + stage;
         s += "] " + message;
-        if (!circuit.empty()) s += " (circuit " + circuit + ")";
-        if (cone >= 0) s += " (cone " + std::to_string(cone) + ")";
         return s;
     }
 
     ErrorKind kind_;
     std::string stage_;
-    std::string circuit_;
-    std::int64_t cone_;
 };
 
 /// Classifies an arbitrary exception into the taxonomy: LlsError keeps its

@@ -9,10 +9,9 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -20,14 +19,13 @@ namespace lls {
 
 /// Fixed-size task-queue thread pool.
 ///
-/// Tasks are submitted as callables and run on one of `size()` worker
-/// threads; `submit` returns a `std::future` carrying the result (or the
-/// exception the task threw). A pool of size 0 is a valid degenerate pool:
-/// every task runs inline on the calling thread, which gives callers a
-/// single code path for serial and concurrent execution. A task submitted
-/// after shutdown has begun (the destructor is running) also runs inline,
-/// so its future always becomes ready — it is never stranded in a queue
-/// no worker will drain again.
+/// Work enters the pool only through `parallel_for`, whose helper tasks
+/// run on one of `size()` worker threads. A pool of size 0 is a valid
+/// degenerate pool: every index runs inline on the calling thread, which
+/// gives callers a single code path for serial and concurrent execution. A
+/// helper queued after shutdown has begun (the destructor is running) also
+/// runs inline, so it is never stranded in a queue no worker will drain
+/// again.
 ///
 /// `parallel_for` dispatches a half-open index range across the workers
 /// with the *calling thread participating*, so a pool of size N applies
@@ -71,20 +69,6 @@ public:
     static std::size_t hardware_jobs() {
         const unsigned n = std::thread::hardware_concurrency();
         return n == 0 ? 1 : n;
-    }
-
-    /// Schedules `fn` on a worker. The future reports the value or rethrows
-    /// the exception. Runs inline when the pool has no workers or when
-    /// shutdown has begun — a post-shutdown submission must still complete
-    /// (callers blocked on the future would otherwise hang forever on a
-    /// task nobody will ever pop).
-    template <typename F>
-    auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-        using R = std::invoke_result_t<std::decay_t<F>>;
-        auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-        std::future<R> result = task->get_future();
-        if (!enqueue([task] { (*task)(); })) (*task)();
-        return result;
     }
 
     /// Runs `body(i)` for every i in [begin, end). Blocks until the whole
@@ -151,14 +135,14 @@ public:
         }
         drain();
 
-        // Help while waiting: instead of blocking on helper futures (which
+        // Help while waiting: instead of blocking on the helpers (which
         // deadlocks nested calls — every worker would wait on queued tasks
         // only a worker could run), keep popping and running queued tasks.
-        // The popped task may belong to anyone: our own helpers, another
-        // parallel_for's helpers, or a plain submit — all are safe to run
-        // inline, and running them is exactly what guarantees global
-        // progress. Only when the queue is empty does the caller sleep, and
-        // then the work it waits for is already running on other threads.
+        // The popped task may be one of our own helpers or another
+        // parallel_for's — all are safe to run inline, and running them is
+        // exactly what guarantees global progress. Only when the queue is
+        // empty does the caller sleep, and then the work it waits for is
+        // already running on other threads.
         if (ctrl->pending.load(std::memory_order_acquire) != 0) {
             std::unique_lock<std::mutex> lock(mutex_);
             while (ctrl->pending.load(std::memory_order_acquire) != 0) {
@@ -211,8 +195,9 @@ public:
 
 private:
     /// Queues `task` and wakes a worker. Returns false — task NOT queued —
-    /// when the pool has no workers or shutdown has begun; the caller must
-    /// run it inline.
+    /// when the pool has no workers or shutdown has begun (a parallel_for
+    /// called from a task still running during destruction); the caller
+    /// must run it inline.
     bool enqueue(std::function<void()> task) {
         if (workers_.empty()) return false;
         {
@@ -224,11 +209,11 @@ private:
         return true;
     }
 
-    /// Runs a queued task with the worker-loop backstop: the callable
-    /// wrappers capture user exceptions themselves (packaged_task futures,
-    /// parallel_for's per-body catch), so anything escaping here is wrapper
-    /// failure (e.g. std::bad_alloc storing an exception) and must not take
-    /// down the running thread — stranded futures deadlock their waiters.
+    /// Runs a queued task with the worker-loop backstop: parallel_for's
+    /// per-body catch captures user exceptions itself, so anything escaping
+    /// here is wrapper failure (e.g. std::bad_alloc storing an exception)
+    /// and must not take down the running thread — a dead worker strands
+    /// the helpers its waiters count on.
     static void run_contained(std::function<void()>& task) {
         try {
             task();

@@ -27,6 +27,8 @@
 #include <string_view>
 #include <vector>
 
+#include "persist/format.hpp"
+
 namespace lls {
 
 /// One journaled circuit.
@@ -40,14 +42,9 @@ struct CheckpointEntry {
     bool failed = false;              ///< the item's optimization faulted
 };
 
-/// FNV-1a over arbitrary bytes — the journal's output-bytes hash.
+/// The journal's output-bytes hash: FNV-1a, the persist store's checksum.
 inline std::uint64_t checkpoint_bytes_hash(std::string_view bytes) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    return persist::fnv1a(bytes);
 }
 
 /// Append-only journal of completed batch items.

@@ -1,6 +1,8 @@
 #include "engine/warm_start.hpp"
 
+#include <filesystem>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -9,80 +11,119 @@
 
 namespace lls {
 
-namespace {
-
+namespace fs = std::filesystem;
 using persist::Section;
 
-/// Copies one section's loaded records out of the store before touching
-/// any live cache: the store mutex and the cache stripe locks are never
-/// held together, so flushes (stripe -> store) and imports can never form
-/// a lock cycle.
-std::vector<std::pair<std::string, std::string>> snapshot_section(
-    const persist::MemoStore& store, Section section) {
-    std::vector<std::pair<std::string, std::string>> records;
-    store.for_each_loaded(section, [&](std::string_view key, std::string_view value) {
-        records.emplace_back(std::string(key), std::string(value));
-    });
-    return records;
-}
-
-}  // namespace
-
 WarmStart::WarmStart(std::string dir, persist::StoreMode mode)
-    : store_(std::move(dir), mode) {
-    warm_hits_ = &Metrics::global().counter("persist.warm_hits");
-    store_.load();
-    import_loaded();
-}
-
-WarmStart::~WarmStart() = default;
-
-void WarmStart::import_loaded() {
-    MetricCounter& undecodable = Metrics::global().counter("persist.load.undecodable");
-
-    for (auto& [key, value] : snapshot_section(store_, Section::Decompose)) {
-        try {
-            const auto pair = persist::decode_pair_key(key);
-            ConeEvaluation evaluation = persist::decode_cone_evaluation(value);
-            decompose_memo().put(pair, std::move(evaluation));
-            imported_decompose_.insert(pair);
-            ++imported_records_;
-        } catch (const std::exception&) {
-            undecodable.add();  // checksum passed but the value is inconsistent: recompute
-        }
+    : dir_(std::move(dir)), mode_(mode) {
+    Metrics& metrics = Metrics::global();
+    warm_hits_ = &metrics.counter("persist.warm_hits");
+    if (mode_ == persist::StoreMode::ReadWrite) {
+        std::error_code ec;
+        fs::create_directories(dir_, ec);
+        if (ec && !fs::is_directory(dir_))
+            throw LlsError(ErrorKind::IoError,
+                           "cannot create cache directory '" + dir_ + "': " + ec.message(),
+                           "persist");
     }
-    for (auto& [key, value] : snapshot_section(store_, Section::Cec)) {
+
+    MetricCounter& undecodable = metrics.counter("persist.load.undecodable");
+    for (const std::string& path : persist::list_shards(dir_)) {
+        ++report_.files_scanned;
+        persist::Records records;
         try {
-            const auto pair = persist::decode_pair_key(key);
-            cec_memo().put(pair, persist::decode_cec_verdict(value));
-            imported_cec_.insert(pair);
-            ++imported_records_;
-        } catch (const std::exception&) {
-            undecodable.add();
+            records = persist::read_shard(path);
+        } catch (const std::exception& e) {
+            // Rejected whole: nothing of a corrupt shard is kept, so a
+            // half-loaded file can never mix intact and damaged records.
+            // Compaction may delete a damaged file of the current version
+            // (its content is re-derived by then), never one of another.
+            ++report_.files_rejected;
+            report_.notes.push_back(e.what());
+            if (std::string_view(e.what()).find("format version") == std::string_view::npos)
+                merged_files_.push_back(path);
+            metrics.counter("persist.load.rejected").add();
+            continue;
         }
+        for (const auto& [section_key, value] : records) {
+            try {
+                const auto key = persist::decode_pair_key(section_key.second);
+                if (section_key.first == Section::Decompose) {
+                    decompose_memo().put(key, persist::decode_cone_evaluation(value));
+                    imported_decompose_.insert(key);
+                } else {
+                    cec_memo().put(key, persist::decode_cec_verdict(value));
+                    imported_cec_.insert(key);
+                }
+            } catch (const std::exception&) {
+                undecodable.add();  // checksum passed but the value is inconsistent: recompute
+            }
+        }
+        report_.records_loaded += records.size();
+        ++report_.files_loaded;
+        merged_files_.push_back(path);
+        metrics.counter("persist.load.shards").add();
+        metrics.counter("persist.load.records").add(records.size());
     }
+    report_.cold_start = report_.records_loaded == 0;
 }
 
 void WarmStart::flush_round() {
-    if (!persist::mode_writes(store_.mode())) return;
-    // record() skips every known key without invoking the encoder, so a
-    // steady-state flush walks the caches but serializes nothing.
-    decompose_memo().for_each(
-        [&](const std::pair<std::uint64_t, std::uint64_t>& key, const ConeEvaluation& evaluation) {
-            if (evaluation.fault) return;  // recompute replays the fault identically
-            store_.record(Section::Decompose, persist::encode_pair_key(key.first, key.second),
-                          [&] { return persist::encode_cone_evaluation(evaluation); });
-        });
-    cec_memo().for_each([&](const std::pair<std::uint64_t, std::uint64_t>& key, bool equivalent) {
-        store_.record(Section::Cec, persist::encode_pair_key(key.first, key.second),
-                      [&] { return persist::encode_cec_verdict(equivalent); });
+    if (mode_ != persist::StoreMode::ReadWrite) return;
+    using Key = std::pair<std::uint64_t, std::uint64_t>;
+    std::lock_guard<std::mutex> lock(mutex_);
+    // Only new entries are encoded, so a steady-state flush walks the
+    // memos but serializes nothing.
+    persist::Records records;
+    std::vector<Key> decompose_keys, cec_keys;
+    decompose_memo().for_each([&](const Key& key, const ConeEvaluation& evaluation) {
+        if (evaluation.fault || imported_decompose_.count(key) || published_decompose_.count(key))
+            return;  // a fault is replayed identically by the recompute
+        records.emplace(
+            std::pair(Section::Decompose, persist::encode_pair_key(key.first, key.second)),
+            persist::encode_cone_evaluation(evaluation));
+        decompose_keys.push_back(key);
     });
-    store_.publish();
+    cec_memo().for_each([&](const Key& key, bool equivalent) {
+        if (imported_cec_.count(key) || published_cec_.count(key)) return;
+        records.emplace(std::pair(Section::Cec, persist::encode_pair_key(key.first, key.second)),
+                        persist::encode_cec_verdict(equivalent));
+        cec_keys.push_back(key);
+    });
+    if (records.empty()) return;
+    const auto path = persist::write_shard(dir_, records, report_.notes);
+    if (!path) return;
+    published_decompose_.insert(decompose_keys.begin(), decompose_keys.end());
+    published_cec_.insert(cec_keys.begin(), cec_keys.end());
+    merged_files_.push_back(*path);
 }
 
 void WarmStart::finalize() {
     flush_round();
-    store_.compact();
+    if (mode_ != persist::StoreMode::ReadWrite) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (persist::list_shards(dir_).size() <= 8) return;  // the compaction threshold
+
+    // Re-read what this process loaded or published (later files win, as
+    // at load) and write the union as one snapshot, then delete only the
+    // files it subsumes. Shards of concurrent processes we never loaded
+    // stay untouched; a merged file that another process's compaction has
+    // removed, or that was rejected at load, contributes nothing.
+    persist::Records merged;
+    for (const std::string& path : merged_files_) {
+        try {
+            for (auto& [key, value] : persist::read_shard(path))
+                merged.insert_or_assign(key, std::move(value));
+        } catch (const std::exception&) {
+        }
+    }
+    if (merged.empty()) return;
+    const auto snapshot = persist::write_shard(dir_, merged, report_.notes);
+    if (!snapshot) return;  // delete nothing
+    std::error_code ec;
+    for (const std::string& path : merged_files_) fs::remove(path, ec);
+    merged_files_ = {*snapshot};
+    Metrics::global().counter("persist.store.compactions").add();
 }
 
 void WarmStart::note_decompose_hit(std::uint64_t cone_hash, std::uint64_t params_fp) {

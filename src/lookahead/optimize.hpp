@@ -15,7 +15,12 @@ struct OptimizeStats {
     int final_depth = 0;
     std::size_t initial_ands = 0;
     std::size_t final_ands = 0;
-    int iterations = 0;            ///< accepted decomposition levels
+    /// Accepted rounds: each committed its decompositions, restructured and
+    /// swept the result, and kept it because the depth dropped (or held
+    /// with a decomposed output) and verification passed. A round counts
+    /// even when restructuring alone lowered the depth and no cone was
+    /// decomposed (see `outputs_decomposed`).
+    int iterations = 0;
     int outputs_decomposed = 0;    ///< per-output decompositions accepted (total)
     bool verified = true;          ///< every accepted step passed CEC
     /// Work units charged against `params.work_budget` (decomposition

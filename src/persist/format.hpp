@@ -44,7 +44,7 @@ inline constexpr const char* kShardExtension = ".shard";
 enum class Section : std::uint8_t {
     Decompose = 1,  ///< (cone hash, params fp) -> ConeEvaluation
     Cec = 2,        ///< ordered structural-hash pair -> verdict
-    // 3 and 4 are retired (see MemoStore::kNumSections): the next section is 5.
+    // 3 and 4 are retired (read_shard skips them): the next section is 5.
 };
 
 /// FNV-1a over arbitrary bytes — the per-record checksum.

@@ -8,7 +8,6 @@
 #include <fstream>
 #include <random>
 #include <sstream>
-#include <tuple>
 
 #include "engine/cache.hpp"
 #include "engine/metrics.hpp"
@@ -20,10 +19,8 @@ namespace fs = std::filesystem;
 namespace {
 
 /// Unique shard names keep concurrent writers from ever publishing to the
-/// same path: process entropy mixed with a fresh nonce per call. The nonce
-/// matters within one process too — sequential MemoStore instances all
-/// start their publish sequence at 0, and without it the second store's
-/// first shard would overwrite the first's.
+/// same path: process entropy mixed with a fresh nonce per call, so two
+/// shards of one process never share a name either.
 std::uint64_t shard_entropy() {
     static const std::uint64_t base = [] {
         std::random_device rd;
@@ -36,51 +33,37 @@ std::uint64_t shard_entropy() {
     return hash_mix(base, instance.fetch_add(1, std::memory_order_relaxed));
 }
 
-std::string hex16(std::uint64_t v) {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-    return buf;
-}
-
-bool is_shard_path(const fs::path& p) {
-    return p.extension() == kShardExtension &&
-           p.filename().string().rfind(".tmp-", 0) != 0;
+/// Ids 3 and 4 (the exact-rewrite NPN and structure memos) are retired and
+/// must never be reused: like any id not listed here, they are skipped.
+bool known_section(std::uint8_t id) {
+    return id == static_cast<std::uint8_t>(Section::Decompose) ||
+           id == static_cast<std::uint8_t>(Section::Cec);
 }
 
 }  // namespace
 
 std::optional<StoreMode> parse_store_mode(std::string_view text) {
-    if (text == "off") return StoreMode::Off;
     if (text == "read") return StoreMode::Read;
-    if (text == "write") return StoreMode::Write;
     if (text == "rw") return StoreMode::ReadWrite;
     return std::nullopt;
 }
 
-std::size_t MemoStore::section_index(Section s) {
-    const auto raw = static_cast<std::uint8_t>(s);
-    LLS_REQUIRE(raw >= 1 && raw <= kNumSections);
-    return raw - 1;
-}
-
-MemoStore::MemoStore(std::string dir, StoreMode mode) : dir_(std::move(dir)), mode_(mode) {
-    if (mode_ == StoreMode::Off) return;
-    if (mode_writes(mode_)) {
-        std::error_code ec;
-        fs::create_directories(dir_, ec);
-        if (ec && !fs::is_directory(dir_))
-            throw LlsError(ErrorKind::IoError,
-                           "cannot create cache directory '" + dir_ + "': " + ec.message(),
-                           "persist");
+std::vector<std::string> list_shards(const std::string& dir) {
+    std::error_code ec;
+    std::vector<std::string> paths;
+    for (fs::directory_iterator it(dir, ec), end; !ec && it != end; it.increment(ec)) {
+        const fs::path& p = it->path();
+        if (it->is_regular_file(ec) && p.extension() == kShardExtension &&
+            p.filename().string().rfind(".tmp-", 0) != 0)
+            paths.push_back(p.string());
     }
+    // Deterministic load order: duplicate keys resolve identically no
+    // matter how the directory iterates.
+    std::sort(paths.begin(), paths.end());
+    return paths;
 }
 
-/// Decodes one shard file into `staged`. Throws LlsError{IoError} on any
-/// header, framing, or checksum problem; `*current_version` tells the
-/// caller whether the file at least declared our format version (and is
-/// therefore safe for compaction to delete once its content is re-derived).
-void MemoStore::load_file(const std::string& path,
-                          std::vector<std::tuple<Section, std::string, std::string>>* staged) {
+Records read_shard(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw LlsError(ErrorKind::IoError, "cannot open shard '" + path + "'", "persist");
     std::ostringstream buffer;
@@ -104,6 +87,7 @@ void MemoStore::load_file(const std::string& path,
                        "persist");
     reader.u32();  // reserved flags
 
+    Records records;
     while (!reader.at_end()) {
         const std::uint32_t len = reader.u32();
         if (len > reader.remaining())
@@ -119,192 +103,58 @@ void MemoStore::load_file(const std::string& path,
             throw LlsError(ErrorKind::IoError, "checksum mismatch in shard '" + path + "'",
                            "persist");
         ByteReader record(payload);
-        const std::uint8_t section_raw = record.u8();
-        const std::string key(record.blob());
-        const std::string value(record.blob());
+        const std::uint8_t section = record.u8();
+        std::string key(record.blob());
+        std::string value(record.blob());
         record.expect_end();
-        if (section_raw < 1 || section_raw > kNumSections) continue;  // future section: skip
-        staged->emplace_back(static_cast<Section>(section_raw), key, value);
+        if (!known_section(section)) continue;
+        records.insert_or_assign({static_cast<Section>(section), std::move(key)}, std::move(value));
     }
+    return records;
 }
 
-const LoadReport& MemoStore::load() {
-    std::lock_guard<std::mutex> lock(mutex_);
+std::optional<std::string> write_shard(const std::string& dir, const Records& records,
+                                       std::vector<std::string>& notes) {
     Metrics& metrics = Metrics::global();
-    report_ = LoadReport{};
-    if (!mode_reads(mode_)) return report_;
-
-    std::error_code ec;
-    std::vector<std::string> paths;
-    for (fs::directory_iterator it(dir_, ec), end; !ec && it != end; it.increment(ec)) {
-        if (it->is_regular_file(ec) && is_shard_path(it->path()))
-            paths.push_back(it->path().string());
-    }
-    // Deterministic load order (duplicate keys resolve identically no
-    // matter how the directory iterates — the values are equal anyway,
-    // since every entry is a pure memo).
-    std::sort(paths.begin(), paths.end());
-
-    for (const auto& path : paths) {
-        ++report_.files_scanned;
-        std::vector<std::tuple<Section, std::string, std::string>> staged;
-        bool current_version = true;
-        try {
-            load_file(path, &staged);
-        } catch (const std::exception& e) {
-            // Rejected whole: nothing of a corrupt shard is kept, so a
-            // half-loaded file can never mix intact and damaged records.
-            ++report_.files_rejected;
-            report_.notes.push_back(e.what());
-            current_version =
-                std::string_view(e.what()).find("format version") == std::string_view::npos;
-            if (current_version) merged_files_.push_back(path);
-            metrics.counter("persist.load.rejected").add();
-            continue;
-        }
-        for (auto& [section, key, value] : staged)
-            loaded_[section_index(section)].entries.insert_or_assign(std::move(key),
-                                                                     std::move(value));
-        report_.records_loaded += staged.size();
-        ++report_.files_loaded;
-        merged_files_.push_back(path);
-        metrics.counter("persist.load.shards").add();
-        metrics.counter("persist.load.records").add(staged.size());
-    }
-    report_.cold_start = report_.records_loaded == 0;
-    return report_;
-}
-
-void MemoStore::for_each_loaded(
-    Section section,
-    const std::function<void(std::string_view, std::string_view)>& fn) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [key, value] : loaded_[section_index(section)].entries) fn(key, value);
-}
-
-bool MemoStore::record(Section section, std::string key,
-                       const std::function<std::string()>& value_fn) {
-    if (!mode_writes(mode_)) return false;
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t s = section_index(section);
-    if (loaded_[s].entries.count(key) || fresh_[s].entries.count(key)) return false;
-    fresh_[s].entries.emplace(std::move(key), value_fn());
-    return true;
-}
-
-std::size_t MemoStore::loaded_count() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (const auto& section : loaded_) n += section.entries.size();
-    return n;
-}
-
-std::size_t MemoStore::fresh_count() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (const auto& section : fresh_) n += section.entries.size();
-    return n;
-}
-
-/// Serializes every *fresh* record as one shard image.
-std::string MemoStore::encode_shard_locked() const {
     ByteWriter shard;
     shard.raw(std::string_view(kMagic, sizeof(kMagic)));
     shard.u32(kFormatVersion);
     shard.u32(0);  // reserved
-    for (std::size_t s = 0; s < kNumSections; ++s) {
-        for (const auto& [key, value] : fresh_[s].entries) {
-            ByteWriter payload;
-            payload.u8(static_cast<std::uint8_t>(s + 1));
-            payload.blob(key);
-            payload.blob(value);
-            shard.u32(static_cast<std::uint32_t>(payload.str().size()));
-            shard.raw(payload.str());
-            shard.u64(fnv1a(payload.str()));
-        }
+    for (const auto& [key, value] : records) {
+        ByteWriter payload;
+        payload.u8(static_cast<std::uint8_t>(key.first));
+        payload.blob(key.second);
+        payload.blob(value);
+        shard.u32(static_cast<std::uint32_t>(payload.str().size()));
+        shard.raw(payload.str());
+        shard.u64(fnv1a(payload.str()));
     }
-    return shard.take();
-}
+    const std::string& bytes = shard.str();
 
-bool MemoStore::publish_locked() {
-    Metrics& metrics = Metrics::global();
-    std::size_t fresh_records = 0;
-    for (const auto& section : fresh_) fresh_records += section.entries.size();
-    if (fresh_records == 0 || !mode_writes(mode_)) return false;
-
-    const std::string bytes = encode_shard_locked();
-    const std::string name =
-        "memo-" + hex16(shard_entropy() ^ (publish_seq_ * 0x9e3779b97f4a7c15ULL)) + "-" +
-        std::to_string(publish_seq_) + kShardExtension;
-    ++publish_seq_;
-    const std::string tmp_path = dir_ + "/.tmp-" + name;
-    const std::string final_path = dir_ + "/" + name;
+    char name[48];
+    std::snprintf(name, sizeof(name), "memo-%016llx%s",
+                  static_cast<unsigned long long>(shard_entropy()), kShardExtension);
+    const std::string tmp_path = dir + "/.tmp-" + name;
+    const std::string final_path = dir + "/" + name;
+    const auto fail = [&](const std::string& what) -> std::optional<std::string> {
+        std::error_code ec;
+        fs::remove(tmp_path, ec);
+        notes.push_back(LlsError(ErrorKind::IoError, what, "persist").what());
+        metrics.counter("persist.store.failures").add();
+        return std::nullopt;
+    };
     {
         std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
         out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
         out.flush();
-        if (!out.good()) {
-            std::error_code ec;
-            fs::remove(tmp_path, ec);
-            report_.notes.push_back(LlsError(ErrorKind::IoError,
-                                             "cannot write shard '" + tmp_path + "'", "persist")
-                                        .what());
-            metrics.counter("persist.store.failures").add();
-            return false;  // staged records kept; a later flush retries
-        }
+        if (!out.good()) return fail("cannot write shard '" + tmp_path + "'");
     }
     std::error_code ec;
     fs::rename(tmp_path, final_path, ec);
-    if (ec) {
-        fs::remove(tmp_path, ec);
-        report_.notes.push_back(
-            LlsError(ErrorKind::IoError, "cannot publish shard '" + final_path + "'", "persist")
-                .what());
-        metrics.counter("persist.store.failures").add();
-        return false;
-    }
-    for (std::size_t s = 0; s < kNumSections; ++s) {
-        for (auto& [key, value] : fresh_[s].entries)
-            loaded_[s].entries.insert_or_assign(key, std::move(value));
-        fresh_[s].entries.clear();
-    }
-    merged_files_.push_back(final_path);
+    if (ec) return fail("cannot publish shard '" + final_path + "'");
     metrics.counter("persist.store.shards").add();
-    metrics.counter("persist.store.records").add(fresh_records);
-    return true;
-}
-
-bool MemoStore::publish() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return publish_locked();
-}
-
-void MemoStore::compact(std::size_t max_shards) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    publish_locked();
-    if (!mode_writes(mode_)) return;
-
-    std::error_code ec;
-    std::size_t shard_files = 0;
-    for (fs::directory_iterator it(dir_, ec), end; !ec && it != end; it.increment(ec))
-        if (it->is_regular_file(ec) && is_shard_path(it->path())) ++shard_files;
-    if (shard_files <= max_shards || merged_files_.empty()) return;
-
-    // Re-stage everything we have seen as one snapshot, publish it, then
-    // delete only the files whose content that snapshot subsumes. Shards
-    // of concurrent processes we never loaded stay untouched.
-    for (std::size_t s = 0; s < kNumSections; ++s)
-        for (const auto& [key, value] : loaded_[s].entries)
-            fresh_[s].entries.insert_or_assign(key, value);
-    std::vector<std::string> to_delete;
-    to_delete.swap(merged_files_);
-    if (!publish_locked()) {
-        merged_files_ = std::move(to_delete);  // snapshot failed: delete nothing
-        for (auto& section : fresh_) section.entries.clear();
-        return;
-    }
-    for (const auto& path : to_delete) fs::remove(path, ec);
-    Metrics::global().counter("persist.store.compactions").add();
+    metrics.counter("persist.store.records").add(records.size());
+    return final_path;
 }
 
 }  // namespace lls::persist

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -16,6 +16,7 @@
 #include "common/check.hpp"
 #include "common/error.hpp"
 #include "engine/engine.hpp"
+#include "engine/memo.hpp"
 #include "engine/metrics.hpp"
 #include "engine/warm_start.hpp"
 #include "io/blif.hpp"
@@ -29,7 +30,6 @@ namespace fs = std::filesystem;
 using persist::ByteReader;
 using persist::ByteWriter;
 using persist::LoadReport;
-using persist::MemoStore;
 using persist::Section;
 using persist::StoreMode;
 
@@ -244,103 +244,118 @@ TEST(PersistCodec, CecVerdictRoundtrip) {
 
 // ----------------------------------------------------------------- store --
 
-TEST(PersistStore, PublishLoadRoundtripAcrossAllSections) {
-    TempDir dir("roundtrip");
-    {
-        MemoStore store(dir.str(), StoreMode::ReadWrite);
-        store.load();
-        EXPECT_TRUE(store.report().cold_start);
-        EXPECT_TRUE(store.record(Section::Decompose, persist::encode_pair_key(1, 2),
-                                 [] { return std::string("dval"); }));
-        EXPECT_TRUE(store.record(Section::Cec, persist::encode_pair_key(3, 4),
-                                 [] { return persist::encode_cec_verdict(true); }));
-        EXPECT_EQ(store.fresh_count(), 2u);
-        EXPECT_TRUE(store.publish());
-        EXPECT_EQ(store.fresh_count(), 0u);
-        EXPECT_EQ(store.loaded_count(), 2u);
-    }
-    ASSERT_EQ(shard_files(dir.path).size(), 1u);
-
-    MemoStore reader(dir.str(), StoreMode::Read);
-    const LoadReport& report = reader.load();
-    EXPECT_EQ(report.files_scanned, 1u);
-    EXPECT_EQ(report.files_loaded, 1u);
-    EXPECT_EQ(report.files_rejected, 0u);
-    EXPECT_EQ(report.records_loaded, 2u);
-    EXPECT_FALSE(report.cold_start);
-
-    std::map<std::string, std::string> decompose;
-    reader.for_each_loaded(Section::Decompose, [&](std::string_view k, std::string_view v) {
-        decompose.emplace(k, v);
-    });
-    ASSERT_EQ(decompose.size(), 1u);
-    EXPECT_EQ(decompose.begin()->first, persist::encode_pair_key(1, 2));
-    EXPECT_EQ(decompose.begin()->second, "dval");
-
-    bool cec_seen = false;
-    reader.for_each_loaded(Section::Cec, [&](std::string_view k, std::string_view v) {
-        cec_seen = true;
-        EXPECT_EQ(k, persist::encode_pair_key(3, 4));
-        EXPECT_TRUE(persist::decode_cec_verdict(v));
-    });
-    EXPECT_TRUE(cec_seen);
+/// The load report of a read-only bridge over `dir`, as a fresh process
+/// sees it; the memos are left empty.
+LoadReport load_report(const TempDir& dir) {
+    clear_engine_caches();
+    const LoadReport report = WarmStart(dir.str(), StoreMode::Read).report();
+    clear_engine_caches();
+    return report;
 }
 
-TEST(PersistStore, RecordDeduplicatesAndIsLazy) {
+/// Writes one good shard holding a single record and returns its path.
+fs::path write_one_shard(const TempDir& dir) {
+    std::vector<std::string> notes;
+    const auto path =
+        persist::write_shard(dir.str(), {{{Section::Decompose, "key"}, "value"}}, notes);
+    EXPECT_TRUE(path.has_value());
+    EXPECT_TRUE(notes.empty());
+    EXPECT_EQ(shard_files(dir.path).size(), 1u);
+    return *path;
+}
+
+TEST(PersistStore, WriteReadRoundtripAcrossAllSections) {
+    TempDir dir("roundtrip");
+    ConeEvaluation evaluation;
+    evaluation.cost.decompositions = 5;
+    const persist::Records records = {
+        {{Section::Decompose, persist::encode_pair_key(1, 2)},
+         persist::encode_cone_evaluation(evaluation)},
+        {{Section::Cec, persist::encode_pair_key(3, 4)}, persist::encode_cec_verdict(true)}};
+    std::vector<std::string> notes;
+    const auto path = persist::write_shard(dir.str(), records, notes);
+    ASSERT_TRUE(path.has_value());
+    EXPECT_TRUE(notes.empty());
+    EXPECT_EQ(persist::list_shards(dir.str()), std::vector<std::string>{*path});
+    EXPECT_EQ(persist::read_shard(*path), records);
+
+    clear_engine_caches();
+    {
+        WarmStart warm(dir.str(), StoreMode::Read);
+        const LoadReport& report = warm.report();
+        EXPECT_EQ(report.files_scanned, 1u);
+        EXPECT_EQ(report.files_loaded, 1u);
+        EXPECT_EQ(report.files_rejected, 0u);
+        EXPECT_EQ(report.records_loaded, 2u);
+        EXPECT_FALSE(report.cold_start);
+        EXPECT_EQ(warm.imported_records(), 2u);
+        const auto imported = decompose_memo().get({1, 2});
+        ASSERT_TRUE(imported.has_value());
+        EXPECT_EQ(imported->cost.decompositions, 5u);
+        EXPECT_EQ(cec_memo().get({3, 4}), std::optional<bool>(true));
+    }
+    clear_engine_caches();
+}
+
+TEST(PersistStore, EntryIsPublishedOnceAndAFailedWriteIsRetried) {
     TempDir dir("dedupe");
-    MemoStore store(dir.str(), StoreMode::ReadWrite);
-    store.load();
-    int calls = 0;
-    const auto value = [&calls] {
-        ++calls;
-        return std::string("v");
-    };
-    EXPECT_TRUE(store.record(Section::Cec, "k", value));
-    EXPECT_FALSE(store.record(Section::Cec, "k", value));
-    EXPECT_EQ(calls, 1);
-    EXPECT_TRUE(store.publish());
-    // Promoted-to-loaded keys stay known: still not re-staged.
-    EXPECT_FALSE(store.record(Section::Cec, "k", value));
-    EXPECT_EQ(calls, 1);
+    clear_engine_caches();
+    WarmStart warm(dir.str(), StoreMode::ReadWrite);
+    const std::uint64_t failures_before =
+        Metrics::global().counter("persist.store.failures").value();
+
+    cec_memo().put({1, 2}, true);
+    warm.flush_round();
+    warm.flush_round();  // nothing new: no second shard
+    ASSERT_EQ(shard_files(dir.path).size(), 1u);
+
+    const fs::path first = shard_files(dir.path).at(0);
+
+    // The directory turns into a plain file: the write fails, is noted and
+    // counted, and nothing is marked published.
+    cec_memo().put({3, 4}, false);
+    const fs::path saved = dir.path.string() + ".saved";
+    fs::rename(dir.path, saved);
+    dump(dir.path, "not a directory");
+    warm.flush_round();
+    ASSERT_EQ(warm.report().notes.size(), 1u);
+    EXPECT_NE(warm.report().notes[0].find("cannot write shard"), std::string::npos);
+    EXPECT_EQ(Metrics::global().counter("persist.store.failures").value(), failures_before + 1);
+
+    // Once the directory is back, the next flush publishes the new entry
+    // alone, and a later flush nothing.
+    fs::remove(dir.path);
+    fs::rename(saved, dir.path);
+    warm.flush_round();
+    warm.flush_round();
+    const auto files = shard_files(dir.path);
+    ASSERT_EQ(files.size(), 2u);
+    const fs::path second = files[0] == first ? files[1] : files[0];
+    EXPECT_EQ(persist::read_shard(second.string()),
+              (persist::Records{{{Section::Cec, persist::encode_pair_key(3, 4)},
+                                 persist::encode_cec_verdict(false)}}));
+    clear_engine_caches();
 }
 
 TEST(PersistStore, ReadOnlyModeNeverPublishes) {
     TempDir dir("readonly");
-    MemoStore store(dir.str(), StoreMode::Read);
-    store.load();
-    store.record(Section::Cec, "k", [] { return std::string("v"); });
-    EXPECT_FALSE(store.publish());
+    clear_engine_caches();
+    WarmStart warm(dir.str(), StoreMode::Read);
+    cec_memo().put({1, 2}, true);
+    warm.flush_round();
+    warm.finalize();
     EXPECT_TRUE(shard_files(dir.path).empty());
-}
-
-TEST(PersistStore, OffModeIsInert) {
-    TempDir dir("off");
-    MemoStore store(dir.str(), StoreMode::Off);
-    const LoadReport& report = store.load();
-    EXPECT_TRUE(report.cold_start);
-    EXPECT_EQ(report.files_scanned, 0u);
-    EXPECT_FALSE(store.publish());
-}
-
-/// Publishes one good shard holding a single record and returns its path.
-fs::path publish_one_shard(const TempDir& dir) {
-    MemoStore store(dir.str(), StoreMode::ReadWrite);
-    store.load();
-    store.record(Section::Decompose, "key", [] { return std::string("value"); });
-    EXPECT_TRUE(store.publish());
-    const auto files = shard_files(dir.path);
-    EXPECT_EQ(files.size(), 1u);
-    return files.at(0);
+    clear_engine_caches();
 }
 
 TEST(PersistStore, TruncatedShardIsRejectedWholeNotFatal) {
     TempDir dir("truncate");
-    const fs::path shard = publish_one_shard(dir);
+    const fs::path shard = write_one_shard(dir);
     const std::string good = slurp(shard);
     dump(shard, good.substr(0, good.size() - 3));
 
-    MemoStore reader(dir.str(), StoreMode::Read);
-    const LoadReport& report = reader.load();
+    EXPECT_THROW(persist::read_shard(shard.string()), LlsError);
+    const LoadReport report = load_report(dir);
     EXPECT_EQ(report.files_rejected, 1u);
     EXPECT_EQ(report.records_loaded, 0u);
     EXPECT_TRUE(report.cold_start);
@@ -350,26 +365,26 @@ TEST(PersistStore, TruncatedShardIsRejectedWholeNotFatal) {
 
 TEST(PersistStore, BitFlippedShardIsRejectedWholeNotFatal) {
     TempDir dir("bitflip");
-    const fs::path shard = publish_one_shard(dir);
+    const fs::path shard = write_one_shard(dir);
     std::string bytes = slurp(shard);
     bytes[bytes.size() - 5] ^= 0x01;  // corrupt the record checksum/payload
     dump(shard, bytes);
 
-    MemoStore reader(dir.str(), StoreMode::Read);
-    const LoadReport& report = reader.load();
+    EXPECT_THROW(persist::read_shard(shard.string()), LlsError);
+    const LoadReport report = load_report(dir);
     EXPECT_EQ(report.files_rejected, 1u);
     EXPECT_TRUE(report.cold_start);
 }
 
 TEST(PersistStore, VersionMismatchIsRejectedAndNamed) {
     TempDir dir("version");
-    const fs::path shard = publish_one_shard(dir);
+    const fs::path shard = write_one_shard(dir);
     std::string bytes = slurp(shard);
     bytes[8] = 99;  // the u32 LE format-version field follows the magic
     dump(shard, bytes);
 
-    MemoStore reader(dir.str(), StoreMode::Read);
-    const LoadReport& report = reader.load();
+    EXPECT_THROW(persist::read_shard(shard.string()), LlsError);
+    const LoadReport report = load_report(dir);
     EXPECT_EQ(report.files_rejected, 1u);
     EXPECT_TRUE(report.cold_start);
     ASSERT_EQ(report.notes.size(), 1u);
@@ -378,13 +393,13 @@ TEST(PersistStore, VersionMismatchIsRejectedAndNamed) {
 
 TEST(PersistStore, BadMagicIsRejected) {
     TempDir dir("magic");
-    const fs::path shard = publish_one_shard(dir);
+    const fs::path shard = write_one_shard(dir);
     std::string bytes = slurp(shard);
     bytes[0] = 'X';
     dump(shard, bytes);
 
-    MemoStore reader(dir.str(), StoreMode::Read);
-    EXPECT_EQ(reader.load().files_rejected, 1u);
+    EXPECT_THROW(persist::read_shard(shard.string()), LlsError);
+    EXPECT_EQ(load_report(dir).files_rejected, 1u);
 }
 
 TEST(PersistStore, UnknownSectionRecordIsSkippedNotFatal) {
@@ -392,82 +407,110 @@ TEST(PersistStore, UnknownSectionRecordIsSkippedNotFatal) {
     // Hand-craft a shard: one record of an id from the future (9), one each
     // of the retired exact-rewrite sections (3, 4) as older stores hold
     // them, and one the loader understands.
-    dump(dir.path / ("hand" + std::string(persist::kShardExtension)),
-         shard_image({{9, "future-key", "future-value"},
-                      {3, "4:abcd", "npn-value"},
-                      {4, "4:abcd:6:c12000", "exact-value"},
-                      {static_cast<std::uint8_t>(Section::Decompose), "known", "v"}}));
+    const fs::path shard = dir.path / ("hand" + std::string(persist::kShardExtension));
+    dump(shard, shard_image({{9, "future-key", "future-value"},
+                             {3, "4:abcd", "npn-value"},
+                             {4, "4:abcd:6:c12000", "exact-value"},
+                             {static_cast<std::uint8_t>(Section::Decompose), "known", "v"}}));
 
-    MemoStore reader(dir.str(), StoreMode::Read);
-    const LoadReport& report = reader.load();
+    EXPECT_EQ(persist::read_shard(shard.string()),  // only the known section
+              (persist::Records{{{Section::Decompose, "known"}, "v"}}));
+    const LoadReport report = load_report(dir);
     EXPECT_EQ(report.files_rejected, 0u);
     EXPECT_EQ(report.files_loaded, 1u);
-    EXPECT_EQ(report.records_loaded, 1u);  // only the known section
+    EXPECT_EQ(report.records_loaded, 1u);
     EXPECT_FALSE(report.cold_start);
 }
 
 TEST(PersistStore, TempFilesAreIgnoredByTheLoader) {
     TempDir dir("tempfiles");
-    publish_one_shard(dir);
+    const fs::path shard = write_one_shard(dir);
     dump(dir.path / (".tmp-memo-junk" + std::string(persist::kShardExtension)), "garbage");
     dump(dir.path / "README.txt", "not a shard");
 
-    MemoStore reader(dir.str(), StoreMode::Read);
-    const LoadReport& report = reader.load();
+    EXPECT_EQ(persist::list_shards(dir.str()), std::vector<std::string>{shard.string()});
+    const LoadReport report = load_report(dir);
     EXPECT_EQ(report.files_scanned, 1u);
     EXPECT_EQ(report.records_loaded, 1u);
 }
 
+/// Ten single-record CEC shards, as ten sequential processes leave them.
+void write_ten_shards(const TempDir& dir) {
+    for (std::uint64_t i = 0; i < 10; ++i) {
+        std::vector<std::string> notes;
+        ASSERT_TRUE(persist::write_shard(dir.str(),
+                                         {{{Section::Cec, persist::encode_pair_key(i, i)},
+                                           persist::encode_cec_verdict(i % 2 == 0)}},
+                                         notes)
+                        .has_value());
+    }
+}
+
 TEST(PersistStore, CompactionMergesManyShardsIntoOne) {
     TempDir dir("compact");
-    // Ten single-record shards from ten sequential "processes".
-    for (int i = 0; i < 10; ++i) {
-        MemoStore store(dir.str(), StoreMode::ReadWrite);
-        store.load();
-        store.record(Section::Decompose, "key" + std::to_string(i),
-                     [i] { return "value" + std::to_string(i); });
-        ASSERT_TRUE(store.publish());
-    }
+    write_ten_shards(dir);
     // And one written before sections 3 and 4 were retired.
     const fs::path retired = dir.path / ("retired" + std::string(persist::kShardExtension));
     dump(retired, shard_image({{3, "4:abcd", "npn-value"}, {4, "4:abcd:6:c12000", "exact-value"}}));
     EXPECT_EQ(shard_files(dir.path).size(), 11u);
 
-    MemoStore store(dir.str(), StoreMode::ReadWrite);
-    store.load();
-    EXPECT_EQ(store.report().records_loaded, 10u);
-    store.compact(/*max_shards=*/8);
+    clear_engine_caches();
+    {
+        WarmStart warm(dir.str(), StoreMode::ReadWrite);
+        EXPECT_EQ(warm.report().records_loaded, 10u);
+        // The snapshot comes from the files, not from the memos.
+        clear_engine_caches();
+        warm.finalize();
+    }
     const auto files = shard_files(dir.path);
     ASSERT_EQ(files.size(), 1u);
     EXPECT_FALSE(fs::exists(retired));
     // The snapshot drops the retired records.
     for (const std::uint8_t id : section_ids(slurp(files[0])))
-        EXPECT_EQ(id, static_cast<std::uint8_t>(Section::Decompose));
+        EXPECT_EQ(id, static_cast<std::uint8_t>(Section::Cec));
+    EXPECT_EQ(load_report(dir).records_loaded, 10u);
+}
 
-    MemoStore reader(dir.str(), StoreMode::Read);
-    EXPECT_EQ(reader.load().records_loaded, 10u);
+TEST(PersistStore, CompactionSkipsAMergedFileAnotherProcessRemoved) {
+    TempDir dir("compact_race");
+    write_ten_shards(dir);
+    clear_engine_caches();
+    {
+        WarmStart warm(dir.str(), StoreMode::ReadWrite);
+        EXPECT_EQ(warm.report().records_loaded, 10u);
+        fs::remove(shard_files(dir.path).at(0));  // another compaction took it
+        warm.finalize();
+        EXPECT_TRUE(warm.report().notes.empty());
+    }
+    clear_engine_caches();
+    const auto files = shard_files(dir.path);
+    ASSERT_EQ(files.size(), 1u);
+    EXPECT_EQ(persist::read_shard(files[0].string()).size(), 9u);
 }
 
 TEST(PersistStore, ParseStoreModeGrammar) {
     EXPECT_EQ(persist::parse_store_mode("read"), StoreMode::Read);
-    EXPECT_EQ(persist::parse_store_mode("write"), StoreMode::Write);
     EXPECT_EQ(persist::parse_store_mode("rw"), StoreMode::ReadWrite);
-    EXPECT_EQ(persist::parse_store_mode("off"), StoreMode::Off);
+    EXPECT_FALSE(persist::parse_store_mode("write").has_value());
+    EXPECT_FALSE(persist::parse_store_mode("off").has_value());
     EXPECT_FALSE(persist::parse_store_mode("READ").has_value());
     EXPECT_FALSE(persist::parse_store_mode("").has_value());
 }
 
 // ------------------------------------------------------------ warm start --
 
-std::string optimize_bytes(const Aig& input, const LookaheadParams& params,
-                           WarmStart* warm) {
-    EngineOptions engine;
-    engine.jobs = 2;
-    engine.warm_start = warm;
-    const Aig out = optimize_timing_engine(input, params, engine);
+std::string aiger_bytes(const Aig& aig) {
     std::stringstream aiger;
-    write_aiger(aiger, out);
+    write_aiger(aiger, aig);
     return aiger.str();
+}
+
+std::string optimize_bytes(const Aig& input, const LookaheadParams& params, WarmStart* warm,
+                           int jobs = 2) {
+    EngineOptions engine;
+    engine.jobs = jobs;
+    engine.warm_start = warm;
+    return aiger_bytes(optimize_timing_engine(input, params, engine));
 }
 
 std::uint64_t warm_hits() { return Metrics::global().counter("persist.warm_hits").value(); }
@@ -559,19 +602,87 @@ TEST(WarmStartEndToEnd, CorruptedStoreFallsBackToColdStart) {
     }
 }
 
-TEST(WarmStartEndToEnd, WriteOnlyModeStaysColdButPublishes) {
-    TempDir dir("writeonly");
-    publish_one_shard(dir);
-    const Aig input = ripple_carry_adder(6);
+/// FNV-1a of the contents of every shard in `dir`, sorted: independent of
+/// the entropy-unique shard names.
+std::uint64_t store_contents_hash(const fs::path& dir) {
+    std::vector<std::string> contents;
+    for (const auto& shard : shard_files(dir)) contents.push_back(slurp(shard));
+    std::sort(contents.begin(), contents.end());
+    std::uint64_t h = persist::fnv1a("");
+    for (const auto& bytes : contents) h = persist::fnv1a(bytes, h);
+    return h;
+}
+
+TEST(WarmStartEndToEnd, StoreContentsArePinned) {
+    // The shard bytes of a cold store are pinned: one shard per round with
+    // new entries, the same records in each at every job count.
+    const Aig input = ripple_carry_adder(16);
+    LookaheadParams params;
+    params.max_iterations = 6;
+    for (const int jobs : {1, 4}) {
+        TempDir dir("pinned_j" + std::to_string(jobs));
+        clear_engine_caches();
+        {
+            WarmStart warm(dir.str(), StoreMode::ReadWrite);
+            (void)optimize_bytes(input, params, &warm, jobs);
+            warm.finalize();
+        }
+        clear_engine_caches();
+        EXPECT_EQ(shard_files(dir.path).size(), 7u) << "jobs " << jobs;
+        EXPECT_EQ(store_contents_hash(dir.path), 0x9ea7bbe3a6dda44bULL) << "jobs " << jobs;
+    }
+}
+
+/// Every record of every shard in `dir`, sorted, repeats kept.
+std::vector<std::pair<persist::Records::key_type, std::string>> store_records(const TempDir& dir) {
+    std::vector<std::pair<persist::Records::key_type, std::string>> records;
+    for (const auto& shard : shard_files(dir.path)) {
+        const persist::Records shard_records = persist::read_shard(shard.string());
+        records.insert(records.end(), shard_records.begin(), shard_records.end());
+    }
+    std::sort(records.begin(), records.end());
+    return records;
+}
+
+TEST(WarmStartEndToEnd, ConcurrentBatchFlushesPublishEachEntryOnce) {
+    // Four batch items flush into one store concurrently, and their adders
+    // share low-order cones, so items race to publish the same keys. Each
+    // entry must be published once: the store holds exactly the records of
+    // a serial batch's store, and a warm batch reproduces the cold outputs.
+    std::vector<BatchItem> items;
+    for (const int bits : {5, 6, 7, 8})
+        items.push_back({"rca" + std::to_string(bits), ripple_carry_adder(bits)});
     LookaheadParams params;
     params.max_iterations = 3;
+    struct Run {
+        std::vector<std::string> outputs;
+        std::size_t imported = 0;
+    };
+    const auto batch = [&](const TempDir& dir, StoreMode mode, int jobs) {
+        clear_engine_caches();
+        WarmStart warm(dir.str(), mode);
+        EngineOptions engine;
+        engine.jobs = jobs;
+        engine.warm_start = &warm;
+        Run run;
+        for (const BatchOutcome& outcome : optimize_timing_batch(items, params, engine))
+            run.outputs.push_back(aiger_bytes(outcome.output));
+        warm.flush_round();  // not finalize(): a compaction would hide duplicates
+        run.imported = warm.imported_records();
+        clear_engine_caches();
+        return run;
+    };
 
-    clear_engine_caches();
-    WarmStart warm(dir.str(), StoreMode::Write);
-    EXPECT_EQ(warm.imported_records(), 0u);  // write mode never imports
-    (void)optimize_bytes(input, params, &warm);
-    warm.finalize();
-    EXPECT_GE(shard_files(dir.path).size(), 1u);
+    TempDir serial("batch_j1"), parallel("batch_j4");
+    const Run cold = batch(serial, StoreMode::ReadWrite, 1);
+    EXPECT_EQ(batch(parallel, StoreMode::ReadWrite, 4).outputs, cold.outputs);
+    const auto serial_records = store_records(serial);
+    ASSERT_FALSE(serial_records.empty());
+    EXPECT_EQ(store_records(parallel), serial_records);
+
+    const Run warm = batch(parallel, StoreMode::Read, 4);
+    EXPECT_EQ(warm.imported, serial_records.size());  // no key repeated in either store
+    EXPECT_EQ(warm.outputs, cold.outputs);
 }
 
 }  // namespace

@@ -13,41 +13,29 @@
 namespace lls {
 namespace {
 
-TEST(ThreadPool, SubmitReturnsValues) {
-    ThreadPool pool(4);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 100; ++i) futures.push_back(pool.submit([i] { return i * i; }));
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-}
-
-TEST(ThreadPool, ZeroWorkerPoolRunsInline) {
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.size(), 0u);
-    auto f = pool.submit([] { return 42; });
-    EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions) {
-    ThreadPool pool(2);
-    auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(f.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, WorkersSurviveThrowingTasks) {
-    // Regression test for the worker-loop exception backstop: with a single
-    // worker, a task whose exception escaped the loop would kill the only
-    // thread and strand every later future. Throw a burst of tasks, then
-    // prove the same worker still completes real work.
+    // With a single worker, a throwing body that escaped the worker loop
+    // would kill the only thread. Throw a burst of ranges, then prove the
+    // same worker still runs work: two indices that wait for each other can
+    // only both finish when the worker takes one while the caller holds the
+    // other.
     ThreadPool pool(1);
-    std::vector<std::future<int>> throwing;
     for (int i = 0; i < 8; ++i)
-        throwing.push_back(pool.submit([]() -> int { throw std::runtime_error("boom"); }));
-    for (auto& f : throwing) EXPECT_THROW(f.get(), std::runtime_error);
+        EXPECT_THROW(pool.parallel_for(0, 4, [](std::size_t) { throw std::runtime_error("boom"); }),
+                     std::runtime_error);
 
-    auto alive = pool.submit([] { return 7; });
-    ASSERT_EQ(alive.wait_for(std::chrono::seconds(30)), std::future_status::ready)
-        << "worker died after a throwing task";
-    EXPECT_EQ(alive.get(), 7);
+    std::atomic<int> started{0};
+    std::atomic<bool> met{true};
+    pool.parallel_for(0, 2, [&](std::size_t) {
+        started.fetch_add(1);
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (started.load() < 2)
+            if (std::chrono::steady_clock::now() > deadline) {
+                met.store(false);
+                return;
+            }
+    });
+    EXPECT_TRUE(met.load()) << "worker died after a throwing task";
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
@@ -78,10 +66,15 @@ TEST(ThreadPool, ParallelForRethrowsFirstException) {
     EXPECT_LT(completed.load(), 1000);
 }
 
-TEST(ThreadPool, ParallelForWorksWithZeroWorkers) {
+TEST(ThreadPool, ZeroWorkerPoolRunsInline) {
     ThreadPool pool(0);
+    EXPECT_EQ(pool.size(), 0u);
+    const std::thread::id caller = std::this_thread::get_id();
     std::vector<int> out(64, 0);
-    pool.parallel_for(0, out.size(), [&](std::size_t i) { out[i] = static_cast<int>(i); });
+    pool.parallel_for(0, out.size(), [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        out[i] = static_cast<int>(i);
+    });
     std::vector<int> expected(64);
     std::iota(expected.begin(), expected.end(), 0);
     EXPECT_EQ(out, expected);
@@ -144,30 +137,6 @@ TEST(ThreadPool, NestedParallelForPropagatesInnerExceptions) {
         }
     });
     EXPECT_EQ(outer_failures.load(), 6);
-}
-
-TEST(ThreadPool, SubmitFromRunningTaskCompletes) {
-    // A task submitting to its own pool must not deadlock, and the inner
-    // future must become ready even when the pool is being torn down
-    // around it: submit during shutdown runs the task inline instead of
-    // leaving it stranded in a queue no worker will drain again.
-    std::future<int> inner;
-    std::atomic<bool> inner_submitted{false};
-    {
-        ThreadPool pool(1);
-        pool.submit([&pool, &inner, &inner_submitted] {
-            // Give the destructor (entered by the main thread as soon as
-            // submit returns) a chance to raise stopping_ first; both
-            // orderings are legal, and in both the future must resolve.
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            inner = pool.submit([] { return 99; });
-            inner_submitted.store(true);
-        });
-    }  // ~ThreadPool: stopping_ raised while the task sleeps, then joined
-    ASSERT_TRUE(inner_submitted.load());
-    ASSERT_EQ(inner.wait_for(std::chrono::seconds(0)), std::future_status::ready)
-        << "task submitted during shutdown was stranded";
-    EXPECT_EQ(inner.get(), 99);
 }
 
 TEST(ThreadPool, AbortedParallelForCountsSkippedIndices) {

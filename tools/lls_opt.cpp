@@ -25,10 +25,14 @@
 //                                 fatal@batch:N kills the process after N
 //                                 journaled circuits (crash simulation)
 //   --no-verify                   skip the final equivalence check
-//   --map                         print a technology-mapping report
-//   --aiger PATH                  also dump the result as ASCII AIGER
-//   --verilog PATH                dump the mapped gate-level netlist as Verilog
-//   --stats                       print per-round decomposition log
+//   --map                         single-circuit mode: print a technology-mapping
+//                                 report
+//   --aiger PATH                  single-circuit mode: also dump the result as
+//                                 ASCII AIGER
+//   --verilog PATH                single-circuit mode: dump the mapped gate-level
+//                                 netlist as Verilog
+//   --stats                       single-circuit mode: print per-round
+//                                 decomposition log
 //   --metrics                     print engine stage timers + cache stats
 //   --metrics-json FILE           dump the metrics registry as JSON to FILE
 //   --cache-dir DIR               lookahead flow's persistent memo store: load
@@ -37,11 +41,14 @@
 //                                 (docs/ENGINE.md, "Persistent memo store");
 //                                 corrupt or version-mismatched shards degrade
 //                                 to a cold start, never a failure
-//   --cache-mode read|write|rw|off
-//                                 what --cache-dir may do (default rw)
+//   --cache-mode read|rw          what --cache-dir may do (default rw)
 //   --time-budget DUR             wall-clock safety rail for the whole run
 //                                 (500ms/30s/5m; nondeterministic; use
 //                                 --work-budget for reproducible budgeted runs)
+//
+// --iterations, --work-budget, --time-budget, --fault-inject, --batch and
+// --cache-dir serve only the lookahead flow. An option outside the mode or
+// flow that reads it is a usage error, never silently ignored.
 //
 // Exit codes are documented in --help: 0 success; 1 not equivalent / item
 // failed; 2 usage; 10..16 per ErrorKind; 30 terminated by SIGTERM/SIGINT
@@ -55,6 +62,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -112,7 +120,7 @@ void print_usage(std::FILE* out, const char* argv0) {
                  "usage: %s [--flow sis|abc|dc|lookahead] [--iterations N] [--jobs N|auto]\n"
                  "          [--work-budget N] [--time-budget DUR]\n"
                  "          [--fault-inject SPEC]\n"
-                 "          [--cache-dir DIR] [--cache-mode read|write|rw|off]\n"
+                 "          [--cache-dir DIR] [--cache-mode read|rw]\n"
                  "          [--no-verify] [--map]\n"
                  "          [--aiger PATH] [--verilog PATH] [--stats] [--metrics]\n"
                  "          [--metrics-json FILE]\n"
@@ -197,9 +205,11 @@ int main(int argc, char** argv) {
     double time_budget = 0.0;
     bool verify = true, map_report = false, print_stats = false, print_metrics = false;
     bool batch = false, resume = false;
+    std::set<std::string> given;  // every option named on the command line
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        if (arg.rfind("--", 0) == 0) given.insert(arg);
         // The value of an option that takes one, or nullptr after naming
         // the option when the command line ends before it.
         const auto value = [&]() -> const char* {
@@ -282,20 +292,6 @@ int main(int argc, char** argv) {
         }
     }
     if (inputs.empty()) return usage(argv[0]);
-    // The batch driver and the memo store serve only the lookahead engine;
-    // the sis/abc/dc flows never read its memos.
-    const char* lookahead_only = batch ? "--batch" : !cache_dir.empty() ? "--cache-dir" : nullptr;
-    if (flow != "lookahead" && lookahead_only) {
-        std::fprintf(stderr, "error: '%s' supports only --flow lookahead (got --flow %s)\n",
-                     lookahead_only, flow.c_str());
-        return usage(argv[0]);
-    }
-    const auto store_mode = lls::persist::parse_store_mode(cache_mode);
-    if (!store_mode) {
-        std::fprintf(stderr, "error: --cache-mode expects read|write|rw|off, got '%s'\n",
-                     cache_mode.c_str());
-        return lls::kExitUsage;
-    }
 
     // --jobs auto (or 0) resolves to the whole machine here, once, so every
     // later report prints the actual thread count in use.
@@ -329,10 +325,34 @@ int main(int argc, char** argv) {
             return lls::kExitUsage;
         }
     }
-    if (resume && checkpoint_path.empty()) {
-        std::fprintf(stderr, "error: --resume requires --checkpoint FILE\n");
-        return lls::kExitUsage;
+
+    // An option the chosen mode or flow would ignore is a usage error: the
+    // engine's budgets, fault sites, batch mode and memo store serve only
+    // the lookahead flow; output dumps and reports only the single-circuit
+    // mode; the output directory and journal only the batch mode.
+    const auto reject = [&](const char* option, const std::string& why) {
+        std::fprintf(stderr, "error: '%s' %s\n", option, why.c_str());
+        return usage(argv[0]);
+    };
+    if (flow != "lookahead")
+        for (const char* option : {"--batch", "--cache-dir", "--iterations", "--work-budget",
+                                   "--time-budget", "--fault-inject"})
+            if (given.count(option))
+                return reject(option, "supports only --flow lookahead (got --flow " + flow + ")");
+    if (batch) {
+        for (const char* option : {"--aiger", "--verilog", "--map", "--stats"})
+            if (given.count(option)) return reject(option, "is not supported with --batch");
+    } else {
+        for (const char* option : {"--out-dir", "--checkpoint"})
+            if (given.count(option)) return reject(option, "requires --batch");
+        if (fatal_after > 0) return reject("--fault-inject", "with fatal@batch:N requires --batch");
     }
+    if (resume && checkpoint_path.empty()) return reject("--resume", "requires --checkpoint FILE");
+    if (given.count("--cache-mode") && cache_dir.empty())
+        return reject("--cache-mode", "requires --cache-dir");
+    const auto store_mode = lls::persist::parse_store_mode(cache_mode);
+    if (!store_mode)
+        return reject("--cache-mode", "expects read|rw, got '" + cache_mode + "'");
 
     std::vector<lls::BatchItem> items;
     for (const auto& path : inputs) {
@@ -346,11 +366,11 @@ int main(int argc, char** argv) {
 
     // Persistent memo store, opened after the inputs are read (an unreadable
     // input must not pay for a load) and before any optimization. A store
-    // that cannot be *read* degrades to a cold start inside load(); only an
-    // unusable write setup throws, and even that merely disables persistence
-    // — the optimization must never be blocked by cache trouble.
+    // that cannot be *read* degrades to a cold start; only an unusable write
+    // setup throws, and even that merely disables persistence — the
+    // optimization must never be blocked by cache trouble.
     std::unique_ptr<lls::WarmStart> warm;
-    if (!cache_dir.empty() && *store_mode != lls::persist::StoreMode::Off) {
+    if (!cache_dir.empty()) {
         try {
             warm = std::make_unique<lls::WarmStart>(cache_dir, *store_mode);
         } catch (const std::exception& e) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # run_checks.sh: tier-1 tests in the default configuration, usage-error
-# checks of lls_opt and lls_fuzz (an unknown option, a bad --flow value or
-# --cache-dir outside the lookahead flow exits 2 and names the argument; an
+# checks of lls_opt and lls_fuzz (an unknown option, a bad --flow value, an
+# option outside the mode or flow that reads it, or a removed --cache-mode
+# value exits 2 and names the argument before any input is read; an
 # unreadable input exits before the memo store is opened), eight suites
 # (SAT, CEC, SOP, truth-table, lookahead, simulation, network and SPCF) in
 # a Debug build (the only stage where the LLS_DCHECK invariant checks run),
@@ -9,12 +10,14 @@
 # several --jobs values must produce byte-identical outputs), a batch invariance
 # check (outputs byte-identical across --jobs 1/2/4 x cold/warm persistent
 # store while freed workers steal cone and intra-cone work from running
-# items), fault-injection checks of the containment subsystem (outputs and
+# items, and stores seeded at --jobs 1 and 4 holding the same shard
+# contents), fault-injection checks of the containment subsystem (outputs and
 # fault journals identical across --jobs) with the full suite re-run under
 # AddressSanitizer, checkpoint/resume checks (including a crash/resume cycle
-# with more workers than items), persistent-memo-store checks (warm runs
-# byte-identical to cold across --jobs, with the same per-round log and
-# fault lines; corrupted stores degrade to cold start), a graceful-shutdown
+# with more workers than items), persistent-memo-store checks (cold stores
+# with the same shard contents at --jobs 1 and 4, warm runs byte-identical
+# to cold across --jobs, with the same per-round log and fault lines;
+# corrupted stores degrade to cold start), a graceful-shutdown
 # check (SIGTERM mid-batch must exit with the documented resumable code,
 # leave a valid journal, and --resume must reproduce the uninterrupted
 # bytes), then the concurrency-sensitive
@@ -44,6 +47,9 @@ echo "== stage 1a: usage errors name the rejected argument =="
 # value (rejected while parsing, before the input is read, so nothing is
 # printed on stdout), --cache-dir with a flow that never reads the engine's
 # memos, and an unknown lls_fuzz option (not read as the iteration count).
+# Then every lls_opt option that its mode or flow would ignore, and the
+# removed --cache-mode values: each is rejected before the input is read,
+# so a missing input does not turn them into an I/O error (15).
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
 expect_usage_error() {  # <rejected argument> <command...>
@@ -57,6 +63,9 @@ expect_usage_error() {  # <rejected argument> <command...>
 }
 # The per-round log and fault lines of an lls_opt log (iter lines need --stats).
 journal() { grep -E '^  iter |fault\(s\) contained|^  fault ' "$1" || true; }
+# The sorted content hashes of a store's shards: equal for two stores that
+# hold the same shards under different (entropy-unique) names.
+store_contents() { (cd "$1" && sha1sum -- *.shard | cut -d' ' -f1 | sort); }
 expect_usage_error --cone-deadline ./build/tools/lls_opt --cone-deadline 30s \
     tests/data/rca16.blif "$WORKDIR/usage.blif"
 expect_usage_error xyz ./build/tools/lls_opt --flow xyz tests/data/rca16.blif "$WORKDIR/usage.blif"
@@ -64,6 +73,29 @@ expect_usage_error xyz ./build/tools/lls_opt --flow xyz tests/data/rca16.blif "$
 expect_usage_error --cache-dir ./build/tools/lls_opt --flow abc --cache-dir "$WORKDIR/usage_cache" \
     tests/data/rca16.blif "$WORKDIR/usage.blif"
 expect_usage_error --deadline ./build/tools/lls_fuzz --deadline 1
+MISSING="$WORKDIR/missing.blif"
+for flow in sis abc dc; do
+    expect_usage_error --batch ./build/tools/lls_opt --flow "$flow" --batch "$MISSING"
+done
+expect_usage_error --iterations ./build/tools/lls_opt --flow abc --iterations 3 "$MISSING"
+expect_usage_error --work-budget ./build/tools/lls_opt --flow sis --work-budget 5 "$MISSING"
+expect_usage_error --time-budget ./build/tools/lls_opt --flow dc --time-budget 5s "$MISSING"
+expect_usage_error --fault-inject ./build/tools/lls_opt --flow abc \
+    --fault-inject resource@decompose:1 "$MISSING"
+expect_usage_error --out-dir ./build/tools/lls_opt --out-dir "$WORKDIR/usage_out" "$MISSING"
+[[ ! -e "$WORKDIR/usage_out" ]] || { echo "a rejected --out-dir was created"; exit 1; }
+expect_usage_error --checkpoint ./build/tools/lls_opt --checkpoint "$WORKDIR/usage.ckpt" "$MISSING"
+expect_usage_error --fault-inject ./build/tools/lls_opt --fault-inject fatal@batch:1 "$MISSING"
+expect_usage_error --resume ./build/tools/lls_opt --batch --resume "$MISSING"
+expect_usage_error --aiger ./build/tools/lls_opt --batch --aiger "$WORKDIR/usage.aag" "$MISSING"
+expect_usage_error --verilog ./build/tools/lls_opt --batch --verilog "$WORKDIR/usage.v" "$MISSING"
+expect_usage_error --map ./build/tools/lls_opt --batch --map "$MISSING"
+expect_usage_error --stats ./build/tools/lls_opt --batch --stats "$MISSING"
+expect_usage_error --cache-mode ./build/tools/lls_opt --cache-mode read "$MISSING"
+for mode in off write; do
+    expect_usage_error --cache-mode ./build/tools/lls_opt --cache-dir "$WORKDIR/usage_cache" \
+        --cache-mode "$mode" "$MISSING"
+done
 # An unreadable input is an I/O error (15), reported before the memo store
 # is opened: no store load, no persist: line.
 rc=0
@@ -112,10 +144,16 @@ for j in 1 2 4; do
         tests/data/rca16.blif tests/data/control24.blif > /dev/null
 done
 # Seed a store with a --jobs 1 run, then replay it read-only at every job
-# count.
+# count. A second store seeded at --jobs 4, where the items flush
+# concurrently, must hold the same shard contents.
 BATCHCACHE="$WORKDIR/batch_cache"
 ./build/tools/lls_opt --batch --jobs 1 --cache-dir "$BATCHCACHE" \
     --out-dir "$WORKDIR/batch.seed" tests/data/rca16.blif tests/data/control24.blif > /dev/null
+./build/tools/lls_opt --batch --jobs 4 --cache-dir "$WORKDIR/batch_cache.j4" \
+    --out-dir "$WORKDIR/batch.seed.j4" tests/data/rca16.blif tests/data/control24.blif > /dev/null
+store_contents "$BATCHCACHE" > "$WORKDIR/batch_cache.contents"
+store_contents "$WORKDIR/batch_cache.j4" | cmp "$WORKDIR/batch_cache.contents" - || {
+    echo "stores seeded at --jobs 1 and 4 hold different shards"; exit 1; }
 for j in 1 2 4; do
     ./build/tools/lls_opt --batch --jobs "$j" --cache-dir "$BATCHCACHE" --cache-mode read \
         --out-dir "$WORKDIR/batch.j$j.warm" \
@@ -124,11 +162,12 @@ for j in 1 2 4; do
         echo "expected a warm start from the seeded store at --jobs $j"; exit 1; }
 done
 for name in rca16 control24; do
-    for out in batch.j2 batch.j4 batch.seed batch.j1.warm batch.j2.warm batch.j4.warm; do
+    for out in batch.j2 batch.j4 batch.seed batch.seed.j4 batch.j1.warm batch.j2.warm \
+        batch.j4.warm; do
         cmp "$WORKDIR/batch.j1/$name.blif" "$WORKDIR/$out/$name.blif"
     done
 done
-echo "batch outputs identical across --jobs 1/2/4 x cold/warm"
+echo "batch outputs identical across --jobs 1/2/4 x cold/warm; seeded stores identical"
 
 echo "== stage 3: fault injection never aborts and stays jobs-invariant =="
 # Every engine site class, injected on the regression circuits: the run must
@@ -208,13 +247,19 @@ cmp "$WORKDIR/full/control24.blif" "$WORKDIR/resumed-steal/control24.blif"
 echo "--jobs 4 checkpoint/resume outputs identical to uninterrupted run"
 
 echo "== stage 4b: persistent store warm runs are byte-identical =="
-# Cold run populates the cache directory; warm runs at several --jobs
-# values must replay to byte-identical AIGER output, the same per-round
-# `iter` log lines and fault lines, with warm hits > 0.
+# Cold run populates the cache directory; a cold run at --jobs 4 must
+# write the same shard contents. Warm runs at several --jobs values must
+# replay to byte-identical AIGER output, the same per-round `iter` log
+# lines and fault lines, with warm hits > 0.
 CACHE="$WORKDIR/memo_cache"
 ./build/tools/lls_opt --cache-dir "$CACHE" --jobs 1 --iterations 6 --stats \
     --aiger "$WORKDIR/persist.cold.aag" \
     tests/data/rca16.blif "$WORKDIR/persist.cold.blif" > "$WORKDIR/persist.cold.log"
+./build/tools/lls_opt --cache-dir "$WORKDIR/memo_cache.j4" --jobs 4 --iterations 6 \
+    tests/data/rca16.blif "$WORKDIR/persist.cold.j4.blif" > /dev/null
+cmp "$WORKDIR/persist.cold.blif" "$WORKDIR/persist.cold.j4.blif"
+store_contents "$CACHE" | cmp - <(store_contents "$WORKDIR/memo_cache.j4") || {
+    echo "cold stores written at --jobs 1 and 4 hold different shards"; exit 1; }
 journal "$WORKDIR/persist.cold.log" > "$WORKDIR/persist.cold.journal"
 grep -q '^  iter ' "$WORKDIR/persist.cold.journal" || { echo "no iter lines from --stats"; exit 1; }
 for j in 1 2 4; do
@@ -229,6 +274,7 @@ for j in 1 2 4; do
     grep -q '"persist.warm_hits":' "$WORKDIR/persist.warm.j$j.json" || {
         echo "persist.warm_hits missing from metrics JSON"; exit 1; }
 done
+echo "cold stores identical for --jobs 1/4"
 echo "warm outputs, iter and fault lines identical to cold for --jobs 1/2/4, warm hits recorded"
 
 echo "== stage 4c: corrupted store degrades to cold start, not failure =="
