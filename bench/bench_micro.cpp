@@ -1,7 +1,7 @@
 // Micro-benchmarks for the substrate libraries (google-benchmark): truth
-// tables, ISOP/minimum-SOP, AIG construction, cut enumeration, simulation,
-// floating-mode timing simulation, SAT, CEC, the baseline passes, and
-// technology mapping.
+// tables, ISOP/minimum-SOP, SOP tree levels, AIG construction, cut
+// enumeration, simulation, floating-mode timing simulation, SAT, CEC, the
+// baseline passes, and technology mapping.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 #include "io/generators.hpp"
 #include "lookahead/decompose.hpp"
 #include "mapping/mapper.hpp"
+#include "network/network.hpp"
 #include "sim/simulation.hpp"
 #include "sop/sop.hpp"
 
@@ -60,6 +61,23 @@ void BM_MinimumSop(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_MinimumSop)->Arg(4)->Arg(6);
+
+// The delay score restructuring computes per cut and phase: the balanced
+// AND/OR tree level of an ISOP of a random function of `n` variables (cut
+// size 8 is restructuring's) over random fanin levels.
+void BM_SopTreeLevel(benchmark::State& state) {
+    Rng rng(8);
+    const int n = static_cast<int>(state.range(0));
+    std::vector<Sop> sops;
+    for (int i = 0; i < 32; ++i) sops.push_back(isop(random_tt(n, rng)));
+    std::vector<int> fanin_levels(static_cast<std::size_t>(n));
+    for (auto& l : fanin_levels) l = static_cast<int>(rng.next_below(32));
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(Network::sop_tree_level(sops[i++ % sops.size()], fanin_levels));
+    }
+}
+BENCHMARK(BM_SopTreeLevel)->Arg(4)->Arg(8);
 
 void BM_AigConstruction(benchmark::State& state) {
     const int bits = static_cast<int>(state.range(0));

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
+#include <span>
 #include <unordered_map>
 
 #include "aig/aig_build.hpp"
@@ -105,30 +105,40 @@ namespace {
 /// Optimal level of a balanced binary combine over operands with the given
 /// arrival levels: repeatedly join the two earliest operands (each join is
 /// one gate level). Equivalent to the Huffman-style tree-height algorithm.
-int balanced_tree_level(std::vector<int> levels) {
+/// Sorts `levels` and joins in place: the joins come out in non-decreasing
+/// level order, so they queue up in the already consumed front of the
+/// array, and the two earliest operands always head one of the two queues.
+int balanced_tree_level(std::span<int> levels) {
     if (levels.empty()) return 0;
-    std::priority_queue<int, std::vector<int>, std::greater<>> heap(levels.begin(), levels.end());
-    while (heap.size() > 1) {
-        const int a = heap.top();
-        heap.pop();
-        const int b = heap.top();
-        heap.pop();
-        heap.push(std::max(a, b) + 1);
+    std::sort(levels.begin(), levels.end());
+    std::size_t next = 0;            // operands not yet joined: levels[next, size)
+    std::size_t head = 0, tail = 0;  // joins not yet joined: levels[head, tail)
+    const auto earliest = [&] {
+        if (head < tail && (next == levels.size() || levels[head] <= levels[next]))
+            return levels[head++];
+        return levels[next++];
+    };
+    for (std::size_t joins = levels.size() - 1; joins > 0; --joins) {
+        const int a = earliest();
+        const int b = earliest();
+        levels[tail++] = std::max(a, b) + 1;  // tail < next: a consumed operand's slot
     }
-    return heap.top();
+    return levels[tail == 0 ? 0 : tail - 1];
 }
 
 int sop_tree_level_impl(const Sop& sop, const std::vector<int>& fanin_levels) {
     if (sop.empty()) return 0;  // constant 0
-    std::vector<int> cube_levels;
-    cube_levels.reserve(sop.num_cubes());
+    // One cube-level buffer per thread, reused across calls.
+    thread_local std::vector<int> cube_levels;
+    cube_levels.clear();
+    int lit_levels[Cube::kMaxVars] = {};
     for (const auto& cube : sop.cubes()) {
-        std::vector<int> lit_levels;
+        std::size_t lits = 0;
         for (int v = 0; v < sop.num_vars(); ++v)
-            if (cube.has_literal(v)) lit_levels.push_back(fanin_levels[static_cast<std::size_t>(v)]);
-        cube_levels.push_back(balanced_tree_level(std::move(lit_levels)));
+            if (cube.has_literal(v)) lit_levels[lits++] = fanin_levels[static_cast<std::size_t>(v)];
+        cube_levels.push_back(balanced_tree_level({lit_levels, lits}));
     }
-    return balanced_tree_level(std::move(cube_levels));
+    return balanced_tree_level(cube_levels);
 }
 
 }  // namespace
@@ -147,11 +157,11 @@ int Network::sop_level_of(const TruthTable& tt, const std::vector<int>& fanin_le
 
 std::vector<int> Network::compute_sop_levels() const {
     std::vector<int> level(nodes_.size(), 0);
+    std::vector<int> fl;
     for (std::uint32_t id = 1; id < nodes_.size(); ++id) {
         if (!is_internal(id)) continue;
         ensure_sops(id);
-        std::vector<int> fl;
-        fl.reserve(nodes_[id].fanins.size());
+        fl.clear();
         for (const auto f : nodes_[id].fanins) fl.push_back(level[f]);
         level[id] = sop_level_of(nodes_[id].on, nodes_[id].off, fl);
     }

@@ -71,20 +71,23 @@ std::string Sop::to_string() const {
 
 namespace {
 
-// Minato-Morreale ISOP on truth tables. Returns cubes of an irredundant SOP
-// g with lower <= g <= upper, and stores the truth table of g in `cover`.
-Sop isop_rec(const TruthTable& lower, const TruthTable& upper, int top_var, TruthTable* cover) {
+// Minato-Morreale ISOP on truth tables. Appends the cubes of an
+// irredundant SOP g with lower <= g <= upper to `cubes` and stores the
+// truth table of g in `cover`. The cubes come in a fixed order: those of
+// the x_var = 0 branch (given literal !x_var), then those of the x_var = 1
+// branch (given x_var), then those of the remainder.
+void isop_rec(const TruthTable& lower, const TruthTable& upper, int top_var, TruthTable* cover,
+              std::vector<Cube>& cubes) {
     LLS_DCHECK(lower.implies(upper));
     const int n = lower.num_vars();
     if (lower.is_const0()) {
         *cover = TruthTable::constant(n, false);
-        return Sop(n);
+        return;
     }
     if (upper.is_const1()) {
         *cover = TruthTable::constant(n, true);
-        Sop s(n);
-        s.add_cube(Cube::tautology());
-        return s;
+        cubes.push_back(Cube::tautology());
+        return;
     }
     // Find the top-most variable in the support of lower or upper.
     int var = top_var;
@@ -98,22 +101,20 @@ Sop isop_rec(const TruthTable& lower, const TruthTable& upper, int top_var, Trut
 
     // Cubes that must contain literal !x_var / x_var.
     TruthTable cover0, cover1;
-    Sop s0 = isop_rec(l0 & ~u1, u0, var - 1, &cover0);
-    Sop s1 = isop_rec(l1 & ~u0, u1, var - 1, &cover1);
+    const std::size_t begin0 = cubes.size();
+    isop_rec(l0 & ~u1, u0, var - 1, &cover0, cubes);
+    const std::size_t begin1 = cubes.size();
+    for (std::size_t i = begin0; i < begin1; ++i) cubes[i] = cubes[i].with_literal(var, false);
+    isop_rec(l1 & ~u0, u1, var - 1, &cover1, cubes);
+    for (std::size_t i = begin1; i < cubes.size(); ++i) cubes[i] = cubes[i].with_literal(var, true);
 
     // Remaining minterms to cover, independent of x_var.
     const TruthTable l_rest = (l0 & ~cover0) | (l1 & ~cover1);
     TruthTable cover_rest;
-    Sop s_rest = isop_rec(l_rest, u0 & u1, var - 1, &cover_rest);
+    isop_rec(l_rest, u0 & u1, var - 1, &cover_rest, cubes);
 
     const TruthTable xv = TruthTable::variable(n, var);
     *cover = (~xv & cover0) | (xv & cover1) | cover_rest;
-
-    Sop result(n);
-    for (const auto& c : s0.cubes()) result.add_cube(c.with_literal(var, false));
-    for (const auto& c : s1.cubes()) result.add_cube(c.with_literal(var, true));
-    for (const auto& c : s_rest.cubes()) result.add_cube(c);
-    return result;
 }
 
 }  // namespace
@@ -121,10 +122,14 @@ Sop isop_rec(const TruthTable& lower, const TruthTable& upper, int top_var, Trut
 Sop isop(const TruthTable& lower, const TruthTable& upper) {
     LLS_REQUIRE(lower.num_vars() == upper.num_vars());
     LLS_REQUIRE(lower.implies(upper));
+    // One cube buffer per thread, reused across calls; the result gets an
+    // exactly sized copy.
+    thread_local std::vector<Cube> cubes;
+    cubes.clear();
     TruthTable cover;
-    Sop s = isop_rec(lower, upper, lower.num_vars() - 1, &cover);
+    isop_rec(lower, upper, lower.num_vars() - 1, &cover, cubes);
     LLS_ENSURE(lower.implies(cover) && cover.implies(upper));
-    return s;
+    return Sop(lower.num_vars(), std::vector<Cube>(cubes.begin(), cubes.end()));
 }
 
 std::vector<Cube> prime_implicants(const TruthTable& f, const TruthTable& dc) {

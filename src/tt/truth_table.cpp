@@ -31,83 +31,114 @@ TruthTable TruthTable::from_hex(int num_vars, const std::string& hex) {
         std::max<std::size_t>(1, (std::size_t{1} << num_vars) / 4);
     LLS_REQUIRE(hex.size() == digits);
     // hex[0] is the most significant nibble.
+    const auto words = tt.mutable_words();
     for (std::size_t i = 0; i < digits; ++i) {
         const std::uint64_t nibble = static_cast<std::uint64_t>(hex_digit(hex[digits - 1 - i]));
-        tt.words_[i / 16] |= nibble << (4 * (i % 16));
+        words[i / 16] |= nibble << (4 * (i % 16));
     }
     tt.mask_tail();
     return tt;
 }
 
 bool TruthTable::is_const0() const {
-    return std::all_of(words_.begin(), words_.end(), [](std::uint64_t w) { return w == 0; });
+    const auto w = words();
+    return std::all_of(w.begin(), w.end(), [](std::uint64_t x) { return x == 0; });
 }
 
-bool TruthTable::is_const1() const { return *this == constant(num_vars_, true); }
+bool TruthTable::is_const1() const {
+    const std::uint64_t ones = num_vars_ < 6 ? (1ULL << (1 << num_vars_)) - 1 : ~0ULL;
+    const auto w = words();
+    return std::all_of(w.begin(), w.end(), [&](std::uint64_t x) { return x == ones; });
+}
 
 std::uint64_t TruthTable::count_ones() const {
     std::uint64_t n = 0;
-    for (auto w : words_) n += static_cast<std::uint64_t>(popcount64(w));
+    for (auto w : words()) n += static_cast<std::uint64_t>(popcount64(w));
     return n;
 }
 
 bool TruthTable::has_var(int var) const {
     LLS_REQUIRE(var >= 0 && var < std::max(num_vars_, 1));
     if (var >= num_vars_) return false;
+    const auto words = this->words();
     if (var < 6) {
         const int shift = 1 << var;
-        for (auto w : words_)
+        for (auto w : words)
             if (((w >> shift) ^ w) & ~kVarMask[var]) return true;
         return false;
     }
     const std::size_t stride = std::size_t{1} << (var - 6);
-    for (std::size_t base = 0; base < words_.size(); base += 2 * stride)
+    for (std::size_t base = 0; base < words.size(); base += 2 * stride)
         for (std::size_t i = 0; i < stride; ++i)
-            if (words_[base + i] != words_[base + stride + i]) return true;
+            if (words[base + i] != words[base + stride + i]) return true;
     return false;
 }
 
 TruthTable TruthTable::operator~() const {
     TruthTable r(*this);
-    for (auto& w : r.words_) w = ~w;
+    for (auto& w : r.mutable_words()) w = ~w;
     r.mask_tail();
     return r;
 }
 
-TruthTable TruthTable::operator&(const TruthTable& other) const {
+TruthTable& TruthTable::operator&=(const TruthTable& other) {
     check_compatible(other);
+    const auto words = mutable_words();
+    const auto o = other.words();
+    for (std::size_t i = 0; i < words.size(); ++i) words[i] &= o[i];
+    return *this;
+}
+
+TruthTable& TruthTable::operator|=(const TruthTable& other) {
+    check_compatible(other);
+    const auto words = mutable_words();
+    const auto o = other.words();
+    for (std::size_t i = 0; i < words.size(); ++i) words[i] |= o[i];
+    return *this;
+}
+
+TruthTable& TruthTable::operator^=(const TruthTable& other) {
+    check_compatible(other);
+    const auto words = mutable_words();
+    const auto o = other.words();
+    for (std::size_t i = 0; i < words.size(); ++i) words[i] ^= o[i];
+    return *this;
+}
+
+TruthTable TruthTable::operator&(const TruthTable& other) const {
     TruthTable r(*this);
-    for (std::size_t i = 0; i < words_.size(); ++i) r.words_[i] &= other.words_[i];
+    r &= other;
     return r;
 }
 
 TruthTable TruthTable::operator|(const TruthTable& other) const {
-    check_compatible(other);
     TruthTable r(*this);
-    for (std::size_t i = 0; i < words_.size(); ++i) r.words_[i] |= other.words_[i];
+    r |= other;
     return r;
 }
 
 TruthTable TruthTable::operator^(const TruthTable& other) const {
-    check_compatible(other);
     TruthTable r(*this);
-    for (std::size_t i = 0; i < words_.size(); ++i) r.words_[i] ^= other.words_[i];
+    r ^= other;
     return r;
 }
 
 bool TruthTable::implies(const TruthTable& other) const {
     check_compatible(other);
-    for (std::size_t i = 0; i < words_.size(); ++i)
-        if (words_[i] & ~other.words_[i]) return false;
+    const auto words = this->words();
+    const auto o = other.words();
+    for (std::size_t i = 0; i < words.size(); ++i)
+        if (words[i] & ~o[i]) return false;
     return true;
 }
 
 TruthTable TruthTable::cofactor(int var, bool polarity) const {
     LLS_REQUIRE(var >= 0 && var < num_vars_);
     TruthTable r(*this);
+    const auto words = r.mutable_words();
     if (var < 6) {
         const int shift = 1 << var;
-        for (auto& w : r.words_) {
+        for (auto& w : words) {
             if (polarity) {
                 const std::uint64_t hi = w & kVarMask[var];
                 w = hi | (hi >> shift);
@@ -118,12 +149,11 @@ TruthTable TruthTable::cofactor(int var, bool polarity) const {
         }
     } else {
         const std::size_t stride = std::size_t{1} << (var - 6);
-        for (std::size_t base = 0; base < words_.size(); base += 2 * stride)
+        for (std::size_t base = 0; base < words.size(); base += 2 * stride)
             for (std::size_t i = 0; i < stride; ++i) {
-                const std::uint64_t v =
-                    polarity ? r.words_[base + stride + i] : r.words_[base + i];
-                r.words_[base + i] = v;
-                r.words_[base + stride + i] = v;
+                const std::uint64_t v = polarity ? words[base + stride + i] : words[base + i];
+                words[base + i] = v;
+                words[base + stride + i] = v;
             }
     }
     return r;
@@ -134,7 +164,7 @@ TruthTable TruthTable::swap_vars(int a, int b) const {
     TruthTable r(*this);
     if (a == b) return r;
     if (a > b) std::swap(a, b);
-    auto& words = r.words_;
+    const auto words = r.mutable_words();
     if (b < 6) {
         // Delta swap inside each word: the bits with x_a = 1, x_b = 0 trade
         // places with their partners `shift` bits up (x_a = 0, x_b = 1).
@@ -190,14 +220,16 @@ TruthTable TruthTable::extend(int new_num_vars) const {
     LLS_REQUIRE(new_num_vars >= num_vars_ && new_num_vars <= kMaxVars);
     if (new_num_vars == num_vars_) return *this;
     TruthTable r(new_num_vars);
+    const auto words = this->words();
+    const auto out = r.mutable_words();
     if (num_vars_ < 6) {
         // Replicate the low 2^num_vars_ bits across the first word, then all
         // words.
-        std::uint64_t w = words_[0];
+        std::uint64_t w = words[0];
         for (int width = 1 << num_vars_; width < 64; width *= 2) w |= w << width;
-        for (auto& rw : r.words_) rw = w;
+        std::fill(out.begin(), out.end(), w);
     } else {
-        for (std::size_t i = 0; i < r.words_.size(); ++i) r.words_[i] = words_[i % words_.size()];
+        for (std::size_t i = 0; i < out.size(); ++i) out[i] = words[i % words.size()];
     }
     r.mask_tail();
     return r;
@@ -208,7 +240,8 @@ TruthTable TruthTable::shrink(int new_num_vars) const {
     for (int v = new_num_vars; v < num_vars_; ++v)
         LLS_REQUIRE(!has_var(v) && "cannot shrink away a support variable");
     TruthTable r(new_num_vars);
-    for (std::size_t i = 0; i < r.words_.size(); ++i) r.words_[i] = words_[i];
+    const auto out = r.mutable_words();
+    std::copy_n(words().begin(), out.size(), out.begin());
     r.mask_tail();
     return r;
 }
@@ -219,7 +252,7 @@ std::string TruthTable::to_hex() const {
     std::string s(digits, '0');
     static const char* kHex = "0123456789abcdef";
     for (std::size_t i = 0; i < digits; ++i) {
-        const int nibble = static_cast<int>((words_[i / 16] >> (4 * (i % 16))) & 0xf);
+        const int nibble = static_cast<int>((word(i / 16) >> (4 * (i % 16))) & 0xf);
         s[digits - 1 - i] = kHex[nibble];
     }
     return s;
@@ -235,7 +268,7 @@ std::string TruthTable::to_binary() const {
 
 std::uint64_t TruthTable::hash() const {
     std::uint64_t h = 0xcbf29ce484222325ULL ^ static_cast<std::uint64_t>(num_vars_);
-    for (auto w : words_) {
+    for (auto w : words()) {
         h ^= w;
         h *= 0x100000001b3ULL;
         h ^= h >> 29;

@@ -1,7 +1,11 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -14,22 +18,82 @@ namespace lls {
 /// (variable 0 is the least significant bit of the minterm index).
 /// Supports up to 20 variables (1 Mi bits = 16 Ki words); the synthesis
 /// algorithms only ever build local functions of at most ~12 variables.
+///
+/// Tables of up to kInlineVars variables (restructuring's cut size) keep
+/// their words inline, so copies and operators on them never allocate;
+/// larger ones own a heap array. The variable count fixes the word count,
+/// and inline words past it stay zero.
 class TruthTable {
 public:
     static constexpr int kMaxVars = 20;
+    static constexpr int kInlineVars = 8;
 
-    TruthTable() : num_vars_(0), words_(1, 0) {}
+    TruthTable() : num_vars_(0), inline_{} {}
 
-    explicit TruthTable(int num_vars) : num_vars_(num_vars) {
+    explicit TruthTable(int num_vars) : num_vars_(num_vars), inline_{} {
         LLS_REQUIRE(num_vars >= 0 && num_vars <= kMaxVars);
-        words_.assign(word_count(num_vars), 0);
+        if (on_heap()) heap_ = new std::uint64_t[word_count()]();
     }
+
+    TruthTable(const TruthTable& other) : num_vars_(other.num_vars_) {
+        if (on_heap()) {
+            heap_ = new std::uint64_t[word_count()];
+            std::copy_n(other.heap_, word_count(), heap_);
+        } else {
+            inline_ = other.inline_;
+        }
+    }
+
+    /// A moved-from table of more than kInlineVars variables is the
+    /// constant 0 of 0 variables; a smaller one keeps its value.
+    TruthTable(TruthTable&& other) noexcept : num_vars_(other.num_vars_) {
+        if (on_heap()) {
+            heap_ = other.heap_;
+            other.num_vars_ = 0;
+            other.inline_ = {};
+        } else {
+            inline_ = other.inline_;
+        }
+    }
+
+    TruthTable& operator=(const TruthTable& other) {
+        if (this == &other) return *this;
+        if (other.on_heap()) {
+            if (!on_heap() || word_count() != other.word_count()) {
+                std::uint64_t* words = new std::uint64_t[other.word_count()];
+                release();
+                heap_ = words;
+            }
+            std::copy_n(other.heap_, other.word_count(), heap_);
+        } else {
+            release();
+            inline_ = other.inline_;
+        }
+        num_vars_ = other.num_vars_;
+        return *this;
+    }
+
+    TruthTable& operator=(TruthTable&& other) noexcept {
+        if (this == &other) return *this;
+        release();
+        num_vars_ = other.num_vars_;
+        if (on_heap()) {
+            heap_ = other.heap_;
+            other.num_vars_ = 0;
+            other.inline_ = {};
+        } else {
+            inline_ = other.inline_;
+        }
+        return *this;
+    }
+
+    ~TruthTable() { release(); }
 
     /// Truth table of constant `value` over `num_vars` variables.
     static TruthTable constant(int num_vars, bool value) {
         TruthTable tt(num_vars);
         if (value) {
-            for (auto& w : tt.words_) w = ~0ULL;
+            std::fill_n(tt.data(), tt.word_count(), ~0ULL);
             tt.mask_tail();
         }
         return tt;
@@ -39,17 +103,18 @@ public:
     static TruthTable variable(int num_vars, int var) {
         LLS_REQUIRE(var >= 0 && var < num_vars);
         TruthTable tt(num_vars);
+        std::uint64_t* words = tt.data();
         if (var < 6) {
             // Periodic pattern within one word.
             std::uint64_t pattern = 0;
             const int period = 1 << (var + 1);
             for (int b = 0; b < 64; ++b)
                 if (b % period >= (1 << var)) pattern |= 1ULL << b;
-            for (auto& w : tt.words_) w = pattern;
+            std::fill_n(words, tt.word_count(), pattern);
         } else {
             const std::size_t stride = std::size_t{1} << (var - 6);
-            for (std::size_t i = 0; i < tt.words_.size(); ++i)
-                if ((i / stride) & 1) tt.words_[i] = ~0ULL;
+            for (std::size_t i = 0; i < tt.word_count(); ++i)
+                if ((i / stride) & 1) words[i] = ~0ULL;
         }
         tt.mask_tail();
         return tt;
@@ -61,20 +126,26 @@ public:
 
     int num_vars() const { return num_vars_; }
     std::uint64_t num_minterms() const { return std::uint64_t{1} << num_vars_; }
-    std::size_t word_count() const { return words_.size(); }
-    const std::vector<std::uint64_t>& words() const { return words_; }
+    std::size_t word_count() const { return word_count(num_vars_); }
+    std::span<const std::uint64_t> words() const { return {data(), word_count()}; }
+
+    /// Word `i` of the table (minterms 64i .. 64i+63).
+    std::uint64_t word(std::size_t i) const {
+        LLS_DCHECK(i < word_count());
+        return data()[i];
+    }
 
     bool get_bit(std::uint64_t minterm) const {
         LLS_DCHECK(minterm < num_minterms());
-        return (words_[minterm >> 6] >> (minterm & 63)) & 1;
+        return (data()[minterm >> 6] >> (minterm & 63)) & 1;
     }
 
     void set_bit(std::uint64_t minterm, bool value) {
         LLS_DCHECK(minterm < num_minterms());
         if (value)
-            words_[minterm >> 6] |= 1ULL << (minterm & 63);
+            data()[minterm >> 6] |= 1ULL << (minterm & 63);
         else
-            words_[minterm >> 6] &= ~(1ULL << (minterm & 63));
+            data()[minterm >> 6] &= ~(1ULL << (minterm & 63));
     }
 
     bool is_const0() const;
@@ -88,11 +159,14 @@ public:
     TruthTable operator&(const TruthTable& other) const;
     TruthTable operator|(const TruthTable& other) const;
     TruthTable operator^(const TruthTable& other) const;
-    bool operator==(const TruthTable& other) const = default;
+    bool operator==(const TruthTable& other) const {
+        return num_vars_ == other.num_vars_ &&
+               std::equal(data(), data() + word_count(), other.data());
+    }
 
-    TruthTable& operator&=(const TruthTable& o) { return *this = *this & o; }
-    TruthTable& operator|=(const TruthTable& o) { return *this = *this | o; }
-    TruthTable& operator^=(const TruthTable& o) { return *this = *this ^ o; }
+    TruthTable& operator&=(const TruthTable& other);
+    TruthTable& operator|=(const TruthTable& other);
+    TruthTable& operator^=(const TruthTable& other);
 
     /// True if this function implies `other` (this <= other pointwise).
     bool implies(const TruthTable& other) const;
@@ -128,12 +202,26 @@ public:
     std::uint64_t hash() const;
 
 private:
+    static constexpr std::size_t kInlineWords = std::size_t{1} << (kInlineVars - 6);
+
     static std::size_t word_count(int num_vars) {
         return num_vars <= 6 ? 1 : (std::size_t{1} << (num_vars - 6));
     }
 
+    bool on_heap() const { return num_vars_ > kInlineVars; }
+    const std::uint64_t* data() const { return on_heap() ? heap_ : inline_.data(); }
+    std::uint64_t* data() { return on_heap() ? heap_ : inline_.data(); }
+    /// The table's own words; the kernels index through it, so the
+    /// bounds-checked standard library build checks every word index.
+    std::span<std::uint64_t> mutable_words() { return {data(), word_count()}; }
+
+    /// Frees the heap words, if any; the caller then sets the storage.
+    void release() {
+        if (on_heap()) delete[] heap_;
+    }
+
     void mask_tail() {
-        if (num_vars_ < 6) words_[0] &= (1ULL << (1 << num_vars_)) - 1;
+        if (num_vars_ < 6) data()[0] &= (1ULL << (1 << num_vars_)) - 1;
     }
 
     void check_compatible(const TruthTable& other) const {
@@ -141,8 +229,13 @@ private:
     }
 
     int num_vars_;
-    std::vector<std::uint64_t> words_;
+    union {
+        std::array<std::uint64_t, kInlineWords> inline_;  ///< num_vars_ <= kInlineVars
+        std::uint64_t* heap_;                              ///< num_vars_ > kInlineVars
+    };
 };
+
+static_assert(sizeof(TruthTable) <= 40, "a truth table of <= 8 variables is 4 inline words");
 
 /// Hash functor for unordered containers keyed by truth table.
 struct TruthTableHash {

@@ -7,6 +7,7 @@
 #include "aig/aig_build.hpp"
 #include "aig/cuts.hpp"
 #include "common/rng.hpp"
+#include "io/generators.hpp"
 #include "sim/simulation.hpp"
 
 namespace lls {
@@ -285,6 +286,40 @@ TEST(Cuts, RespectsSizeLimit) {
     const CutEnumerator cuts(aig, 4, 10);
     for (std::uint32_t id = 1; id < aig.num_nodes(); ++id)
         for (const auto& cut : cuts.cuts(id)) EXPECT_LE(cut.leaves.size(), 4u);
+}
+
+// FNV-1a over every node's cuts in enumeration order: the cut count, then
+// per cut its leaf count, leaves, variable count and table words.
+std::uint64_t cut_enumeration_hash(const Aig& aig, int cut_size, int max_cuts) {
+    const CutEnumerator cuts(aig, cut_size, max_cuts);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; };
+    for (std::uint32_t id = 0; id < aig.num_nodes(); ++id) {
+        mix(cuts.cuts(id).size());
+        for (const auto& cut : cuts.cuts(id)) {
+            mix(cut.leaves.size());
+            for (const auto leaf : cut.leaves) mix(leaf);
+            mix(static_cast<std::uint64_t>(cut.tt.num_vars()));
+            for (const auto w : cut.tt.words()) mix(w);
+        }
+    }
+    return h;
+}
+
+TEST(Cuts, EnumerationIsPinned) {
+    // Clustering's (5, 8) and restructuring's (8, 6) settings. The values
+    // were taken from the enumerator that kept leaves and truth-table words
+    // in std::vectors; restructure, clustering and mapping read these cuts
+    // in this order, so any change here moves their outputs.
+    const Aig rca = ripple_carry_adder(16);
+    EXPECT_EQ(cut_enumeration_hash(rca, 5, 8), 2986394606150479359u);
+    EXPECT_EQ(cut_enumeration_hash(rca, 8, 6), 18035687168575564094u);
+    const auto profiles = table2_profiles();
+    const auto it = std::find_if(profiles.begin(), profiles.end(), [](const BenchmarkProfile& p) {
+        return p.name == "sparc_ifu_dcl_flat";
+    });
+    ASSERT_NE(it, profiles.end());
+    EXPECT_EQ(cut_enumeration_hash(synthetic_control_circuit(*it), 8, 6), 11671255495166758011u);
 }
 
 TEST(Aig, HashChangesWithStructure) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <queue>
+
 #include "aig/aig_build.hpp"
 #include "cec/cec.hpp"
 #include "common/bitops.hpp"
+#include "common/rng.hpp"
 #include "io/generators.hpp"
 
 namespace lls {
@@ -82,6 +85,64 @@ TEST(Network, SopLevelRespectsArrivalSkew) {
     const auto levels = net.compute_sop_levels();
     EXPECT_EQ(levels[g], 1);
     EXPECT_EQ(levels[h], 2);
+}
+
+// The priority-queue merge sop_tree_level computed with before it sorted
+// and merged in place: the oracle for its value.
+int heap_tree_level(const std::vector<int>& levels) {
+    if (levels.empty()) return 0;
+    std::priority_queue<int, std::vector<int>, std::greater<>> heap(levels.begin(), levels.end());
+    while (heap.size() > 1) {
+        const int a = heap.top();
+        heap.pop();
+        const int b = heap.top();
+        heap.pop();
+        heap.push(std::max(a, b) + 1);
+    }
+    return heap.top();
+}
+
+int heap_sop_tree_level(const Sop& sop, const std::vector<int>& fanin_levels) {
+    if (sop.empty()) return 0;
+    std::vector<int> cube_levels;
+    for (const auto& cube : sop.cubes()) {
+        std::vector<int> lit_levels;
+        for (int v = 0; v < sop.num_vars(); ++v)
+            if (cube.has_literal(v)) lit_levels.push_back(fanin_levels[static_cast<std::size_t>(v)]);
+        cube_levels.push_back(heap_tree_level(lit_levels));
+    }
+    return heap_tree_level(cube_levels);
+}
+
+TEST(Network, SopTreeLevelMatchesHeapMerge) {
+    Rng rng(51);
+    for (int trial = 0; trial < 3000; ++trial) {
+        const int n = 1 + static_cast<int>(rng.next_below(8));
+        std::vector<int> fanin_levels(static_cast<std::size_t>(n));
+        // Narrow level ranges give many ties, wide ones long skews.
+        const std::uint64_t range = trial % 3 == 0 ? 4 : 201;
+        for (auto& l : fanin_levels) l = static_cast<int>(rng.next_below(range));
+        Sop sop(n);
+        const std::uint64_t cubes = rng.next_below(65);
+        for (std::uint64_t c = 0; c < cubes; ++c) {
+            Cube cube;
+            for (int v = 0; v < n; ++v) {
+                const std::uint64_t pick = rng.next_below(3);
+                if (pick == 1) cube = cube.with_literal(v, true);
+                if (pick == 2) cube = cube.with_literal(v, false);
+            }
+            sop.add_cube(cube);
+        }
+        EXPECT_EQ(Network::sop_tree_level(sop, fanin_levels), heap_sop_tree_level(sop, fanin_levels))
+            << "trial " << trial << ": " << sop.to_string();
+    }
+    // The empty SOP (constant 0) and the tautology cube (constant 1).
+    const std::vector<int> levels = {7, 3, 5};
+    EXPECT_EQ(Network::sop_tree_level(Sop(3), levels), 0);
+    Sop tautology(3);
+    tautology.add_cube(Cube::tautology());
+    EXPECT_EQ(Network::sop_tree_level(tautology, levels), heap_sop_tree_level(tautology, levels));
+    EXPECT_EQ(Network::sop_tree_level(tautology, levels), 0);
 }
 
 TEST(Network, CriticalFanins) {

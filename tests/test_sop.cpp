@@ -109,6 +109,73 @@ TEST(Isop, IrredundantCubes) {
     }
 }
 
+// The Sop-per-node Minato-Morreale recursion, which copies each branch's
+// cubes up one level: the oracle for the cubes isop returns and their
+// order (restructuring builds AIG nodes in that order).
+Sop isop_by_copy(const TruthTable& lower, const TruthTable& upper, int top_var, TruthTable* cover) {
+    const int n = lower.num_vars();
+    if (lower.is_const0()) {
+        *cover = TruthTable::constant(n, false);
+        return Sop(n);
+    }
+    if (upper.is_const1()) {
+        *cover = TruthTable::constant(n, true);
+        Sop s(n);
+        s.add_cube(Cube::tautology());
+        return s;
+    }
+    int var = top_var;
+    while (var >= 0 && !lower.has_var(var) && !upper.has_var(var)) --var;
+    const TruthTable l0 = lower.cofactor(var, false);
+    const TruthTable l1 = lower.cofactor(var, true);
+    const TruthTable u0 = upper.cofactor(var, false);
+    const TruthTable u1 = upper.cofactor(var, true);
+    TruthTable cover0, cover1, cover_rest;
+    const Sop s0 = isop_by_copy(l0 & ~u1, u0, var - 1, &cover0);
+    const Sop s1 = isop_by_copy(l1 & ~u0, u1, var - 1, &cover1);
+    const Sop s_rest =
+        isop_by_copy((l0 & ~cover0) | (l1 & ~cover1), u0 & u1, var - 1, &cover_rest);
+    const TruthTable xv = TruthTable::variable(n, var);
+    *cover = (~xv & cover0) | (xv & cover1) | cover_rest;
+    Sop result(n);
+    for (const auto& c : s0.cubes()) result.add_cube(c.with_literal(var, false));
+    for (const auto& c : s1.cubes()) result.add_cube(c.with_literal(var, true));
+    for (const auto& c : s_rest.cubes()) result.add_cube(c);
+    return result;
+}
+
+void expect_isop_pinned(const TruthTable& lower, const TruthTable& upper, const std::string& what) {
+    TruthTable cover;
+    const Sop expected = isop_by_copy(lower, upper, lower.num_vars() - 1, &cover);
+    const Sop got = isop(lower, upper);
+    EXPECT_EQ(got.num_vars(), lower.num_vars()) << what;
+    EXPECT_EQ(got.cubes(), expected.cubes()) << what << ": " << got.to_string() << " vs "
+                                              << expected.to_string();
+}
+
+TEST(Isop, CubesArePinned) {
+    // Every 3-variable interval: each minterm is off, don't-care or on.
+    int intervals = 0;
+    for (int code = 0; code < 6561; ++code, ++intervals) {
+        TruthTable lower(3), upper(3);
+        for (int m = 0, c = code; m < 8; ++m, c /= 3) {
+            lower.set_bit(static_cast<std::uint64_t>(m), c % 3 == 2);
+            upper.set_bit(static_cast<std::uint64_t>(m), c % 3 >= 1);
+        }
+        expect_isop_pinned(lower, upper, "3-var code " + std::to_string(code));
+    }
+    EXPECT_EQ(intervals, 6561);
+    // Random intervals of 4-8 variables.
+    Rng rng(24);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const int n = 4 + static_cast<int>(rng.next_below(5));
+        const TruthTable f = random_tt(n, rng);
+        TruthTable dc = random_tt(n, rng);
+        if (trial % 2) dc &= random_tt(n, rng);  // sparser don't-cares
+        expect_isop_pinned(f & ~dc, f | dc, "trial " + std::to_string(trial));
+    }
+}
+
 TEST(PrimeImplicants, AllPrimeAndCovering) {
     Rng rng(24);
     for (int trial = 0; trial < 15; ++trial) {

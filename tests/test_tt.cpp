@@ -141,6 +141,102 @@ TEST(TruthTable, HashDiscriminates) {
     EXPECT_EQ(f.hash(), TruthTable(f).hash());
 }
 
+// Checks `tt` minterm by minterm against `expected(m)`.
+template <class F>
+void expect_minterms(const TruthTable& tt, int num_vars, F expected, const std::string& what) {
+    ASSERT_EQ(tt.num_vars(), num_vars) << what;
+    for (std::uint64_t m = 0; m < tt.num_minterms(); ++m)
+        ASSERT_EQ(tt.get_bit(m), expected(m)) << what << " minterm " << m;
+}
+
+TEST(TruthTable, InlineAndHeapStorageAgree) {
+    // Tables of up to 8 variables keep their words inline, larger ones on
+    // the heap; 0-10 variables cover both sides of the limit.
+    Rng rng(19);
+    for (int n = 0; n <= 10; ++n) {
+        const std::string at = "n=" + std::to_string(n);
+        const TruthTable a = random_tt(n, rng);
+        const TruthTable b = random_tt(n, rng);
+        EXPECT_EQ(a.words().size(), a.word_count()) << at;
+
+        // Copies and moves, from and into a table across the limit.
+        const TruthTable across = random_tt(n <= TruthTable::kInlineVars ? 10 : 3, rng);
+        const TruthTable copied(a);
+        EXPECT_EQ(copied, a) << at;
+        TruthTable assigned = across;
+        assigned = a;
+        EXPECT_EQ(assigned, a) << at;
+        assigned = across;
+        EXPECT_EQ(assigned, across) << at;
+        TruthTable source = a;
+        TruthTable moved = across;
+        moved = std::move(source);
+        EXPECT_EQ(moved, a) << at;
+        source = across;
+        moved = std::move(source);
+        EXPECT_EQ(moved, across) << at;
+        TruthTable move_constructed(std::move(moved));
+        EXPECT_EQ(move_constructed, across) << at;
+        TruthTable self = a;
+        TruthTable& alias = self;
+        self = alias;
+        EXPECT_EQ(self, a) << at;
+        self = std::move(alias);
+        EXPECT_EQ(self, a) << at;
+
+        expect_minterms(~a, n, [&](std::uint64_t m) { return !a.get_bit(m); }, "~ " + at);
+        expect_minterms(a & b, n, [&](std::uint64_t m) { return a.get_bit(m) && b.get_bit(m); },
+                        "& " + at);
+        expect_minterms(a | b, n, [&](std::uint64_t m) { return a.get_bit(m) || b.get_bit(m); },
+                        "| " + at);
+        expect_minterms(a ^ b, n, [&](std::uint64_t m) { return a.get_bit(m) != b.get_bit(m); },
+                        "^ " + at);
+        EXPECT_TRUE(TruthTable::constant(n, true).is_const1()) << at;
+        EXPECT_TRUE((a | ~a).is_const1()) << at;
+        EXPECT_EQ(a.is_const1(), a.count_ones() == a.num_minterms()) << at;
+        for (int v = 0; v < n; ++v)
+            for (const bool polarity : {false, true}) {
+                const std::uint64_t bit = std::uint64_t{1} << v;
+                expect_minterms(
+                    a.cofactor(v, polarity), n,
+                    [&](std::uint64_t m) { return a.get_bit(polarity ? m | bit : m & ~bit); },
+                    "cofactor " + std::to_string(v) + " " + at);
+            }
+        for (int u = 0; u < n; ++u)
+            for (int v = u + 1; v < n; ++v)
+                expect_minterms(
+                    a.swap_vars(u, v), n,
+                    [&](std::uint64_t m) {
+                        const std::uint64_t bu = (m >> u) & 1, bv = (m >> v) & 1;
+                        return a.get_bit((m & ~((1ULL << u) | (1ULL << v))) | (bu << v) | (bv << u));
+                    },
+                    "swap " + std::to_string(u) + "," + std::to_string(v) + " " + at);
+    }
+
+    // extend and shrink across the limit.
+    for (const auto& [from, to] : {std::pair{7, 9}, std::pair{8, 10}}) {
+        const TruthTable f = random_tt(from, rng);
+        const std::uint64_t mask = (std::uint64_t{1} << from) - 1;
+        expect_minterms(f.extend(to), to, [&](std::uint64_t m) { return f.get_bit(m & mask); },
+                        "extend " + std::to_string(from) + "->" + std::to_string(to));
+    }
+    const TruthTable g = random_tt(8, rng);
+    const TruthTable wide = g.extend(10);
+    expect_minterms(wide.shrink(8), 8, [&](std::uint64_t m) { return g.get_bit(m); }, "shrink 10->8");
+    EXPECT_EQ(wide.shrink(8), g);
+
+    // Equal tables built two ways compare and hash equal, inline and heap.
+    for (const auto& [from, to] : {std::pair{5, 8}, std::pair{7, 9}, std::pair{8, 10}}) {
+        const TruthTable f = random_tt(from, rng);
+        std::string hex;
+        for (int copy = 0; copy < (1 << (to - from)); ++copy) hex += f.to_hex();
+        const TruthTable extended = f.extend(to);
+        const TruthTable parsed = TruthTable::from_hex(to, hex);
+        EXPECT_EQ(extended, parsed) << from << "->" << to;
+        EXPECT_EQ(extended.hash(), parsed.hash()) << from << "->" << to;
+    }
+}
+
 TEST(Npn, ApplyInvertsConsistently) {
     Rng rng(17);
     for (int trial = 0; trial < 20; ++trial) {

@@ -7,7 +7,8 @@
 //   --flow sis|abc|dc|lookahead   optimization flow (default: lookahead)
 //   --iterations N                lookahead decomposition rounds (default 10)
 //   --jobs N|auto                 worker threads (cone fan-out; batch circuits);
-//                                 auto (or 0) = every hardware thread
+//                                 auto (or 0) = every hardware thread; unused
+//                                 by --flow sis|abc|dc
 //   --work-budget N               deterministic work budget in units (0 = none);
 //                                 budgeted runs are bit-identical across --jobs
 //   --batch                       optimize every input concurrently (--jobs)
@@ -48,7 +49,10 @@
 //
 // --iterations, --work-budget, --time-budget, --fault-inject, --batch and
 // --cache-dir serve only the lookahead flow. An option outside the mode or
-// flow that reads it is a usage error, never silently ignored.
+// flow that reads it is a usage error, never silently ignored. The one
+// exception is --jobs, which scripts pass with every flow: sis|abc|dc
+// accept it and run on one thread, and their reports name no job count
+// and no engine memo.
 //
 // Exit codes are documented in --help: 0 success; 1 not equivalent / item
 // failed; 2 usage; 10..16 per ErrorKind; 30 terminated by SIGTERM/SIGINT
@@ -389,14 +393,18 @@ int main(int argc, char** argv) {
         engine.warm_start = warm.get();
     }
 
-    // Shared epilogue of both modes: final store flush + metrics dumps.
-    // Returns false (-> exit 1) only when --metrics-json cannot be written.
+    // Shared epilogue of both modes: final store flush + metrics dumps. The
+    // engine memos are listed only for the lookahead flow, the one that
+    // consults them. Returns false (-> exit 1) only when --metrics-json
+    // cannot be written.
     auto epilogue = [&]() -> bool {
         if (warm) warm->finalize();
-        if (print_metrics) lls::Metrics::global().report(stdout, lls::all_cache_stats());
+        const auto caches = flow == "lookahead" ? lls::all_cache_stats()
+                                                : std::vector<lls::CacheStatsSnapshot>{};
+        if (print_metrics) lls::Metrics::global().report(stdout, caches);
         if (!metrics_json_path.empty()) {
             std::ofstream out(metrics_json_path);
-            out << lls::Metrics::global().to_json(lls::all_cache_stats()) << '\n';
+            out << lls::Metrics::global().to_json(caches) << '\n';
             out.flush();
             if (!out.good()) {
                 std::fprintf(stderr, "error writing %s\n", metrics_json_path.c_str());
@@ -577,9 +585,13 @@ int main(int argc, char** argv) {
             return lls::exit_code_for(lls::error_kind_of(e));
         }
     }
-    std::printf("%s flow: depth %d -> %d, %zu -> %zu AND nodes (%.2fs, %d jobs)\n", flow.c_str(),
+    std::printf("%s flow: depth %d -> %d, %zu -> %zu AND nodes (%.2fs", flow.c_str(),
                 circuit.depth(), optimized.depth(), circuit.count_reachable_ands(),
-                optimized.count_reachable_ands(), sw.elapsed_seconds(), jobs);
+                optimized.count_reachable_ands(), sw.elapsed_seconds());
+    if (flow == "lookahead")
+        std::printf(", %d jobs)\n", jobs);
+    else
+        std::printf(")\n");
     if (work_budget > 0)
         std::printf("work budget: spent %llu of %llu units%s\n",
                     static_cast<unsigned long long>(stats.work_units),

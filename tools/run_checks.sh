@@ -3,9 +3,12 @@
 # checks of lls_opt and lls_fuzz (an unknown option, a bad --flow value, an
 # option outside the mode or flow that reads it, or a removed --cache-mode
 # value exits 2 and names the argument before any input is read; an
-# unreadable input exits before the memo store is opened), eight suites
-# (SAT, CEC, SOP, truth-table, lookahead, simulation, network and SPCF) in
-# a Debug build (the only stage where the LLS_DCHECK invariant checks run),
+# unreadable input exits before the memo store is opened; --flow abc with
+# --jobs reports no job count and no engine memo), nine suites (SAT, CEC,
+# SOP, truth-table, AIG and cuts, lookahead, simulation, network and SPCF)
+# in a Debug build (the only stage where the LLS_DCHECK invariant checks
+# run, among them the index checks of inline truth-table words and cut
+# leaves),
 # a budgeted determinism check of the CLI (same circuit + work budget at
 # several --jobs values must produce byte-identical outputs), a batch invariance
 # check (outputs byte-identical across --jobs 1/2/4 x cold/warm persistent
@@ -96,6 +99,13 @@ for mode in off write; do
     expect_usage_error --cache-mode ./build/tools/lls_opt --cache-dir "$WORKDIR/usage_cache" \
         --cache-mode "$mode" "$MISSING"
 done
+# --jobs is accepted with every flow (scripts pass it), but sis|abc|dc run
+# on one thread and consult no engine memo: their summary names no job
+# count and --metrics lists no memo.
+./build/tools/lls_opt --flow abc --jobs 4 --metrics tests/data/rca16.blif "$WORKDIR/usage.blif" \
+    > "$WORKDIR/usage.out"
+! grep -qE 'jobs\)|decompose_memo' "$WORKDIR/usage.out" || {
+    echo "--flow abc reports a job count or an engine memo"; cat "$WORKDIR/usage.out"; exit 1; }
 # An unreadable input is an I/O error (15), reported before the memo store
 # is opened: no store load, no persist: line.
 rc=0
@@ -108,10 +118,13 @@ echo "usage errors exit 2 and name the rejected argument; a missing input opens 
 echo "== stage 1b: LLS_DCHECK invariants (Debug) =="
 # Every other stage builds with NDEBUG, which compiles LLS_DCHECK out. These
 # suites reach the solver's watch, trail and order-heap checks, the
-# truth-table and SOP internals, and the bit-sliced timing simulation's
-# no-overflow check (test_sim, test_spcf) next to the word-parallel node
-# evaluation (test_network); the stage takes under a minute on 4 cores.
-DEBUG_TESTS=(test_sat test_cec test_sop test_tt test_lookahead test_sim test_network test_spcf)
+# truth-table and SOP internals (the index checks of inline truth-table
+# words and of cut leaves, which no standard-library assertion covers:
+# test_tt, test_aig), and the bit-sliced timing simulation's no-overflow
+# check (test_sim, test_spcf) next to the word-parallel node evaluation
+# (test_network); the stage takes under a minute on 4 cores.
+DEBUG_TESTS=(test_sat test_cec test_sop test_tt test_aig test_lookahead test_sim test_network
+             test_spcf)
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-debug -j "$JOBS" --target "${DEBUG_TESTS[@]}"
 for t in "${DEBUG_TESTS[@]}"; do
@@ -207,8 +220,11 @@ done
 # The full test suite again under AddressSanitizer: the per-cone fault
 # boundary's throw/catch/degrade path, injected std::bad_alloc included,
 # must be leak- and corruption-free, not just functionally right. The address
-# build also bounds-checks std::vector indexing (_GLIBCXX_ASSERTIONS), which
-# covers the truth-table word arithmetic.
+# build also bounds-checks std::vector and std::span indexing
+# (_GLIBCXX_ASSERTIONS), which covers the truth-table kernels' word
+# arithmetic (they index the table's own words through a span); the inline
+# words and cut leaves are plain arrays inside their objects, so their
+# accessors' index checks run in stage 1b instead.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLLS_SANITIZE=address
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS")
@@ -300,9 +316,11 @@ echo "== stage 4d: SIGTERM mid-batch is resumable and byte-identical =="
 # out-dir), killed with SIGTERM mid-flight: the process must exit with the
 # documented resumable-shutdown code (30), keep a valid journal of every
 # finished item, and --resume must complete the batch with outputs
-# byte-identical to an uninterrupted run.
+# byte-identical to an uninterrupted run. The signal goes out once the
+# journal holds its first finished circuit (a tab-separated entry line), not
+# after a fixed sleep, which the whole batch can outrun.
 SIG_INPUTS=()
-for i in 1 2 3; do
+for i in 1 2 3 4 5 6; do
     cp tests/data/rca16.blif "$WORKDIR/sig_rca$i.blif"
     cp tests/data/control24.blif "$WORKDIR/sig_ctl$i.blif"
     SIG_INPUTS+=("$WORKDIR/sig_rca$i.blif" "$WORKDIR/sig_ctl$i.blif")
@@ -314,7 +332,9 @@ rc=0
     --out-dir "$WORKDIR/sig-resumed" --checkpoint "$WORKDIR/sig-ckpt.txt" \
     "${SIG_INPUTS[@]}" > "$WORKDIR/sig.log" 2>&1 &
 SIG_PID=$!
-sleep 0.3
+while ! grep -q $'\t' "$WORKDIR/sig-ckpt.txt" 2>/dev/null && kill -0 "$SIG_PID" 2>/dev/null; do
+    sleep 0.01
+done
 kill -TERM "$SIG_PID" 2>/dev/null || true
 wait "$SIG_PID" || rc=$?
 [[ "$rc" == 30 ]] || { echo "expected signal-shutdown exit 30, got $rc"; cat "$WORKDIR/sig.log"; exit 1; }
@@ -324,7 +344,7 @@ grep -q "terminated by signal 15" "$WORKDIR/sig.log" || {
 ./build/tools/lls_opt --batch --jobs 2 --iterations 6 \
     --out-dir "$WORKDIR/sig-resumed" --checkpoint "$WORKDIR/sig-ckpt.txt" \
     --resume "${SIG_INPUTS[@]}" > /dev/null
-for i in 1 2 3; do
+for i in 1 2 3 4 5 6; do
     cmp "$WORKDIR/sig-full/sig_rca$i.blif" "$WORKDIR/sig-resumed/sig_rca$i.blif"
     cmp "$WORKDIR/sig-full/sig_ctl$i.blif" "$WORKDIR/sig-resumed/sig_ctl$i.blif"
 done
