@@ -9,6 +9,8 @@
 // levels and mapped delay on average, at a modest power premium over the
 // best baseline.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -43,6 +45,15 @@ FlowResult evaluate(const Aig& original, const Aig& optimized, const CellLibrary
                       mapped.power_mw};
 }
 
+/// Where the numbers come from, with lls_bench's field names: the machine's
+/// online CPUs, the build type, the compiler and the tree the binary was
+/// configured from (git values are fixed at configure time).
+std::string provenance_json() {
+    return "{\"nproc\":" + std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
+           ",\"cmake_build_type\":\"" LLS_BUILD_TYPE "\",\"compiler\":\"" __VERSION__
+           "\",\"git_sha\":\"" LLS_GIT_SHA "\",\"git_dirty\":\"" LLS_GIT_DIRTY "\"}";
+}
+
 }  // namespace
 
 int main() {
@@ -60,7 +71,7 @@ int main() {
     double sum_delay[4] = {0, 0, 0, 0};
     double sum_power[4] = {0, 0, 0, 0};
     double sum_gates[4] = {0, 0, 0, 0};
-    std::string json = "{\"benchmarks\":[";
+    std::string json = "{\"provenance\":" + provenance_json() + ",\"benchmarks\":[";
     bool json_first = true;
     std::vector<std::string> unverified;
 
@@ -85,7 +96,8 @@ int main() {
         if (!json_first) json += ',';
         json_first = false;
         json += "{\"name\":\"" + profile.name + "\",\"pis\":" + std::to_string(profile.num_pis) +
-                ",\"pos\":" + std::to_string(profile.num_pos) + ",\"flows\":{";
+                ",\"pos\":" + std::to_string(profile.num_pos) +
+                ",\"verified\":" + (stats.verified ? "true" : "false") + ",\"flows\":{";
         for (int f = 0; f < 4; ++f) {
             std::printf(" %10zu %3d %6.0f %6.3f |", r[f].gates, r[f].levels, r[f].delay_ps,
                         r[f].power_mw);

@@ -8,12 +8,12 @@
 // the call; every field defaults to "absent", so `RunContext{}` is a valid
 // do-nothing context for tests and simple CLI paths.
 //
-// The `executor` field is what makes the third scheduling level possible:
+// The `executor` field carries the run's pool inside one cone evaluation:
 // secondary simplification fans its independent per-cube SAT don't-care
-// proofs across the (reentrant, help-while-waiting) pool, with verdicts
+// proofs across that (reentrant, help-while-waiting) pool, with verdicts
 // committed and WorkCost charged in fixed index order after the join so
 // the fan-out stays invisible to budgeted determinism and byte-identity
-// (docs/ENGINE.md, "Run context & three-level scheduling").
+// (docs/ENGINE.md, "Run context & two-level scheduling").
 
 #include <cstddef>
 #include <string_view>

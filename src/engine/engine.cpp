@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -160,15 +159,9 @@ struct Round {
 /// each batch item construct one and call `run()` once. `evaluate` runs
 /// `evaluate_cone` on the pool's workers, which only read the run's state
 /// and bump its atomic counters; every member is written at serial points.
-///
-/// `shared_pool` is the batch driver's pool (null for a standalone run,
-/// which sizes a private pool from `jobs`): every in-flight item publishes
-/// its per-round fan-out to the one queue that *freed* workers — threads
-/// whose own items have completed — also drain (two-level scheduling).
 class EngineRun {
 public:
-    EngineRun(const Aig& input, const LookaheadParams& params, const EngineOptions& engine,
-              ThreadPool* shared_pool);
+    EngineRun(const Aig& input, const LookaheadParams& params, const EngineOptions& engine);
 
     /// Both passes; returns the best verified circuit and spends the run.
     Aig run(OptimizeStats* stats) &&;
@@ -230,14 +223,12 @@ private:
     MetricCounter& fault_records_ = metrics_.counter("engine.fault.records");
     MetricCounter& shutdown_stops_ = metrics_.counter("engine.cancel.shutdowns");
     MetricCounter& runs_ = metrics_.counter("engine.runs");
-    MetricCounter& steal_donated_ = metrics_.counter("engine.steal.donated_ranges");
-    MetricCounter& steal_stolen_ = metrics_.counter("engine.steal.stolen_indices");
     const ScopedTimer total_scope_{total_timer_};
 
-    // The calling thread participates in parallel_for, so a private pool of
+    // The calling thread participates in parallel_for, so a pool of
     // jobs - 1 workers applies exactly `jobs` threads to the cone fan-out.
-    std::unique_ptr<ThreadPool> own_pool_;
-    ThreadPool& pool_;
+    // Mutable: the const fan-out stages dispatch onto it.
+    mutable ThreadPool pool_{static_cast<std::size_t>(std::max(1, engine_.jobs) - 1)};
     FaultPlan fault_plan_;
     std::uint64_t fingerprint_ = 0;
     // Master RNG for the *serial* stages (SAT sweeping). Candidate
@@ -268,14 +259,8 @@ private:
 };
 
 EngineRun::EngineRun(const Aig& input, const LookaheadParams& params,
-                     const EngineOptions& engine, ThreadPool* shared_pool)
-    : params_(params),
-      engine_(engine),
-      own_pool_(shared_pool ? nullptr
-                            : std::make_unique<ThreadPool>(
-                                  static_cast<std::size_t>(std::max(1, engine.jobs) - 1))),
-      pool_(shared_pool ? *shared_pool : *own_pool_),
-      original_(input.cleanup()) {
+                     const EngineOptions& engine)
+    : params_(params), engine_(engine), original_(input.cleanup()) {
     runs_.add();
     // A malformed plan is an entry error, raised before any work starts.
     fault_plan_ = FaultPlan::parse(params.fault_plan);
@@ -313,15 +298,7 @@ Round EngineRun::gather(const Aig& current, int depth) {
 void EngineRun::evaluate(const Aig& current, Round& round) const {
     const ScopedTimer evaluate_scope(evaluate_timer_);
     round.evaluations.resize(round.task_po.size());
-    // On a shared pool this range is *donated*: the helper tasks land in the
-    // batch-wide queue where any freed worker can drain them. An index
-    // executed by a thread other than this item's owner is a stolen index —
-    // observability only, never part of the result.
-    const bool donated = !own_pool_ && pool_.size() > 0 && round.task_po.size() > 1;
-    if (donated) steal_donated_.add();
-    const std::thread::id owner = std::this_thread::get_id();
     pool_.parallel_for(0, round.task_po.size(), [&](std::size_t i) {
-        if (donated && std::this_thread::get_id() != owner) steal_stolen_.add();
         // Stop dispatching: a task that has not started is skipped.
         if (time_budget_expired() || shutdown_requested(engine_.cancel)) return;
         // Task-boundary backstop for what escaped the per-cone boundary
@@ -363,8 +340,8 @@ ConeEvaluation EngineRun::evaluate_cone(const Aig& current, std::size_t po) cons
         // The token reaches every poll site of this evaluation; the context
         // carries it to fanned-out work on whichever worker runs it, with
         // the evaluation's own cost sink (the memo stores and replays every
-        // unit spent), the fault plan and the intra-cone executor for the
-        // per-cube SAT don't-care fan-out (third scheduling level).
+        // unit spent), the fault plan and the run's pool as the executor of
+        // the per-cube SAT don't-care fan-out.
         const CancelScope cancel_scope(engine_.cancel);
         RunContext ctx;
         ctx.cost = &evaluation.cost;
@@ -615,17 +592,14 @@ Aig EngineRun::run(OptimizeStats* stats) && {
     if (stats_.wall_clock_interrupted) wall_clock_stops_.add();
     rounds_run_.add(static_cast<std::uint64_t>(stats_.iterations));
     cones_improved_.add(static_cast<std::uint64_t>(stats_.outputs_decomposed));
-    // Indices an exception-aborted fan-out skipped. A run-private pool is
-    // exported here; a shared pool is exported once by the batch that owns
-    // it (the counter is pool-cumulative).
-    if (own_pool_ && own_pool_->aborted_indices() > 0)
-        metrics_.counter("engine.pool.aborted_indices").add(own_pool_->aborted_indices());
-    // Time a run-private pool's threads spent waiting idle across this
-    // run's fan-outs (cone rounds and intra-cone proof batches) — the cost
-    // help-while-waiting exists to shrink. A shared pool's wait is exported
-    // by the batch as engine.steal.idle_wait instead.
-    if (own_pool_ && own_pool_->size() > 0)
-        metrics_.timer("engine.intracone.idle_wait").add_nanos(own_pool_->idle_wait_nanos());
+    // Indices an exception-aborted fan-out skipped, and the time the pool's
+    // threads spent waiting idle across this run's fan-outs (cone rounds
+    // and intra-cone proof batches) — the cost help-while-waiting exists to
+    // shrink.
+    if (pool_.aborted_indices() > 0)
+        metrics_.counter("engine.pool.aborted_indices").add(pool_.aborted_indices());
+    if (pool_.size() > 0)
+        metrics_.timer("engine.intracone.idle_wait").add_nanos(pool_.idle_wait_nanos());
     if (stats) *stats = stats_;
     return std::move(best_);
 }
@@ -634,7 +608,7 @@ Aig EngineRun::run(OptimizeStats* stats) && {
 
 Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
                            const EngineOptions& engine, OptimizeStats* stats) {
-    return EngineRun(input, params, engine, /*shared_pool=*/nullptr).run(stats);
+    return EngineRun(input, params, engine).run(stats);
 }
 
 Aig optimize_timing(const Aig& input, const LookaheadParams& params, OptimizeStats* stats) {
@@ -647,17 +621,14 @@ std::vector<BatchOutcome> optimize_timing_batch(
     const std::function<void(const BatchOutcome&, std::size_t)>& on_complete) {
     std::vector<BatchOutcome> outcomes(items.size());
     const std::size_t jobs = static_cast<std::size_t>(std::max(1, engine.jobs));
-    // Two-level scheduling: every item starts at jobs=1, but the items share
-    // one pool, so the per-round cone fan-out of an in-flight item is
-    // published to the same queue the item-level parallel_for drains. Early
-    // in the batch every worker owns a whole circuit; as items complete,
-    // freed workers pick up the donated cone ranges of the stragglers
-    // instead of idling — which is why the pool keeps all jobs-1 workers
-    // even when fewer items than workers remain. A single item has no
-    // siblings to steal from and runs serially, like any jobs=1 run.
-    ThreadPool pool(items.size() > 1 ? jobs - 1 : 0);
+    // `concurrent` items run at a time, each a standalone run with
+    // `jobs / concurrent` threads on a pool of its own, so a batch smaller
+    // than `jobs` spends its threads inside its items. The clamp keeps an
+    // empty batch (every item already journaled) at one slot.
+    const std::size_t concurrent = std::clamp<std::size_t>(items.size(), 1, jobs);
+    ThreadPool pool(concurrent - 1);
     EngineOptions per_item = engine;
-    per_item.jobs = 1;  // item-level parallelism still dominates a full batch
+    per_item.jobs = static_cast<int>(jobs / concurrent);
     std::mutex complete_mutex;
     pool.parallel_for(0, items.size(), [&](std::size_t i) {
         const Stopwatch item_clock;
@@ -669,8 +640,7 @@ std::vector<BatchOutcome> optimize_timing_batch(
         bool returned = false;
         if (!shutdown_requested(engine.cancel)) {
             try {
-                outcome.output =
-                    EngineRun(items[i].input, params, per_item, &pool).run(&outcome.stats);
+                outcome.output = EngineRun(items[i].input, params, per_item).run(&outcome.stats);
                 returned = true;
             } catch (const std::exception& e) {
                 if (!is_shutdown(e, engine.cancel)) {
@@ -701,11 +671,8 @@ std::vector<BatchOutcome> optimize_timing_batch(
             on_complete(outcome, i);
         }
     });
-    // Pool-lifetime observability: time threads spent waiting idle in
-    // parallel_for (the cost stealing exists to shrink) and indices any
-    // aborted fan-out skipped.
-    if (pool.size() > 0)
-        Metrics::global().timer("engine.steal.idle_wait").add_nanos(pool.idle_wait_nanos());
+    // Items an exception escaping `on_complete` (say, a failed journal
+    // append) cut from the range before they started.
     if (pool.aborted_indices() > 0)
         Metrics::global().counter("engine.pool.aborted_indices").add(pool.aborted_indices());
     return outcomes;

@@ -23,8 +23,8 @@ class WarmStart;
 /// as nondeterministic when it fires, and a shutdown request on `cancel`
 /// (see docs/ENGINE.md, "Determinism contract" and "Budget semantics").
 struct EngineOptions {
-    /// Worker threads used to evaluate per-cone decomposition candidates
-    /// (and, in batch mode, to run whole circuits). 1 = serial.
+    /// Threads used to evaluate per-cone decomposition candidates (in batch
+    /// mode, split between the items that run at a time). 1 = serial.
     int jobs = 1;
 
     /// Persistent-store bridge (engine/warm_start.hpp), or nullptr for a
@@ -80,15 +80,13 @@ struct BatchOutcome {
     bool cancelled = false;
 };
 
-/// Optimizes every item of a batch, running up to `engine.jobs` circuits
-/// concurrently. Each item starts serial (circuit-level parallelism
-/// dominates while there are more circuits than workers), but the items
-/// share one pool: as circuits complete and workers free up, they join the
-/// per-round cone fan-out of the items still running, so a batch's skewed
-/// tail no longer serializes on its largest circuit (docs/ENGINE.md,
-/// "Two-level scheduling"). Commits stay serial per item in deterministic
-/// cone order, so outputs are byte-identical across `jobs` values.
-/// Outcomes are returned in input order regardless of completion order.
+/// Optimizes every item of a batch as a standalone engine run. With
+/// `concurrent = clamp(items.size(), 1, engine.jobs)`, that many items run
+/// at a time and each gets `engine.jobs / concurrent` threads of its own
+/// (docs/ENGINE.md, "Batch scheduling"); no item's work runs on another
+/// item's pool. Each run's output depends only on (input, params), so
+/// outputs are byte-identical across `jobs` values. Outcomes are returned
+/// in input order regardless of completion order.
 ///
 /// Any exception escaping one item is contained at the item boundary: the
 /// outcome is marked `failed`, its output degrades to the unmodified

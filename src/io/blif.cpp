@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "aig/aig_build.hpp"
-#include "common/check.hpp"
 #include "common/error.hpp"
 #include "sop/sop.hpp"
 
@@ -299,139 +298,15 @@ void write_aiger_file(const std::string& path, const Aig& aig) {
     if (!out) throw std::runtime_error("error writing " + path + " (truncated output)");
 }
 
-namespace {
-
-/// AIGER varint decoding: 7 bits per byte, high bit = continuation.
-std::size_t read_aiger_delta(std::istream& in) {
-    std::size_t value = 0;
-    int shift = 0;
-    while (true) {
-        const int byte = in.get();
-        if (byte < 0) throw std::runtime_error("AIGER: truncated binary section");
-        value |= static_cast<std::size_t>(byte & 0x7f) << shift;
-        if (!(byte & 0x80)) return value;
-        shift += 7;
-    }
-}
-
-void write_aiger_delta(std::ostream& out, std::size_t value) {
-    while (value >= 0x80) {
-        out.put(static_cast<char>(0x80 | (value & 0x7f)));
-        value >>= 7;
-    }
-    out.put(static_cast<char>(value));
-}
-
-/// Reads a binary "aig" body after the header numbers.
-Aig read_aiger_binary_body(std::istream& in, std::size_t m, std::size_t i, std::size_t o,
-                           std::size_t a) {
-    Aig aig;
-    std::vector<AigLit> var_map(m + 1, AigLit::constant(false));
-    for (std::size_t k = 1; k <= i; ++k) var_map[k] = aig.add_pi();
-
-    // Outputs are ASCII lines before the binary AND section.
-    std::vector<std::size_t> output_lits(o);
-    for (auto& lit : output_lits)
-        if (!(in >> lit) || lit / 2 > m) throw std::runtime_error("AIGER: bad output literal");
-    in.get();  // consume the newline preceding the binary section
-
-    auto resolve = [&](std::size_t lit) {
-        const AigLit base = var_map[lit / 2];
-        return (lit & 1) ? !base : base;
-    };
-    for (std::size_t k = 0; k < a; ++k) {
-        const std::size_t lhs = 2 * (i + k + 1);
-        const std::size_t delta0 = read_aiger_delta(in);
-        if (delta0 == 0 || delta0 > lhs) throw std::runtime_error("AIGER: bad delta");
-        const std::size_t rhs0 = lhs - delta0;
-        const std::size_t delta1 = read_aiger_delta(in);
-        if (delta1 > rhs0) throw std::runtime_error("AIGER: bad delta");
-        const std::size_t rhs1 = rhs0 - delta1;
-        var_map[lhs / 2] = aig.land(resolve(rhs0), resolve(rhs1));
-    }
-    for (const auto lit : output_lits) aig.add_po(resolve(lit));
-
-    // Optional symbol table (same format as ascii AIGER).
-    std::string token;
-    std::vector<std::string> po_names(o);
-    bool have_po_names = false;
-    while (in >> token) {
-        if (token == "c") break;
-        if (token.size() < 2) continue;
-        std::string name;
-        if (!std::getline(in, name)) break;
-        if (!name.empty() && name[0] == ' ') name.erase(0, 1);
-        const std::size_t index = std::strtoull(token.c_str() + 1, nullptr, 10);
-        if (token[0] == 'o' && index < o) {
-            po_names[index] = name;
-            have_po_names = true;
-        }
-    }
-    if (have_po_names) {
-        Aig renamed;
-        std::vector<AigLit> pi_map;
-        for (std::size_t k = 0; k < aig.num_pis(); ++k) pi_map.push_back(renamed.add_pi());
-        const auto outs = append_aig(renamed, aig, pi_map);
-        for (std::size_t k = 0; k < outs.size(); ++k)
-            renamed.add_po(outs[k], po_names[k].empty() ? "po" + std::to_string(k) : po_names[k]);
-        return renamed.cleanup();
-    }
-    return aig.cleanup();
-}
-
-}  // namespace
-
-void write_aiger_binary(std::ostream& out, const Aig& aig) {
-    // The binary format requires inputs at variables 1..I and contiguous
-    // AND variables above them, so renumber via a reachability pass.
-    const Aig compact = aig.cleanup();
-    const std::size_t i = compact.num_pis();
-    std::vector<std::size_t> var_of(compact.num_nodes(), 0);
-    for (std::size_t k = 0; k < i; ++k) var_of[compact.pi(k)] = k + 1;
-    std::size_t next_var = i + 1;
-    std::vector<std::uint32_t> and_nodes;
-    for (std::uint32_t id = 1; id < compact.num_nodes(); ++id)
-        if (compact.is_and(id)) {
-            var_of[id] = next_var++;
-            and_nodes.push_back(id);
-        }
-    auto lit_of = [&](AigLit l) { return 2 * var_of[l.node()] + (l.complemented() ? 1 : 0); };
-
-    const std::size_t m = next_var - 1;
-    out << "aig " << m << " " << i << " 0 " << compact.num_pos() << " " << and_nodes.size()
-        << "\n";
-    for (std::size_t k = 0; k < compact.num_pos(); ++k) out << lit_of(compact.po(k)) << "\n";
-    for (const auto id : and_nodes) {
-        const auto& n = compact.node(id);
-        const std::size_t lhs = 2 * var_of[id];
-        std::size_t rhs0 = lit_of(n.fanin0);
-        std::size_t rhs1 = lit_of(n.fanin1);
-        if (rhs0 < rhs1) std::swap(rhs0, rhs1);
-        LLS_ENSURE(lhs > rhs0 && "AIGER ordering requires fanins below the gate");
-        write_aiger_delta(out, lhs - rhs0);
-        write_aiger_delta(out, rhs0 - rhs1);
-    }
-    for (std::size_t k = 0; k < compact.num_pis(); ++k)
-        out << "i" << k << " " << compact.pi_name(k) << "\n";
-    for (std::size_t k = 0; k < compact.num_pos(); ++k)
-        out << "o" << k << " " << compact.po_name(k) << "\n";
-}
-
-void write_aiger_binary_file(const std::string& path, const Aig& aig) {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw std::runtime_error("cannot open " + path);
-    write_aiger_binary(out, aig);
-    out.flush();
-    if (!out) throw std::runtime_error("error writing " + path + " (truncated output)");
-}
-
 Aig read_aiger(std::istream& in) {
     std::string magic;
     std::size_t m = 0, i = 0, l = 0, o = 0, a = 0;
-    if (!(in >> magic >> m >> i >> l >> o >> a) || (magic != "aag" && magic != "aig"))
+    if (in >> magic && magic == "aig")
+        throw std::runtime_error(
+            "AIGER: binary format (\"aig\" header) is not supported; convert to ASCII (\"aag\")");
+    if (magic != "aag" || !(in >> m >> i >> l >> o >> a))
         throw std::runtime_error("AIGER: bad header");
     if (l != 0) throw std::runtime_error("AIGER: latches are not supported");
-    if (magic == "aig") return read_aiger_binary_body(in, m, i, o, a);
 
     Aig aig;
     // lit_map[aiger variable] -> our literal (variable v = aiger literal 2v).

@@ -22,16 +22,10 @@ void write_blif_file(const std::string& path, const Aig& aig,
 void write_aiger(std::ostream& out, const Aig& aig);
 void write_aiger_file(const std::string& path, const Aig& aig);
 
-/// Reads an AIGER combinational model — ASCII ("aag") or binary ("aig"),
-/// auto-detected from the header. Latches are rejected; the symbol table
-/// (when present) supplies PO names.
+/// Reads an ASCII AIGER ("aag") combinational model. Latches and the
+/// binary format ("aig") are rejected; the symbol table (when present)
+/// supplies PO names.
 Aig read_aiger(std::istream& in);
 Aig read_aiger_file(const std::string& path);
-
-/// Writes an AIG in the binary AIGER format (aig): nodes are renumbered to
-/// the contiguous layout the format requires, AND fanin deltas are
-/// varint-compressed per the AIGER 1.9 specification.
-void write_aiger_binary(std::ostream& out, const Aig& aig);
-void write_aiger_binary_file(const std::string& path, const Aig& aig);
 
 }  // namespace lls

@@ -197,11 +197,11 @@ TEST(Engine, BatchMatchesIndividualRuns) {
 }
 
 /// A deliberately skewed batch: one circuit with many equally-critical
-/// cones (wide per-round fan-out, the stealing target) plus several small
-/// adders that finish quickly and free their workers.
+/// cones (wide per-round fan-out) plus several small adders that finish
+/// quickly.
 std::vector<BatchItem> skewed_batch() {
     BenchmarkProfile profile;
-    profile.name = "steal_big";
+    profile.name = "skewed_big";
     profile.num_pis = 14;
     profile.num_pos = 8;
     profile.chain_length = 9;
@@ -234,79 +234,28 @@ std::vector<std::string> batch_aigers(const std::vector<BatchItem>& items, int j
     return aigers;
 }
 
-TEST(Engine, BatchStealingIsByteIdenticalAcrossJobs) {
-    // The two-level scheduler is an execution knob: freed workers joining
-    // another item's cone fan-out must never change what that item
-    // commits. Full serialized bytes, not just QoR, against the serial
-    // batch (one worker, nothing to steal).
+TEST(Engine, BatchIsByteIdenticalAcrossJobs) {
+    // A batch is N standalone runs that split `jobs`: full serialized
+    // bytes, not just QoR, must match the serial batch. At jobs 8 each of
+    // the 4 items fans out on 2 threads of its own.
     const auto items = skewed_batch();
     const auto baseline = batch_aigers(items, 1);
     ASSERT_EQ(baseline.size(), items.size());
-    for (const int jobs : {2, 4}) EXPECT_EQ(batch_aigers(items, jobs), baseline) << "jobs=" << jobs;
+    for (const int jobs : {2, 4, 8})
+        EXPECT_EQ(batch_aigers(items, jobs), baseline) << "jobs=" << jobs;
 }
 
-TEST(Engine, BatchStealingDonatesRangesToSharedPool) {
-    // With more than one worker, in-flight items publish their multi-cone
-    // rounds to the shared pool; the donation counter is deterministic (it
-    // counts rounds, not schedule-dependent steals).
-    Metrics& metrics = Metrics::global();
-    const std::uint64_t donated_before = metrics.counter("engine.steal.donated_ranges").value();
-    batch_aigers(skewed_batch(), 4);
-    EXPECT_GT(metrics.counter("engine.steal.donated_ranges").value(), donated_before);
-}
-
-TEST(Engine, OnCompleteNeverRunsConcurrentlyUnderStealing) {
-    // The checkpoint hook's serialization guarantee must survive the
-    // shared-pool rework: journal writers rely on never being entered
-    // concurrently.
-    const auto items = skewed_batch();
-    LookaheadParams params;
-    params.max_iterations = 5;
-    EngineOptions engine;
-    engine.jobs = 4;
-    std::atomic<int> in_hook{0};
-    std::vector<int> seen(items.size(), 0);
-    const auto outcomes = optimize_timing_batch(
-        items, params, engine, [&](const BatchOutcome& outcome, std::size_t index) {
-            EXPECT_EQ(in_hook.fetch_add(1), 0) << "on_complete entered concurrently";
-            ASSERT_LT(index, seen.size());
-            ++seen[index];
-            EXPECT_EQ(outcome.name, items[index].name);
-            in_hook.fetch_sub(1);
-        });
-    ASSERT_EQ(outcomes.size(), items.size());
-    for (const int count : seen) EXPECT_EQ(count, 1);
-}
-
-TEST(Checkpoint, ResumedItemsMatchUninterruptedRunUnderStealing) {
-    // The --resume property under two-level scheduling: an interrupted
-    // batch re-running only its tail must reproduce the uninterrupted
-    // bytes — stealing must not let one item's schedule leak into another
-    // item's output.
-    const auto items = skewed_batch();
-    clear_engine_caches();
-    LookaheadParams params;
-    params.max_iterations = 5;
-    EngineOptions engine;
-    engine.jobs = 4;
-
-    auto aiger_of = [](const BatchOutcome& outcome) {
-        std::stringstream aag;
-        write_aiger(aag, outcome.output);
-        return aag.str();
-    };
-
-    const auto full = optimize_timing_batch(items, params, engine);
-    ASSERT_EQ(full.size(), items.size());
-
-    // Crash after the first two items were journaled; the resumed batch
-    // only contains the tail.
-    clear_engine_caches();
-    std::vector<BatchItem> resumed_items = {items[2], items[3]};
-    const auto resumed = optimize_timing_batch(resumed_items, params, engine);
-    ASSERT_EQ(resumed.size(), 2u);
-    EXPECT_EQ(aiger_of(resumed[0]), aiger_of(full[2]));
-    EXPECT_EQ(aiger_of(resumed[1]), aiger_of(full[3]));
+TEST(Engine, EmptyBatchReturnsNoOutcomes) {
+    // What `lls_opt --resume` passes when every item is already journaled.
+    for (const int jobs : {1, 4}) {
+        EngineOptions engine;
+        engine.jobs = jobs;
+        int calls = 0;
+        const auto outcomes = optimize_timing_batch(
+            {}, LookaheadParams{}, engine, [&](const BatchOutcome&, std::size_t) { ++calls; });
+        EXPECT_TRUE(outcomes.empty()) << "jobs=" << jobs;
+        EXPECT_EQ(calls, 0) << "jobs=" << jobs;
+    }
 }
 
 /// Full byte-level fingerprint of a budgeted run: the serialized output AIG
@@ -397,7 +346,7 @@ TEST(Engine, BudgetSemantics) {
 }
 
 // ---------------------------------------------------------------------------
-// Intra-cone SAT fan-out (third scheduling level)
+// Intra-cone SAT fan-out (a run's second scheduling level)
 
 /// One engine run configured to exercise the SAT don't-care proofs of
 /// secondary simplification (the intra-cone fan-out's workload): forcing
@@ -481,12 +430,35 @@ TEST(Engine, IntraConeMetricsCountQueriesAndParallelBatches) {
     EXPECT_GT(metrics.counter("engine.intracone.parallel_batches").value(), batches_before);
 }
 
-TEST(Engine, IntraConeStressConcurrentFanoutsThroughSharedPool) {
-    // Many simultaneous intra-cone fan-outs through one shared batch pool —
-    // the three-level schedule TSan runs race-check: batch items x cone
-    // rounds x per-cube proof tasks all drain the same queue, and every
-    // proof task re-installs its cancellation scope on whichever worker
-    // picks it up. Outputs must still match the fully serial baseline.
+TEST(Engine, OneItemBatchUsesItsJobs) {
+    // A one-item batch gets every thread: it fans out like a standalone
+    // run at the same jobs, and writes the bytes of the serial run.
+    const Aig rca = ripple_carry_adder(8);
+    const BudgetedResult serial = run_intra_cone(rca, 1);
+    clear_engine_caches();
+    LookaheadParams params;
+    params.max_iterations = 4;
+    params.force_random_patterns = true;
+    EngineOptions engine;
+    engine.jobs = 4;
+    const MetricCounter& batches = Metrics::global().counter("engine.intracone.parallel_batches");
+    const std::uint64_t batches_before = batches.value();
+    const auto outcomes = optimize_timing_batch({{"rca8", rca}}, params, engine);
+    EXPECT_GT(batches.value(), batches_before);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].stats.verified);
+    std::stringstream aag;
+    write_aiger(aag, outcomes[0].output);
+    EXPECT_EQ(aag.str(), serial.aiger);
+}
+
+TEST(Engine, ConcurrentItemsFanOutOnTheirOwnPools) {
+    // Several batch items at once, each fanning its cones and per-cube
+    // proof tasks out on a pool of its own while all of them share the
+    // process-wide memos — the concurrency TSan race-checks; every proof
+    // task re-installs its cancellation scope on whichever worker picks it
+    // up. At jobs 10 each of the 5 items runs on 2 threads. Outputs must
+    // still match the fully serial baseline.
     std::vector<BatchItem> items;
     items.push_back({"rca7", ripple_carry_adder(7)});
     items.push_back({"rca8", ripple_carry_adder(8)});
@@ -521,8 +493,8 @@ TEST(Engine, IntraConeStressConcurrentFanoutsThroughSharedPool) {
 
     const auto baseline = batch_bytes(1);
     ASSERT_EQ(baseline.size(), items.size());
+    EXPECT_EQ(batch_bytes(10), baseline);
     EXPECT_EQ(batch_bytes(4), baseline);
-    EXPECT_EQ(batch_bytes(2), baseline);
 }
 
 // ---------------------------------------------------------------------------
@@ -700,13 +672,17 @@ TEST(Engine, OnCompleteHookSeesEveryItemOnce) {
     params.max_iterations = 4;
     EngineOptions engine;
     engine.jobs = 3;
+    std::atomic<int> in_hook{0};
     std::vector<int> seen(items.size(), 0);
     const auto outcomes = optimize_timing_batch(
         items, params, engine, [&](const BatchOutcome& outcome, std::size_t index) {
-            // The hook is mutex-serialized, so unsynchronized writes are safe.
+            // Journal writers rely on never being entered concurrently; the
+            // hook is mutex-serialized, so unsynchronized writes are safe.
+            EXPECT_EQ(in_hook.fetch_add(1), 0) << "on_complete entered concurrently";
             ASSERT_LT(index, seen.size());
             ++seen[index];
             EXPECT_EQ(outcome.name, items[index].name);
+            in_hook.fetch_sub(1);
         });
     ASSERT_EQ(outcomes.size(), items.size());
     for (const int count : seen) EXPECT_EQ(count, 1);
@@ -772,8 +748,6 @@ TEST(Checkpoint, ResumedItemsMatchUninterruptedRun) {
     items.push_back({"rca7", ripple_carry_adder(7)});
     LookaheadParams params;
     params.max_iterations = 4;
-    EngineOptions engine;
-    engine.jobs = 2;
 
     auto aiger_of = [](const BatchOutcome& outcome) {
         std::stringstream aag;
@@ -781,16 +755,25 @@ TEST(Checkpoint, ResumedItemsMatchUninterruptedRun) {
         return aag.str();
     };
 
-    const auto full = optimize_timing_batch(items, params, engine);
-    ASSERT_EQ(full.size(), 3u);
+    // At jobs 4 the full batch runs 3 items on one thread each and the
+    // resumed one 2 items on two threads each. Cold caches both times, so
+    // the resumed items are recomputed, not replayed from the memo.
+    for (const int jobs : {2, 4}) {
+        EngineOptions engine;
+        engine.jobs = jobs;
+        clear_engine_caches();
+        const auto full = optimize_timing_batch(items, params, engine);
+        ASSERT_EQ(full.size(), 3u);
 
-    // Simulate a crash after item 0 was journaled: the resumed run only
-    // contains the remaining items.
-    std::vector<BatchItem> resumed_items = {items[1], items[2]};
-    const auto resumed = optimize_timing_batch(resumed_items, params, engine);
-    ASSERT_EQ(resumed.size(), 2u);
-    EXPECT_EQ(aiger_of(resumed[0]), aiger_of(full[1]));
-    EXPECT_EQ(aiger_of(resumed[1]), aiger_of(full[2]));
+        // Simulate a crash after item 0 was journaled: the resumed run only
+        // contains the remaining items.
+        clear_engine_caches();
+        const std::vector<BatchItem> resumed_items = {items[1], items[2]};
+        const auto resumed = optimize_timing_batch(resumed_items, params, engine);
+        ASSERT_EQ(resumed.size(), 2u);
+        EXPECT_EQ(aiger_of(resumed[0]), aiger_of(full[1])) << "jobs=" << jobs;
+        EXPECT_EQ(aiger_of(resumed[1]), aiger_of(full[2])) << "jobs=" << jobs;
+    }
 }
 
 TEST(Engine, MetricsRecordRuns) {

@@ -415,7 +415,7 @@ int main(int argc, char** argv) {
         return true;
     };
 
-    // ---- batch mode: many circuits, one pool -------------------------------
+    // ---- batch mode: many circuits sharing --jobs -------------------------
     if (batch) {
         if (!out_dir.empty()) {
             std::error_code ec;

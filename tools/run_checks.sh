@@ -12,12 +12,14 @@
 # a budgeted determinism check of the CLI (same circuit + work budget at
 # several --jobs values must produce byte-identical outputs), a batch invariance
 # check (outputs byte-identical across --jobs 1/2/4 x cold/warm persistent
-# store while freed workers steal cone and intra-cone work from running
-# items, and stores seeded at --jobs 1 and 4 holding the same shard
-# contents), fault-injection checks of the containment subsystem (outputs and
-# fault journals identical across --jobs) with the full suite re-run under
-# AddressSanitizer, checkpoint/resume checks (including a crash/resume cycle
-# with more workers than items), persistent-memo-store checks (cold stores
+# store while the items split --jobs between their own pools, a one-item
+# batch at --jobs 4 equal to the serial one, and stores seeded at --jobs 1
+# and 4 holding the same shard contents), fault-injection checks of the
+# containment subsystem (outputs and fault journals identical across
+# --jobs) with the full suite re-run under AddressSanitizer,
+# checkpoint/resume checks (including a crash/resume cycle with more
+# threads than items, then a resume with nothing left to run),
+# persistent-memo-store checks (cold stores
 # with the same shard contents at --jobs 1 and 4, warm runs byte-identical
 # to cold across --jobs, with the same per-round log and fault lines;
 # corrupted stores degrade to cold start), a graceful-shutdown
@@ -147,15 +149,19 @@ for circuit in tests/data/rca16.blif tests/data/control24.blif; do
 done
 
 echo "== stage 2c: batch outputs are invariant across --jobs x cold/warm store =="
-# Two-level work stealing, the intra-cone fan-out and the persistent memo
-# store are execution details: batch outputs must be byte-identical across
-# --jobs 1/2/4, cold or replayed from a store. --jobs 1 cold is the strictly
-# serial reference; --jobs 4 has freed workers joining other items' cone
-# fan-outs and per-cube SAT proofs.
+# How a batch splits --jobs between its items, the intra-cone fan-out and
+# the persistent memo store are execution details: batch outputs must be
+# byte-identical across --jobs 1/2/4, cold or replayed from a store. --jobs
+# 1 cold is the strictly serial reference; at --jobs 4 each of the two
+# items fans its cones and per-cube SAT proofs out on two threads, and a
+# one-item batch fans out on all four.
 for j in 1 2 4; do
     ./build/tools/lls_opt --batch --jobs "$j" --out-dir "$WORKDIR/batch.j$j" \
         tests/data/rca16.blif tests/data/control24.blif > /dev/null
 done
+./build/tools/lls_opt --batch --jobs 4 --out-dir "$WORKDIR/batch.one.j4" \
+    tests/data/rca16.blif > /dev/null
+cmp "$WORKDIR/batch.j1/rca16.blif" "$WORKDIR/batch.one.j4/rca16.blif"
 # Seed a store with a --jobs 1 run, then replay it read-only at every job
 # count. A second store seeded at --jobs 4, where the items flush
 # concurrently, must hold the same shard contents.
@@ -180,7 +186,8 @@ for name in rca16 control24; do
         cmp "$WORKDIR/batch.j1/$name.blif" "$WORKDIR/$out/$name.blif"
     done
 done
-echo "batch outputs identical across --jobs 1/2/4 x cold/warm; seeded stores identical"
+echo "batch outputs identical across --jobs 1/2/4 x cold/warm and for a one-item batch;" \
+    "seeded stores identical"
 
 echo "== stage 3: fault injection never aborts and stays jobs-invariant =="
 # Every engine site class, injected on the regression circuits: the run must
@@ -247,20 +254,32 @@ cmp "$WORKDIR/full/rca16.blif" "$WORKDIR/resumed/rca16.blif"
 cmp "$WORKDIR/full/control24.blif" "$WORKDIR/resumed/control24.blif"
 echo "checkpoint/resume outputs identical to uninterrupted run"
 
-# The same crash/resume cycle with more workers than items, so freed
-# workers steal from the in-flight item: it must resume byte-identical too.
+# The same crash/resume cycle with more threads than items, so the resumed
+# item runs alone on all four: it must resume byte-identical too.
 rc=0
 ./build/tools/lls_opt --batch tests/data/rca16.blif tests/data/control24.blif \
-    --out-dir "$WORKDIR/resumed-steal" --jobs 4 \
-    --checkpoint "$WORKDIR/ckpt-steal.txt" \
+    --out-dir "$WORKDIR/resumed-j4" --jobs 4 \
+    --checkpoint "$WORKDIR/ckpt-j4.txt" \
     --fault-inject fatal@batch:1 > /dev/null 2>&1 || rc=$?
 [[ "$rc" == 42 ]] || { echo "expected simulated crash exit 42, got $rc"; exit 1; }
 ./build/tools/lls_opt --batch tests/data/rca16.blif tests/data/control24.blif \
-    --out-dir "$WORKDIR/resumed-steal" --jobs 4 \
-    --checkpoint "$WORKDIR/ckpt-steal.txt" --resume > /dev/null
-cmp "$WORKDIR/full/rca16.blif" "$WORKDIR/resumed-steal/rca16.blif"
-cmp "$WORKDIR/full/control24.blif" "$WORKDIR/resumed-steal/control24.blif"
+    --out-dir "$WORKDIR/resumed-j4" --jobs 4 \
+    --checkpoint "$WORKDIR/ckpt-j4.txt" --resume > /dev/null
+cmp "$WORKDIR/full/rca16.blif" "$WORKDIR/resumed-j4/rca16.blif"
+cmp "$WORKDIR/full/control24.blif" "$WORKDIR/resumed-j4/control24.blif"
 echo "--jobs 4 checkpoint/resume outputs identical to uninterrupted run"
+# Resuming once more finds every item journaled: the batch is empty, exits
+# 0, skips both inputs and leaves their outputs as they were.
+./build/tools/lls_opt --batch tests/data/rca16.blif tests/data/control24.blif \
+    --out-dir "$WORKDIR/resumed-j4" --jobs 4 \
+    --checkpoint "$WORKDIR/ckpt-j4.txt" --resume > "$WORKDIR/resumed-empty.log"
+for name in rca16 control24; do
+    grep -qF "tests/data/$name.blif: skipped (already journaled)" "$WORKDIR/resumed-empty.log" || {
+        echo "expected $name to be skipped on a fully journaled resume"
+        cat "$WORKDIR/resumed-empty.log"; exit 1; }
+    cmp "$WORKDIR/full/$name.blif" "$WORKDIR/resumed-j4/$name.blif"
+done
+echo "fully journaled --resume runs an empty batch: exit 0, both inputs skipped"
 
 echo "== stage 4b: persistent store warm runs are byte-identical =="
 # Cold run populates the cache directory; a cold run at --jobs 4 must
@@ -356,8 +375,9 @@ if [[ "$SKIP_TSAN" == 1 ]]; then
 fi
 
 echo "== stage 5: engine + cancel + persist tests under ThreadSanitizer =="
-# test_engine includes the intra-cone stress test: many concurrent per-cube
-# SAT fan-outs from multiple batch items draining one shared pool.
+# test_engine includes the concurrent-items test: five batch items at once,
+# each fanning its cones and per-cube SAT proofs out on a pool of its own
+# while they share the process-wide memos.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLLS_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
     --target test_thread_pool test_engine test_parse test_cancel test_io \
