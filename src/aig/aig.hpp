@@ -24,9 +24,6 @@ struct AigLit {
     std::uint32_t node() const { return value >> 1; }
     bool complemented() const { return value & 1; }
     AigLit operator!() const { return AigLit{value ^ 1}; }
-    AigLit with_complement(bool c) const { return AigLit{(value & ~1u) | (c ? 1u : 0u)}; }
-
-    bool is_constant() const { return node() == 0; }
 
     bool operator==(const AigLit& other) const = default;
     auto operator<=>(const AigLit& other) const = default;
@@ -58,7 +55,6 @@ public:
 
     AigLit lor(AigLit a, AigLit b) { return !land(!a, !b); }
     AigLit lxor(AigLit a, AigLit b) { return lor(land(a, !b), land(!a, b)); }
-    AigLit lxnor(AigLit a, AigLit b) { return !lxor(a, b); }
     /// Multiplexer: sel ? t : e.
     AigLit lmux(AigLit sel, AigLit t, AigLit e) {
         return lor(land(sel, t), land(!sel, e));

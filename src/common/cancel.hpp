@@ -62,10 +62,14 @@ private:
     const CancelToken* saved_;
 };
 
+/// The token of the current thread's innermost scope, or null. Work fanned
+/// out to other threads installs it in a CancelScope of its own.
+inline const CancelToken* current_cancel_token() { return detail::cancel_token(); }
+
 /// True when the active scope's token was requested. No-throw; safe to
 /// call with no scope installed (returns false).
 inline bool cancel_pending() {
-    const CancelToken* token = detail::cancel_token();
+    const CancelToken* token = current_cancel_token();
     return token != nullptr && token->requested();
 }
 

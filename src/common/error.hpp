@@ -43,14 +43,13 @@ inline const char* error_kind_name(ErrorKind kind) {
 }
 
 // Documented process exit codes (printed by `lls_opt --help`). 0 = success,
-// 1 = non-equivalent result in single-circuit mode, 2 = usage error,
-// 42 = simulated fatal crash (`fatal@batch:N`). Library failures map per
-// ErrorKind below; kExitSignalShutdown is "terminated by signal, checkpoint
-// flushed" — distinct so scripts know `--resume` will continue cleanly.
+// 1 = non-equivalent result in single-circuit mode, 2 = usage error.
+// Library failures map per ErrorKind below; kExitSignalShutdown is
+// "terminated by signal, checkpoint flushed" — distinct so scripts know
+// `--resume` will continue cleanly.
 inline constexpr int kExitNotEquivalent = 1;
 inline constexpr int kExitUsage = 2;
 inline constexpr int kExitSignalShutdown = 30;
-inline constexpr int kExitSimulatedCrash = 42;
 
 inline int exit_code_for(ErrorKind kind) {
     switch (kind) {

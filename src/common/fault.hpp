@@ -2,15 +2,11 @@
 
 // Deterministic fault injection and fault reporting.
 //
-// A FaultPlan is parsed from the spec grammar `kind@site[:count]`
-// (comma-separated for several specs):
+// A FaultPlan is parsed from the spec grammar `kind@site`, comma-separated
+// for several specs:
 //
-//   kind  := parse | resource | solver | verify | invariant | io | cancel | oom | fatal
-//   site  := decompose | spcf | sat | cec | run     (engine sites)
-//            batch                                (CLI-level fatal site)
-//   count := for `fatal@batch:N`, the number of journaled circuits after
-//            which the CLI simulates a crash; an engine spec takes no
-//            count other than 1.
+//   kind  := parse | resource | solver | verify | invariant | io | cancel | oom
+//   site  := decompose | spcf | sat | cec | run
 //
 // Injection is deterministic by construction: a spec `kind@site` fires a
 // synthetic LlsError of `kind` every time evaluation reaches the named
@@ -28,7 +24,9 @@
 // deterministic task order, and one whole-circuit record (cone -1) for
 // each candidate a pass CEC proves wrong.
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <new>
 #include <string>
 #include <string_view>
@@ -47,16 +45,14 @@ struct FaultRecord {
     std::string cone_name;  ///< PO name (filled at commit)
 };
 
-/// One parsed `kind@site[:count]` spec.
+/// One parsed `kind@site` spec.
 struct FaultSpec {
     ErrorKind kind = ErrorKind::ResourceExhausted;
-    bool fatal = false;  ///< `fatal@...`: process-kill fault, handled by the CLI only
     /// `oom@...`: fires a raw std::bad_alloc instead of an LlsError, so the
     /// whole bad_alloc -> error_kind_of -> ResourceExhausted containment
     /// path is exercised — deterministically, like every other kind.
     bool bad_alloc = false;
     std::string site;
-    int count = 1;  ///< `fatal@site:N` threshold; always 1 for engine specs
 };
 
 /// A parsed fault-injection plan. Empty plans (the default) inject nothing
@@ -66,8 +62,7 @@ public:
     FaultPlan() = default;
 
     /// Parses the spec grammar; throws LlsError{ParseError} on malformed
-    /// input (unknown kind, empty site, non-positive count, a count other
-    /// than 1 on an engine spec, bad syntax).
+    /// input (unknown kind, unknown site, bad syntax).
     static FaultPlan parse(const std::string& text) {
         FaultPlan plan;
         std::size_t pos = 0;
@@ -88,12 +83,11 @@ public:
     }
 
     bool empty() const { return specs_.empty(); }
-    const std::vector<FaultSpec>& specs() const { return specs_; }
 
-    /// First non-fatal spec for `site`, or nullptr.
+    /// First spec for `site`, or nullptr.
     const FaultSpec* spec_for(std::string_view site) const {
         for (const auto& s : specs_)
-            if (!s.fatal && s.site == site) return &s;
+            if (s.site == site) return &s;
         return nullptr;
     }
 
@@ -109,31 +103,7 @@ public:
                        std::string(stage));
     }
 
-    /// Threshold of the CLI-level `fatal@site:count` spec, 0 when absent.
-    int fatal_count_for(std::string_view site) const {
-        for (const auto& s : specs_)
-            if (s.fatal && s.site == site) return s.count;
-        return 0;
-    }
-
-    /// Canonical spec string of the non-fatal (engine-relevant) specs —
-    /// what the CLI forwards into LookaheadParams::fault_plan.
-    std::string engine_spec() const {
-        std::string out;
-        for (const auto& s : specs_) {
-            if (s.fatal) continue;
-            if (!out.empty()) out += ',';
-            out += s.bad_alloc ? "oom" : error_kind_name(s.kind);
-            out += '@';
-            out += s.site;
-        }
-        return out;
-    }
-
-    /// Deterministic 64-bit fingerprint over the non-fatal specs (fatal
-    /// specs never reach the engine, so they must not perturb memo keys or
-    /// RNG seeds — an interrupted-and-resumed run has to follow the same
-    /// trajectory as an uninterrupted one).
+    /// Deterministic 64-bit fingerprint over the specs, in plan order.
     std::uint64_t fingerprint() const {
         std::uint64_t h = 0xcbf29ce484222325ULL;
         auto mix = [&h](std::string_view s) {
@@ -145,14 +115,13 @@ public:
             h *= 0x100000001b3ULL;
         };
         for (const auto& s : specs_) {
-            if (s.fatal) continue;
             // `oom` and `resource` share an ErrorKind but are different
             // injections (bad_alloc vs. LlsError), so they must not collide.
             mix(s.bad_alloc ? "oom" : error_kind_name(s.kind));
             mix(s.site);
-            // The count of an engine spec is always 1. Mixing it in keeps
-            // fingerprints — memo keys, persisted records, checkpoint
-            // journals and cone RNG seeds — the same as when it varied.
+            // The fire count specs once carried, always 1 for an engine
+            // spec. Mixing it in keeps fingerprints — memo keys, persisted
+            // records, checkpoint journals and cone RNG seeds — as they were.
             mix("1");
         }
         return h;
@@ -162,8 +131,8 @@ private:
     static FaultSpec parse_spec(const std::string& item) {
         const std::size_t at = item.find('@');
         if (at == std::string::npos || at == 0)
-            throw LlsError(ErrorKind::ParseError,
-                           "fault spec '" + item + "' is not kind@site[:count]", "fault-plan");
+            throw LlsError(ErrorKind::ParseError, "fault spec '" + item + "' is not kind@site",
+                           "fault-plan");
         FaultSpec spec;
         const std::string kind = item.substr(0, at);
         if (kind == "parse") spec.kind = ErrorKind::ParseError;
@@ -172,45 +141,24 @@ private:
         else if (kind == "verify") spec.kind = ErrorKind::VerificationFailed;
         else if (kind == "invariant") spec.kind = ErrorKind::InvariantViolation;
         else if (kind == "io") spec.kind = ErrorKind::IoError;
-        // "cancelled" is error_kind_name(Cancelled) — accepted too so the
-        // canonical engine_spec() form re-parses (the CLI round-trips plans
-        // through it before they reach the engine).
-        else if (kind == "cancel" || kind == "cancelled") spec.kind = ErrorKind::Cancelled;
+        else if (kind == "cancel") spec.kind = ErrorKind::Cancelled;
         else if (kind == "oom") {
             spec.kind = ErrorKind::ResourceExhausted;
             spec.bad_alloc = true;
         }
-        else if (kind == "fatal") spec.fatal = true;
         else
             throw LlsError(ErrorKind::ParseError, "unknown fault kind '" + kind + "'",
                            "fault-plan");
 
-        std::string rest = item.substr(at + 1);
-        const std::size_t colon = rest.find(':');
-        if (colon != std::string::npos) {
-            const std::string count = rest.substr(colon + 1);
-            rest.resize(colon);
-            std::size_t consumed = 0;
-            int value = 0;
-            try {
-                value = std::stoi(count, &consumed);
-            } catch (const std::exception&) {
-                consumed = 0;
-            }
-            if (consumed != count.size() || value <= 0)
-                throw LlsError(ErrorKind::ParseError,
-                               "fault count '" + count + "' must be a positive integer",
-                               "fault-plan");
-            if (!spec.fatal && value != 1)
-                throw LlsError(ErrorKind::ParseError,
-                               "fault spec '" + item + "': an engine spec fires once (count 1)",
-                               "fault-plan");
-            spec.count = value;
-        }
-        if (rest.empty())
-            throw LlsError(ErrorKind::ParseError, "fault spec '" + item + "' has an empty site",
+        // A site no evaluation reaches would fire nowhere, yet a non-empty
+        // plan still re-seeds every cone: reject it instead.
+        static constexpr std::string_view kSites[] = {"decompose", "spcf", "sat", "cec", "run"};
+        spec.site = item.substr(at + 1);
+        if (std::find(std::begin(kSites), std::end(kSites), spec.site) == std::end(kSites))
+            throw LlsError(ErrorKind::ParseError,
+                           "unknown fault site '" + spec.site +
+                               "' (expected decompose|spcf|sat|cec|run)",
                            "fault-plan");
-        spec.site = std::move(rest);
         return spec;
     }
 

@@ -1,12 +1,13 @@
 #pragma once
 
 // RunContext: the one plumbing path for cross-cutting run state — the
-// work-cost sink, fault-injection plan, cancellation token, metrics
-// registry and executor. The engine constructs one per cone
-// evaluation, and decompose -> reduce -> simplify -> cec -> sat all take a
-// `const RunContext&`. Every field is an unowned pointer that must outlive
-// the call; every field defaults to "absent", so `RunContext{}` is a valid
-// do-nothing context for tests and simple CLI paths.
+// work-cost sink, metrics registry and executor. The engine constructs one
+// per cone evaluation, and decompose -> reduce -> simplify -> cec -> sat
+// all take a `const RunContext&`. Every field is an unowned pointer that
+// must outlive the call; every field defaults to "absent", so
+// `RunContext{}` is a valid do-nothing context for tests and simple CLI
+// paths. The fault plan rides in LookaheadParams, and the shutdown token
+// in the thread's CancelScope (common/cancel.hpp).
 //
 // The `executor` field carries the run's pool inside one cone evaluation:
 // secondary simplification fans its independent per-cube SAT don't-care
@@ -15,12 +16,7 @@
 // the fan-out stays invisible to budgeted determinism and byte-identity
 // (docs/ENGINE.md, "Run context & two-level scheduling").
 
-#include <cstddef>
-#include <string_view>
-
 #include "common/budget.hpp"
-#include "common/cancel.hpp"
-#include "common/fault.hpp"
 
 namespace lls {
 
@@ -34,17 +30,6 @@ struct RunContext {
     /// (work is then unmetered, as for ad-hoc CLI verification calls).
     WorkCost* cost = nullptr;
 
-    /// Fault-injection plan of the run, or null for fault-free execution.
-    /// Stages call `check_fault(site, stage)` at their counted work points
-    /// ("decompose", "spcf", "sat", "cec").
-    const FaultPlan* faults = nullptr;
-
-    /// Process/batch-level shutdown token, or null: the token the
-    /// evaluating thread's CancelScope holds, carried explicitly so work
-    /// fanned out via `executor` can install the same scope on whichever
-    /// worker picks it up. Polls read the scope, never this field.
-    const CancelToken* cancel = nullptr;
-
     /// Metrics registry, or null to fall back to the process-global one.
     Metrics* metrics = nullptr;
 
@@ -53,11 +38,6 @@ struct RunContext {
     /// consumers must keep results identical with and without it
     /// (fixed-order joins).
     ThreadPool* executor = nullptr;
-
-    /// Fires the planned fault for `site` (if any) as LlsError at `stage`.
-    void check_fault(std::string_view site, std::string_view stage) const {
-        if (faults != nullptr) faults->check(site, stage);
-    }
 
     /// Merges `delta` into the context's work sink, if one is attached.
     void charge(const WorkCost& delta) const {

@@ -32,10 +32,9 @@ namespace lls {
 /// N+1 threads to the range. Indices are handed out through a shared
 /// atomic cursor (work-stealing in the limit of chunk size 1): workers
 /// that finish early keep pulling indices, so uneven per-index cost does
-/// not serialize the loop. The first exception thrown by any iteration is
-/// rethrown on the calling thread after the range completes; indices the
-/// abort skipped are recorded in `aborted_indices()` so a partial fan-out
-/// is never mistaken for a completed one.
+/// not serialize the loop. The first exception thrown by any iteration
+/// stops the hand-out of further indices and is rethrown on the calling
+/// thread once every started iteration has returned.
 ///
 /// `parallel_for` is reentrant: the body may call `parallel_for` on the
 /// same pool (nested fan-out, such as a cone task fanning out its per-cube
@@ -85,9 +84,7 @@ public:
         // shared_ptr keeps the teardown order trivially safe anyway.
         struct Control {
             std::atomic<std::size_t> cursor;
-            std::atomic<std::size_t> pending{0};    // helpers not yet finished
-            std::atomic<std::size_t> completed{0};  // body calls that returned
-            std::atomic<std::size_t> failures{0};   // body calls that threw
+            std::atomic<std::size_t> pending{0};  // helpers not yet finished
             std::atomic<bool> failed{false};
             std::exception_ptr first_error;
             std::mutex error_mutex;
@@ -101,13 +98,11 @@ public:
                 if (i >= end || ctrl->failed.load(std::memory_order_relaxed)) return;
                 try {
                     body(i);
-                    ctrl->completed.fetch_add(1, std::memory_order_relaxed);
                 } catch (...) {
                     {
                         std::lock_guard<std::mutex> lock(ctrl->error_mutex);
                         if (!ctrl->first_error) ctrl->first_error = std::current_exception();
                     }
-                    ctrl->failures.fetch_add(1, std::memory_order_relaxed);
                     ctrl->failed.store(true, std::memory_order_relaxed);
                 }
             }
@@ -168,22 +163,7 @@ public:
             }
         }
 
-        if (ctrl->failed.load(std::memory_order_relaxed)) {
-            // Everything neither completed nor thrown was silently skipped
-            // by the early abort; record it so callers (and metrics) can
-            // tell a partial fan-out from a finished round.
-            aborted_indices_.fetch_add(
-                span - ctrl->completed.load(std::memory_order_relaxed) -
-                    ctrl->failures.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-        }
         if (ctrl->first_error) std::rethrow_exception(ctrl->first_error);
-    }
-
-    /// Total indices skipped by aborted (exception-cut) `parallel_for`
-    /// ranges over this pool's lifetime.
-    std::uint64_t aborted_indices() const {
-        return aborted_indices_.load(std::memory_order_relaxed);
     }
 
     /// Total time threads spent asleep inside `parallel_for`'s
@@ -240,7 +220,6 @@ private:
     std::mutex mutex_;
     std::condition_variable wake_;
     bool stopping_ = false;
-    std::atomic<std::uint64_t> aborted_indices_{0};
     std::atomic<std::uint64_t> idle_wait_nanos_{0};
 };
 

@@ -1,5 +1,7 @@
 #include "engine/checkpoint.hpp"
 
+#include <filesystem>
+#include <iterator>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -30,7 +32,25 @@ std::uint64_t parse_hex(const std::string& field, const std::string& path, int l
 
 BatchCheckpoint::BatchCheckpoint(const std::string& path) : path_(path) {
     bool saw_magic = false;
-    if (std::ifstream in(path); in) {
+    if (std::ifstream file(path, std::ios::binary); file) {
+        std::string text{std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>()};
+        file.close();
+        // A crash or a failed append can leave the last line unterminated.
+        // Drop it, so its item re-runs, and cut the file back to the last
+        // newline, so the next entry starts on a line of its own.
+        const std::size_t last_newline = text.rfind('\n');
+        const std::size_t complete = last_newline == std::string::npos ? 0 : last_newline + 1;
+        if (complete < text.size()) {
+            text.resize(complete);
+            std::error_code ec;
+            std::filesystem::resize_file(path, complete, ec);
+            if (ec)
+                throw LlsError(ErrorKind::IoError,
+                               "cannot drop the torn last line of checkpoint " + path + ": " +
+                                   ec.message(),
+                               "checkpoint");
+        }
+        std::istringstream in(text);
         std::string line;
         int number = 0;
         while (std::getline(in, line)) {

@@ -4,11 +4,13 @@
 //
 // `lls_opt --batch --checkpoint FILE` appends one journal line per
 // completed circuit: the circuit's name, its *input* structural hash, the
-// params fingerprint the run used, the hash of the *output* AIGER bytes,
-// and the headline stats. Appends follow the flush-and-throw discipline
+// params fingerprint the run used, the hash of the *output* bytes, and the
+// headline stats. Appends follow the flush-and-throw discipline
 // (common to the PR-2 file writers): the line is flushed before the batch
 // moves on, and a write failure raises LlsError{IoError} instead of
-// leaving a silently truncated journal.
+// leaving a silently truncated journal. A last line left unterminated by
+// a crash or a failed append is dropped when the journal is loaded, so its
+// item re-runs; any complete line that does not parse is an error.
 //
 // `--resume` loads the journal and skips every item whose (name, input
 // hash, params fingerprint) triple matches an entry — the circuit was
@@ -36,7 +38,7 @@ struct CheckpointEntry {
     std::string name;
     std::uint64_t input_hash = 0;     ///< structural hash of the input AIG
     std::uint64_t params_fingerprint = 0;
-    std::uint64_t output_hash = 0;    ///< FNV-1a of the output AIGER bytes
+    std::uint64_t output_hash = 0;    ///< FNV-1a of the output file's bytes (lls_opt: BLIF)
     int final_depth = 0;
     std::size_t final_ands = 0;
     bool failed = false;              ///< the item's optimization faulted
@@ -51,9 +53,10 @@ inline std::uint64_t checkpoint_bytes_hash(std::string_view bytes) {
 class BatchCheckpoint {
 public:
     /// Loads an existing journal (empty result when `path` does not exist —
-    /// a fresh run) and opens it for appending. Throws
-    /// LlsError{ParseError} on a malformed journal, LlsError{IoError} when
-    /// the file cannot be opened for appending.
+    /// a fresh run), drops and cuts off an unterminated last line, and
+    /// opens it for appending. Throws LlsError{ParseError} on a malformed
+    /// complete line, LlsError{IoError} when the file cannot be cut or
+    /// opened for appending.
     explicit BatchCheckpoint(const std::string& path);
 
     const std::vector<CheckpointEntry>& entries() const { return entries_; }

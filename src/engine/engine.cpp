@@ -107,7 +107,7 @@ std::uint64_t lookahead_params_fingerprint(const LookaheadParams& p) {
     // A non-empty fault plan changes what the evaluations compute, so it
     // must change the memo key; an empty plan adds nothing, keeping every
     // fault-free fingerprint (and so every RNG stream) exactly as before.
-    if (!p.fault_plan.empty()) h = hash_mix(h, FaultPlan::parse(p.fault_plan).fingerprint());
+    if (!p.fault_plan.empty()) h = hash_mix(h, p.fault_plan.fingerprint());
     return h;
 }
 
@@ -189,11 +189,10 @@ private:
         return wall_clock_interrupted_ || shutdown_requested(engine_.cancel);
     }
     /// Context of the *serial* stages (SAT sweeping, CEC): a cost sink for
-    /// --metrics and the shutdown token, never an executor.
+    /// --metrics, never an executor.
     RunContext serial_context(WorkCost& cost) const {
         RunContext ctx;
         ctx.cost = &cost;
-        ctx.cancel = engine_.cancel;
         ctx.metrics = &metrics_;
         return ctx;
     }
@@ -229,7 +228,6 @@ private:
     // jobs - 1 workers applies exactly `jobs` threads to the cone fan-out.
     // Mutable: the const fan-out stages dispatch onto it.
     mutable ThreadPool pool_{static_cast<std::size_t>(std::max(1, engine_.jobs) - 1)};
-    FaultPlan fault_plan_;
     std::uint64_t fingerprint_ = 0;
     // Master RNG for the *serial* stages (SAT sweeping). Candidate
     // evaluation never draws from it: each cone gets its own generator
@@ -262,13 +260,11 @@ EngineRun::EngineRun(const Aig& input, const LookaheadParams& params,
                      const EngineOptions& engine)
     : params_(params), engine_(engine), original_(input.cleanup()) {
     runs_.add();
-    // A malformed plan is an entry error, raised before any work starts.
-    fault_plan_ = FaultPlan::parse(params.fault_plan);
     // Run-entry fault site: `oom@run` (or any kind at site "run") fires
     // here, before any per-cone work — in batch mode the exception crosses
     // the item boundary, proving a run-level allocation failure degrades
     // that item to `failed` without tearing down its siblings.
-    fault_plan_.check("run", "engine");
+    params_.fault_plan.check("run", "engine");
     fingerprint_ = lookahead_params_fingerprint(params);
     stats_.initial_depth = original_.depth();
     stats_.initial_ands = original_.count_reachable_ands();
@@ -337,16 +333,15 @@ ConeEvaluation EngineRun::evaluate_cone(const Aig& current, std::size_t po) cons
     cones_evaluated_.add();
     ConeEvaluation evaluation;
     {
-        // The token reaches every poll site of this evaluation; the context
-        // carries it to fanned-out work on whichever worker runs it, with
-        // the evaluation's own cost sink (the memo stores and replays every
-        // unit spent), the fault plan and the run's pool as the executor of
-        // the per-cube SAT don't-care fan-out.
+        // The scope puts the token in front of every poll of this
+        // evaluation, and the proof tasks it fans out install it on
+        // whichever worker runs them. The context carries the evaluation's
+        // own cost sink (the memo stores and replays every unit spent) and
+        // the run's pool as the executor of the per-cube SAT don't-care
+        // fan-out.
         const CancelScope cancel_scope(engine_.cancel);
         RunContext ctx;
         ctx.cost = &evaluation.cost;
-        ctx.faults = &fault_plan_;
-        ctx.cancel = engine_.cancel;
         ctx.metrics = &metrics_;
         ctx.executor = pool_.size() > 0 ? &pool_ : nullptr;
         Rng cone_rng(hash_mix(fingerprint_, cone_hash));
@@ -592,12 +587,9 @@ Aig EngineRun::run(OptimizeStats* stats) && {
     if (stats_.wall_clock_interrupted) wall_clock_stops_.add();
     rounds_run_.add(static_cast<std::uint64_t>(stats_.iterations));
     cones_improved_.add(static_cast<std::uint64_t>(stats_.outputs_decomposed));
-    // Indices an exception-aborted fan-out skipped, and the time the pool's
-    // threads spent waiting idle across this run's fan-outs (cone rounds
-    // and intra-cone proof batches) — the cost help-while-waiting exists to
-    // shrink.
-    if (pool_.aborted_indices() > 0)
-        metrics_.counter("engine.pool.aborted_indices").add(pool_.aborted_indices());
+    // The time the pool's threads spent waiting idle across this run's
+    // fan-outs (cone rounds and intra-cone proof batches) — the cost
+    // help-while-waiting exists to shrink.
     if (pool_.size() > 0)
         metrics_.timer("engine.intracone.idle_wait").add_nanos(pool_.idle_wait_nanos());
     if (stats) *stats = stats_;
@@ -671,10 +663,6 @@ std::vector<BatchOutcome> optimize_timing_batch(
             on_complete(outcome, i);
         }
     });
-    // Items an exception escaping `on_complete` (say, a failed journal
-    // append) cut from the range before they started.
-    if (pool.aborted_indices() > 0)
-        Metrics::global().counter("engine.pool.aborted_indices").add(pool.aborted_indices());
     return outcomes;
 }
 

@@ -97,7 +97,9 @@ struct BatchOutcome {
 /// its index. This is the checkpoint hook: journaling and output writing
 /// happen here so an interrupted batch keeps every finished circuit.
 /// Completion *order* follows the thread schedule; anything order-sensitive
-/// must key on the index, not the call sequence.
+/// must key on the index, not the call sequence. An exception `on_complete`
+/// throws is not contained: items not yet started are skipped, and the
+/// first such exception is rethrown once the running items have finished.
 std::vector<BatchOutcome> optimize_timing_batch(
     const std::vector<BatchItem>& items, const LookaheadParams& params,
     const EngineOptions& engine,
@@ -107,8 +109,7 @@ std::vector<BatchOutcome> optimize_timing_batch(
 /// read (including a non-empty fault plan). This keys the decomposition
 /// memo and seeds the per-cone RNGs; batch checkpoints store it so
 /// `--resume` only reuses journal entries produced under identical
-/// parameters. Throws LlsError{ParseError} if `params.fault_plan` is
-/// malformed.
+/// parameters.
 std::uint64_t lookahead_params_fingerprint(const LookaheadParams& params);
 
 /// Stats of the engine's two process-wide memos, `decompose_memo` then

@@ -373,10 +373,4 @@ Aig read_aiger(std::istream& in) {
     return aig.cleanup();
 }
 
-Aig read_aiger_file(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) throw std::runtime_error("cannot open " + path);
-    return read_aiger(in);
-}
-
 }  // namespace lls

@@ -26,6 +26,5 @@ void write_aiger_file(const std::string& path, const Aig& aig);
 /// binary format ("aig") are rejected; the symbol table (when present)
 /// supplies PO names.
 Aig read_aiger(std::istream& in);
-Aig read_aiger_file(const std::string& path);
 
 }  // namespace lls

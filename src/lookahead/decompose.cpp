@@ -74,7 +74,7 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
     LLS_REQUIRE(cone.num_pos() == 1);
     WorkCost& cost = *ctx.cost;
     poll_cancellation("decompose");
-    ctx.check_fault("decompose", "decompose");
+    params.fault_plan.check("decompose", "decompose");
     const int old_depth = cone.depth();
     if (old_depth < 2) return std::nullopt;
 
@@ -91,7 +91,7 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                                    ? spcf
                                    : compute_spcf(cone, patterns, aig_sigs, delta);
     const Signature& spcf_sig = spcf_at_delta.po_spcf[0];
-    ctx.check_fault("spcf", "spcf");
+    params.fault_plan.check("spcf", "spcf");
     if (spcf_at_delta.empty(0)) return std::nullopt;
 
     // --- 2. cluster into a technology-independent network -------------------
@@ -152,7 +152,7 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
     extend_sigs_for_copies(secondary_map, size_before_secondary);
 
     if (params.secondary_simplification) {
-        ctx.check_fault("sat", "simplify");
+        params.fault_plan.check("sat", "simplify");
         // With random patterns a zero sampled weight is only evidence; every
         // cube drop must be proven unreachable under !Sigma_1 by SAT before
         // it becomes a don't-care (DESIGN.md, "Key algorithmic decisions").
@@ -227,13 +227,14 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                 throw;
             }
 
+            // A pool worker may arrive at a task from another cone's work;
+            // each task installs the evaluating thread's token so the
+            // thread-local polls inside the solver see the right one
+            // (nesting-safe: CancelScope saves/restores).
+            const CancelToken* cancel = current_cancel_token();
             auto run_task = [&](std::size_t t) {
                 DcProofTask& task = proof_tasks[t];
-                // A pool worker may arrive here from any cone or batch
-                // item; install this run's cancellation scope so the
-                // thread-local polls inside the solver see the right token
-                // (nesting-safe: CancelScope saves/restores).
-                const CancelScope task_scope(ctx.cancel);
+                const CancelScope task_scope(cancel);
                 std::optional<sat::Solver> solver;
                 try {
                     solver.emplace(encoding);
@@ -382,7 +383,7 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
     // (the telescoping of the paper's Eqn. 2).
     const int new_depth = result.depth();
     if (new_depth > old_depth) return std::nullopt;
-    ctx.check_fault("cec", "cec");
+    params.fault_plan.check("cec", "cec");
     const CecResult cec = check_equivalence(result, cone, /*conflict_limit=*/500000, ctx);
     if (!cec.resolved) return std::nullopt;  // unresolved: a plain reject
     if (!cec.equivalent) {

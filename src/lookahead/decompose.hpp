@@ -37,18 +37,19 @@ struct DecomposeOutcome {
 /// 6 is unresolved. A result the check proves non-equivalent is a bug, not
 /// a reject: it throws LlsError{VerificationFailed} at stage "cec".
 ///
-/// `ctx` is the engine's per-cone RunContext (common/run_context.hpp) and
-/// the only plumbing path into the pipeline: its `cost` sink accumulates
-/// the deterministic work spent on this cone (one decomposition attempt
-/// for the cone itself, one per node-simplification attempt inside
-/// `reduce_cone`, and every SAT conflict of the don't-care, implication,
-/// and verification queries — a pure function of (cone, params, rng seed),
-/// which budgeted determinism rests on); `faults` carries the run's
-/// fault-injection plan; `executor` lets step 4 fan its independent
-/// per-cube SAT don't-care proofs across the pool — verdicts are committed
-/// and conflicts charged in fixed index order after the join, so the
-/// result and the charge stream are identical with and without the
-/// fan-out.
+/// The result is a function of (cone, params, rng seed) alone.
+/// `params.fault_plan` fires its `decompose`, `spcf`, `sat` and `cec`
+/// sites here, and the shutdown token is the calling thread's CancelScope,
+/// which each fanned-out proof task installs on the worker that runs it.
+/// `ctx` is the engine's per-cone RunContext (common/run_context.hpp): its
+/// `cost` sink accumulates the deterministic work spent on this cone (one
+/// decomposition attempt for the cone itself, one per node-simplification
+/// attempt inside `reduce_cone`, and every SAT conflict of the don't-care,
+/// implication, and verification queries, which budgeted determinism rests
+/// on); `executor` lets step 4 fan its independent per-cube SAT don't-care
+/// proofs across the pool — verdicts are committed and conflicts charged
+/// in fixed index order after the join, so the result and the charge
+/// stream are identical with and without the fan-out.
 ///
 /// Work spent before an exception is still merged into `ctx.cost`, so a
 /// faulted evaluation charges the budget exactly like a completed one.

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+
+#include "common/fault.hpp"
 
 namespace lls {
 
@@ -64,15 +66,17 @@ struct LookaheadParams {
     /// reproducible budgeted runs; keep this only as a hard upper bound.
     double time_budget_seconds = 0.0;
 
-    /// Deterministic fault-injection plan, `kind@site` specs separated by
-    /// commas (common/fault.hpp; empty = inject nothing). Each spec fires a
-    /// synthetic LlsError of `kind` whenever a cone evaluation reaches
-    /// `site` ("decompose", "spcf", "sat", "cec"), so the fault boundary is
-    /// exercisable with a reproducible schedule. A non-empty plan is mixed
-    /// into the params fingerprint (memo keys + per-cone RNG seeds);
-    /// injected runs therefore stay bit-identical across `--jobs` values
-    /// and cache states, and a run with an empty plan is untouched.
-    std::string fault_plan;
+    /// Deterministic fault-injection plan (common/fault.hpp; empty =
+    /// inject nothing), parsed once where it enters: `lls_opt` and
+    /// `lls_fuzz` parse `--fault-inject`. Each spec fires a synthetic
+    /// LlsError of its kind whenever a cone evaluation reaches its site
+    /// ("decompose", "spcf", "sat", "cec") or a run starts ("run"), so the
+    /// fault boundary is exercisable with a reproducible schedule. A
+    /// non-empty plan is mixed into the params fingerprint (memo keys +
+    /// per-cone RNG seeds); injected runs therefore stay bit-identical
+    /// across `--jobs` values and cache states, and a run with an empty
+    /// plan is untouched.
+    FaultPlan fault_plan;
 };
 
 }  // namespace lls

@@ -85,7 +85,8 @@ public:
     /// (from add_clause or solve) instead of letting a runaway instance
     /// OOM-kill the process; the solver itself stays usable — the exception
     /// surfaces before the offending clause is stored. The default is
-    /// generous (hundreds of MB); tests shrink it to exercise recovery.
+    /// generous (hundreds of MB); `SatSolver.LiteralLimitRaisesResourceExhausted`
+    /// shrinks it to exercise recovery.
     void set_literal_limit(std::size_t limit) { literal_limit_ = limit; }
     std::size_t literal_limit() const { return literal_limit_; }
     std::size_t num_literals() const { return lits_.size(); }

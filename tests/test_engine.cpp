@@ -131,7 +131,7 @@ TEST(Engine, FlowOutputIsPinned) {
     LookaheadParams four_iterations;
     four_iterations.max_iterations = 4;
     LookaheadParams faulted;
-    faulted.fault_plan = "resource@decompose:1";
+    faulted.fault_plan = FaultPlan::parse("resource@decompose");
     const struct {
         const char* name;
         Aig input;
@@ -144,7 +144,7 @@ TEST(Engine, FlowOutputIsPinned) {
         {"lsu_stb_ctl_flat", lsu, four_iterations,
          "hash 3e18650427336ed7 ands 2814 depth 23 work 1663 iterations 3 decomposed 3 "
          "verified 1 log 0bd2718590b801f1"},
-        {"rca16 resource@decompose:1", ripple_carry_adder(16), faulted,
+        {"rca16 resource@decompose", ripple_carry_adder(16), faulted,
          "hash 1ebf8b3762ce2890 ands 181 depth 20 work 4 iterations 1 decomposed 0 "
          "verified 1 log cbf29ce484222325; resource/decompose/15/sum15; "
          "resource/decompose/16/cout; resource/decompose/15/sum15; "
@@ -501,37 +501,24 @@ TEST(Engine, ConcurrentItemsFanOutOnTheirOwnPools) {
 // Fault containment (PR 3)
 
 TEST(FaultPlan, GrammarRoundtrip) {
-    const FaultPlan plan = FaultPlan::parse("resource@decompose,solver@sat:1,fatal@batch:3");
+    const FaultPlan plan = FaultPlan::parse("resource@decompose,solver@sat,oom@run");
     ASSERT_NE(plan.spec_for("decompose"), nullptr);
     EXPECT_EQ(plan.spec_for("decompose")->kind, ErrorKind::ResourceExhausted);
     ASSERT_NE(plan.spec_for("sat"), nullptr);
     EXPECT_EQ(plan.spec_for("sat")->kind, ErrorKind::SolverLimit);
+    ASSERT_NE(plan.spec_for("run"), nullptr);
+    EXPECT_TRUE(plan.spec_for("run")->bad_alloc);
     EXPECT_EQ(plan.spec_for("cec"), nullptr);
-    EXPECT_EQ(plan.spec_for("batch"), nullptr);  // fatal specs never reach the engine
-    EXPECT_EQ(plan.fatal_count_for("batch"), 3);
-    // An engine spec fires once per evaluation, so `:1` is the only count it
-    // takes; spelling it out leaves the fingerprint (memo keys, cone RNG
-    // seeds) unchanged.
-    EXPECT_EQ(FaultPlan::parse("resource@decompose").fingerprint(),
-              FaultPlan::parse("resource@decompose:1").fingerprint());
-    // engine_spec() strips fatal specs: they are CLI-level crash directives,
-    // not engine faults, and must not perturb the params fingerprint.
-    const std::string engine_spec = FaultPlan::parse(plan.engine_spec()).engine_spec();
-    EXPECT_EQ(engine_spec, plan.engine_spec());
-    EXPECT_EQ(engine_spec.find("fatal"), std::string::npos);
-    EXPECT_EQ(FaultPlan::parse("fatal@batch:1").fingerprint(), FaultPlan().fingerprint());
+    EXPECT_EQ(FaultPlan::parse("cancel@decompose").spec_for("decompose")->kind,
+              ErrorKind::Cancelled);
 
-    // "cancel" serializes as error_kind_name(Cancelled) = "cancelled"; the
-    // canonical form must re-parse (the CLI round-trips every plan through
-    // engine_spec()) and both spellings must fingerprint identically.
-    const FaultPlan cancel_plan = FaultPlan::parse("cancel@decompose:1");
-    EXPECT_EQ(FaultPlan::parse(cancel_plan.engine_spec()).engine_spec(),
-              cancel_plan.engine_spec());
-    EXPECT_EQ(FaultPlan::parse("cancelled@decompose:1").fingerprint(),
-              cancel_plan.fingerprint());
-
-    for (const char* bad : {"bogus@decompose", "resource", "resource@sat:x", "@sat",
-                            "resource@decompose:2", "oom@run:3", "fatal@batch:0"}) {
+    // A spec is exactly kind@site over the five engine sites: no count, no
+    // `fatal` kind or `cancelled` alias, and no site that no evaluation
+    // reaches (it would fire nowhere, yet re-seed every cone).
+    for (const char* bad : {"bogus@decompose", "resource", "resource@sat:x", "@sat", "resource@",
+                            "resource@decompose,", "resource@decompose:2", "oom@run:3",
+                            "fatal@batch:0", "resource@decompose:1", "fatal@batch:1",
+                            "cancelled@decompose", "resource@decompse", "resource@batch"}) {
         try {
             FaultPlan::parse(bad);
             ADD_FAILURE() << "no throw for " << bad;
@@ -539,12 +526,17 @@ TEST(FaultPlan, GrammarRoundtrip) {
             EXPECT_EQ(e.kind(), ErrorKind::ParseError) << bad;
         }
     }
+    try {
+        FaultPlan::parse("resource@decompse");
+    } catch (const LlsError& e) {
+        EXPECT_NE(std::string(e.what()).find("'decompse'"), std::string::npos) << e.what();
+    }
 }
 
 OptimizeStats run_faulted(const Aig& input, const std::string& plan, int jobs, Aig* out_aig) {
     LookaheadParams params;
     params.max_iterations = 6;
-    params.fault_plan = plan;
+    params.fault_plan = FaultPlan::parse(plan);
     EngineOptions engine;
     engine.jobs = jobs;
     OptimizeStats stats;
@@ -563,10 +555,10 @@ TEST(Engine, FaultInjectionDegradesAtEverySiteClass) {
         const char* plan;
         ErrorKind kind;
     } cases[] = {
-        {"resource@decompose:1", ErrorKind::ResourceExhausted},
-        {"invariant@spcf:1", ErrorKind::InvariantViolation},
-        {"solver@sat:1", ErrorKind::SolverLimit},
-        {"verify@cec:1", ErrorKind::VerificationFailed},
+        {"resource@decompose", ErrorKind::ResourceExhausted},
+        {"invariant@spcf", ErrorKind::InvariantViolation},
+        {"solver@sat", ErrorKind::SolverLimit},
+        {"verify@cec", ErrorKind::VerificationFailed},
     };
     for (const auto& c : cases) {
         Aig out;
@@ -584,7 +576,7 @@ TEST(Engine, FaultInjectionDegradesAtEverySiteClass) {
 
 TEST(Engine, FaultInjectionIsJobsInvariant) {
     const Aig rca = ripple_carry_adder(7);
-    for (const std::string plan : {"resource@decompose:1,verify@cec:1", "verify@cec:1"}) {
+    for (const std::string plan : {"resource@decompose,verify@cec", "verify@cec"}) {
         auto fingerprint = [&](int jobs) {
             Aig out;
             const OptimizeStats stats = run_faulted(rca, plan, jobs, &out);
@@ -611,7 +603,7 @@ TEST(Engine, FaultInjectionIsJobsInvariant) {
 TEST(Engine, FaultedRunsAreCacheStateInvariant) {
     // Memo hits must replay fault records identically to cold evaluation.
     const Aig rca = ripple_carry_adder(6);
-    for (const std::string plan : {"resource@decompose:1", "verify@cec:1"}) {
+    for (const std::string plan : {"resource@decompose", "verify@cec"}) {
         clear_engine_caches();
         Aig cold_out, warm_out;
         const OptimizeStats cold = run_faulted(rca, plan, 2, &cold_out);
@@ -635,32 +627,10 @@ TEST(Engine, FaultPlanDoesNotPerturbCleanRuns) {
     const std::uint64_t clean = lookahead_params_fingerprint(params);
     EXPECT_EQ(clean, 0x6cc526c46031005cULL);
     EXPECT_EQ(lookahead_params_fingerprint(LookaheadParams{}), clean);
-    params.fault_plan = "";
+    params.fault_plan = FaultPlan::parse("");
     EXPECT_EQ(lookahead_params_fingerprint(params), clean);
-    params.fault_plan = "resource@decompose:1";
+    params.fault_plan = FaultPlan::parse("resource@decompose");
     EXPECT_EQ(lookahead_params_fingerprint(params), 0xdcd60d57a1190868ULL);
-}
-
-TEST(Engine, BatchItemFaultBoundary) {
-    // A malformed fault plan makes every item's evaluation throw at parse
-    // time; the batch must degrade each item to its (cleaned) input instead
-    // of aborting, and report the failure on the outcome.
-    std::vector<BatchItem> items;
-    items.push_back({"rca5", ripple_carry_adder(5)});
-    items.push_back({"rca6", ripple_carry_adder(6)});
-    LookaheadParams params;
-    params.max_iterations = 4;
-    params.fault_plan = "not-a-plan";
-    EngineOptions engine;
-    engine.jobs = 2;
-    const auto outcomes = optimize_timing_batch(items, params, engine);
-    ASSERT_EQ(outcomes.size(), 2u);
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        EXPECT_TRUE(outcomes[i].failed) << outcomes[i].name;
-        EXPECT_NE(outcomes[i].error.find("fault"), std::string::npos) << outcomes[i].error;
-        EXPECT_FALSE(outcomes[i].stats.verified);
-        EXPECT_EQ(outcomes[i].output.hash(), items[i].input.cleanup().hash());
-    }
 }
 
 TEST(Engine, OnCompleteHookSeesEveryItemOnce) {
@@ -723,6 +693,32 @@ TEST(Checkpoint, JournalRoundtrip) {
         CheckpointEntry tabbed = entry;
         tabbed.name = "bad\tname";
         EXPECT_THROW(journal.append(tabbed), LlsError);
+    }
+    {
+        // A torn last line, as a crash or a failed append leaves it, is
+        // dropped so its item re-runs, and the next entry starts on a line
+        // of its own instead of being glued onto the fragment.
+        std::ofstream(path, std::ios::app) << "rca9\tdeadbe";
+        BatchCheckpoint journal(path);
+        ASSERT_EQ(journal.entries().size(), 1u);
+        CheckpointEntry rerun = entry;
+        rerun.name = "rca9";
+        journal.append(rerun);
+    }
+    {
+        BatchCheckpoint journal(path);
+        ASSERT_EQ(journal.entries().size(), 2u);
+        EXPECT_NE(journal.find("rca9", 0xdeadbeefULL, 0x1234ULL), nullptr);
+    }
+    {
+        // A complete line that does not parse is no tear: it stays an error.
+        std::ofstream(path, std::ios::app) << "rca9\tdeadbe\n";
+        try {
+            BatchCheckpoint journal(path);
+            ADD_FAILURE() << "no throw on a malformed complete line";
+        } catch (const LlsError& e) {
+            EXPECT_EQ(e.kind(), ErrorKind::ParseError);
+        }
     }
     {
         // A non-journal file is rejected up front, not silently re-stamped.
@@ -796,7 +792,7 @@ TEST(Engine, InjectedCancelDegradesConeWithFaultRecord) {
     const Aig rca = ripple_carry_adder(6);
     clear_engine_caches();
     Aig out;
-    const OptimizeStats stats = run_faulted(rca, "cancel@decompose:1", 2, &out);
+    const OptimizeStats stats = run_faulted(rca, "cancel@decompose", 2, &out);
     EXPECT_TRUE(stats.verified);
     EXPECT_TRUE(check_equivalence(rca, out, 2000000).equivalent);
     ASSERT_FALSE(stats.faults.empty());
@@ -813,7 +809,7 @@ TEST(Engine, InjectedCancelIsJobsInvariant) {
     auto fingerprint = [&](int jobs) {
         clear_engine_caches();
         Aig out;
-        const OptimizeStats stats = run_faulted(rca, "cancel@decompose:1", jobs, &out);
+        const OptimizeStats stats = run_faulted(rca, "cancel@decompose", jobs, &out);
         std::stringstream aag;
         write_aiger(aag, out);
         std::string fp = aag.str();
@@ -835,10 +831,10 @@ TEST(Engine, InjectedCancelIsCacheStateInvariant) {
     const Aig rca = ripple_carry_adder(6);
     clear_engine_caches();
     Aig cold_out, warm_out;
-    const OptimizeStats cold = run_faulted(rca, "cancel@decompose:1", 2, &cold_out);
+    const OptimizeStats cold = run_faulted(rca, "cancel@decompose", 2, &cold_out);
     const MetricCounter& cones_evaluated = Metrics::global().counter("engine.cones_evaluated");
     const std::uint64_t evaluated_before_warm = cones_evaluated.value();
-    const OptimizeStats warm = run_faulted(rca, "cancel@decompose:1", 2, &warm_out);
+    const OptimizeStats warm = run_faulted(rca, "cancel@decompose", 2, &warm_out);
     EXPECT_EQ(cones_evaluated.value(), evaluated_before_warm);
     EXPECT_EQ(cold_out.hash(), warm_out.hash());
     ASSERT_EQ(cold.faults.size(), warm.faults.size());
@@ -955,16 +951,15 @@ TEST(Engine, InjectedOomIsContainedAndMapsToResourceExhausted) {
     // `oom@...` throws a raw std::bad_alloc at the site — the containment
     // path must classify it ResourceExhausted, keep every cone original like
     // any resource fault, and stay jobs-invariant.
-    const FaultPlan plan = FaultPlan::parse("oom@decompose:1");
-    EXPECT_EQ(FaultPlan::parse(plan.engine_spec()).engine_spec(), plan.engine_spec());
+    const FaultPlan plan = FaultPlan::parse("oom@decompose");
     // Same ErrorKind, different injection: the fingerprints must not
     // collide, or an oom plan could replay a resource plan's memo entries.
-    EXPECT_NE(plan.fingerprint(), FaultPlan::parse("resource@decompose:1").fingerprint());
+    EXPECT_NE(plan.fingerprint(), FaultPlan::parse("resource@decompose").fingerprint());
 
     const Aig rca = ripple_carry_adder(6);
     auto fingerprint = [&](int jobs) {
         Aig out;
-        const OptimizeStats stats = run_faulted(rca, "oom@decompose:1", jobs, &out);
+        const OptimizeStats stats = run_faulted(rca, "oom@decompose", jobs, &out);
         EXPECT_TRUE(stats.verified);
         EXPECT_TRUE(check_equivalence(rca, out, 2000000).equivalent);
         EXPECT_FALSE(stats.faults.empty());
@@ -989,7 +984,7 @@ TEST(Engine, BatchRunLevelOomFailsItemsWithoutTearingDownTheBatch) {
     items.push_back({"rca6", ripple_carry_adder(6)});
     LookaheadParams params;
     params.max_iterations = 4;
-    params.fault_plan = "oom@run:1";
+    params.fault_plan = FaultPlan::parse("oom@run");
     EngineOptions engine;
     engine.jobs = 2;
     const auto outcomes = optimize_timing_batch(items, params, engine);

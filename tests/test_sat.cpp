@@ -130,6 +130,35 @@ TEST(SatSolver, RequestedTokenStopsTheSearch) {
     }
 }
 
+TEST(SatSolver, LiteralLimitRaisesResourceExhausted) {
+    // The clause database's allocation guard: a clause that would grow the
+    // literal arena past the limit raises ResourceExhausted before it is
+    // stored, and the solver stays usable. First from add_clause...
+    Solver s = hard_pigeonhole();
+    const std::size_t default_limit = s.literal_limit();
+    const std::size_t problem = s.num_literals();
+    s.set_literal_limit(problem);
+    const int x = s.new_var(), y = s.new_var();
+    try {
+        s.add_clause(Lit(x, false), Lit(y, false));
+        FAIL() << "add_clause() stored a clause past the literal limit";
+    } catch (const LlsError& e) {
+        EXPECT_EQ(e.kind(), ErrorKind::ResourceExhausted);
+        EXPECT_EQ(e.stage(), "sat");
+    }
+    // ...then from the first learned clause the search would store.
+    try {
+        s.solve({}, 1000000);
+        FAIL() << "solve() stored a learned clause past the literal limit";
+    } catch (const LlsError& e) {
+        EXPECT_EQ(e.kind(), ErrorKind::ResourceExhausted);
+    }
+    EXPECT_EQ(s.num_literals(), problem);
+    // With the limit raised again, the same solver finishes the proof.
+    s.set_literal_limit(default_limit);
+    EXPECT_EQ(s.solve({}, 1000000), Status::Unsat);
+}
+
 TEST(SatSolver, HardPigeonholeExercisesClauseDatabaseReduction) {
     // php(9,8) needs ~20k conflicts, well past the learned-clause reduction
     // threshold, so this covers restart + reduce_learned + reason remapping.

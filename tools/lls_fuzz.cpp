@@ -114,7 +114,7 @@ bool verify(const char* what, std::uint64_t seed, const lls::Aig& a, const lls::
 
 /// One fuzz iteration; returns false after dumping a reproducer on any
 /// failure, including an exception escaping one of the flows.
-bool run_iteration(std::uint64_t seed, const std::string& fault_plan) {
+bool run_iteration(std::uint64_t seed, const lls::FaultPlan& fault_plan) {
     const lls::Aig circuit = random_circuit(seed);
     // Every failure path funnels through here so the reproducer dump cannot
     // be forgotten when new checks are added.
@@ -331,7 +331,7 @@ int main(int argc, char** argv) {
     };
     int iterations = 25;
     std::uint64_t base_seed = 1000;
-    std::string fault_plan;
+    lls::FaultPlan fault_plan;
     bool mutate_store = false;
     int positional = 0;
     for (int i = 1; i < argc; ++i) {
@@ -362,9 +362,7 @@ int main(int argc, char** argv) {
     }
     if (!g_fault_spec.empty()) {
         try {
-            // Canonical engine-facing form; fatal@batch specs are meaningless
-            // here (no checkpoint journal to crash against) and are stripped.
-            fault_plan = lls::FaultPlan::parse(g_fault_spec).engine_spec();
+            fault_plan = lls::FaultPlan::parse(g_fault_spec);
         } catch (const std::exception& e) {
             std::fprintf(stderr, "error: %s\n", e.what());
             return 2;

@@ -22,9 +22,7 @@
 //                                 kind@site[,...]; kinds parse|resource|solver|
 //                                 verify|invariant|io|cancel|oom fire a fault
 //                                 at engine sites (decompose|spcf|sat|cec|run)
-//                                 and the cone keeps its original logic;
-//                                 fatal@batch:N kills the process after N
-//                                 journaled circuits (crash simulation)
+//                                 and the cone keeps its original logic
 //   --no-verify                   skip the final equivalence check
 //   --map                         single-circuit mode: print a technology-mapping
 //                                 report
@@ -55,10 +53,10 @@
 // and no engine memo.
 //
 // Exit codes are documented in --help: 0 success; 1 not equivalent / item
-// failed; 2 usage; 10..16 per ErrorKind; 30 terminated by SIGTERM/SIGINT
-// with the checkpoint journal and persist-store shards flushed (--resume
-// continues byte-identically); 42 simulated crash (fatal@batch:N). A second
-// signal hard-exits with the conventional 128+signo.
+// failed; 2 usage; 10..16 per ErrorKind (a failed checkpoint append is 15);
+// 30 terminated by SIGTERM/SIGINT with the checkpoint journal and
+// persist-store shards flushed (--resume continues byte-identically). A
+// second signal hard-exits with the conventional 128+signo.
 
 #include <csignal>
 #include <cstdio>
@@ -146,8 +144,7 @@ int help(const char* argv0) {
         "\nDurations (DUR) are a number with a unit: 500ms, 30s, 5m.\n"
         "Fault specs (SPEC) are kind@site[,...]: kind parse|resource|solver|verify|\n"
         "invariant|io|cancel|oom fires at site decompose|spcf|sat|cec|run, and the\n"
-        "cone keeps its original logic; fatal@batch:N simulates a crash after N\n"
-        "journaled circuits.\n"
+        "cone keeps its original logic.\n"
         "\nexit codes:\n"
         "   0  success\n"
         "  %2d  result not equivalent / unresolved, or a batch item failed\n"
@@ -157,11 +154,10 @@ int help(const char* argv0) {
         "  %2d  solver limit (a solver gave up within its effort bound)\n"
         "  %2d  verification failed or could not be resolved\n"
         "  %2d  internal invariant violation\n"
-        "  %2d  I/O error (filesystem open/read/write)\n"
+        "  %2d  I/O error (filesystem open/read/write, a checkpoint append)\n"
         "  %2d  cancelled (cooperative cancellation surfaced as an error)\n"
         "  %2d  terminated by SIGTERM/SIGINT: checkpoint journal and persist\n"
         "      store flushed; rerun with --resume to continue byte-identically\n"
-        "  %2d  simulated fatal crash (--fault-inject fatal@batch:N)\n"
         " 128+signo  hard exit on a second SIGTERM/SIGINT\n",
         lls::kExitNotEquivalent, lls::kExitUsage, lls::exit_code_for(lls::ErrorKind::ParseError),
         lls::exit_code_for(lls::ErrorKind::ResourceExhausted),
@@ -169,7 +165,7 @@ int help(const char* argv0) {
         lls::exit_code_for(lls::ErrorKind::VerificationFailed),
         lls::exit_code_for(lls::ErrorKind::InvariantViolation),
         lls::exit_code_for(lls::ErrorKind::IoError), lls::exit_code_for(lls::ErrorKind::Cancelled),
-        lls::kExitSignalShutdown, lls::kExitSimulatedCrash);
+        lls::kExitSignalShutdown);
     return 0;
 }
 
@@ -313,23 +309,6 @@ int main(int argc, char** argv) {
     install_signal_handlers();
     engine.cancel = &g_shutdown;
 
-    // Fault injection: engine-site specs are forwarded through the params
-    // (they are part of what the evaluations compute); `fatal@batch:N` is a
-    // CLI-level crash simulation and is stripped here — it must not perturb
-    // the params fingerprint, or a resumed run could never match an
-    // uninterrupted one.
-    int fatal_after = 0;
-    if (!fault_spec.empty()) {
-        try {
-            const lls::FaultPlan plan = lls::FaultPlan::parse(fault_spec);
-            params.fault_plan = plan.engine_spec();
-            fatal_after = plan.fatal_count_for("batch");
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "error: bad --fault-inject spec: %s\n", e.what());
-            return lls::kExitUsage;
-        }
-    }
-
     // An option the chosen mode or flow would ignore is a usage error: the
     // engine's budgets, fault sites, batch mode and memo store serve only
     // the lookahead flow; output dumps and reports only the single-circuit
@@ -349,7 +328,6 @@ int main(int argc, char** argv) {
     } else {
         for (const char* option : {"--out-dir", "--checkpoint"})
             if (given.count(option)) return reject(option, "requires --batch");
-        if (fatal_after > 0) return reject("--fault-inject", "with fatal@batch:N requires --batch");
     }
     if (resume && checkpoint_path.empty()) return reject("--resume", "requires --checkpoint FILE");
     if (given.count("--cache-mode") && cache_dir.empty())
@@ -357,6 +335,15 @@ int main(int argc, char** argv) {
     const auto store_mode = lls::persist::parse_store_mode(cache_mode);
     if (!store_mode)
         return reject("--cache-mode", "expects read|rw, got '" + cache_mode + "'");
+    // The fault plan is part of what the evaluations compute: parsed once
+    // here, it rides in the params into every run and its fingerprint.
+    if (!fault_spec.empty()) {
+        try {
+            params.fault_plan = lls::FaultPlan::parse(fault_spec);
+        } catch (const std::exception& e) {
+            return reject("--fault-inject", std::string("has a bad spec: ") + e.what());
+        }
+    }
 
     std::vector<lls::BatchItem> items;
     for (const auto& path : inputs) {
@@ -463,9 +450,8 @@ int main(int argc, char** argv) {
         int exit_code = 0;
         std::size_t journaled = 0;
         // Runs under the batch's completion mutex: per-item verification,
-        // output writing, journaling, and (last) the simulated crash of
-        // `fatal@batch:N` — the journal line is durable before the process
-        // dies, exactly like a real mid-batch crash after a flush.
+        // output writing and journaling. A failed append throws out of the
+        // batch (see below).
         auto on_complete = [&](const lls::BatchOutcome& r, std::size_t i) {
             if (r.cancelled) {
                 // Shutdown interrupted this item: nothing is verified,
@@ -524,17 +510,22 @@ int main(int argc, char** argv) {
                 entry.failed = r.failed;
                 checkpoint->append(entry);  // flush-and-throw
                 ++journaled;
-                if (fatal_after > 0 && journaled >= static_cast<std::size_t>(fatal_after)) {
-                    std::fprintf(stderr, "fault-inject: simulated crash after %zu journaled "
-                                         "circuit(s)\n",
-                                 journaled);
-                    std::fflush(nullptr);
-                    std::_Exit(lls::kExitSimulatedCrash);
-                }
             }
         };
 
-        const auto outcomes = lls::optimize_timing_batch(items, params, engine, on_complete);
+        // An error escaping on_complete — a journal append that did not
+        // reach the disk — stops the batch: items not yet started are cut,
+        // and the journal keeps every entry appended before it (a torn last
+        // line is dropped on --resume), so --resume continues from there.
+        std::vector<lls::BatchOutcome> outcomes;
+        try {
+            outcomes = lls::optimize_timing_batch(items, params, engine, on_complete);
+        } catch (const std::exception& e) {
+            epilogue();
+            std::fprintf(stderr, "error: batch stopped after %zu journaled circuit(s): %s\n",
+                         journaled, e.what());
+            return lls::exit_code_for(lls::error_kind_of(e));
+        }
         std::printf("batch: %zu circuits (%zu skipped via checkpoint), %d jobs, %.2fs wall "
                     "clock\n",
                     outcomes.size() + skipped, skipped, jobs, sw.elapsed_seconds());
@@ -579,8 +570,8 @@ int main(int argc, char** argv) {
             optimized = lls::optimize_timing_engine(circuit, params, engine, &stats);
         } catch (const std::exception& e) {
             // Per-cone faults are contained inside the engine; anything
-            // reaching here is an entry error (e.g. a malformed fault plan)
-            // or an unrecoverable failure — report, never abort().
+            // reaching here is a run-level failure (e.g. an injected `run`
+            // fault) — report, never abort().
             std::fprintf(stderr, "error: optimization failed: %s\n", e.what());
             return lls::exit_code_for(lls::error_kind_of(e));
         }

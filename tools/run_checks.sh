@@ -17,8 +17,9 @@
 # and 4 holding the same shard contents), fault-injection checks of the
 # containment subsystem (outputs and fault journals identical across
 # --jobs) with the full suite re-run under AddressSanitizer,
-# checkpoint/resume checks (including a crash/resume cycle with more
-# threads than items, then a resume with nothing left to run),
+# checkpoint/resume checks (a journal cut back to its first entry resumes
+# byte-identically, also with more threads than items, then a resume with
+# nothing left to run; a failed journal append exits 15 and resumes),
 # persistent-memo-store checks (cold stores
 # with the same shard contents at --jobs 1 and 4, warm runs byte-identical
 # to cold across --jobs, with the same per-round log and fault lines;
@@ -52,9 +53,11 @@ echo "== stage 1a: usage errors name the rejected argument =="
 # value (rejected while parsing, before the input is read, so nothing is
 # printed on stdout), --cache-dir with a flow that never reads the engine's
 # memos, and an unknown lls_fuzz option (not read as the iteration count).
-# Then every lls_opt option that its mode or flow would ignore, and the
-# removed --cache-mode values: each is rejected before the input is read,
-# so a missing input does not turn them into an I/O error (15).
+# Then every lls_opt option that its mode or flow would ignore, the removed
+# --cache-mode values, and fault specs outside the kind@site grammar (the
+# retired crash hook, a count, the `cancelled` spelling, an unknown site):
+# each is rejected before the input is read, so a missing input does not
+# turn them into an I/O error (15).
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
 expect_usage_error() {  # <rejected argument> <command...>
@@ -86,11 +89,13 @@ expect_usage_error --iterations ./build/tools/lls_opt --flow abc --iterations 3 
 expect_usage_error --work-budget ./build/tools/lls_opt --flow sis --work-budget 5 "$MISSING"
 expect_usage_error --time-budget ./build/tools/lls_opt --flow dc --time-budget 5s "$MISSING"
 expect_usage_error --fault-inject ./build/tools/lls_opt --flow abc \
-    --fault-inject resource@decompose:1 "$MISSING"
+    --fault-inject resource@decompose "$MISSING"
 expect_usage_error --out-dir ./build/tools/lls_opt --out-dir "$WORKDIR/usage_out" "$MISSING"
 [[ ! -e "$WORKDIR/usage_out" ]] || { echo "a rejected --out-dir was created"; exit 1; }
 expect_usage_error --checkpoint ./build/tools/lls_opt --checkpoint "$WORKDIR/usage.ckpt" "$MISSING"
-expect_usage_error --fault-inject ./build/tools/lls_opt --fault-inject fatal@batch:1 "$MISSING"
+for spec in fatal@batch:1 resource@decompose:1 cancelled@decompose resource@decompse; do
+    expect_usage_error --fault-inject ./build/tools/lls_opt --fault-inject "$spec" "$MISSING"
+done
 expect_usage_error --resume ./build/tools/lls_opt --batch --resume "$MISSING"
 expect_usage_error --aiger ./build/tools/lls_opt --batch --aiger "$WORKDIR/usage.aag" "$MISSING"
 expect_usage_error --verilog ./build/tools/lls_opt --batch --verilog "$WORKDIR/usage.v" "$MISSING"
@@ -194,14 +199,13 @@ echo "== stage 3: fault injection never aborts and stays jobs-invariant =="
 # exit 0 (contained, not crashed), verify equivalence, and produce the same
 # bytes and fault summary lines at every --jobs value. The decompose and spcf
 # sites are reached by every cone, so those runs must also report at least
-# one contained fault — proof that the injection fired. cancel@decompose:1 raises a Cancelled
+# one contained fault — proof that the injection fired. cancel@decompose raises a Cancelled
 # error with no shutdown requested: it is contained like any other fault.
 # Plus a short fuzz run with injection enabled.
-for spec in resource@decompose:1 invariant@spcf:1 solver@sat:1 verify@cec:1 \
-    cancel@decompose:1; do
+for spec in resource@decompose invariant@spcf solver@sat verify@cec cancel@decompose; do
     for circuit in tests/data/rca16.blif tests/data/control24.blif; do
         name="$(basename "$circuit" .blif)"
-        tag="${spec//[@:]/_}"
+        tag="${spec//@/_}"
         for j in 1 2 4; do
             ./build/tools/lls_opt --fault-inject "$spec" --jobs "$j" --iterations 6 \
                 "$circuit" "$WORKDIR/$name.$tag.j$j.blif" > "$WORKDIR/$name.$tag.j$j.log"
@@ -211,8 +215,8 @@ for spec in resource@decompose:1 invariant@spcf:1 solver@sat:1 verify@cec:1 \
             cmp "$WORKDIR/$name.$tag.j1.blif" "$WORKDIR/$name.$tag.j$j.blif"
             cmp "$WORKDIR/$name.$tag.j1.faults" "$WORKDIR/$name.$tag.j$j.faults"
         done
-        if [[ "$spec" == resource@decompose:1 || "$spec" == invariant@spcf:1 ||
-            "$spec" == cancel@decompose:1 ]]; then
+        if [[ "$spec" == resource@decompose || "$spec" == invariant@spcf ||
+            "$spec" == cancel@decompose ]]; then
             grep -q "/$name\.blif: [1-9][0-9]* fault(s) contained" "$WORKDIR/$name.$tag.j1.log" || {
                 echo "expected $spec to fire on at least one cone of $name"; exit 1; }
         fi
@@ -220,7 +224,7 @@ for spec in resource@decompose:1 invariant@spcf:1 solver@sat:1 verify@cec:1 \
     done
 done
 # From inside WORKDIR so a failure's fuzz_corpus/ lands in the temp dir.
-(cd "$WORKDIR" && "$REPO/build/tools/lls_fuzz" 3 4242 --fault-inject resource@decompose:1)
+(cd "$WORKDIR" && "$REPO/build/tools/lls_fuzz" 3 4242 --fault-inject resource@decompose)
 # Store-file mutation fuzzing: random corruption of published shards must
 # always degrade to a byte-identical cold recompute, never a crash.
 (cd "$WORKDIR" && "$REPO/build/tools/lls_fuzz" --mutate-store 3 4242)
@@ -237,37 +241,30 @@ cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS")
 
 echo "== stage 4: interrupted checkpoint + resume is byte-identical =="
-# Run the batch uninterrupted; then crash it (simulated, exit 42) after one
-# journaled circuit and resume from the checkpoint. The resumed outputs must
-# match the uninterrupted ones byte for byte.
+# Run the journaled batch to completion; then make the state a crash after
+# one journaled circuit leaves behind: cut the journal back to its header
+# and first entry, and delete the other item's output. Resuming must skip
+# the journaled item and re-run the other to the uninterrupted bytes, at
+# --jobs 2 and at --jobs 4 (more threads than items, so the resumed item
+# runs alone on all four).
 ./build/tools/lls_opt --batch tests/data/rca16.blif tests/data/control24.blif \
-    --out-dir "$WORKDIR/full" --jobs 2 > /dev/null
-rc=0
-./build/tools/lls_opt --batch tests/data/rca16.blif tests/data/control24.blif \
-    --out-dir "$WORKDIR/resumed" --jobs 2 --checkpoint "$WORKDIR/ckpt.txt" \
-    --fault-inject fatal@batch:1 > /dev/null 2>&1 || rc=$?
-[[ "$rc" == 42 ]] || { echo "expected simulated crash exit 42, got $rc"; exit 1; }
-./build/tools/lls_opt --batch tests/data/rca16.blif tests/data/control24.blif \
-    --out-dir "$WORKDIR/resumed" --jobs 2 --checkpoint "$WORKDIR/ckpt.txt" \
-    --resume > /dev/null
-cmp "$WORKDIR/full/rca16.blif" "$WORKDIR/resumed/rca16.blif"
-cmp "$WORKDIR/full/control24.blif" "$WORKDIR/resumed/control24.blif"
-echo "checkpoint/resume outputs identical to uninterrupted run"
-
-# The same crash/resume cycle with more threads than items, so the resumed
-# item runs alone on all four: it must resume byte-identical too.
-rc=0
-./build/tools/lls_opt --batch tests/data/rca16.blif tests/data/control24.blif \
-    --out-dir "$WORKDIR/resumed-j4" --jobs 4 \
-    --checkpoint "$WORKDIR/ckpt-j4.txt" \
-    --fault-inject fatal@batch:1 > /dev/null 2>&1 || rc=$?
-[[ "$rc" == 42 ]] || { echo "expected simulated crash exit 42, got $rc"; exit 1; }
-./build/tools/lls_opt --batch tests/data/rca16.blif tests/data/control24.blif \
-    --out-dir "$WORKDIR/resumed-j4" --jobs 4 \
-    --checkpoint "$WORKDIR/ckpt-j4.txt" --resume > /dev/null
-cmp "$WORKDIR/full/rca16.blif" "$WORKDIR/resumed-j4/rca16.blif"
-cmp "$WORKDIR/full/control24.blif" "$WORKDIR/resumed-j4/control24.blif"
-echo "--jobs 4 checkpoint/resume outputs identical to uninterrupted run"
+    --out-dir "$WORKDIR/full" --jobs 2 --checkpoint "$WORKDIR/full-ckpt.txt" > /dev/null
+for j in 2 4; do
+    cp -r "$WORKDIR/full" "$WORKDIR/resumed-j$j"
+    head -n 2 "$WORKDIR/full-ckpt.txt" > "$WORKDIR/ckpt-j$j.txt"
+    first="$(sed -n 2p "$WORKDIR/ckpt-j$j.txt" | cut -f1)"
+    for name in rca16 control24; do
+        [[ "$first" == "tests/data/$name.blif" ]] || rm "$WORKDIR/resumed-j$j/$name.blif"
+    done
+    ./build/tools/lls_opt --batch tests/data/rca16.blif tests/data/control24.blif \
+        --out-dir "$WORKDIR/resumed-j$j" --jobs "$j" --checkpoint "$WORKDIR/ckpt-j$j.txt" \
+        --resume > "$WORKDIR/resumed-j$j.log"
+    grep -qF "$first: skipped (already journaled)" "$WORKDIR/resumed-j$j.log" || {
+        echo "expected the journaled $first to be skipped at --jobs $j"; exit 1; }
+    cmp "$WORKDIR/full/rca16.blif" "$WORKDIR/resumed-j$j/rca16.blif"
+    cmp "$WORKDIR/full/control24.blif" "$WORKDIR/resumed-j$j/control24.blif"
+done
+echo "checkpoint/resume outputs identical to uninterrupted run at --jobs 2 and 4"
 # Resuming once more finds every item journaled: the batch is empty, exits
 # 0, skips both inputs and leaves their outputs as they were.
 ./build/tools/lls_opt --batch tests/data/rca16.blif tests/data/control24.blif \
@@ -280,6 +277,41 @@ for name in rca16 control24; do
     cmp "$WORKDIR/full/$name.blif" "$WORKDIR/resumed-j4/$name.blif"
 done
 echo "fully journaled --resume runs an empty batch: exit 0, both inputs skipped"
+
+echo "== stage 4a: a failed journal append exits 15 and --resume completes =="
+# 30 circuits with 210-character stems under an 8 KiB file-size limit: every
+# output (7249 bytes at --iterations 2) fits, but the journal's 30th line
+# crosses the limit and its append fails mid-line. The batch must stop with
+# the I/O exit code (15), not abort; --resume drops the torn line, re-runs
+# that item and leaves all 30 outputs byte-identical to an uninterrupted
+# run; one more --resume skips every input. The limit sits in a subshell,
+# so it binds only that run.
+APPEND="$WORKDIR/append"
+mkdir -p "$APPEND/in"
+STEM="$(printf 'a%.0s' $(seq 1 208))"
+for i in $(seq -w 1 30); do cp tests/data/rca16.blif "$APPEND/in/$STEM$i.blif"; done
+append_batch() {  # <out-dir> <option...>
+    local out="$1"
+    shift
+    (cd "$APPEND" && "$REPO/build/tools/lls_opt" --batch --jobs 2 --iterations 2 \
+        --out-dir "$out" "$@" in/*.blif)
+}
+append_batch full > /dev/null
+rc=0
+(trap '' XFSZ; ulimit -f 8; append_batch out --checkpoint ckpt.txt > /dev/null \
+    2> "$APPEND/err.txt") || rc=$?
+[[ "$rc" == 15 ]] || { echo "expected a failed journal append to exit 15, got $rc"
+    cat "$APPEND/err.txt"; exit 1; }
+grep -q 'error writing checkpoint' "$APPEND/err.txt" || {
+    echo "missing the journal write error"; cat "$APPEND/err.txt"; exit 1; }
+[[ -n "$(tail -c 1 "$APPEND/ckpt.txt")" ]] || { echo "expected a torn last journal line"; exit 1; }
+append_batch out --checkpoint ckpt.txt --resume > /dev/null
+[[ "$(ls "$APPEND/full" | wc -l)" == 30 ]] || { echo "expected 30 uninterrupted outputs"; exit 1; }
+for f in "$APPEND"/full/*.blif; do cmp "$f" "$APPEND/out/$(basename "$f")"; done
+append_batch out --checkpoint ckpt.txt --resume > "$APPEND/resume-empty.log"
+[[ "$(grep -c 'skipped (already journaled)' "$APPEND/resume-empty.log")" == 30 ]] || {
+    echo "expected all 30 inputs skipped on a fully journaled resume"; exit 1; }
+echo "failed journal append: exit 15, torn line dropped, resumed outputs byte-identical"
 
 echo "== stage 4b: persistent store warm runs are byte-identical =="
 # Cold run populates the cache directory; a cold run at --jobs 4 must
