@@ -1,7 +1,6 @@
 #include "aig/aig_build.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <utility>
 
 namespace lls {
@@ -89,39 +88,45 @@ void AigLevelTracker::refresh() {
     }
 }
 
-AigLit land_timed(Aig& aig, std::vector<AigLit> lits, AigLevelTracker& levels) {
+AigLit land_timed(Aig& aig, std::vector<AigLit>& lits, AigLevelTracker& levels) {
     if (lits.empty()) return AigLit::constant(true);
-    auto cmp = [&](AigLit a, AigLit b) { return levels.level(a) > levels.level(b); };
-    std::priority_queue<AigLit, std::vector<AigLit>, decltype(cmp)> heap(cmp, std::move(lits));
-    while (heap.size() > 1) {
-        const AigLit a = heap.top();
-        heap.pop();
-        const AigLit b = heap.top();
-        heap.pop();
-        heap.push(aig.land(a, b));
+    // The operations std::priority_queue performs, on the caller's buffer:
+    // the same comparator gives the same join order, ties included.
+    auto later = [&](AigLit a, AigLit b) { return levels.level(a) > levels.level(b); };
+    std::make_heap(lits.begin(), lits.end(), later);
+    while (lits.size() > 1) {
+        std::pop_heap(lits.begin(), lits.end(), later);
+        const AigLit a = lits.back();
+        lits.pop_back();
+        std::pop_heap(lits.begin(), lits.end(), later);
+        const AigLit b = lits.back();
+        lits.pop_back();
+        lits.push_back(aig.land(a, b));
+        std::push_heap(lits.begin(), lits.end(), later);
     }
-    return heap.top();
+    return lits.front();
 }
 
-AigLit lor_timed(Aig& aig, std::vector<AigLit> lits, AigLevelTracker& levels) {
+AigLit lor_timed(Aig& aig, std::vector<AigLit>& lits, AigLevelTracker& levels) {
     for (auto& l : lits) l = !l;
-    return !land_timed(aig, std::move(lits), levels);
+    return !land_timed(aig, lits, levels);
 }
 
 AigLit build_sop_timed(Aig& aig, const Sop& sop, const std::vector<AigLit>& fanins,
                        AigLevelTracker& levels) {
     std::vector<AigLit> cube_lits;
     cube_lits.reserve(sop.num_cubes());
+    std::vector<AigLit> lits;
     for (const auto& cube : sop.cubes()) {
-        std::vector<AigLit> lits;
+        lits.clear();
         for (int v = 0; v < sop.num_vars(); ++v) {
             if (!cube.has_literal(v)) continue;
             const AigLit f = fanins[static_cast<std::size_t>(v)];
             lits.push_back(cube.literal_polarity(v) ? f : !f);
         }
-        cube_lits.push_back(land_timed(aig, std::move(lits), levels));
+        cube_lits.push_back(land_timed(aig, lits, levels));
     }
-    return lor_timed(aig, std::move(cube_lits), levels);
+    return lor_timed(aig, cube_lits, levels);
 }
 
 AigLit build_truth_table_timed(Aig& aig, const TruthTable& tt, const std::vector<AigLit>& fanins,

@@ -54,9 +54,11 @@ private:
 };
 
 /// AND/OR reduction joining the two earliest-arriving operands first
-/// (depth-optimal re-association given fanin arrival levels).
-AigLit land_timed(Aig& aig, std::vector<AigLit> lits, AigLevelTracker& levels);
-AigLit lor_timed(Aig& aig, std::vector<AigLit> lits, AigLevelTracker& levels);
+/// (depth-optimal re-association given fanin arrival levels). `lits` is
+/// the caller's buffer: it serves as the heap and its contents are
+/// consumed, so a caller can reuse it without reallocating.
+AigLit land_timed(Aig& aig, std::vector<AigLit>& lits, AigLevelTracker& levels);
+AigLit lor_timed(Aig& aig, std::vector<AigLit>& lits, AigLevelTracker& levels);
 
 /// Instantiates an SOP with arrival-aware AND/OR tree shapes.
 AigLit build_sop_timed(Aig& aig, const Sop& sop, const std::vector<AigLit>& fanins,

@@ -19,11 +19,13 @@ Aig balance(const Aig& aig) {
     const auto fanout = aig.compute_fanout_counts();
     AigLevelTracker levels(out);
 
-    // Leaves of the maximal single-fanout conjunction rooted at `lit`
-    // (in the original AIG).
+    // Leaves of the maximal single-fanout conjunction rooted at `root` (in
+    // the original AIG), mapped into `out`. Both buffers live across the
+    // node loop, so balancing allocates only while they grow.
+    std::vector<AigLit> leaves, stack;
     auto collect_leaves = [&](AigLit root) {
-        std::vector<AigLit> leaves;
-        std::vector<AigLit> stack{root};
+        leaves.clear();
+        stack.assign(1, root);
         while (!stack.empty()) {
             const AigLit lit = stack.back();
             stack.pop_back();
@@ -34,20 +36,16 @@ Aig balance(const Aig& aig) {
                 stack.push_back(aig.node(id).fanin0);
                 stack.push_back(aig.node(id).fanin1);
             } else {
-                leaves.push_back(lit);
+                const AigLit m = remap[id];
+                leaves.push_back(lit.complemented() ? !m : m);
             }
         }
-        return leaves;
     };
 
     for (std::uint32_t id = 1; id < aig.num_nodes(); ++id) {
         if (!aig.is_and(id)) continue;
-        auto leaves = collect_leaves(AigLit::make(id, false));
-        for (auto& l : leaves) {
-            const AigLit m = remap[l.node()];
-            l = l.complemented() ? !m : m;
-        }
-        remap[id] = land_timed(out, std::move(leaves), levels);
+        collect_leaves(AigLit::make(id, false));
+        remap[id] = land_timed(out, leaves, levels);
     }
     for (std::size_t o = 0; o < aig.num_pos(); ++o) {
         const AigLit po = aig.po(o);

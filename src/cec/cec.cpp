@@ -174,10 +174,56 @@ Aig sat_sweep(const Aig& aig, Rng& rng, std::int64_t conflict_limit, std::size_t
     // word-wise comparison and hashing stay consistent as words are appended.
     std::vector<Signature> sigs = simulate(aig, patterns);
 
+    Aig out;
+    AigLevelTracker out_levels(out);
+    std::vector<AigLit> remap(aig.num_nodes(), AigLit::constant(false));
+    for (std::size_t i = 0; i < aig.num_pis(); ++i) remap[aig.pi(i)] = out.add_pi(aig.pi_name(i));
+
+    // --- the CNF of `out`, encoded on demand ----------------------------------
+    // Queries are asked about the AIG being built, where every merged node is
+    // one node and so one SAT variable, and only the transitive fanin of a
+    // queried literal is encoded. out_var[n] is the variable of `out` node n,
+    // or -1 while no query has reached it.
     sat::Solver solver;
-    std::vector<int> pi_vars(aig.num_pis());
-    for (auto& v : pi_vars) v = solver.new_var();
-    const std::vector<sat::Lit> node_lit = encode_aig_nodes(aig, solver, pi_vars);
+    std::vector<int> out_var(out.num_nodes(), -1);
+    std::vector<std::uint32_t> stack;
+    auto encode_and = [&](std::uint32_t n) {
+        const auto& node = out.node(n);
+        const int v0 = out_var[node.fanin0.node()];
+        const int v1 = out_var[node.fanin1.node()];
+        LLS_DCHECK(v0 >= 0 && v1 >= 0 && "a node is encoded after both of its fanins");
+        const sat::Lit a(v0, node.fanin0.complemented());
+        const sat::Lit b(v1, node.fanin1.complemented());
+        const sat::Lit c(solver.new_var(), false);
+        solver.add_clause(!c, a);
+        solver.add_clause(!c, b);
+        solver.add_clause(c, !a, !b);
+        out_var[n] = c.var();
+    };
+    auto encode = [&](AigLit lit) {
+        out_var.resize(out.num_nodes(), -1);
+        stack.push_back(lit.node());
+        while (!stack.empty()) {
+            const std::uint32_t n = stack.back();
+            if (out_var[n] < 0 && out.is_and(n)) {
+                const auto& node = out.node(n);
+                if (out_var[node.fanin0.node()] < 0) {
+                    stack.push_back(node.fanin0.node());
+                    continue;
+                }
+                if (out_var[node.fanin1.node()] < 0) {
+                    stack.push_back(node.fanin1.node());
+                    continue;
+                }
+                encode_and(n);
+            } else if (out_var[n] < 0) {  // a PI, or the constant node
+                out_var[n] = solver.new_var();
+                if (n == 0) solver.add_clause(sat::Lit(out_var[n], true));
+            }
+            stack.pop_back();
+        }
+        return sat::Lit(out_var[lit.node()], lit.complemented());
+    };
 
     // --- counterexample refinement ------------------------------------------
     // valid_mask[w] marks the bits of signature word w that correspond to
@@ -240,8 +286,12 @@ Aig sat_sweep(const Aig& aig, Rng& rng, std::int64_t conflict_limit, std::size_t
         pending_cex.clear();
     };
     auto record_cex = [&]() {
+        // A PI outside every encoded cone has no variable and reads 0.
         std::vector<bool> cex(aig.num_pis());
-        for (std::size_t i = 0; i < aig.num_pis(); ++i) cex[i] = solver.model_value(pi_vars[i]);
+        for (std::size_t i = 0; i < aig.num_pis(); ++i) {
+            const int v = out_var[out.pi(i)];
+            cex[i] = v >= 0 && solver.model_value(v);
+        }
         pending_cex.push_back(std::move(cex));
     };
 
@@ -259,16 +309,13 @@ Aig sat_sweep(const Aig& aig, Rng& rng, std::int64_t conflict_limit, std::size_t
         }
         return -1;
     };
-    auto proved_equal = [&](std::uint32_t n1, std::uint32_t n2, bool complemented) {
-        const sat::Lit a = node_lit[n1];
-        const sat::Lit b = complemented ? !node_lit[n2] : node_lit[n2];
+    auto proved_equal = [&](AigLit x, AigLit y) {
+        if (x == y) return true;
+        const sat::Lit a = encode(x);
+        const sat::Lit b = encode(y);
         return try_impossible(a, !b) == 1 && try_impossible(!a, b) == 1;
     };
 
-    Aig out;
-    AigLevelTracker out_levels(out);
-    std::vector<AigLit> remap(aig.num_nodes(), AigLit::constant(false));
-    for (std::size_t i = 0; i < aig.num_pis(); ++i) remap[aig.pi(i)] = out.add_pi(aig.pi_name(i));
     // PIs seed the buckets so internal nodes can merge into them too.
     for (std::size_t i = 0; i < aig.num_pis(); ++i) {
         reps.push_back(aig.pi(i));
@@ -289,9 +336,12 @@ Aig sat_sweep(const Aig& aig, Rng& rng, std::int64_t conflict_limit, std::size_t
         const AigLit lit = out.land(f0, f1);
 
         // Constant-candidate check.
-        if (is_zero_sig(sigs[id]) && try_impossible(node_lit[id], node_lit[id]) == 1) {
-            remap[id] = AigLit::constant(false);
-            continue;
+        if (is_zero_sig(sigs[id])) {
+            const sat::Lit x = encode(lit);
+            if (try_impossible(x, x) == 1) {
+                remap[id] = AigLit::constant(false);
+                continue;
+            }
         }
 
         bool merged = false;
@@ -300,12 +350,12 @@ Aig sat_sweep(const Aig& aig, Rng& rng, std::int64_t conflict_limit, std::size_t
             for (const auto cand : it->second) {
                 const int rel = sig_relation(sigs[cand], sigs[id]);
                 if (rel == 0) continue;
-                const bool invert = rel == -1;
                 // Never merge into a *deeper* representative: area recovery
                 // must not undo the depth gains of the synthesis flow.
                 if (depth_aware && out_levels.level(remap[cand]) > out_levels.level(lit)) continue;
-                if (proved_equal(id, cand, invert)) {
-                    remap[id] = invert ? !remap[cand] : remap[cand];
+                const AigLit target = rel == -1 ? !remap[cand] : remap[cand];
+                if (proved_equal(lit, target)) {
+                    remap[id] = target;
                     merged = true;
                     break;
                 }

@@ -52,6 +52,17 @@ CecResult check_equivalence(const Aig& a, const Aig& b, std::int64_t conflict_li
 /// equivalent to the input. Used as the "standard redundancy elimination"
 /// area-recovery step of the paper.
 ///
+/// Each proof is asked on the AIG being built, FRAIG-style: a node is
+/// proven against its representative's literal there, where every earlier
+/// merge is one node and so one SAT variable. One incremental solver holds
+/// the CNF of that AIG, encoded on demand: only the transitive fanin of a
+/// queried literal, each node after its fanins (`sat::Solver::solve`
+/// returns at decision level 0, so clauses can be added between queries).
+/// A counterexample assigns 0 to a PI outside every encoded cone. The
+/// question each query asks is the one it would ask of the input nodes,
+/// so the result does not depend on the encoding while no query is
+/// unresolved.
+///
 /// With `depth_aware` set (the default, for area recovery inside the
 /// synthesis flow) a node is never merged into a *deeper* representative;
 /// the CEC path disables this so structurally different implementations can

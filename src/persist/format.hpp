@@ -32,7 +32,11 @@
 namespace lls::persist {
 
 inline constexpr char kMagic[8] = {'L', 'L', 'S', 'M', 'E', 'M', 'O', '1'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Bumped whenever a stored value would replay differently from a
+/// recompute. Version 2: a cone evaluation's cost counts the conflicts of
+/// the sweep that proves merges on the AIG it builds; a version-1 store
+/// holds the old counts, so it is rejected and the run starts cold.
+inline constexpr std::uint32_t kFormatVersion = 2;
 /// Shard files published by the store; anything else in the cache
 /// directory (temp files, journals, stray files) is ignored by the loader.
 inline constexpr const char* kShardExtension = ".shard";

@@ -381,12 +381,21 @@ void Solver::reduce_learned() {
 
 Status Solver::solve(const std::vector<Lit>& assumptions, std::int64_t conflict_limit) {
     if (unsat_) return Status::Unsat;
+    // A search that threw (cancellation, the literal limit) left its levels.
     backtrack(0);
     if (propagate() != -1) {
         unsat_ = true;
         return Status::Unsat;
     }
+    const Status status = search(assumptions, conflict_limit);
+    // Back at level 0 the caller may add variables and clauses. The next
+    // call would unwind these levels first anyway, in the same trail order,
+    // so no search changes.
+    backtrack(0);
+    return status;
+}
 
+Status Solver::search(const std::vector<Lit>& assumptions, std::int64_t conflict_limit) {
     const std::int64_t start_conflicts = conflicts_;
     std::int64_t restart_num = 0;
     std::int64_t restart_budget = 100 * luby(restart_num);

@@ -34,9 +34,11 @@ enum class Status { Sat, Unsat, Unknown };
 /// grown. A copy is an independent solver in the same state (clauses,
 /// trail, activities, order heap, counters), so it searches exactly as the
 /// original would from there: copying one encoding stands in for encoding
-/// the same instance again. It is the decision engine behind the
-/// combinational equivalence checks and SAT sweeping used by the synthesis
-/// flow.
+/// the same instance again. It is incremental: variables and clauses may
+/// be added between solve() calls, which SAT sweeping uses to encode the
+/// circuit it builds as its queries reach it. It is the decision engine
+/// behind the combinational equivalence checks and SAT sweeping used by
+/// the synthesis flow.
 class Solver {
 public:
     Solver() = default;
@@ -49,7 +51,8 @@ public:
 
     int num_vars() const { return static_cast<int>(assign_.size()); }
 
-    /// Adds a clause (empty clause makes the instance trivially UNSAT).
+    /// Adds a clause (empty clause makes the instance trivially UNSAT); the
+    /// solver must be at decision level 0, as it is between solve() calls.
     /// Returns false if the solver is already known to be UNSAT.
     bool add_clause(std::vector<Lit> lits);
 
@@ -67,7 +70,9 @@ public:
     }
 
     /// Solves under the given assumptions. `conflict_limit` < 0 means no
-    /// limit; when the limit is hit, returns Status::Unknown.
+    /// limit; when the limit is hit, returns Status::Unknown. Returns at
+    /// decision level 0 (after saving the model of a Sat answer), so
+    /// variables and clauses can be added before the next call.
     Status solve(const std::vector<Lit>& assumptions = {}, std::int64_t conflict_limit = -1);
 
     /// Model value of a variable after a Sat answer.
@@ -155,6 +160,7 @@ private:
     int propagate();  // returns conflicting clause index or -1
     void analyze(int confl, int* backtrack_level);  // fills learned_
     void backtrack(int level);
+    Status search(const std::vector<Lit>& assumptions, std::int64_t conflict_limit);
     Lit pick_branch();
     void bump_var(int var);
     void bump_clause(int ci);

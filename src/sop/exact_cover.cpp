@@ -16,8 +16,14 @@ struct CoverSearch {
     std::size_t budget = 0;
     std::vector<int> best;  // best known solution (prime indices)
     bool budget_exceeded = false;
+    // rows[d * words, (d + 1) * words): the covered bitset at search depth
+    // d, so a branch writes its child's row instead of copying a vector.
+    std::vector<std::uint64_t> rows;
+    std::vector<char> prime_used;  // lower_bound's scratch
 
-    bool all_covered(const std::vector<std::uint64_t>& covered) const {
+    const std::uint64_t* row(std::size_t depth) const { return rows.data() + depth * words; }
+
+    bool all_covered(const std::uint64_t* covered) const {
         for (std::size_t w = 0; w < words; ++w) {
             std::uint64_t expect = ~0ULL;
             if (w + 1 == words && num_minterms % 64) expect = (1ULL << (num_minterms % 64)) - 1;
@@ -26,22 +32,10 @@ struct CoverSearch {
         return true;
     }
 
-    int first_uncovered(const std::vector<std::uint64_t>& covered) const {
-        for (std::size_t w = 0; w < words; ++w) {
-            std::uint64_t expect = ~0ULL;
-            if (w + 1 == words && num_minterms % 64) expect = (1ULL << (num_minterms % 64)) - 1;
-            const std::uint64_t missing = ~covered[w] & expect;
-            if (missing) return static_cast<int>(w * 64 + static_cast<std::size_t>(
-                                                              __builtin_ctzll(missing)));
-        }
-        return -1;
-    }
-
     /// Independent-set lower bound: greedily pick uncovered minterms whose
     /// covering primes are pairwise disjoint; each needs its own prime.
-    int lower_bound(const std::vector<std::uint64_t>& covered,
-                    const std::vector<std::vector<int>>& covers_of) const {
-        std::vector<char> prime_used(coverage.size(), 0);
+    int lower_bound(const std::uint64_t* covered, const std::vector<std::vector<int>>& covers_of) {
+        prime_used.assign(coverage.size(), 0);
         int bound = 0;
         for (std::size_t m = 0; m < num_minterms; ++m) {
             if ((covered[m >> 6] >> (m & 63)) & 1) continue;
@@ -58,19 +52,20 @@ struct CoverSearch {
         return bound;
     }
 
-    void search(std::vector<std::uint64_t>& covered, std::vector<int>& chosen,
+    /// Searches below the covered bitset in row `depth`.
+    void search(std::size_t depth, std::vector<int>& chosen,
                 const std::vector<std::vector<int>>& covers_of) {
         if (budget == 0) {
             budget_exceeded = true;
             return;
         }
         --budget;
-        if (all_covered(covered)) {
+        if (all_covered(row(depth))) {
             if (best.empty() || chosen.size() < best.size()) best = chosen;
             return;
         }
         if (!best.empty() &&
-            chosen.size() + static_cast<std::size_t>(lower_bound(covered, covers_of)) >=
+            chosen.size() + static_cast<std::size_t>(lower_bound(row(depth), covers_of)) >=
                 best.size())
             return;
 
@@ -78,7 +73,7 @@ struct CoverSearch {
         int branch_minterm = -1;
         std::size_t fewest = ~std::size_t{0};
         for (std::size_t m = 0; m < num_minterms; ++m) {
-            if ((covered[m >> 6] >> (m & 63)) & 1) continue;
+            if ((row(depth)[m >> 6] >> (m & 63)) & 1) continue;
             if (covers_of[m].size() < fewest) {
                 fewest = covers_of[m].size();
                 branch_minterm = static_cast<int>(m);
@@ -86,12 +81,14 @@ struct CoverSearch {
         }
         if (branch_minterm < 0) return;  // unreachable: all_covered handled it
 
+        if (rows.size() < (depth + 2) * words) rows.resize((depth + 2) * words);
         for (const int p : covers_of[static_cast<std::size_t>(branch_minterm)]) {
-            std::vector<std::uint64_t> next = covered;
+            // Deeper calls may grow `rows`: index it afresh for each branch.
             for (std::size_t w = 0; w < words; ++w)
-                next[w] |= coverage[static_cast<std::size_t>(p)][w];
+                rows[(depth + 1) * words + w] =
+                    rows[depth * words + w] | coverage[static_cast<std::size_t>(p)][w];
             chosen.push_back(p);
-            search(next, chosen, covers_of);
+            search(depth + 1, chosen, covers_of);
             chosen.pop_back();
             if (budget_exceeded) return;
         }
@@ -132,7 +129,8 @@ std::optional<Sop> exact_minimum_sop(const TruthTable& f, const TruthTable& dc,
             }
 
     // Essential primes: a minterm covered by exactly one prime forces it.
-    std::vector<std::uint64_t> covered(cs.words, 0);
+    // Their union is the covered row of search depth 0.
+    cs.rows.assign(cs.words, 0);
     std::vector<int> chosen;
     std::vector<char> taken(primes.size(), 0);
     for (std::size_t m = 0; m < minterms.size(); ++m) {
@@ -142,10 +140,10 @@ std::optional<Sop> exact_minimum_sop(const TruthTable& f, const TruthTable& dc,
         taken[static_cast<std::size_t>(p)] = 1;
         chosen.push_back(p);
         for (std::size_t w = 0; w < cs.words; ++w)
-            covered[w] |= cs.coverage[static_cast<std::size_t>(p)][w];
+            cs.rows[w] |= cs.coverage[static_cast<std::size_t>(p)][w];
     }
 
-    cs.search(covered, chosen, covers_of);
+    cs.search(0, chosen, covers_of);
     // A truncated search may hold a feasible but unproven cover; "exact"
     // semantics require declining in that case.
     if (cs.budget_exceeded || cs.best.empty()) return std::nullopt;

@@ -3,8 +3,7 @@
 #include "sop/exact_cover.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <utility>
 
 namespace lls {
 
@@ -141,43 +140,46 @@ std::vector<Cube> prime_implicants(const TruthTable& f, const TruthTable& dc) {
     // Quine-McCluskey: start from all care minterm cubes, repeatedly merge
     // pairs that differ in exactly one variable's polarity; implicants that
     // never merge are prime. This enumerates *all* primes, which exact
-    // covering requires (a greedy per-minterm expansion misses some).
-    std::set<std::pair<std::uint32_t, std::uint32_t>> current;
+    // covering requires (a greedy per-minterm expansion misses some). Each
+    // level is a sorted, duplicate-free vector of (pos, neg) pairs.
+    using Implicant = std::pair<std::uint32_t, std::uint32_t>;
+    std::vector<Implicant> current, next, primes_found;
     for (std::uint64_t m = 0; m < (std::uint64_t{1} << n); ++m)
         if (care_on.get_bit(m)) {
             const Cube c = Cube::minterm(static_cast<std::uint32_t>(m), n);
-            current.insert({c.pos, c.neg});
+            current.emplace_back(c.pos, c.neg);  // ascending m: ascending pos
         }
 
-    std::set<std::pair<std::uint32_t, std::uint32_t>> primes_set;
+    std::vector<char> merged;
     while (!current.empty()) {
-        std::vector<Cube> cubes;
-        cubes.reserve(current.size());
-        for (const auto& [pos, neg] : current) cubes.emplace_back(pos, neg);
-        std::vector<char> merged(cubes.size(), 0);
-        std::set<std::pair<std::uint32_t, std::uint32_t>> next;
-        for (std::size_t i = 0; i < cubes.size(); ++i) {
-            for (std::size_t j = i + 1; j < cubes.size(); ++j) {
+        merged.assign(current.size(), 0);
+        next.clear();
+        for (std::size_t i = 0; i < current.size(); ++i) {
+            const auto [pos_i, neg_i] = current[i];
+            for (std::size_t j = i + 1; j < current.size(); ++j) {
+                const auto [pos_j, neg_j] = current[j];
                 // Mergeable: same variable support, identical literals
                 // except exactly one variable with opposite polarity.
-                const std::uint32_t support_i = cubes[i].pos | cubes[i].neg;
-                const std::uint32_t support_j = cubes[j].pos | cubes[j].neg;
-                if (support_i != support_j) continue;
-                const std::uint32_t diff = cubes[i].pos ^ cubes[j].pos;
+                if ((pos_i | neg_i) != (pos_j | neg_j)) continue;
+                const std::uint32_t diff = pos_i ^ pos_j;
                 if (diff == 0 || (diff & (diff - 1)) != 0) continue;
-                if ((cubes[i].neg ^ cubes[j].neg) != diff) continue;
+                if ((neg_i ^ neg_j) != diff) continue;
                 merged[i] = merged[j] = 1;
-                next.insert({cubes[i].pos & ~diff, cubes[i].neg & ~diff});
+                next.emplace_back(pos_i & ~diff, neg_i & ~diff);
             }
         }
-        for (std::size_t i = 0; i < cubes.size(); ++i)
-            if (!merged[i]) primes_set.insert({cubes[i].pos, cubes[i].neg});
-        current = std::move(next);
+        for (std::size_t i = 0; i < current.size(); ++i)
+            if (!merged[i]) primes_found.push_back(current[i]);
+        std::sort(next.begin(), next.end());
+        next.erase(std::unique(next.begin(), next.end()), next.end());
+        current.swap(next);
     }
+    // Levels differ in literal count, so no prime repeats across them.
+    std::sort(primes_found.begin(), primes_found.end());
 
     // Keep only primes that cover at least one true on-set minterm.
     std::vector<Cube> primes;
-    for (const auto& [pos, neg] : primes_set) {
+    for (const auto& [pos, neg] : primes_found) {
         const Cube c(pos, neg);
         bool useful = false;
         for (std::uint64_t m = 0; m < (std::uint64_t{1} << n) && !useful; ++m)

@@ -76,6 +76,20 @@ TEST(Restructure, CriticalOnlyModeTouchesOnlyCriticalPaths) {
     EXPECT_LE(out.depth(), rca.depth());
 }
 
+TEST(Restructure, BalanceIsPinned) {
+    // balance() joins each conjunction's leaves in heap order, ties
+    // included, which fixes the node numbering: one delay-oriented round
+    // must keep its hash.
+    Aig dcl;
+    for (const BenchmarkProfile& profile : table2_profiles())
+        if (profile.name == "sparc_ifu_dcl_flat") dcl = synthetic_control_circuit(profile);
+    RestructureOptions opt;
+    opt.cut_size = 8;
+    opt.delay_oriented = true;
+    EXPECT_EQ(balance(restructure(ripple_carry_adder(32), opt)).hash(), 0x2d5de022b9a07abbULL);
+    EXPECT_EQ(balance(restructure(dcl, opt)).hash(), 0xcf2e3c86c59bce5aULL);
+}
+
 class FlowTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FlowTest, AllFlowsPreserveEquivalenceOnAdders) {

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_map>
 
+#include "aig/aig_build.hpp"
+#include "baseline/restructure.hpp"
+#include "common/bitops.hpp"
 #include "io/generators.hpp"
 #include "sim/simulation.hpp"
 
@@ -128,6 +132,193 @@ TEST(EncodeAig, CopiedSolverSearchesLikeAFreshEncoding) {
     EXPECT_EQ(solver.num_conflicts(), 8);
     EXPECT_EQ(solver.num_decisions(), 5697);
     EXPECT_EQ(solver.num_propagations(), 34262);
+}
+
+/// The sweep as it was before it encoded the swept AIG on demand, kept as
+/// the oracle of `Cec.SweepMatchesFullEncodingReference`: the whole input
+/// AIG is encoded up front and each candidate is proven between two input
+/// nodes. Every output must be the same as long as no query is unresolved.
+Aig reference_sat_sweep(const Aig& aig, Rng& rng, std::int64_t conflict_limit,
+                        std::size_t num_patterns, bool depth_aware) {
+    const SimPatterns patterns =
+        aig.num_pis() <= SimPatterns::kMaxExhaustivePis
+            ? SimPatterns::exhaustive(aig.num_pis())
+            : SimPatterns::random(aig.num_pis(), num_patterns, rng);
+    std::vector<Signature> sigs = simulate(aig, patterns);
+
+    sat::Solver solver;
+    std::vector<int> pi_vars(aig.num_pis());
+    for (auto& v : pi_vars) v = solver.new_var();
+    const std::vector<sat::Lit> node_lit = encode_aig_nodes(aig, solver, pi_vars);
+
+    std::vector<std::uint64_t> valid_mask(patterns.num_words(), ~0ULL);
+    valid_mask.back() = tail_mask(patterns.num_patterns());
+
+    std::vector<std::uint32_t> reps;
+    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
+    auto canon_hash = [&](const Signature& s) {
+        const bool flip = s[0] & 1;
+        std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+        for (std::size_t w = 0; w < s.size(); ++w) {
+            const std::uint64_t word = (flip ? ~s[w] : s[w]) & valid_mask[w];
+            h ^= word;
+            h *= 0x100000001b3ULL;
+            h ^= h >> 31;
+        }
+        return h;
+    };
+    auto sig_relation = [&](const Signature& a, const Signature& b) -> int {
+        bool eq = true, comp = true;
+        for (std::size_t w = 0; w < a.size() && (eq || comp); ++w) {
+            if ((a[w] ^ b[w]) & valid_mask[w]) eq = false;
+            if ((a[w] ^ ~b[w]) & valid_mask[w]) comp = false;
+        }
+        return eq ? 1 : (comp ? -1 : 0);
+    };
+
+    std::vector<std::vector<bool>> pending_cex;
+    auto refine = [&]() {
+        std::vector<std::uint64_t> word(aig.num_nodes(), 0);
+        for (std::size_t i = 0; i < aig.num_pis(); ++i) {
+            std::uint64_t w = 0;
+            for (std::size_t c = 0; c < pending_cex.size(); ++c)
+                if (pending_cex[c][i]) w |= 1ULL << c;
+            word[aig.pi(i)] = w;
+        }
+        for (std::uint32_t id = 1; id < aig.num_nodes(); ++id) {
+            if (!aig.is_and(id)) continue;
+            const auto& n = aig.node(id);
+            const std::uint64_t f0 =
+                n.fanin0.complemented() ? ~word[n.fanin0.node()] : word[n.fanin0.node()];
+            const std::uint64_t f1 =
+                n.fanin1.complemented() ? ~word[n.fanin1.node()] : word[n.fanin1.node()];
+            word[id] = f0 & f1;
+        }
+        for (std::uint32_t id = 0; id < aig.num_nodes(); ++id) sigs[id].push_back(word[id]);
+        valid_mask.push_back(~0ULL);
+        buckets.clear();
+        for (const auto id : reps) buckets[canon_hash(sigs[id])].push_back(id);
+        pending_cex.clear();
+    };
+    auto try_impossible = [&](sat::Lit x, sat::Lit y) -> int {
+        const sat::Status status = solver.solve({x, y}, conflict_limit);
+        if (status == sat::Status::Unsat) return 1;
+        if (status == sat::Status::Sat) {
+            std::vector<bool> cex(aig.num_pis());
+            for (std::size_t i = 0; i < aig.num_pis(); ++i) cex[i] = solver.model_value(pi_vars[i]);
+            pending_cex.push_back(std::move(cex));
+            return 0;
+        }
+        return -1;
+    };
+    auto proved_equal = [&](std::uint32_t n1, std::uint32_t n2, bool complemented) {
+        const sat::Lit a = node_lit[n1];
+        const sat::Lit b = complemented ? !node_lit[n2] : node_lit[n2];
+        return try_impossible(a, !b) == 1 && try_impossible(!a, b) == 1;
+    };
+
+    Aig out;
+    AigLevelTracker out_levels(out);
+    std::vector<AigLit> remap(aig.num_nodes(), AigLit::constant(false));
+    for (std::size_t i = 0; i < aig.num_pis(); ++i) remap[aig.pi(i)] = out.add_pi(aig.pi_name(i));
+    for (std::size_t i = 0; i < aig.num_pis(); ++i) {
+        reps.push_back(aig.pi(i));
+        buckets[canon_hash(sigs[aig.pi(i)])].push_back(aig.pi(i));
+    }
+    auto is_zero_sig = [&](const Signature& s) {
+        for (std::size_t w = 0; w < s.size(); ++w)
+            if (s[w] & valid_mask[w]) return false;
+        return true;
+    };
+    for (std::uint32_t id = 1; id < aig.num_nodes(); ++id) {
+        if (!aig.is_and(id)) continue;
+        const auto& n = aig.node(id);
+        const AigLit f0 = n.fanin0.complemented() ? !remap[n.fanin0.node()] : remap[n.fanin0.node()];
+        const AigLit f1 = n.fanin1.complemented() ? !remap[n.fanin1.node()] : remap[n.fanin1.node()];
+        const AigLit lit = out.land(f0, f1);
+        if (is_zero_sig(sigs[id]) && try_impossible(node_lit[id], node_lit[id]) == 1) {
+            remap[id] = AigLit::constant(false);
+            continue;
+        }
+        bool merged = false;
+        const auto it = buckets.find(canon_hash(sigs[id]));
+        if (it != buckets.end()) {
+            for (const auto cand : it->second) {
+                const int rel = sig_relation(sigs[cand], sigs[id]);
+                if (rel == 0) continue;
+                const bool invert = rel == -1;
+                if (depth_aware && out_levels.level(remap[cand]) > out_levels.level(lit)) continue;
+                if (proved_equal(id, cand, invert)) {
+                    remap[id] = invert ? !remap[cand] : remap[cand];
+                    merged = true;
+                    break;
+                }
+            }
+        }
+        if (!merged) {
+            remap[id] = lit;
+            reps.push_back(id);
+            buckets[canon_hash(sigs[id])].push_back(id);
+        }
+        if (pending_cex.size() >= 64) refine();
+    }
+    for (std::size_t i = 0; i < aig.num_pos(); ++i) {
+        const AigLit po = aig.po(i);
+        out.add_po(po.complemented() ? !remap[po.node()] : remap[po.node()], aig.po_name(i));
+    }
+    return out.cleanup();
+}
+
+/// The joint circuit check_equivalence sweeps: both sides over shared PIs,
+/// the POs of `a` followed by those of `b`.
+Aig joint_miter(const Aig& a, const Aig& b) {
+    Aig joint;
+    std::vector<AigLit> pi_map;
+    for (std::size_t i = 0; i < a.num_pis(); ++i) pi_map.push_back(joint.add_pi(a.pi_name(i)));
+    const auto pos_a = append_aig(joint, a, pi_map);
+    const auto pos_b = append_aig(joint, b, pi_map);
+    for (const AigLit po : pos_a) joint.add_po(po);
+    for (const AigLit po : pos_b) joint.add_po(po);
+    return joint;
+}
+
+TEST(Cec, SweepMatchesFullEncodingReference) {
+    // Proving each merge on the AIG being built asks the same functional
+    // question as proving it between two input nodes, so the swept AIG is
+    // the one the full up-front encoding gives, in both of the sweep's
+    // uses: area recovery (depth-aware) and the CEC's joint miter.
+    std::vector<std::pair<std::string, Aig>> inputs;
+    for (const int bits : {8, 16, 32})
+        inputs.emplace_back("rca" + std::to_string(bits), ripple_carry_adder(bits));
+    for (const BenchmarkProfile& profile : table2_profiles())
+        for (const char* name : {"C432", "C880", "dalu", "sparc_tlu_intctl_flat", "rot"})
+            if (profile.name == name) inputs.emplace_back(name, synthetic_control_circuit(profile));
+    ASSERT_EQ(inputs.size(), 8u);
+
+    RestructureOptions round;
+    round.cut_size = 8;
+    round.delay_oriented = true;
+    for (const auto& [name, input] : inputs) {
+        const Aig restructured = balance(restructure(input, round));
+        const std::pair<std::string, Aig> cases[] = {
+            {name, input},
+            {name + " round", restructured},
+            {name + " miter", joint_miter(input, restructured)},
+        };
+        for (const auto& [label, aig] : cases) {
+            for (const bool depth_aware : {true, false}) {
+                const std::int64_t limit = depth_aware ? 2000 : 5000;
+                const std::size_t patterns = depth_aware ? 1024 : 2048;
+                Rng expected_rng(0xfaced5eedULL);
+                Rng actual_rng(0xfaced5eedULL);
+                const Aig expected =
+                    reference_sat_sweep(aig, expected_rng, limit, patterns, depth_aware);
+                const Aig actual = sat_sweep(aig, actual_rng, limit, patterns, depth_aware);
+                EXPECT_EQ(actual.hash(), expected.hash())
+                    << label << (depth_aware ? " depth-aware" : " cec");
+            }
+        }
+    }
 }
 
 TEST(SatSweep, MergesDuplicatedLogic) {

@@ -139,10 +139,10 @@ TEST(Engine, FlowOutputIsPinned) {
         const char* summary;
     } cases[] = {
         {"rca16", ripple_carry_adder(16), LookaheadParams{},
-         "hash 7fbe37dfc6659c44 ands 493 depth 14 work 3963 iterations 9 decomposed 22 "
+         "hash 7fbe37dfc6659c44 ands 493 depth 14 work 3614 iterations 9 decomposed 22 "
          "verified 1 log 2e31ac468ac1787e"},
         {"lsu_stb_ctl_flat", lsu, four_iterations,
-         "hash 3e18650427336ed7 ands 2814 depth 23 work 1663 iterations 3 decomposed 3 "
+         "hash 3e18650427336ed7 ands 2814 depth 23 work 1481 iterations 3 decomposed 3 "
          "verified 1 log 0bd2718590b801f1"},
         {"rca16 resource@decompose", ripple_carry_adder(16), faulted,
          "hash 1ebf8b3762ce2890 ands 181 depth 20 work 4 iterations 1 decomposed 0 "

@@ -87,6 +87,37 @@ TEST(SatSolver, Assumptions) {
     EXPECT_FALSE(s.model_value(a));
 }
 
+TEST(SatSolver, ClausesCanBeAddedBetweenSolves) {
+    // solve() returns at decision level 0 whatever its answer, so a caller
+    // can grow the instance between queries, as SAT sweeping does when it
+    // encodes the cone of each new query.
+    Solver s;
+    const int a = s.new_var(), b = s.new_var(), free = s.new_var();
+    s.add_clause(Lit(a, false), Lit(b, false));                // a | b
+    ASSERT_EQ(s.solve({Lit(free, false), Lit(a, true)}), Status::Sat);
+    EXPECT_TRUE(s.model_value(b));
+
+    // After a SAT answer: b -> c -> a makes a unconditional.
+    const int c = s.new_var();
+    s.add_clause(Lit(b, true), Lit(c, false));
+    s.add_clause(Lit(c, true), Lit(a, false));
+    // The first assumption holds, so the second is refuted one level up.
+    EXPECT_EQ(s.solve({Lit(free, false), Lit(a, true)}), Status::Unsat);
+
+    // After an UNSAT-under-assumptions answer: a -> d -> !b.
+    const int d = s.new_var();
+    s.add_clause(Lit(a, true), Lit(d, false));
+    s.add_clause(Lit(d, true), Lit(b, true));
+    ASSERT_EQ(s.solve(), Status::Sat);
+    EXPECT_TRUE(s.model_value(a));
+    EXPECT_TRUE(s.model_value(d));
+    EXPECT_FALSE(s.model_value(b));
+    EXPECT_FALSE(s.model_value(c) && !s.model_value(a));
+    EXPECT_EQ(s.solve({Lit(b, false)}), Status::Unsat);
+    EXPECT_EQ(s.solve({Lit(c, false)}), Status::Sat);
+    EXPECT_TRUE(s.model_value(a) && s.model_value(d) && !s.model_value(b));
+}
+
 /// php(7,6): 7 pigeons in 6 holes, unsatisfiable and hard enough that a
 /// search cannot finish in a handful of conflicts.
 Solver hard_pigeonhole() {

@@ -23,7 +23,8 @@
 # persistent-memo-store checks (cold stores
 # with the same shard contents at --jobs 1 and 4, warm runs byte-identical
 # to cold across --jobs, with the same per-round log and fault lines;
-# corrupted stores degrade to cold start), a graceful-shutdown
+# corrupted stores and stores of an older format version degrade to cold
+# start), a graceful-shutdown
 # check (SIGTERM mid-batch must exit with the documented resumable code,
 # leave a valid journal, and --resume must reproduce the uninterrupted
 # bytes), then the concurrency-sensitive
@@ -127,7 +128,9 @@ echo "== stage 1b: LLS_DCHECK invariants (Debug) =="
 # suites reach the solver's watch, trail and order-heap checks, the
 # truth-table and SOP internals (the index checks of inline truth-table
 # words and of cut leaves, which no standard-library assertion covers:
-# test_tt, test_aig), and the bit-sliced timing simulation's no-overflow
+# test_tt, test_aig), the SAT sweep's on-demand encoder, which must encode
+# every node after both of its fanins (test_cec), and the bit-sliced
+# timing simulation's no-overflow
 # check (test_sim, test_spcf) next to the word-parallel node evaluation
 # (test_network); the stage takes under a minute on 4 cores.
 DEBUG_TESTS=(test_sat test_cec test_sop test_tt test_aig test_lookahead test_sim test_network
@@ -344,7 +347,7 @@ done
 echo "cold stores identical for --jobs 1/4"
 echo "warm outputs, iter and fault lines identical to cold for --jobs 1/2/4, warm hits recorded"
 
-echo "== stage 4c: corrupted store degrades to cold start, not failure =="
+echo "== stage 4c: corrupted or stale store degrades to cold start, not failure =="
 # Truncate and bit-flip every shard: the run must exit 0, report a cold
 # start, and still produce the same bytes (recomputed).
 CORRUPT="$WORKDIR/memo_corrupt"
@@ -361,6 +364,24 @@ grep -q "persist: cold start" "$WORKDIR/persist.corrupt.log" || {
     echo "expected cold-start fallback on corrupted store"; exit 1; }
 cmp "$WORKDIR/persist.cold.aag" "$WORKDIR/persist.corrupt.aag"
 echo "corrupted store contained: cold start, byte-identical output"
+# A store written by a build of format version 1 holds cone costs this
+# build would charge differently: every shard must be rejected by name and
+# the run must start cold, with the same bytes.
+STALE="$WORKDIR/memo_stale"
+cp -r "$CACHE" "$STALE"
+for f in "$STALE"/*.shard; do
+    printf '\x01\x00\x00\x00' | dd of="$f" bs=1 seek=8 conv=notrunc status=none
+done
+./build/tools/lls_opt --cache-dir "$STALE" --cache-mode read --jobs 2 \
+    --iterations 6 --aiger "$WORKDIR/persist.stale.aag" \
+    tests/data/rca16.blif "$WORKDIR/persist.stale.blif" \
+    > "$WORKDIR/persist.stale.log" 2> "$WORKDIR/persist.stale.err"
+grep -q "persist: cold start" "$WORKDIR/persist.stale.log" || {
+    echo "expected cold-start fallback on a version-1 store"; exit 1; }
+grep -q "^persist: rejected shard: .*format version 1, expected 2" "$WORKDIR/persist.stale.err" || {
+    echo "expected a format-version rejection note"; cat "$WORKDIR/persist.stale.err"; exit 1; }
+cmp "$WORKDIR/persist.cold.aag" "$WORKDIR/persist.stale.aag"
+echo "version-1 store rejected by name: cold start, byte-identical output"
 
 echo "== stage 4d: SIGTERM mid-batch is resumable and byte-identical =="
 # A larger batch (distinct copies so names stay unique in the journal and
