@@ -9,9 +9,10 @@
 //
 //   bench_parallel [bits] [max_jobs] [iterations]
 //
-// Results go to stdout and to BENCH_parallel.json (machine-readable, one
-// object per jobs value, plus a "budgeted" section) so the perf trajectory
-// is tracked across PRs.
+// Results go to stdout and to BENCH_parallel.json (machine-readable: the
+// provenance, one object per jobs value, plus a "budgeted" section) so the
+// perf trajectory is tracked across changes. A file that cannot be written
+// exits 1.
 
 #include <algorithm>
 #include <cstdio>
@@ -24,6 +25,7 @@
 #include "common/thread_pool.hpp"
 #include "engine/engine.hpp"
 #include "io/generators.hpp"
+#include "provenance.hpp"
 
 using namespace lls;
 
@@ -131,7 +133,8 @@ int main(int argc, char** argv) {
     std::printf("QoR identical across job counts with budget: %s\n",
                 budgeted_identical ? "yes" : "NO (BUG)");
 
-    std::string json = "{\"circuit\":\"rca" + std::to_string(bits) + "\",\"bits\":" +
+    std::string json = "{\"provenance\":" + provenance_json() + ",\"circuit\":\"rca" +
+                       std::to_string(bits) + "\",\"bits\":" +
                        std::to_string(bits) + ",\"iterations\":" + std::to_string(iterations) +
                        ",\"hardware_threads\":" + std::to_string(ThreadPool::hardware_jobs()) +
                        ",\"qor_identical\":" + (identical ? "true" : "false") +
@@ -139,10 +142,13 @@ int main(int argc, char** argv) {
                        ",\"budgeted\":{\"work_budget\":" + std::to_string(work_budget) +
                        ",\"qor_identical\":" + (budgeted_identical ? "true" : "false") +
                        ",\"runs\":" + rows_json(budgeted_rows) + "}}\n";
-    if (std::FILE* f = std::fopen("BENCH_parallel.json", "w")) {
-        std::fputs(json.c_str(), f);
-        std::fclose(f);
-        std::printf("wrote BENCH_parallel.json\n");
+    std::FILE* f = std::fopen("BENCH_parallel.json", "w");
+    bool written = f != nullptr && std::fputs(json.c_str(), f) >= 0;
+    if (f != nullptr && std::fclose(f) != 0) written = false;
+    if (!written) {
+        std::fprintf(stderr, "error writing BENCH_parallel.json\n");
+        return 1;
     }
+    std::printf("wrote BENCH_parallel.json\n");
     return identical && budgeted_identical ? 0 : 1;
 }

@@ -9,8 +9,6 @@
 // levels and mapped delay on average, at a modest power premium over the
 // best baseline.
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -21,6 +19,7 @@
 #include "io/generators.hpp"
 #include "lookahead/optimize.hpp"
 #include "mapping/mapper.hpp"
+#include "provenance.hpp"
 
 using namespace lls;
 
@@ -43,15 +42,6 @@ FlowResult evaluate(const Aig& original, const Aig& optimized, const CellLibrary
     const MappedCircuit mapped = map_circuit(optimized, lib);
     return FlowResult{optimized.count_reachable_ands(), optimized.depth(), mapped.delay_ps,
                       mapped.power_mw};
-}
-
-/// Where the numbers come from, with lls_bench's field names: the machine's
-/// online CPUs, the build type, the compiler and the tree the binary was
-/// configured from (git values are fixed at configure time).
-std::string provenance_json() {
-    return "{\"nproc\":" + std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
-           ",\"cmake_build_type\":\"" LLS_BUILD_TYPE "\",\"compiler\":\"" __VERSION__
-           "\",\"git_sha\":\"" LLS_GIT_SHA "\",\"git_dirty\":\"" LLS_GIT_DIRTY "\"}";
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/cancel.hpp"
 #include "common/error.hpp"
 
 namespace lls {
@@ -39,10 +38,6 @@ BddManager::BddManager(int num_vars, std::size_t node_limit)
 
 BddManager::Ref BddManager::make_node(int var, Ref low, Ref high) {
     if (low == high) return low;
-    // Every BDD operation funnels through node construction, so this one
-    // poll bounds an exponentially blowing-up ITE recursion in wall-clock
-    // time the same way node_limit_ bounds it in count.
-    poll_cancellation("bdd");
     const std::uint64_t key = pack(var, low, high);
     if (const auto it = unique_.find(key); it != unique_.end()) {
         ++stats_.unique_hits;
@@ -89,7 +84,6 @@ BddManager::Ref BddManager::ite(Ref f, Ref g, Ref h) {
         return slot.result;
     }
     ++stats_.ite_misses;
-    poll_cancellation("bdd");
 
     const std::uint64_t wf = nodes_[f], wg = nodes_[g], wh = nodes_[h];
     const int top = std::min({word_var(wf), word_var(wg), word_var(wh)});

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "common/bitops.hpp"
-#include "common/cancel.hpp"
 #include "sim/simulation.hpp"
 
 namespace lls {
@@ -297,10 +296,7 @@ Aig sat_sweep(const Aig& aig, Rng& rng, std::int64_t conflict_limit, std::size_t
 
     // Returns 1 if (x=1 and y=1) proven impossible, 0 if satisfiable (the
     // model is recorded as a refinement pattern), -1 if unresolved.
-    // Cancellation is polled here, between queries, as well as inside
-    // each solve.
     auto try_impossible = [&](sat::Lit x, sat::Lit y) -> int {
-        poll_cancellation("sweep");
         const sat::Status status = solver.solve({x, y}, conflict_limit);
         if (status == sat::Status::Unsat) return 1;
         if (status == sat::Status::Sat) {

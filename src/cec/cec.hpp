@@ -40,8 +40,6 @@ struct CecResult {
 /// caller's run context: its `cost` sink (when attached) accumulates the
 /// SAT conflicts spent by the internal sweep and the final miter
 /// (deterministic work metering for budgeted runs, common/budget.hpp).
-/// Every solve polls the thread's CancelScope, so a shutdown request
-/// reaches the miter mid-solve.
 CecResult check_equivalence(const Aig& a, const Aig& b, std::int64_t conflict_limit = -1,
                             const RunContext& ctx = RunContext{});
 
@@ -68,10 +66,7 @@ CecResult check_equivalence(const Aig& a, const Aig& b, std::int64_t conflict_li
 /// the CEC path disables this so structurally different implementations can
 /// collapse onto each other.
 ///
-/// `ctx.cost` (when attached) accumulates the solver's conflicts; the
-/// sweep additionally polls cancellation between individual SAT queries —
-/// not just inside the solve loop — so a shutdown request fires at query
-/// granularity during area recovery.
+/// `ctx.cost` (when attached) accumulates the solver's conflicts.
 Aig sat_sweep(const Aig& aig, Rng& rng, std::int64_t conflict_limit = 2000,
               std::size_t num_patterns = 1024, bool depth_aware = true,
               const RunContext& ctx = RunContext{});

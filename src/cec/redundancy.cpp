@@ -1,7 +1,6 @@
 #include "cec/redundancy.hpp"
 
 #include "cec/cec.hpp"
-#include "common/cancel.hpp"
 #include "sim/simulation.hpp"
 
 namespace lls {
@@ -49,7 +48,6 @@ Aig remove_redundancies(const Aig& aig, Rng& rng, int max_removals,
         for (std::uint32_t id = 1; id < current.num_nodes() && !changed; ++id) {
             if (!current.is_and(id)) continue;
             for (int slot = 0; slot < 2 && !changed; ++slot) {
-                poll_cancellation("redundancy");
                 const Aig faulty = with_edge_stuck_at_1(current, id, slot);
 
                 // Simulation screen: a pattern that detects the fault

@@ -17,8 +17,7 @@ namespace lls {
 /// Exhaustive by nature (every edge is a candidate), so intended for
 /// small/medium circuits and for the ablation studies; `max_removals`
 /// bounds the fixpoint iteration. `ctx` carries the caller's work-cost
-/// sink (common/run_context.hpp); each candidate edge polls cancellation
-/// before its (potentially expensive) SAT proof.
+/// sink (common/run_context.hpp).
 Aig remove_redundancies(const Aig& aig, Rng& rng, int max_removals = 100,
                         std::int64_t conflict_limit = 100000,
                         const RunContext& ctx = RunContext{});

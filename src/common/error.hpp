@@ -26,7 +26,6 @@ enum class ErrorKind {
     VerificationFailed,  ///< an equivalence check failed or could not be resolved
     InvariantViolation,  ///< an internal contract was broken
     IoError,             ///< filesystem open/read/write failure
-    Cancelled,           ///< cooperative cancellation: the shutdown token was requested
 };
 
 inline const char* error_kind_name(ErrorKind kind) {
@@ -37,16 +36,16 @@ inline const char* error_kind_name(ErrorKind kind) {
         case ErrorKind::VerificationFailed: return "verify";
         case ErrorKind::InvariantViolation: return "invariant";
         case ErrorKind::IoError: return "io";
-        case ErrorKind::Cancelled: return "cancelled";
     }
     return "unknown";
 }
 
 // Documented process exit codes (printed by `lls_opt --help`). 0 = success,
 // 1 = non-equivalent result in single-circuit mode, 2 = usage error.
-// Library failures map per ErrorKind below; kExitSignalShutdown is
-// "terminated by signal, checkpoint flushed" — distinct so scripts know
-// `--resume` will continue cleanly.
+// Library failures map per ErrorKind below (10-15; codes 16 and 42 are
+// retired and never reused). kExitSignalShutdown is "terminated by signal,
+// checkpoint flushed" — distinct so scripts know `--resume` will continue
+// cleanly (common/shutdown.hpp).
 inline constexpr int kExitNotEquivalent = 1;
 inline constexpr int kExitUsage = 2;
 inline constexpr int kExitSignalShutdown = 30;
@@ -59,7 +58,6 @@ inline int exit_code_for(ErrorKind kind) {
         case ErrorKind::VerificationFailed: return 13;
         case ErrorKind::InvariantViolation: return 14;
         case ErrorKind::IoError: return 15;
-        case ErrorKind::Cancelled: return 16;
     }
     return 14;
 }

@@ -5,7 +5,7 @@
 // A FaultPlan is parsed from the spec grammar `kind@site`, comma-separated
 // for several specs:
 //
-//   kind  := parse | resource | solver | verify | invariant | io | cancel | oom
+//   kind  := parse | resource | solver | verify | invariant | io | oom
 //   site  := decompose | spcf | sat | cec | run
 //
 // Injection is deterministic by construction: a spec `kind@site` fires a
@@ -141,7 +141,6 @@ private:
         else if (kind == "verify") spec.kind = ErrorKind::VerificationFailed;
         else if (kind == "invariant") spec.kind = ErrorKind::InvariantViolation;
         else if (kind == "io") spec.kind = ErrorKind::IoError;
-        else if (kind == "cancel") spec.kind = ErrorKind::Cancelled;
         else if (kind == "oom") {
             spec.kind = ErrorKind::ResourceExhausted;
             spec.bad_alloc = true;

@@ -6,8 +6,7 @@
 // all take a `const RunContext&`. Every field is an unowned pointer that
 // must outlive the call; every field defaults to "absent", so
 // `RunContext{}` is a valid do-nothing context for tests and simple CLI
-// paths. The fault plan rides in LookaheadParams, and the shutdown token
-// in the thread's CancelScope (common/cancel.hpp).
+// paths. The fault plan rides in LookaheadParams.
 //
 // The `executor` field carries the run's pool inside one cone evaluation:
 // secondary simplification fans its independent per-cube SAT don't-care

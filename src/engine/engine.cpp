@@ -74,17 +74,6 @@ FaultRecord fault_record_of(const std::exception& e) {
     return record;
 }
 
-bool shutdown_requested(const CancelToken* cancel) {
-    return cancel != nullptr && cancel->requested();
-}
-
-/// A shutdown unwinding the run: a Cancelled error while the shutdown token
-/// is requested. An injected `cancel` fault raises the same kind with no
-/// request pending; it is an ordinary contained fault.
-bool is_shutdown(const std::exception& e, const CancelToken* cancel) {
-    return error_kind_of(e) == ErrorKind::Cancelled && shutdown_requested(cancel);
-}
-
 }  // namespace
 
 std::uint64_t lookahead_params_fingerprint(const LookaheadParams& p) {
@@ -182,11 +171,11 @@ private:
         return params_.time_budget_seconds > 0.0 &&
                run_clock_.elapsed_seconds() >= params_.time_budget_seconds;
     }
-    /// Serial-point check of both stop sources; flags the run when the
-    /// wall-clock rail is what fired.
+    /// Serial-point check of the wall-clock rail; flags the run once it
+    /// fired.
     bool stop_requested() {
         if (time_budget_expired()) wall_clock_interrupted_ = true;
-        return wall_clock_interrupted_ || shutdown_requested(engine_.cancel);
+        return wall_clock_interrupted_;
     }
     /// Context of the *serial* stages (SAT sweeping, CEC): a cost sink for
     /// --metrics, never an executor.
@@ -220,7 +209,6 @@ private:
     MetricCounter& budget_stops_ = metrics_.counter("engine.budget_exhausted");
     MetricCounter& wall_clock_stops_ = metrics_.counter("engine.wall_clock_interrupts");
     MetricCounter& fault_records_ = metrics_.counter("engine.fault.records");
-    MetricCounter& shutdown_stops_ = metrics_.counter("engine.cancel.shutdowns");
     MetricCounter& runs_ = metrics_.counter("engine.runs");
     const ScopedTimer total_scope_{total_timer_};
 
@@ -247,10 +235,6 @@ private:
     WorkBudget budget_{params_.work_budget};
     const Stopwatch run_clock_;
     bool wall_clock_interrupted_ = false;
-    // The serial stages run under the shutdown token, so a SIGTERM reaches
-    // the polls in SAT sweeping and CEC too; `run` catches the Cancelled
-    // error and returns the best verified circuit so far.
-    const CancelScope serial_cancel_scope_{engine_.cancel};
     OptimizeStats stats_;
     std::size_t and_budget_ = 0;
     Aig best_ = original_;
@@ -290,21 +274,19 @@ Round EngineRun::gather(const Aig& current, int depth) {
 /// private cones, simulators and SAT solvers. The work budget is never
 /// consulted here — every admitted task runs to completion, so the set of
 /// evaluated cones cannot depend on the schedule. Only the wall-clock rail
-/// or a shutdown may abandon a round, and then the caller discards it.
+/// may abandon a round, and then the caller discards it.
 void EngineRun::evaluate(const Aig& current, Round& round) const {
     const ScopedTimer evaluate_scope(evaluate_timer_);
     round.evaluations.resize(round.task_po.size());
     pool_.parallel_for(0, round.task_po.size(), [&](std::size_t i) {
         // Stop dispatching: a task that has not started is skipped.
-        if (time_budget_expired() || shutdown_requested(engine_.cancel)) return;
+        if (time_budget_expired()) return;
         // Task-boundary backstop for what escaped the per-cone boundary
         // (cone extraction, the memo itself, allocation): the cone keeps its
-        // original structure and the round continues. A shutdown leaves the
-        // slot empty, with no fault record.
+        // original structure and the round continues.
         try {
             round.evaluations[i] = evaluate_cone(current, round.task_po[i]);
         } catch (const std::exception& e) {
-            if (is_shutdown(e, engine_.cancel)) return;
             ConeEvaluation degraded;
             degraded.fault = fault_record_of(e);
             round.evaluations[i] = std::move(degraded);
@@ -315,11 +297,9 @@ void EngineRun::evaluate(const Aig& current, Round& round) const {
 /// One candidate, memoized by (cone structural hash, params fingerprint):
 /// a pure function of (cone, params), its work cost and fault record
 /// included. The per-cone fault boundary runs *inside* the memoized
-/// computation: any exception other than a shutdown becomes the fault
-/// record, the cone keeps its original structure, and the work spent before
-/// the throw is still charged — bit-identical across job counts and
-/// replayed verbatim on a memo hit. A shutdown propagates unrecorded and
-/// unmemoized: the round is discarded, and `--resume` re-evaluates the cone.
+/// computation: any exception becomes the fault record, the cone keeps its
+/// original structure, and the work spent before the throw is still charged
+/// — bit-identical across job counts and replayed verbatim on a memo hit.
 ConeEvaluation EngineRun::evaluate_cone(const Aig& current, std::size_t po) const {
     const Aig cone = extract_cone(current, po);
     const std::uint64_t cone_hash = cone.hash();
@@ -332,26 +312,19 @@ ConeEvaluation EngineRun::evaluate_cone(const Aig& current, std::size_t po) cons
     }
     cones_evaluated_.add();
     ConeEvaluation evaluation;
-    {
-        // The scope puts the token in front of every poll of this
-        // evaluation, and the proof tasks it fans out install it on
-        // whichever worker runs them. The context carries the evaluation's
-        // own cost sink (the memo stores and replays every unit spent) and
-        // the run's pool as the executor of the per-cube SAT don't-care
-        // fan-out.
-        const CancelScope cancel_scope(engine_.cancel);
-        RunContext ctx;
-        ctx.cost = &evaluation.cost;
-        ctx.metrics = &metrics_;
-        ctx.executor = pool_.size() > 0 ? &pool_ : nullptr;
-        Rng cone_rng(hash_mix(fingerprint_, cone_hash));
-        try {
-            if (auto outcome = decompose_output(cone, params_, cone_rng, ctx))
-                evaluation.outcome = std::make_shared<const DecomposeOutcome>(std::move(*outcome));
-        } catch (const std::exception& e) {
-            if (is_shutdown(e, engine_.cancel)) throw;
-            evaluation.fault = fault_record_of(e);
-        }
+    // The context carries the evaluation's own cost sink (the memo stores
+    // and replays every unit spent) and the run's pool as the executor of
+    // the per-cube SAT don't-care fan-out.
+    RunContext ctx;
+    ctx.cost = &evaluation.cost;
+    ctx.metrics = &metrics_;
+    ctx.executor = pool_.size() > 0 ? &pool_ : nullptr;
+    Rng cone_rng(hash_mix(fingerprint_, cone_hash));
+    try {
+        if (auto outcome = decompose_output(cone, params_, cone_rng, ctx))
+            evaluation.outcome = std::make_shared<const DecomposeOutcome>(std::move(*outcome));
+    } catch (const std::exception& e) {
+        evaluation.fault = fault_record_of(e);
     }
     decompose_memo().put(key, evaluation);
     return evaluation;
@@ -496,9 +469,8 @@ void EngineRun::decomposition_pass(Aig current) {
         if (depth < 2) break;
         Round round = gather(current, depth);
         evaluate(current, round);
-        // Wall-clock interruption or shutdown: the partially evaluated round
-        // is discarded — never charged, never committed — so a resumed run
-        // retraces the uninterrupted trajectory exactly.
+        // Wall-clock interruption: the partially evaluated round is
+        // discarded — never charged, never committed.
         if (stop_requested()) break;
         charge(current, round);
         int improved_outputs = 0;
@@ -544,7 +516,7 @@ void EngineRun::decomposition_pass(Aig current) {
 void EngineRun::restructure_pass() {
     Aig preopt = balance(original_);
     if (better(preopt, best_)) best_ = preopt;
-    for (int r = 0; r < 10 && !shutdown_requested(engine_.cancel); ++r) {
+    for (int r = 0; r < 10; ++r) {
         Aig restructured;
         {
             const ScopedTimer restructure_scope(restructure_timer_);
@@ -557,27 +529,15 @@ void EngineRun::restructure_pass() {
     if (!verify(preopt, original_, /*conflict_limit=*/1000000, "restructure-only"))
         preopt = original_;
     if (better(preopt, best_)) best_ = preopt;
-    if (preopt.depth() < original_.depth() && !shutdown_requested(engine_.cancel))
-        decomposition_pass(std::move(preopt));
+    if (preopt.depth() < original_.depth()) decomposition_pass(std::move(preopt));
 }
 
 Aig EngineRun::run(OptimizeStats* stats) && {
-    // The passes run under a graceful-shutdown boundary: a Cancelled error
-    // raised by a poll in the *serial* stages (SAT sweeping, CEC,
-    // restructuring's solver work) unwinds to here and the run returns the
-    // best verified circuit so far. Anything else propagates unchanged.
-    try {
-        // Pass 1: decomposition starting from the raw circuit (deep chains
-        // are where the windows are easiest to find).
-        decomposition_pass(original_);
-        if (params_.baseline_preoptimize && !shutdown_requested(engine_.cancel))
-            restructure_pass();
-    } catch (const std::exception& e) {
-        if (!is_shutdown(e, engine_.cancel)) throw;
-    }
+    // Pass 1: decomposition starting from the raw circuit (deep chains are
+    // where the windows are easiest to find).
+    decomposition_pass(original_);
+    if (params_.baseline_preoptimize) restructure_pass();
 
-    stats_.cancelled = shutdown_requested(engine_.cancel);
-    if (stats_.cancelled) shutdown_stops_.add();
     stats_.final_depth = best_.depth();
     stats_.final_ands = best_.count_reachable_ands();
     stats_.work_units = budget_.spent();
@@ -628,35 +588,18 @@ std::vector<BatchOutcome> optimize_timing_batch(
         outcome.name = items[i].name;
         // Item-level fault boundary: one failing circuit must not abort the
         // other 99; it is reported through `failed`/`error` and the metrics
-        // registry. Once a shutdown is requested, no item starts.
-        bool returned = false;
-        if (!shutdown_requested(engine.cancel)) {
-            try {
-                outcome.output = EngineRun(items[i].input, params, per_item).run(&outcome.stats);
-                returned = true;
-            } catch (const std::exception& e) {
-                if (!is_shutdown(e, engine.cancel)) {
-                    outcome.failed = true;
-                    outcome.error = e.what();
-                    Metrics::global().counter("engine.batch.item_failures").add();
-                }
-            }
-        }
-        // An item that did not run to completion keeps its cleaned input —
-        // the per-cone boundary's keep-original rule — with fresh stats
-        // marked unverified.
-        if (!returned) {
+        // registry, and keeps its cleaned input — the per-cone boundary's
+        // keep-original rule — with fresh stats marked unverified.
+        try {
+            outcome.output = EngineRun(items[i].input, params, per_item).run(&outcome.stats);
+        } catch (const std::exception& e) {
+            outcome.failed = true;
+            outcome.error = e.what();
             outcome.output = items[i].input.cleanup();
             outcome.stats = OptimizeStats{};
             outcome.stats.verified = false;
+            Metrics::global().counter("engine.batch.item_failures").add();
         }
-        // A shutdown before the item started, or while it ran (the run then
-        // returns its best verified circuit with stats.cancelled), cancels
-        // it: the CLI neither journals nor writes it, and `--resume` re-runs
-        // it from scratch.
-        outcome.cancelled = returned ? outcome.stats.cancelled : !outcome.failed;
-        if (outcome.cancelled)
-            Metrics::global().counter("engine.cancel.batch_items_cancelled").add();
         outcome.seconds = item_clock.elapsed_seconds();
         if (on_complete) {
             const std::lock_guard<std::mutex> lock(complete_mutex);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "common/cancel.hpp"
 #include "engine/cache.hpp"
 #include "lookahead/optimize.hpp"
 #include "lookahead/params.hpp"
@@ -18,10 +17,10 @@ class WarmStart;
 /// Execution knobs of the concurrent optimization engine. These control
 /// *how* the flow runs, never *what* it computes: the result is
 /// bit-identical for every `jobs` value, including runs bounded by the
-/// deterministic `params.work_budget`. The only escape hatches are the
+/// deterministic `params.work_budget`. The only escape hatch is the
 /// wall-clock safety rail `params.time_budget_seconds`, which is reported
-/// as nondeterministic when it fires, and a shutdown request on `cancel`
-/// (see docs/ENGINE.md, "Determinism contract" and "Budget semantics").
+/// as nondeterministic when it fires (see docs/ENGINE.md, "Determinism
+/// contract" and "Budget semantics").
 struct EngineOptions {
     /// Threads used to evaluate per-cone decomposition candidates (in batch
     /// mode, split between the items that run at a time). 1 = serial.
@@ -34,16 +33,6 @@ struct EngineOptions {
     /// Imported entries replay their stored WorkCost, so budgeted warm
     /// runs stay bit-identical to cold ones. Not owned.
     WarmStart* warm_start = nullptr;
-
-    /// Process/batch-level cooperative cancellation (common/cancel.hpp),
-    /// or nullptr for none. When the token is requested — the CLI's
-    /// SIGTERM/SIGINT handler does this — the engine stops dispatching new
-    /// cones and rounds, cancels in-flight evaluations at their next poll,
-    /// and returns with `OptimizeStats::cancelled` set; batch mode stops
-    /// starting items and marks interrupted ones `BatchOutcome::cancelled`
-    /// so they are never journaled or written. Not owned; must outlive the
-    /// run.
-    const CancelToken* cancel = nullptr;
 };
 
 /// The paper's timing-driven flow, executed by the concurrent engine: each
@@ -72,11 +61,9 @@ struct BatchOutcome {
     /// applies), and `error` carries the diagnostic.
     bool failed = false;
     std::string error;
-    /// A batch-level cancellation (SIGTERM/SIGINT token) interrupted this
-    /// item. `output` is the unmodified input when the item never started,
-    /// or the engine's best verified circuit so far when it was in flight;
-    /// either way it must NOT be journaled or written — `--resume` re-runs
-    /// the item from scratch, which reproduces the uninterrupted bytes.
+    /// Always false: the engine has no cancellation (a signal ends the
+    /// process, common/shutdown.hpp). Kept because lls_bench reads it; it
+    /// goes when lls_bench next changes.
     bool cancelled = false;
 };
 

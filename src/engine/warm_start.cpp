@@ -72,6 +72,7 @@ void WarmStart::flush_round() {
     if (mode_ != persist::StoreMode::ReadWrite) return;
     using Key = std::pair<std::uint64_t, std::uint64_t>;
     std::lock_guard<std::mutex> lock(mutex_);
+    if (closed_) return;
     // Only new entries are encoded, so a steady-state flush walks the
     // memos but serializes nothing.
     persist::Records records;
@@ -102,6 +103,7 @@ void WarmStart::finalize() {
     flush_round();
     if (mode_ != persist::StoreMode::ReadWrite) return;
     std::lock_guard<std::mutex> lock(mutex_);
+    closed_ = true;
     if (persist::list_shards(dir_).size() <= 8) return;  // the compaction threshold
 
     // Re-read what this process loaded or published (later files win, as

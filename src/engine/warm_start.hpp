@@ -9,7 +9,8 @@
 //   flush_round() — called by the engine at round boundaries (and safe from
 //                   concurrent batch items): publishes the memo entries
 //                   gained since the last flush as a new shard;
-//   finalize()    — last flush plus shard compaction.
+//   finalize()    — last flush plus shard compaction; later flushes write
+//                   nothing.
 //
 // The memos are the only in-memory copy of a persisted entry: between
 // flushes the bridge keeps keys, never encoded bytes. Compaction re-reads
@@ -63,7 +64,10 @@ public:
     /// retried at the next flush (the entries are still in the memos).
     void flush_round();
 
-    /// Final flush, then compaction of accumulated shard files.
+    /// Final flush, then compaction of accumulated shard files. After it,
+    /// flush_round() writes nothing: the process may end at once (lls_opt's
+    /// signal path `_exit`s with engine threads still running), and a shard
+    /// write cut short would leave its temporary file behind.
     void finalize();
 
     /// Warm-hit probes: the engine calls these on live-cache hits; keys
@@ -83,6 +87,7 @@ private:
 
     std::mutex mutex_;  ///< serializes flushes and compaction; guards the members below
     persist::LoadReport report_;
+    bool closed_ = false;  ///< finalize() has run
     KeySet published_decompose_;
     KeySet published_cec_;
     /// Shards this process loaded or published, plus rejected ones of the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/cancel.hpp"
 #include "sat/solver.hpp"
 
 namespace lls {
@@ -84,9 +83,6 @@ std::optional<ExactStructure> try_with_gates(const TruthTable& tt, int r,
     // Semantics: sel -> (val[i][t] == (A & B)).
     for (int i = 0; i < r; ++i) {
         for (std::size_t c = 0; c < candidates[static_cast<std::size_t>(i)].size(); ++c) {
-            // CNF encoding is r × candidates × rows — large before the solver
-            // even starts, so the encode loop polls alongside the solve loop.
-            poll_cancellation("exact");
             const Candidate& cand = candidates[static_cast<std::size_t>(i)][c];
             const sat::Lit s = sel[static_cast<std::size_t>(i)][c];
             for (std::uint32_t t = 0; t < rows; ++t) {

@@ -6,7 +6,6 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -67,6 +66,11 @@ struct BlifGate {
 [[noreturn]] void parse_fail(int line, const std::string& message) {
     throw LlsError(ErrorKind::ParseError, "line " + std::to_string(line) + ": " + message,
                    "blif");
+}
+
+/// A malformed AIGER file: a parse error, like malformed BLIF.
+LlsError aiger_error(const std::string& message) {
+    return LlsError(ErrorKind::ParseError, "AIGER: " + message, "aiger");
 }
 
 }  // namespace
@@ -265,12 +269,14 @@ void write_blif(std::ostream& out, const Aig& aig, const std::string& model_name
 
 void write_blif_file(const std::string& path, const Aig& aig, const std::string& model_name) {
     std::ofstream out(path);
-    if (!out) throw std::runtime_error("cannot open " + path);
+    if (!out) throw LlsError(ErrorKind::IoError, "cannot open " + path, "blif");
     write_blif(out, aig, model_name);
     // A full disk (or any other stream error) must not leave a silently
     // truncated netlist behind: flush and check before declaring success.
     out.flush();
-    if (!out) throw std::runtime_error("error writing " + path + " (truncated output)");
+    if (!out)
+        throw LlsError(ErrorKind::IoError, "error writing " + path + " (truncated output)",
+                       "blif");
 }
 
 void write_aiger(std::ostream& out, const Aig& aig) {
@@ -292,21 +298,23 @@ void write_aiger(std::ostream& out, const Aig& aig) {
 
 void write_aiger_file(const std::string& path, const Aig& aig) {
     std::ofstream out(path);
-    if (!out) throw std::runtime_error("cannot open " + path);
+    if (!out) throw LlsError(ErrorKind::IoError, "cannot open " + path, "aiger");
     write_aiger(out, aig);
     out.flush();
-    if (!out) throw std::runtime_error("error writing " + path + " (truncated output)");
+    if (!out)
+        throw LlsError(ErrorKind::IoError, "error writing " + path + " (truncated output)",
+                       "aiger");
 }
 
 Aig read_aiger(std::istream& in) {
     std::string magic;
     std::size_t m = 0, i = 0, l = 0, o = 0, a = 0;
     if (in >> magic && magic == "aig")
-        throw std::runtime_error(
-            "AIGER: binary format (\"aig\" header) is not supported; convert to ASCII (\"aag\")");
+        throw aiger_error(
+            "binary format (\"aig\" header) is not supported; convert to ASCII (\"aag\")");
     if (magic != "aag" || !(in >> m >> i >> l >> o >> a))
-        throw std::runtime_error("AIGER: bad header");
-    if (l != 0) throw std::runtime_error("AIGER: latches are not supported");
+        throw aiger_error("bad header");
+    if (l != 0) throw aiger_error("latches are not supported");
 
     Aig aig;
     // lit_map[aiger variable] -> our literal (variable v = aiger literal 2v).
@@ -317,14 +325,14 @@ Aig read_aiger(std::istream& in) {
     for (std::size_t k = 0; k < i; ++k) {
         std::size_t lit = 0;
         if (!(in >> lit) || (lit & 1) || lit / 2 > m)
-            throw std::runtime_error("AIGER: bad input literal");
+            throw aiger_error("bad input literal");
         var_map[lit / 2] = aig.add_pi();
         input_vars.push_back(lit / 2);
     }
 
     std::vector<std::size_t> output_lits(o);
     for (auto& lit : output_lits)
-        if (!(in >> lit) || lit / 2 > m) throw std::runtime_error("AIGER: bad output literal");
+        if (!(in >> lit) || lit / 2 > m) throw aiger_error("bad output literal");
 
     auto resolve = [&](std::size_t lit) {
         const AigLit base = var_map[lit / 2];
@@ -335,7 +343,7 @@ Aig read_aiger(std::istream& in) {
         std::size_t out_lit = 0, in0 = 0, in1 = 0;
         if (!(in >> out_lit >> in0 >> in1) || (out_lit & 1) || out_lit / 2 > m ||
             in0 / 2 > m || in1 / 2 > m)
-            throw std::runtime_error("AIGER: bad and line");
+            throw aiger_error("bad and line");
         // AIGER requires fanin variables to be defined before use
         // (out_lit > in0 >= in1 in the standard ordering).
         var_map[out_lit / 2] = aig.land(resolve(in0), resolve(in1));

@@ -13,7 +13,9 @@ namespace lls {
 Aig read_blif(std::istream& in);
 Aig read_blif_file(const std::string& path);
 
-/// Writes an AIG as a BLIF model (one two-input .names per AND node).
+/// Writes an AIG as a BLIF model (one two-input .names per AND node). The
+/// file writers throw LlsError{IoError} when the file cannot be opened or
+/// written whole.
 void write_blif(std::ostream& out, const Aig& aig, const std::string& model_name = "lls");
 void write_blif_file(const std::string& path, const Aig& aig,
                      const std::string& model_name = "lls");
@@ -22,9 +24,9 @@ void write_blif_file(const std::string& path, const Aig& aig,
 void write_aiger(std::ostream& out, const Aig& aig);
 void write_aiger_file(const std::string& path, const Aig& aig);
 
-/// Reads an ASCII AIGER ("aag") combinational model. Latches and the
-/// binary format ("aig") are rejected; the symbol table (when present)
-/// supplies PO names.
+/// Reads an ASCII AIGER ("aag") combinational model. Malformed input,
+/// latches and the binary format ("aig") throw LlsError{ParseError}; the
+/// symbol table (when present) supplies PO names.
 Aig read_aiger(std::istream& in);
 
 }  // namespace lls

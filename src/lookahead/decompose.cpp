@@ -8,7 +8,6 @@
 #include "aig/aig_build.hpp"
 #include "cec/cec.hpp"
 #include "common/bitops.hpp"
-#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "engine/metrics.hpp"
@@ -73,7 +72,6 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                                                       const RunContext& ctx) {
     LLS_REQUIRE(cone.num_pos() == 1);
     WorkCost& cost = *ctx.cost;
-    poll_cancellation("decompose");
     params.fault_plan.check("decompose", "decompose");
     const int old_depth = cone.depth();
     if (old_depth < 2) return std::nullopt;
@@ -168,7 +166,6 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
         std::vector<DcProofTask> proof_tasks;
         const auto y1_levels = net.compute_sop_levels();
         for (const auto node : net.cone_of(y1_root)) {
-            poll_cancellation("simplify");
             if (y1_levels[node] == 0) continue;  // already a literal/constant
             const TruthTable& f = net.function(node);
             const int k = f.num_vars();
@@ -227,14 +224,8 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                 throw;
             }
 
-            // A pool worker may arrive at a task from another cone's work;
-            // each task installs the evaluating thread's token so the
-            // thread-local polls inside the solver see the right one
-            // (nesting-safe: CancelScope saves/restores).
-            const CancelToken* cancel = current_cancel_token();
             auto run_task = [&](std::size_t t) {
                 DcProofTask& task = proof_tasks[t];
-                const CancelScope task_scope(cancel);
                 std::optional<sat::Solver> solver;
                 try {
                     solver.emplace(encoding);
@@ -242,10 +233,6 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                     const auto& fanins = net.fanins(task.node);
                     task.verdicts.assign(task.queries.size(), 0);
                     for (std::size_t q = 0; q < task.queries.size(); ++q) {
-                        // Between-queries poll: a shutdown stops the task
-                        // at the next query boundary instead of grinding
-                        // through the rest of the proof batch.
-                        poll_cancellation("simplify");
                         const std::uint32_t minterm = task.queries[q];
                         std::vector<sat::Lit> assumptions{!sigma_lit};
                         for (std::size_t f = 0; f < fanins.size(); ++f) {

@@ -39,8 +39,7 @@ struct DecomposeOutcome {
 ///
 /// The result is a function of (cone, params, rng seed) alone.
 /// `params.fault_plan` fires its `decompose`, `spcf`, `sat` and `cec`
-/// sites here, and the shutdown token is the calling thread's CancelScope,
-/// which each fanned-out proof task installs on the worker that runs it.
+/// sites here.
 /// `ctx` is the engine's per-cone RunContext (common/run_context.hpp): its
 /// `cost` sink accumulates the deterministic work spent on this cone (one
 /// decomposition attempt for the cone itself, one per node-simplification

@@ -34,12 +34,6 @@ struct OptimizeStats {
     /// in-flight round was discarded and the result is timing-dependent —
     /// reruns may differ. Never set on purely work-budgeted runs.
     bool wall_clock_interrupted = false;
-    /// A process/batch-level cancellation (CancelToken, e.g. SIGTERM) was
-    /// requested during the run: the engine stopped at the next round
-    /// boundary and returned the best verified circuit so far. Batch mode
-    /// treats such items as *not finished* — they are never journaled, so
-    /// `--resume` re-runs them from scratch, byte-identically.
-    bool cancelled = false;
     /// Contained faults, appended at serial points in deterministic order
     /// (common/fault.hpp). Every exception that escaped a cone evaluation —
     /// real or injected — lands here as one record, and its cone keeps its

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/cancel.hpp"
 #include "lookahead/simplify.hpp"
 
 namespace lls {
@@ -42,7 +41,6 @@ ReduceResult reduce_cone(Network& net, std::uint32_t root, std::vector<Signature
 
         // Walk a critical chain downward from c (Fig. 2's inner loop).
         while (c != 0 && levels[root] >= l_t) {
-            poll_cancellation("reduce");
             visited[c] = 1;
             if (!marked[c]) {
                 if (auto outcome =

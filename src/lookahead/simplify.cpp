@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/bitops.hpp"
-#include "common/cancel.hpp"
 
 namespace lls {
 
@@ -47,7 +46,6 @@ std::optional<SimplifyOutcome> simplify_node(const Network& net, std::uint32_t n
                                              const Signature& spcf, int window_budget,
                                              const RunContext& ctx) {
     if (ctx.cost != nullptr) ++ctx.cost->decompositions;
-    poll_cancellation("simplify");
     if (!net.is_internal(node)) return std::nullopt;
     const TruthTable& old_tt = net.function(node);
     const int k = old_tt.num_vars();

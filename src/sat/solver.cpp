@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/cancel.hpp"
 #include "common/error.hpp"
 
 namespace lls::sat {
@@ -381,7 +380,7 @@ void Solver::reduce_learned() {
 
 Status Solver::solve(const std::vector<Lit>& assumptions, std::int64_t conflict_limit) {
     if (unsat_) return Status::Unsat;
-    // A search that threw (cancellation, the literal limit) left its levels.
+    // A search that threw (the literal limit) left its levels.
     backtrack(0);
     if (propagate() != -1) {
         unsat_ = true;
@@ -401,10 +400,6 @@ Status Solver::search(const std::vector<Lit>& assumptions, std::int64_t conflict
     std::int64_t restart_budget = 100 * luby(restart_num);
 
     while (true) {
-        // The solve loop is unbounded when no conflict limit is set; this
-        // poll of the thread's CancelScope is what guarantees a runaway
-        // query still honors a shutdown request.
-        poll_cancellation("sat");
         const int confl = propagate();
         if (confl != -1) {
             ++conflicts_;

@@ -455,10 +455,9 @@ TEST(Engine, OneItemBatchUsesItsJobs) {
 TEST(Engine, ConcurrentItemsFanOutOnTheirOwnPools) {
     // Several batch items at once, each fanning its cones and per-cube
     // proof tasks out on a pool of its own while all of them share the
-    // process-wide memos — the concurrency TSan race-checks; every proof
-    // task re-installs its cancellation scope on whichever worker picks it
-    // up. At jobs 10 each of the 5 items runs on 2 threads. Outputs must
-    // still match the fully serial baseline.
+    // process-wide memos — the concurrency TSan race-checks. At jobs 10
+    // each of the 5 items runs on 2 threads. Outputs must still match the
+    // fully serial baseline.
     std::vector<BatchItem> items;
     items.push_back({"rca7", ripple_carry_adder(7)});
     items.push_back({"rca8", ripple_carry_adder(8)});
@@ -509,16 +508,15 @@ TEST(FaultPlan, GrammarRoundtrip) {
     ASSERT_NE(plan.spec_for("run"), nullptr);
     EXPECT_TRUE(plan.spec_for("run")->bad_alloc);
     EXPECT_EQ(plan.spec_for("cec"), nullptr);
-    EXPECT_EQ(FaultPlan::parse("cancel@decompose").spec_for("decompose")->kind,
-              ErrorKind::Cancelled);
 
     // A spec is exactly kind@site over the five engine sites: no count, no
-    // `fatal` kind or `cancelled` alias, and no site that no evaluation
-    // reaches (it would fire nowhere, yet re-seed every cone).
+    // `fatal` or `cancel` kind (nor the `cancelled` alias), and no site that
+    // no evaluation reaches (it would fire nowhere, yet re-seed every cone).
     for (const char* bad : {"bogus@decompose", "resource", "resource@sat:x", "@sat", "resource@",
                             "resource@decompose,", "resource@decompose:2", "oom@run:3",
                             "fatal@batch:0", "resource@decompose:1", "fatal@batch:1",
-                            "cancelled@decompose", "resource@decompse", "resource@batch"}) {
+                            "cancel@decompose", "cancelled@decompose", "resource@decompse",
+                            "resource@batch"}) {
         try {
             FaultPlan::parse(bad);
             ADD_FAILURE() << "no throw for " << bad;
@@ -783,168 +781,6 @@ TEST(Engine, MetricsRecordRuns) {
     EXPECT_NE(json.find("\"caches\""), std::string::npos);
 }
 
-// ---- cooperative cancellation ------------------------------------------
-
-TEST(Engine, InjectedCancelDegradesConeWithFaultRecord) {
-    // Without a shutdown request, a `cancel@decompose` fault is an ordinary
-    // contained fault: the cancelled cone must be kept original with a
-    // Cancelled fault record, and the run must stay equivalent.
-    const Aig rca = ripple_carry_adder(6);
-    clear_engine_caches();
-    Aig out;
-    const OptimizeStats stats = run_faulted(rca, "cancel@decompose", 2, &out);
-    EXPECT_TRUE(stats.verified);
-    EXPECT_TRUE(check_equivalence(rca, out, 2000000).equivalent);
-    ASSERT_FALSE(stats.faults.empty());
-    for (const FaultRecord& fault : stats.faults) EXPECT_EQ(fault.kind, ErrorKind::Cancelled);
-    EXPECT_FALSE(stats.cancelled);  // a cone cancellation is not a shutdown
-    EXPECT_EQ(stats.outputs_decomposed, 0);
-}
-
-TEST(Engine, InjectedCancelIsJobsInvariant) {
-    // The caches are cleared per run so every job count computes each
-    // evaluation; injection being a pure function of (cone, params), the
-    // computation replays identically across schedules.
-    const Aig rca = ripple_carry_adder(7);
-    auto fingerprint = [&](int jobs) {
-        clear_engine_caches();
-        Aig out;
-        const OptimizeStats stats = run_faulted(rca, "cancel@decompose", jobs, &out);
-        std::stringstream aag;
-        write_aiger(aag, out);
-        std::string fp = aag.str();
-        for (const FaultRecord& fault : stats.faults)
-            fp += "|" + std::string(error_kind_name(fault.kind)) + "@" + fault.stage + "#" +
-                  std::to_string(fault.cone);
-        return fp;
-    };
-    const std::string serial = fingerprint(1);
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(serial, fingerprint(2));
-    EXPECT_EQ(serial, fingerprint(4));
-}
-
-TEST(Engine, InjectedCancelIsCacheStateInvariant) {
-    // Like every other fault, a cancelled evaluation is memoized and
-    // replayed: the warm run evaluates no cone, and cold and warm runs
-    // agree bit-for-bit, fault journal included.
-    const Aig rca = ripple_carry_adder(6);
-    clear_engine_caches();
-    Aig cold_out, warm_out;
-    const OptimizeStats cold = run_faulted(rca, "cancel@decompose", 2, &cold_out);
-    const MetricCounter& cones_evaluated = Metrics::global().counter("engine.cones_evaluated");
-    const std::uint64_t evaluated_before_warm = cones_evaluated.value();
-    const OptimizeStats warm = run_faulted(rca, "cancel@decompose", 2, &warm_out);
-    EXPECT_EQ(cones_evaluated.value(), evaluated_before_warm);
-    EXPECT_EQ(cold_out.hash(), warm_out.hash());
-    ASSERT_EQ(cold.faults.size(), warm.faults.size());
-    for (std::size_t i = 0; i < cold.faults.size(); ++i) {
-        EXPECT_EQ(warm.faults[i].kind, ErrorKind::Cancelled);
-        EXPECT_EQ(cold.faults[i].cone, warm.faults[i].cone);
-        EXPECT_EQ(cold.faults[i].stage, warm.faults[i].stage);
-    }
-}
-
-TEST(Engine, PreRequestedTokenReturnsInputWithCancelledFlag) {
-    // A token requested before the run starts: the engine must dispatch
-    // nothing and hand back the (cleaned) input with stats.cancelled set —
-    // the single-circuit analogue of a batch item that never started.
-    const Aig rca = ripple_carry_adder(6);
-    CancelToken token;
-    token.request();
-    LookaheadParams params;
-    params.max_iterations = 4;
-    EngineOptions engine;
-    engine.jobs = 2;
-    engine.cancel = &token;
-    const std::uint64_t stops_before =
-        Metrics::global().counter("engine.cancel.shutdowns").value();
-    OptimizeStats stats;
-    const Aig out = optimize_timing_engine(rca, params, engine, &stats);
-    EXPECT_TRUE(stats.cancelled);
-    EXPECT_EQ(stats.outputs_decomposed, 0);
-    EXPECT_TRUE(check_equivalence(rca, out, 2000000).equivalent);
-    EXPECT_GT(Metrics::global().counter("engine.cancel.shutdowns").value(), stops_before);
-}
-
-TEST(Engine, BatchShutdownMarksItemsCancelledNotFailed) {
-    // With the token already requested, every batch item must come back
-    // cancelled (never failed), on_complete must still see each exactly
-    // once, and outputs must be safe placeholders (the unmodified input).
-    std::vector<BatchItem> items;
-    items.push_back({"a", ripple_carry_adder(5)});
-    items.push_back({"b", ripple_carry_adder(6)});
-    items.push_back({"c", ripple_carry_adder(7)});
-    CancelToken token;
-    token.request();
-    EngineOptions engine;
-    engine.jobs = 2;
-    engine.cancel = &token;
-    LookaheadParams params;
-    params.max_iterations = 4;
-    std::atomic<int> completions{0};
-    const auto outcomes = optimize_timing_batch(
-        items, params, engine, [&](const BatchOutcome& r, std::size_t) {
-            ++completions;
-            EXPECT_TRUE(r.cancelled);
-        });
-    ASSERT_EQ(outcomes.size(), items.size());
-    EXPECT_EQ(completions.load(), static_cast<int>(items.size()));
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        EXPECT_TRUE(outcomes[i].cancelled) << outcomes[i].name;
-        EXPECT_FALSE(outcomes[i].failed) << outcomes[i].name;
-        EXPECT_TRUE(check_equivalence(items[i].input, outcomes[i].output, 2000000).equivalent)
-            << outcomes[i].name;
-    }
-}
-
-TEST(Engine, MidBatchShutdownKeepsFinishedItemsByteIdentical) {
-    // Request shutdown from on_complete after the first finished item: the
-    // finished prefix must match an uninterrupted run byte-for-byte (what
-    // --resume relies on), and the interrupted/never-started remainder must
-    // be cancelled, not failed.
-    const auto items = skewed_batch();
-    LookaheadParams params;
-    params.max_iterations = 6;
-
-    auto aiger_of = [](const BatchOutcome& r) {
-        std::stringstream aag;
-        write_aiger(aag, r.output);
-        return aag.str();
-    };
-
-    clear_engine_caches();
-    EngineOptions full_engine;
-    full_engine.jobs = 2;
-    const auto full = optimize_timing_batch(items, params, full_engine);
-
-    clear_engine_caches();
-    CancelToken token;
-    EngineOptions engine;
-    engine.jobs = 2;
-    engine.cancel = &token;
-    std::atomic<int> finished{0};
-    const auto interrupted = optimize_timing_batch(
-        items, params, engine, [&](const BatchOutcome& r, std::size_t) {
-            if (!r.cancelled && ++finished == 1) token.request();
-        });
-    ASSERT_EQ(interrupted.size(), items.size());
-    std::size_t completed = 0, cancelled = 0;
-    for (std::size_t i = 0; i < interrupted.size(); ++i) {
-        if (interrupted[i].cancelled) {
-            ++cancelled;
-            EXPECT_FALSE(interrupted[i].failed);
-            continue;
-        }
-        ++completed;
-        EXPECT_FALSE(interrupted[i].failed);
-        // Finished-before-shutdown items are exactly the uninterrupted bytes.
-        EXPECT_EQ(aiger_of(interrupted[i]), aiger_of(full[i])) << interrupted[i].name;
-    }
-    EXPECT_GE(completed, 1u);
-    EXPECT_EQ(completed + cancelled, items.size());
-}
-
 // ---- bad_alloc containment ---------------------------------------------
 
 TEST(Engine, InjectedOomIsContainedAndMapsToResourceExhausted) {
@@ -991,7 +827,6 @@ TEST(Engine, BatchRunLevelOomFailsItemsWithoutTearingDownTheBatch) {
     ASSERT_EQ(outcomes.size(), 2u);
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         EXPECT_TRUE(outcomes[i].failed) << outcomes[i].name;
-        EXPECT_FALSE(outcomes[i].cancelled) << outcomes[i].name;
         EXPECT_FALSE(outcomes[i].error.empty()) << outcomes[i].name;
         EXPECT_FALSE(outcomes[i].stats.verified);
         EXPECT_EQ(outcomes[i].output.hash(), items[i].input.cleanup().hash());

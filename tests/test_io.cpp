@@ -211,17 +211,35 @@ TEST(Aiger, WriteReadRoundTrip) {
     }
 }
 
+/// The kind of the LlsError that reading `text` as AIGER throws.
+ErrorKind aiger_error_kind(const std::string& text) {
+    std::stringstream in(text);
+    try {
+        (void)read_aiger(in);
+    } catch (const LlsError& e) {
+        return e.kind();
+    }
+    ADD_FAILURE() << "no LlsError for: " << text;
+    return ErrorKind::InvariantViolation;
+}
+
 TEST(Aiger, ReadRejectsLatchesAndBinaryFormat) {
-    std::stringstream latched("aag 3 1 1 1 1\n2\n4 2 1\n6\n6 4 2\n");
-    EXPECT_THROW((void)read_aiger(latched), std::runtime_error);
+    EXPECT_EQ(aiger_error_kind("aag 3 1 1 1 1\n2\n4 2 1\n6\n6 4 2\n"), ErrorKind::ParseError);
     // A well-formed binary file is rejected by its header, naming the format.
     std::stringstream binary("aig 1 1 0 1 0\n2\n");
     try {
         (void)read_aiger(binary);
         ADD_FAILURE() << "no throw on a binary header";
-    } catch (const std::runtime_error& e) {
+    } catch (const LlsError& e) {
+        EXPECT_EQ(e.kind(), ErrorKind::ParseError);
         EXPECT_NE(std::string(e.what()).find("binary format"), std::string::npos) << e.what();
     }
+}
+
+TEST(Aiger, MalformedInputIsAParseError) {
+    for (const char* text : {"", "aag 1 1\n", "aag 1 1 0 1 0\n3\n2\n", "aag 1 1 0 1 0\n2\n9\n",
+                             "aag 2 1 0 1 1\n2\n4\n5 2\n"})
+        EXPECT_EQ(aiger_error_kind(text), ErrorKind::ParseError) << text;
 }
 
 TEST(Aiger, ReadHandlesConstantsAndComplements) {
@@ -259,18 +277,30 @@ TEST(Aiger, HeaderAndCounts) {
 }
 
 TEST(FileWriters, ThrowOnUnwritableTarget) {
-    // A stream error after open must surface as an exception, never as a
+    // A stream error after open must surface as an I/O error, never as a
     // silently truncated file that parses back as a smaller circuit.
     const Aig rca = ripple_carry_adder(8);
-    // Writing to a directory path fails at open; the "cannot open" branch.
-    EXPECT_THROW(write_blif_file("/tmp", rca, "t"), std::runtime_error);
-    EXPECT_THROW(write_aiger_file("/tmp", rca), std::runtime_error);
+    const auto kind_of = [&](const auto& write) {
+        try {
+            write();
+        } catch (const LlsError& e) {
+            return e.kind();
+        }
+        ADD_FAILURE() << "no LlsError from the writer";
+        return ErrorKind::InvariantViolation;
+    };
+    // A directory path, or one in a missing directory, fails at open; the
+    // "cannot open" branch.
+    for (const std::string path : {"/tmp", "/nonexistent/lls_no_such_dir/out"}) {
+        EXPECT_EQ(kind_of([&] { write_blif_file(path, rca, "t"); }), ErrorKind::IoError) << path;
+        EXPECT_EQ(kind_of([&] { write_aiger_file(path, rca); }), ErrorKind::IoError) << path;
+    }
     // /dev/full opens fine but every flush fails with ENOSPC; the
     // truncated-output branch. Only present on Linux — skip elsewhere.
     std::ifstream dev_full("/dev/full");
     if (!dev_full.good()) GTEST_SKIP() << "/dev/full not available";
-    EXPECT_THROW(write_blif_file("/dev/full", rca, "t"), std::runtime_error);
-    EXPECT_THROW(write_aiger_file("/dev/full", rca), std::runtime_error);
+    EXPECT_EQ(kind_of([&] { write_blif_file("/dev/full", rca, "t"); }), ErrorKind::IoError);
+    EXPECT_EQ(kind_of([&] { write_aiger_file("/dev/full", rca); }), ErrorKind::IoError);
 }
 
 TEST(FileWriters, SuccessfulWriteRoundTrips) {

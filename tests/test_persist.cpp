@@ -337,6 +337,21 @@ TEST(PersistStore, EntryIsPublishedOnceAndAFailedWriteIsRetried) {
     clear_engine_caches();
 }
 
+TEST(PersistStore, NoShardIsWrittenAfterFinalize) {
+    // An engine thread may still reach a round boundary after lls_opt's
+    // signal path has finalized the store and is about to _exit.
+    TempDir dir("closed");
+    clear_engine_caches();
+    WarmStart warm(dir.str(), StoreMode::ReadWrite);
+    cec_memo().put({1, 2}, true);
+    warm.finalize();
+    ASSERT_EQ(shard_files(dir.path).size(), 1u);
+    cec_memo().put({3, 4}, false);
+    warm.flush_round();
+    EXPECT_EQ(shard_files(dir.path).size(), 1u);
+    clear_engine_caches();
+}
+
 TEST(PersistStore, ReadOnlyModeNeverPublishes) {
     TempDir dir("readonly");
     clear_engine_caches();

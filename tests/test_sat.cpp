@@ -4,7 +4,6 @@
 
 #include <array>
 
-#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -142,23 +141,6 @@ TEST(SatSolver, ConflictLimitReturnsUnknown) {
     // A hard pigeonhole instance with a 1-conflict budget cannot finish.
     Solver s = hard_pigeonhole();
     EXPECT_EQ(s.solve({}, 1), Status::Unknown);
-}
-
-TEST(SatSolver, RequestedTokenStopsTheSearch) {
-    // The decide loop polls the thread's CancelScope once per iteration;
-    // that poll is the solver's only cancellation path. The finite conflict
-    // limit makes a missing poll fail this test instead of hanging it.
-    Solver s = hard_pigeonhole();
-    CancelToken token;
-    token.request();
-    const CancelScope scope(&token);
-    try {
-        s.solve({}, 1000000);
-        FAIL() << "solve() ignored the requested token";
-    } catch (const LlsError& e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Cancelled);
-        EXPECT_EQ(e.stage(), "sat");
-    }
 }
 
 TEST(SatSolver, LiteralLimitRaisesResourceExhausted) {

@@ -20,8 +20,8 @@
 //   --resume                      resume an interrupted --checkpoint batch
 //   --fault-inject SPEC           deterministic fault injection, SPEC =
 //                                 kind@site[,...]; kinds parse|resource|solver|
-//                                 verify|invariant|io|cancel|oom fire a fault
-//                                 at engine sites (decompose|spcf|sat|cec|run)
+//                                 verify|invariant|io|oom fire a fault at
+//                                 engine sites (decompose|spcf|sat|cec|run)
 //                                 and the cone keeps its original logic
 //   --no-verify                   skip the final equivalence check
 //   --map                         single-circuit mode: print a technology-mapping
@@ -53,31 +53,31 @@
 // and no engine memo.
 //
 // Exit codes are documented in --help: 0 success; 1 not equivalent / item
-// failed; 2 usage; 10..16 per ErrorKind (a failed checkpoint append is 15);
-// 30 terminated by SIGTERM/SIGINT with the checkpoint journal and
-// persist-store shards flushed (--resume continues byte-identically). A
-// second signal hard-exits with the conventional 128+signo.
+// failed; 2 usage; 10..15 per ErrorKind (a failed checkpoint append or
+// output write is 15); 30 terminated by SIGTERM/SIGINT after the epilogue:
+// every finished batch item journaled, the persist store flushed, and
+// --resume continues byte-identically. A second signal kills the process
+// (128+signo).
 
-#include <csignal>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include <atomic>
-
-#include <sstream>
-
 #include "baseline/flows.hpp"
 #include "cec/cec.hpp"
-#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/parse.hpp"
+#include "common/shutdown.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "engine/checkpoint.hpp"
@@ -86,36 +86,10 @@
 #include "engine/warm_start.hpp"
 #include "io/blif.hpp"
 #include "lookahead/optimize.hpp"
-#include <fstream>
-
 #include "mapping/mapper.hpp"
 #include "mapping/netlist.hpp"
 
 namespace {
-
-// Graceful signal-driven shutdown: the first SIGTERM/SIGINT requests
-// cooperative cancellation (the engine stops dispatching, in-flight cones
-// cancel at their next poll, the checkpoint journal and persist-store
-// shards are flushed, and the process exits with kExitSignalShutdown so
-// scripts know --resume will continue byte-identically). A second signal
-// hard-exits with the conventional 128+signo. Everything the handler does
-// is async-signal-safe: one atomic exchange, one relaxed store, _exit.
-lls::CancelToken g_shutdown;
-std::atomic<int> g_signal{0};
-
-extern "C" void handle_shutdown_signal(int sig) {
-    if (g_signal.exchange(sig) != 0) _exit(128 + sig);
-    g_shutdown.request();
-}
-
-void install_signal_handlers() {
-    struct sigaction action = {};
-    action.sa_handler = handle_shutdown_signal;
-    sigemptyset(&action.sa_mask);
-    action.sa_flags = SA_RESTART;
-    sigaction(SIGTERM, &action, nullptr);
-    sigaction(SIGINT, &action, nullptr);
-}
 
 void print_usage(std::FILE* out, const char* argv0) {
     std::fprintf(out,
@@ -143,8 +117,8 @@ int help(const char* argv0) {
     std::printf(
         "\nDurations (DUR) are a number with a unit: 500ms, 30s, 5m.\n"
         "Fault specs (SPEC) are kind@site[,...]: kind parse|resource|solver|verify|\n"
-        "invariant|io|cancel|oom fires at site decompose|spcf|sat|cec|run, and the\n"
-        "cone keeps its original logic.\n"
+        "invariant|io|oom fires at site decompose|spcf|sat|cec|run, and the cone\n"
+        "keeps its original logic.\n"
         "\nexit codes:\n"
         "   0  success\n"
         "  %2d  result not equivalent / unresolved, or a batch item failed\n"
@@ -154,18 +128,18 @@ int help(const char* argv0) {
         "  %2d  solver limit (a solver gave up within its effort bound)\n"
         "  %2d  verification failed or could not be resolved\n"
         "  %2d  internal invariant violation\n"
-        "  %2d  I/O error (filesystem open/read/write, a checkpoint append)\n"
-        "  %2d  cancelled (cooperative cancellation surfaced as an error)\n"
-        "  %2d  terminated by SIGTERM/SIGINT: checkpoint journal and persist\n"
-        "      store flushed; rerun with --resume to continue byte-identically\n"
-        " 128+signo  hard exit on a second SIGTERM/SIGINT\n",
+        "  %2d  I/O error (filesystem open/read/write, an output file, a checkpoint\n"
+        "      append)\n"
+        "  %2d  terminated by SIGTERM/SIGINT: every finished batch item journaled,\n"
+        "      persist store flushed; rerun with --resume to continue\n"
+        "      byte-identically\n"
+        " 128+signo  killed by a second SIGTERM/SIGINT\n",
         lls::kExitNotEquivalent, lls::kExitUsage, lls::exit_code_for(lls::ErrorKind::ParseError),
         lls::exit_code_for(lls::ErrorKind::ResourceExhausted),
         lls::exit_code_for(lls::ErrorKind::SolverLimit),
         lls::exit_code_for(lls::ErrorKind::VerificationFailed),
         lls::exit_code_for(lls::ErrorKind::InvariantViolation),
-        lls::exit_code_for(lls::ErrorKind::IoError), lls::exit_code_for(lls::ErrorKind::Cancelled),
-        lls::kExitSignalShutdown);
+        lls::exit_code_for(lls::ErrorKind::IoError), lls::kExitSignalShutdown);
     return 0;
 }
 
@@ -304,11 +278,6 @@ int main(int argc, char** argv) {
     lls::EngineOptions engine;
     engine.jobs = jobs;
 
-    // From here on a SIGTERM/SIGINT requests graceful shutdown through the
-    // engine's cancellation token instead of killing the process mid-write.
-    install_signal_handlers();
-    engine.cancel = &g_shutdown;
-
     // An option the chosen mode or flow would ignore is a usage error: the
     // engine's budgets, fault sites, batch mode and memo store serve only
     // the lookahead flow; output dumps and reports only the single-circuit
@@ -345,45 +314,25 @@ int main(int argc, char** argv) {
         }
     }
 
-    std::vector<lls::BatchItem> items;
-    for (const auto& path : inputs) {
-        try {
-            items.push_back({path, lls::read_blif_file(path)});
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "error reading %s: %s\n", path.c_str(), e.what());
-            return lls::exit_code_for(lls::error_kind_of(e));
+    // Two batch inputs with one basename would share one --out-dir file,
+    // and the journal would mark both done: one output would be lost.
+    if (batch && !out_dir.empty()) {
+        std::map<std::string, std::string> first_input;  // basename -> input
+        for (const auto& path : inputs) {
+            const auto [it, fresh] = first_input.emplace(basename_of(path), path);
+            if (!fresh)
+                return reject(path.c_str(), "has the same basename as '" + it->second +
+                                                "': both would be written to " + out_dir +
+                                                "/" + it->first);
         }
-    }
-
-    // Persistent memo store, opened after the inputs are read (an unreadable
-    // input must not pay for a load) and before any optimization. A store
-    // that cannot be *read* degrades to a cold start; only an unusable write
-    // setup throws, and even that merely disables persistence — the
-    // optimization must never be blocked by cache trouble.
-    std::unique_ptr<lls::WarmStart> warm;
-    if (!cache_dir.empty()) {
-        try {
-            warm = std::make_unique<lls::WarmStart>(cache_dir, *store_mode);
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "warning: persistent cache disabled: %s\n", e.what());
-        }
-    }
-    if (warm) {
-        const lls::persist::LoadReport& rep = warm->report();
-        for (const auto& note : rep.notes)
-            std::fprintf(stderr, "persist: rejected shard: %s\n", note.c_str());
-        if (warm->imported_records() > 0)
-            std::printf("persist: warm start, %zu record(s) from %zu shard(s)\n",
-                        warm->imported_records(), rep.files_loaded);
-        else
-            std::printf("persist: cold start\n");
-        engine.warm_start = warm.get();
     }
 
     // Shared epilogue of both modes: final store flush + metrics dumps. The
     // engine memos are listed only for the lookahead flow, the one that
     // consults them. Returns false (-> exit 1) only when --metrics-json
-    // cannot be written.
+    // cannot be written. It runs once, under the commit lock: in `finish`
+    // at the end of the run, or on the signal that ends it.
+    std::unique_ptr<lls::WarmStart> warm;  // set under the commit lock
     auto epilogue = [&]() -> bool {
         if (warm) warm->finalize();
         const auto caches = flow == "lookahead" ? lls::all_cache_stats()
@@ -401,6 +350,74 @@ int main(int argc, char** argv) {
         }
         return true;
     };
+
+    // From here on SIGTERM/SIGINT ends the process through this callback,
+    // which runs on the signal thread under the commit lock, so no output
+    // write or journal append is cut short: the epilogue, one line, exit 30.
+    // Every batch item journaled so far stays done, and --resume re-runs the
+    // rest byte-identically. Set up before any thread starts (the threads
+    // inherit its signal mask) and before the inputs are read (a read that
+    // blocks does not hold it up).
+    std::size_t journaled = 0;  // batch items on the journal; counted under the commit lock
+    lls::SignalShutdown shutdown([&](int signo) {
+        const char* dump = epilogue() ? "" : " (metrics dump failed)";
+        std::fflush(stdout);  // _exit flushes nothing; the reports go first
+        if (batch)
+            std::fprintf(stderr,
+                         "terminated by signal %d: %zu circuit(s) journaled%s; rerun with "
+                         "--resume to continue\n",
+                         signo, journaled, dump);
+        else
+            std::fprintf(stderr,
+                         "terminated by signal %d: optimization incomplete, outputs not "
+                         "written%s\n",
+                         signo, dump);
+        _exit(lls::kExitSignalShutdown);
+    });
+    // The end of the run: the epilogue, after which a first signal changes
+    // nothing (a second still kills the process).
+    auto finish = [&]() -> bool {
+        const auto lock = shutdown.commit();
+        const bool flushed = epilogue();
+        shutdown.disarm();
+        return flushed;
+    };
+
+    std::vector<lls::BatchItem> items;
+    for (const auto& path : inputs) {
+        try {
+            items.push_back({path, lls::read_blif_file(path)});
+        } catch (const std::exception& e) {
+            std::fprintf(stderr, "error reading %s: %s\n", path.c_str(), e.what());
+            return lls::exit_code_for(lls::error_kind_of(e));
+        }
+    }
+
+    // Persistent memo store, opened after the inputs are read (an unreadable
+    // input must not pay for a load) and before any optimization. A store
+    // that cannot be *read* degrades to a cold start; only an unusable write
+    // setup throws, and even that merely disables persistence — the
+    // optimization must never be blocked by cache trouble.
+    if (!cache_dir.empty()) {
+        try {
+            auto opened = std::make_unique<lls::WarmStart>(cache_dir, *store_mode);
+            const auto lock = shutdown.commit();
+            warm = std::move(opened);
+        } catch (const std::exception& e) {
+            std::fprintf(stderr, "warning: persistent cache disabled: %s\n", e.what());
+        }
+    }
+    if (warm) {
+        const lls::persist::LoadReport& rep = warm->report();
+        for (const auto& note : rep.notes)
+            std::fprintf(stderr, "persist: rejected shard: %s\n", note.c_str());
+        if (warm->imported_records() > 0)
+            std::printf("persist: warm start, %zu record(s) from %zu shard(s)\n",
+                        warm->imported_records(), rep.files_loaded);
+        else
+            std::printf("persist: cold start\n");
+        engine.warm_start = warm.get();
+    }
 
     // ---- batch mode: many circuits sharing --jobs -------------------------
     if (batch) {
@@ -448,20 +465,10 @@ int main(int argc, char** argv) {
 
         lls::Stopwatch sw;
         int exit_code = 0;
-        std::size_t journaled = 0;
         // Runs under the batch's completion mutex: per-item verification,
-        // output writing and journaling. A failed append throws out of the
-        // batch (see below).
+        // then, under the commit lock, output writing and journaling. A
+        // failed append throws out of the batch (see below).
         auto on_complete = [&](const lls::BatchOutcome& r, std::size_t i) {
-            if (r.cancelled) {
-                // Shutdown interrupted this item: nothing is verified,
-                // written, or journaled — --resume re-runs it from scratch
-                // and reproduces the uninterrupted bytes.
-                std::printf("%s: cancelled by shutdown request (not journaled; re-run with "
-                            "--resume)\n",
-                            r.name.c_str());
-                return;
-            }
             std::printf("%s: depth %d -> %d, %zu -> %zu AND nodes (%.2fs)\n", r.name.c_str(),
                         r.stats.initial_depth, r.stats.final_depth, r.stats.initial_ands,
                         r.stats.final_ands, r.seconds);
@@ -488,6 +495,7 @@ int main(int argc, char** argv) {
             }
             std::ostringstream bytes;
             lls::write_blif(bytes, r.output, "lls_opt");
+            const auto lock = shutdown.commit();
             if (!out_dir.empty()) {
                 const std::string out_path = out_dir + "/" + basename_of(r.name);
                 try {
@@ -521,7 +529,7 @@ int main(int argc, char** argv) {
         try {
             outcomes = lls::optimize_timing_batch(items, params, engine, on_complete);
         } catch (const std::exception& e) {
-            epilogue();
+            finish();
             std::fprintf(stderr, "error: batch stopped after %zu journaled circuit(s): %s\n",
                          journaled, e.what());
             return lls::exit_code_for(lls::error_kind_of(e));
@@ -529,22 +537,7 @@ int main(int argc, char** argv) {
         std::printf("batch: %zu circuits (%zu skipped via checkpoint), %d jobs, %.2fs wall "
                     "clock\n",
                     outcomes.size() + skipped, skipped, jobs, sw.elapsed_seconds());
-        // Graceful signal shutdown: the journal holds every finished item
-        // (appended flush-and-throw as it completed), and epilogue() flushes
-        // the persist-store shards. The distinct exit code tells scripts
-        // this run is resumable, not failed.
-        if (g_signal.load() != 0) {
-            const bool flushed = epilogue();
-            std::size_t cancelled = 0;
-            for (const auto& r : outcomes) cancelled += r.cancelled ? 1 : 0;
-            std::fprintf(stderr,
-                         "terminated by signal %d: %zu circuit(s) journaled, %zu cancelled; "
-                         "checkpoint %s; rerun with --resume to continue\n",
-                         g_signal.load(), journaled, cancelled,
-                         flushed ? "flushed" : "flushed (metrics dump failed)");
-            return lls::kExitSignalShutdown;
-        }
-        if (!epilogue()) exit_code = 1;
+        if (!finish()) exit_code = 1;
         return exit_code;
     }
 
@@ -595,18 +588,9 @@ int main(int argc, char** argv) {
     print_fault_summary(input_path.c_str(), stats);
     if (print_stats)
         for (const auto& line : stats.log) std::printf("  %s\n", line.c_str());
-    // Graceful signal shutdown: the engine returned its best verified
-    // circuit so far, but the optimization is incomplete — flush the
-    // persist store and exit with the resumable-shutdown code instead of
-    // writing partial outputs.
-    if (stats.cancelled || g_signal.load() != 0) {
-        epilogue();
-        std::fprintf(stderr, "terminated by signal %d: optimization incomplete, outputs not "
-                             "written\n",
-                     g_signal.load());
-        return lls::kExitSignalShutdown;
-    }
-    if (!epilogue()) return 1;
+    // The optimization is done: a signal from here on no longer stops the
+    // final check or the outputs below.
+    if (!finish()) return 1;
 
     if (verify) {
         const lls::CecResult cec = lls::check_equivalence(circuit, optimized, 4000000);
@@ -630,6 +614,7 @@ int main(int argc, char** argv) {
             std::printf("  %-8s %d\n", cell.c_str(), count);
     }
 
+    // A file that cannot be opened or written whole is an I/O error (15).
     if (!output_path.empty()) {
         try {
             lls::write_blif_file(output_path, optimized, "lls_opt");
@@ -651,12 +636,15 @@ int main(int argc, char** argv) {
     if (!verilog_path.empty()) {
         const lls::CellLibrary lib = lls::CellLibrary::generic_70nm();
         const lls::Netlist netlist = lls::map_to_netlist(optimized, lib);
+        // Flushed and checked like write_blif_file: a full disk must not
+        // pass for a written netlist.
         std::ofstream vout(verilog_path);
+        if (vout) netlist.write_verilog(vout, "lls_mapped");
+        vout.flush();
         if (!vout) {
-            std::fprintf(stderr, "cannot open %s\n", verilog_path.c_str());
-            return 1;
+            std::fprintf(stderr, "error writing %s\n", verilog_path.c_str());
+            return lls::exit_code_for(lls::ErrorKind::IoError);
         }
-        netlist.write_verilog(vout, "lls_mapped");
         std::printf("wrote %s (%zu gates, %.0f ps critical path)\n", verilog_path.c_str(),
                     netlist.num_gates(), netlist.critical_delay_ps());
     }

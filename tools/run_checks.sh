@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # run_checks.sh: tier-1 tests in the default configuration, usage-error
 # checks of lls_opt and lls_fuzz (an unknown option, a bad --flow value, an
-# option outside the mode or flow that reads it, or a removed --cache-mode
-# value exits 2 and names the argument before any input is read; an
-# unreadable input exits before the memo store is opened; --flow abc with
-# --jobs reports no job count and no engine memo), nine suites (SAT, CEC,
+# option outside the mode or flow that reads it, a removed --cache-mode
+# value or fault kind, or two --batch --out-dir inputs with one basename
+# exits 2 and names the argument before any input is read; an unreadable
+# input exits before the memo store is opened; an output file that cannot
+# be written exits 15; --flow abc with --jobs reports no job count and no
+# engine memo), nine suites (SAT, CEC,
 # SOP, truth-table, AIG and cuts, lookahead, simulation, network and SPCF)
 # in a Debug build (the only stage where the LLS_DCHECK invariant checks
 # run, among them the index checks of inline truth-table words and cut
@@ -24,13 +26,15 @@
 # with the same shard contents at --jobs 1 and 4, warm runs byte-identical
 # to cold across --jobs, with the same per-round log and fault lines;
 # corrupted stores and stores of an older format version degrade to cold
-# start), a graceful-shutdown
-# check (SIGTERM mid-batch must exit with the documented resumable code,
-# leave a valid journal, and --resume must reproduce the uninterrupted
-# bytes), then the concurrency-sensitive
-# engine/cancel/parse/io/persist tests — including the
-# nested-parallel_for deadlock regressions in test_thread_pool and the
-# cross-thread token requests in test_cancel — under ThreadSanitizer.
+# start), graceful-shutdown
+# checks (SIGTERM while the input is read from a FIFO must exit 30 at once
+# with the metrics written and no output; after the end-of-run epilogue a
+# first signal changes nothing and a second kills; SIGTERM mid-batch must
+# exit 30, leave a journal of whole lines and a flushed store, and --resume
+# must warm-start and reproduce the uninterrupted bytes), then the
+# concurrency-sensitive engine/shutdown/parse/io/persist tests — including
+# the nested-parallel_for deadlock regressions in test_thread_pool and the
+# forked signal-thread children of test_shutdown — under ThreadSanitizer.
 #
 #   tools/run_checks.sh [--skip-tsan]
 #
@@ -55,10 +59,11 @@ echo "== stage 1a: usage errors name the rejected argument =="
 # printed on stdout), --cache-dir with a flow that never reads the engine's
 # memos, and an unknown lls_fuzz option (not read as the iteration count).
 # Then every lls_opt option that its mode or flow would ignore, the removed
-# --cache-mode values, and fault specs outside the kind@site grammar (the
-# retired crash hook, a count, the `cancelled` spelling, an unknown site):
-# each is rejected before the input is read, so a missing input does not
-# turn them into an I/O error (15).
+# --cache-mode values, fault specs outside the kind@site grammar (the
+# retired crash hook, a count, the removed `cancel` kind and its `cancelled`
+# spelling, an unknown site), and a second --batch --out-dir input with the
+# basename of an earlier one: each is rejected before the input is read, so
+# a missing input does not turn them into an I/O error (15).
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
 expect_usage_error() {  # <rejected argument> <command...>
@@ -94,9 +99,12 @@ expect_usage_error --fault-inject ./build/tools/lls_opt --flow abc \
 expect_usage_error --out-dir ./build/tools/lls_opt --out-dir "$WORKDIR/usage_out" "$MISSING"
 [[ ! -e "$WORKDIR/usage_out" ]] || { echo "a rejected --out-dir was created"; exit 1; }
 expect_usage_error --checkpoint ./build/tools/lls_opt --checkpoint "$WORKDIR/usage.ckpt" "$MISSING"
-for spec in fatal@batch:1 resource@decompose:1 cancelled@decompose resource@decompse; do
+for spec in fatal@batch:1 resource@decompose:1 cancel@decompose cancelled@decompose \
+    resource@decompse; do
     expect_usage_error --fault-inject ./build/tools/lls_opt --fault-inject "$spec" "$MISSING"
 done
+expect_usage_error "$WORKDIR/b/x.blif" ./build/tools/lls_opt --batch --out-dir "$WORKDIR/usage_out" \
+    "$WORKDIR/a/x.blif" "$WORKDIR/b/x.blif"
 expect_usage_error --resume ./build/tools/lls_opt --batch --resume "$MISSING"
 expect_usage_error --aiger ./build/tools/lls_opt --batch --aiger "$WORKDIR/usage.aag" "$MISSING"
 expect_usage_error --verilog ./build/tools/lls_opt --batch --verilog "$WORKDIR/usage.v" "$MISSING"
@@ -121,7 +129,21 @@ rc=0
     > "$WORKDIR/usage.out" 2> /dev/null || rc=$?
 [[ "$rc" == 15 ]] && ! grep -q '^persist:' "$WORKDIR/usage.out" || {
     echo "a missing input must exit 15 before the store opens (exit $rc)"; exit 1; }
-echo "usage errors exit 2 and name the rejected argument; a missing input opens no store"
+# An output file that cannot be opened (a missing directory) or written
+# whole (/dev/full) is an I/O error (15), for each of the three outputs.
+for target in "$WORKDIR/no_such_dir/out" /dev/full; do
+    for output in blif --aiger --verilog; do
+        out_args=("$WORKDIR/usage.blif")
+        if [[ "$output" == blif ]]; then out_args=("$target"); else out_args+=("$output" "$target"); fi
+        rc=0
+        ./build/tools/lls_opt --iterations 1 tests/data/rca16.blif "${out_args[@]}" \
+            > /dev/null 2> "$WORKDIR/usage.err" || rc=$?
+        [[ "$rc" == 15 ]] || {
+            echo "expected exit 15 writing $output to $target, got $rc"; cat "$WORKDIR/usage.err"; exit 1; }
+    done
+done
+echo "usage errors exit 2 and name the rejected argument; a missing input opens no store;" \
+    "unwritable outputs exit 15"
 
 echo "== stage 1b: LLS_DCHECK invariants (Debug) =="
 # Every other stage builds with NDEBUG, which compiles LLS_DCHECK out. These
@@ -202,10 +224,9 @@ echo "== stage 3: fault injection never aborts and stays jobs-invariant =="
 # exit 0 (contained, not crashed), verify equivalence, and produce the same
 # bytes and fault summary lines at every --jobs value. The decompose and spcf
 # sites are reached by every cone, so those runs must also report at least
-# one contained fault — proof that the injection fired. cancel@decompose raises a Cancelled
-# error with no shutdown requested: it is contained like any other fault.
-# Plus a short fuzz run with injection enabled.
-for spec in resource@decompose invariant@spcf solver@sat verify@cec cancel@decompose; do
+# one contained fault — proof that the injection fired. Plus a short fuzz run
+# with injection enabled.
+for spec in resource@decompose invariant@spcf solver@sat verify@cec; do
     for circuit in tests/data/rca16.blif tests/data/control24.blif; do
         name="$(basename "$circuit" .blif)"
         tag="${spec//@/_}"
@@ -218,8 +239,7 @@ for spec in resource@decompose invariant@spcf solver@sat verify@cec cancel@decom
             cmp "$WORKDIR/$name.$tag.j1.blif" "$WORKDIR/$name.$tag.j$j.blif"
             cmp "$WORKDIR/$name.$tag.j1.faults" "$WORKDIR/$name.$tag.j$j.faults"
         done
-        if [[ "$spec" == resource@decompose || "$spec" == invariant@spcf ||
-            "$spec" == cancel@decompose ]]; then
+        if [[ "$spec" == resource@decompose || "$spec" == invariant@spcf ]]; then
             grep -q "/$name\.blif: [1-9][0-9]* fault(s) contained" "$WORKDIR/$name.$tag.j1.log" || {
                 echo "expected $spec to fire on at least one cone of $name"; exit 1; }
         fi
@@ -383,11 +403,68 @@ grep -q "^persist: rejected shard: .*format version 1, expected 2" "$WORKDIR/per
 cmp "$WORKDIR/persist.cold.aag" "$WORKDIR/persist.stale.aag"
 echo "version-1 store rejected by name: cold start, byte-identical output"
 
-echo "== stage 4d: SIGTERM mid-batch is resumable and byte-identical =="
+echo "== stage 4d: SIGTERM ends the run at once; mid-batch it is resumable =="
+# A signal is handled by lls_opt's signal thread, not polled by the
+# library, so it ends a run that is still reading its input: lls_opt blocks
+# reading a FIFO once the shell's open for writing has returned, and SIGTERM
+# must end it within a second with exit 30, the shutdown line and the
+# metrics file, and no output written.
+FIFO="$WORKDIR/sig-fifo.blif"
+mkfifo "$FIFO"
+./build/tools/lls_opt --metrics-json "$WORKDIR/sig-fifo.json" "$FIFO" "$WORKDIR/sig-fifo.out.blif" \
+    > "$WORKDIR/sig-fifo.log" 2>&1 &
+FIFO_PID=$!
+exec 3> "$FIFO"
+kill -TERM "$FIFO_PID"
+deadline=$(( $(date +%s%N) + 1000000000 ))
+while kill -0 "$FIFO_PID" 2>/dev/null && (( $(date +%s%N) < deadline )); do sleep 0.01; done
+if kill -0 "$FIFO_PID" 2>/dev/null; then
+    echo "lls_opt still running 1 s after SIGTERM while reading a FIFO"
+    exec 3>&-
+    wait "$FIFO_PID" || true
+    exit 1
+fi
+rc=0
+wait "$FIFO_PID" || rc=$?
+exec 3>&-
+[[ "$rc" == 30 ]] || { echo "expected exit 30 from a FIFO read, got $rc"; cat "$WORKDIR/sig-fifo.log"; exit 1; }
+grep -q "terminated by signal 15" "$WORKDIR/sig-fifo.log" || {
+    echo "missing shutdown diagnostic"; cat "$WORKDIR/sig-fifo.log"; exit 1; }
+[[ -s "$WORKDIR/sig-fifo.json" ]] || { echo "metrics not written on shutdown"; exit 1; }
+[[ ! -e "$WORKDIR/sig-fifo.out.blif" ]] || { echo "an output was written on shutdown"; exit 1; }
+echo "SIGTERM during a FIFO read: exit 30 within 1 s, metrics written, no output"
+# After the end-of-run epilogue (the metrics file is written) the run is
+# disarmed: lls_opt blocks opening an output FIFO that nobody reads, a
+# SIGTERM there changes nothing, and a second signal (SIGINT) must still
+# kill it (exit 130) within a second.
+OUT_FIFO="$WORKDIR/sig-out-fifo.blif"
+mkfifo "$OUT_FIFO"
+./build/tools/lls_opt --metrics-json "$WORKDIR/sig-out.json" tests/data/rca16.blif "$OUT_FIFO" \
+    > "$WORKDIR/sig-out.log" 2>&1 &
+OUT_PID=$!
+while [[ ! -s "$WORKDIR/sig-out.json" ]] && kill -0 "$OUT_PID" 2>/dev/null; do sleep 0.01; done
+kill -TERM "$OUT_PID" 2>/dev/null || true
+sleep 0.3
+kill -0 "$OUT_PID" 2>/dev/null || {
+    rc=0; wait "$OUT_PID" || rc=$?
+    echo "a disarmed lls_opt ended on its first signal (exit $rc)"; cat "$WORKDIR/sig-out.log"; exit 1; }
+kill -INT "$OUT_PID"
+deadline=$(( $(date +%s%N) + 1000000000 ))
+while kill -0 "$OUT_PID" 2>/dev/null && (( $(date +%s%N) < deadline )); do sleep 0.01; done
+if kill -0 "$OUT_PID" 2>/dev/null; then
+    echo "a disarmed lls_opt still running 1 s after a second signal"
+    kill -KILL "$OUT_PID"; wait "$OUT_PID" || true
+    exit 1
+fi
+rc=0
+wait "$OUT_PID" || rc=$?
+[[ "$rc" == 130 ]] || { echo "expected exit 130 from the second signal, got $rc"; exit 1; }
+echo "after the epilogue: a first signal changes nothing, a second kills (exit 130)"
 # A larger batch (distinct copies so names stay unique in the journal and
-# out-dir), killed with SIGTERM mid-flight: the process must exit with the
-# documented resumable-shutdown code (30), keep a valid journal of every
-# finished item, and --resume must complete the batch with outputs
+# out-dir) with a persistent store, killed with SIGTERM mid-flight: the
+# process must exit with the documented resumable-shutdown code (30), leave
+# a journal of whole lines, one per finished item, and a flushed store, and
+# --resume must warm-start from it and complete the batch with outputs
 # byte-identical to an uninterrupted run. The signal goes out once the
 # journal holds its first finished circuit (a tab-separated entry line), not
 # after a fixed sleep, which the whole batch can outrun.
@@ -399,10 +476,10 @@ for i in 1 2 3 4 5 6; do
 done
 ./build/tools/lls_opt --batch --jobs 2 --iterations 6 \
     --out-dir "$WORKDIR/sig-full" "${SIG_INPUTS[@]}" > /dev/null
+SIG_RUN=(./build/tools/lls_opt --batch --jobs 2 --iterations 6 --cache-dir "$WORKDIR/sig-cache"
+         --out-dir "$WORKDIR/sig-resumed" --checkpoint "$WORKDIR/sig-ckpt.txt")
 rc=0
-./build/tools/lls_opt --batch --jobs 2 --iterations 6 \
-    --out-dir "$WORKDIR/sig-resumed" --checkpoint "$WORKDIR/sig-ckpt.txt" \
-    "${SIG_INPUTS[@]}" > "$WORKDIR/sig.log" 2>&1 &
+"${SIG_RUN[@]}" "${SIG_INPUTS[@]}" > "$WORKDIR/sig.log" 2>&1 &
 SIG_PID=$!
 while ! grep -q $'\t' "$WORKDIR/sig-ckpt.txt" 2>/dev/null && kill -0 "$SIG_PID" 2>/dev/null; do
     sleep 0.01
@@ -412,30 +489,34 @@ wait "$SIG_PID" || rc=$?
 [[ "$rc" == 30 ]] || { echo "expected signal-shutdown exit 30, got $rc"; cat "$WORKDIR/sig.log"; exit 1; }
 grep -q "terminated by signal 15" "$WORKDIR/sig.log" || {
     echo "missing shutdown diagnostic"; cat "$WORKDIR/sig.log"; exit 1; }
-[[ -f "$WORKDIR/sig-ckpt.txt" ]] || { echo "journal missing after shutdown"; exit 1; }
-./build/tools/lls_opt --batch --jobs 2 --iterations 6 \
-    --out-dir "$WORKDIR/sig-resumed" --checkpoint "$WORKDIR/sig-ckpt.txt" \
-    --resume "${SIG_INPUTS[@]}" > /dev/null
+[[ -f "$WORKDIR/sig-ckpt.txt" && -z "$(tail -c 1 "$WORKDIR/sig-ckpt.txt")" ]] || {
+    echo "journal missing or torn after shutdown"; exit 1; }
+compgen -G "$WORKDIR/sig-cache/*.shard" > /dev/null || { echo "no store shards after shutdown"; exit 1; }
+"${SIG_RUN[@]}" --resume "${SIG_INPUTS[@]}" > "$WORKDIR/sig-resume.log"
+grep -q "persist: warm start" "$WORKDIR/sig-resume.log" || {
+    echo "expected --resume to warm-start from the flushed store"; exit 1; }
 for i in 1 2 3 4 5 6; do
     cmp "$WORKDIR/sig-full/sig_rca$i.blif" "$WORKDIR/sig-resumed/sig_rca$i.blif"
     cmp "$WORKDIR/sig-full/sig_ctl$i.blif" "$WORKDIR/sig-resumed/sig_ctl$i.blif"
 done
-echo "SIGTERM shutdown: exit 30, journal intact, resumed outputs byte-identical"
+echo "SIGTERM mid-batch: exit 30, journal whole, store flushed, resumed outputs byte-identical"
 
 if [[ "$SKIP_TSAN" == 1 ]]; then
     echo "== stage 5: skipped (--skip-tsan) =="
     exit 0
 fi
 
-echo "== stage 5: engine + cancel + persist tests under ThreadSanitizer =="
+echo "== stage 5: engine + shutdown + persist tests under ThreadSanitizer =="
 # test_engine includes the concurrent-items test: five batch items at once,
 # each fanning its cones and per-cube SAT proofs out on a pool of its own
-# while they share the process-wide memos.
+# while they share the process-wide memos. test_shutdown forks single-threaded
+# and runs its signal thread in the children; TSan needs no die_after_fork=0
+# for that.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLLS_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
-    --target test_thread_pool test_engine test_parse test_cancel test_io \
+    --target test_thread_pool test_engine test_parse test_shutdown test_io \
              test_cache test_persist
-(cd build-tsan && ctest -R 'test_thread_pool|test_engine|test_parse|test_cancel|test_io|test_cache|test_persist' \
+(cd build-tsan && ctest -R 'test_thread_pool|test_engine|test_parse|test_shutdown|test_io|test_cache|test_persist' \
     --output-on-failure)
 
 echo "== all checks passed =="
